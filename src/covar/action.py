@@ -33,7 +33,6 @@ from .exactalg import (
     QMat,
     RatFn,
     field_one,
-    lift_coeff,
     qmat,
     qmat_det,
     qmat_identity,

@@ -22,17 +22,15 @@ from .action import (
     Character,
     FiniteGroupAction,
     GroupAction,
-    SymbolicGroupAction,
     make_finite_group,
     symbolic_general_linear,
 )
 from .covariant import (
     Covariant,
-    CovariantError,
     DependentCovariantsError,
     RelativeInvariant,
+    ensure_equivariant,
     generic_independence,
-    verify_equivariance,
 )
 from .exactalg import (
     DimensionError,
@@ -96,13 +94,20 @@ def _expect(cond: bool, message: str):
         raise ProblemError(message)
 
 
+def _int(value, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ProblemError(f"{where}: expected an integer, got {value!r}") from None
+
+
 def _parse_field(raw: dict) -> PrimeField | None:
     block = raw.get("field")
     if block is None:
         return None
     _expect(isinstance(block, dict) and "prime" in block,
             "field: expected an object with a 'prime' entry")
-    return PrimeField(int(block["prime"]))
+    return PrimeField(_int(block["prime"], "field.prime"))
 
 
 def _parse_matrix(rows, where: str) -> list[list[str]]:
@@ -144,21 +149,25 @@ def parse_problem(source: str | dict, path: str = "") -> ProblemFile:
                          _parse_matrix(pair["w"], f"group.generators[{k}].w")))
         x_vars = tuple(space.get("x_vars", ())) or None
         w_vars = tuple(space.get("w_vars", ())) or None
+        max_order = _int(group_block.get("max_order", 10_000), "group.max_order")
         try:
             group = make_finite_group(gens, x_vars=x_vars, w_vars=w_vars,
-                                      max_order=int(group_block.get("max_order", 10_000)),
-                                      field=field)
+                                      max_order=max_order, field=field)
         except (ActionError, DimensionError) as exc:
             raise ProblemError(f"group: {exc}") from None
+        except (ValueError, ZeroDivisionError) as exc:
+            # an entry that is not a rational number of the coefficient field
+            raise ProblemError(f"group.generators: {exc}") from None
     elif kind == "symbolic":
         for key in ("n", "x_template", "w_template"):
             _expect(key in group_block, f"group.{key}: required for symbolic groups")
         try:
             group = symbolic_general_linear(
-                int(group_block["n"]), group_block["x_template"],
+                _int(group_block["n"], "group.n"), group_block["x_template"],
                 group_block["w_template"],
-                x_copies=int(group_block.get("x_copies", 1)),
-                w_copies=int(group_block.get("w_copies", 1)), field=field)
+                x_copies=_int(group_block.get("x_copies", 1), "group.x_copies"),
+                w_copies=_int(group_block.get("w_copies", 1), "group.w_copies"),
+                field=field)
         except (ActionError, DimensionError) as exc:
             raise ProblemError(f"group: {exc}") from None
         if space.get("x_vars"):
@@ -200,20 +209,26 @@ def parse_problem(source: str | dict, path: str = "") -> ProblemFile:
 
 def _family_from_block(block: dict, group: GroupAction) -> list[Covariant]:
     name = block["name"]
-    params = {k: v for k, v in block.items() if k != "name"}
+
+    def param(key: str) -> int:
+        _expect(key in block, f"family.{key}: required for the {name!r} family")
+        return _int(block[key], f"family.{key}")
+
     if name == "matrix_words":
-        words = params.get("words")
+        words = block.get("words")
         if words is not None:
-            words = [tuple(int(x) for x in w) for w in words]
-        fam = example_family("matrix_words", n=int(params["n"]), words=words,
-                             verify=params.get("verify", "auto"))
+            words = [tuple(_int(x, f"family.words[{k}]") for x in w)
+                     for k, w in enumerate(words)]
+        fam = example_family("matrix_words", n=param("n"), words=words,
+                             verify=block.get("verify", "auto"))
     elif name == "projections":
-        fam = example_family("projections", n=int(params["n"]), m=int(params["m"]))
+        fam = example_family("projections", n=param("n"), m=param("m"))
     elif name == "power_maps":
-        powers = params.get("powers")
+        powers = block.get("powers")
         group_arg = group if isinstance(group, FiniteGroupAction) else None
-        fam = example_family("power_maps", n=int(params["n"]),
-                             powers=[int(p) for p in powers] if powers else None,
+        fam = example_family("power_maps", n=param("n"),
+                             powers=[_int(p, "family.powers") for p in powers]
+                             if powers else None,
                              group=group_arg)
     else:
         raise ProblemError(f"family.name: unknown family {name!r}")
@@ -300,8 +315,10 @@ def load_certificate(path: str) -> tuple[NoNameMap, ProblemFile]:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemError(f"invalid JSON: {exc}") from None
-    _expect(raw.get("kind") == "noname-certificate",
+    _expect(isinstance(raw, dict) and raw.get("kind") == "noname-certificate",
             "kind: expected 'noname-certificate'")
+    for key in ("group", "f", "weight", "phi", "phi_inv"):
+        _expect(key in raw, f"{key}: required certificate field missing")
     problem = parse_problem({"group": raw["group"], "space": raw.get("space", {}),
                              "field": raw.get("field")}, path)
     group = problem.group
@@ -376,19 +393,7 @@ def _need_covariants(problem: ProblemFile) -> list[Covariant]:
 def cmd_verify(args) -> int:
     problem = parse_problem(args.problem)
     Fs = _need_covariants(problem)
-    report = Report("equivariance of the covariant family")
-    for i, F in enumerate(Fs):
-        if F.status == "equivariant":
-            # already certified while building the family (e.g. word products
-            # through the algebra-morphism route); do not redo the slow path
-            report.add(f"covariant_{i + 1}_equivariant", True,
-                       "certified during family construction")
-            continue
-        sub = verify_equivariance(F)
-        check = sub.checks[0]
-        report.add(f"covariant_{i + 1}_equivariant", check.passed, check.detail,
-                   check.witness)
-        report.seconds += sub.seconds
+    report = ensure_equivariant(Fs)
     report.data["count"] = len(Fs)
     _note_assumptions(report, problem)
     _emit(report, args)
@@ -398,8 +403,7 @@ def cmd_verify(args) -> int:
 def cmd_independence(args) -> int:
     problem = parse_problem(args.problem)
     Fs = _need_covariants(problem)
-    for F in Fs:
-        verify_equivariance(F)
+    ensure_equivariant(Fs)
     report = generic_independence(Fs, seed=args.seed)
     _note_assumptions(report, problem)
     _emit(report, args)
@@ -409,14 +413,14 @@ def cmd_independence(args) -> int:
 def cmd_noname_build(args) -> int:
     problem = parse_problem(args.problem)
     Fs = _need_covariants(problem)
-    for i, F in enumerate(Fs):
-        rep = verify_equivariance(F)
-        if not rep.ok:
-            out = Report("no-name construction")
-            out.add("covariants_equivariant", False,
-                    f"covariant {i + 1} is not equivariant")
-            _emit(out, args)
-            return MATH_EXIT
+    certified = ensure_equivariant(Fs)
+    if not certified.ok:
+        i = certified.checks.index(certified.failed_checks()[0])
+        out = Report("no-name construction")
+        out.add("covariants_equivariant", False,
+                f"covariant {i + 1} is not equivariant")
+        _emit(out, args)
+        return MATH_EXIT
     try:
         m = build_isomorphism(Fs)
     except DependentCovariantsError as exc:
@@ -424,7 +428,7 @@ def cmd_noname_build(args) -> int:
         out.add("covariants_independent", False, str(exc))
         _emit(out, args)
         return MATH_EXIT
-    report = verify_isomorphism(m)
+    report = m.report
     report.title = "no-name construction"
     report.data["weight"] = str(m.invariant.weight)
     _note_assumptions(report, problem)
@@ -475,10 +479,8 @@ def cmd_clear(args) -> int:
     Fs = _need_covariants(problem)
     if not isinstance(problem.group, FiniteGroupAction):
         raise ProblemError("clear works on finite groups only")
-    for F in Fs:
-        rep = verify_equivariance(F)
-        if not rep.ok:
-            raise ProblemError("clear requires equivariant covariants")
+    if not ensure_equivariant(Fs).ok:
+        raise ProblemError("clear requires equivariant covariants")
     before = generic_independence(Fs, seed=args.seed)
     f, cleared = clear_denominators(Fs, problem.group)
     after = generic_independence(cleared, seed=args.seed)
@@ -498,8 +500,7 @@ def cmd_clear(args) -> int:
 def cmd_relation(args) -> int:
     problem = parse_problem(args.problem)
     Fs = _need_covariants(problem)
-    for F in Fs:
-        verify_equivariance(F)
+    ensure_equivariant(Fs)
     report = Report("relation over the function field")
     found = relation_over_function_field(Fs)
     if isinstance(found, IndependenceCertificate):
@@ -551,8 +552,7 @@ def cmd_lower(args) -> int:
     Fs = _need_covariants(problem)
     if not isinstance(problem.group, FiniteGroupAction):
         raise ProblemError("lower works on finite groups only")
-    for F in Fs:
-        verify_equivariance(F)
+    ensure_equivariant(Fs)
     rel_block = problem.raw.get("relation")
     if not isinstance(rel_block, list) or len(rel_block) != len(Fs):
         raise ProblemError("relation: expected one coefficient string per covariant")
@@ -578,8 +578,7 @@ def cmd_lower(args) -> int:
 def cmd_module_verdict(args) -> int:
     problem = parse_problem(args.problem)
     Fs = _need_covariants(problem)
-    for F in Fs:
-        verify_equivariance(F)
+    ensure_equivariant(Fs)
     hyp = problem.hypotheses
     flags = BridgeFlags(bool(hyp.get("fraction_field")), bool(hyp.get("reflection")),
                         hyp.get("note", ""))

@@ -17,7 +17,7 @@ from .exactalg import (
     Matrix,
     Poly,
     RatFn,
-    field_one,
+    common_denominator,
     lift_coeff,
     qmat_det,
     qmat_rank,
@@ -139,22 +139,10 @@ def _point_dict(vars, point, field):
 # ---------------------------------------------------------------------------
 
 
-def _common_denominator(F: Covariant) -> tuple[list[Poly], Poly]:
-    """Write the coordinates over one denominator: coords = nums / den."""
-    from .exactalg import poly_lcm
-
-    den = Poly.one(F.action.x_vars, F.action.field)
-    lifted = [c if isinstance(c, RatFn) else RatFn(c, reduce=False) for c in F.coords]
-    for c in lifted:
-        den = poly_lcm(den, c.den)
-    nums = [c.num * den.exact_div(c.den) for c in lifted]
-    return nums, den
-
-
 def _finite_equivariance_witness(F: Covariant) -> dict | None:
     """None if F(gx) = g_W F(x) for every element, else a witness dict."""
     action = F.action
-    nums, den = _common_denominator(F)
+    nums, den = common_denominator(F.coords)
     for i in action.elements():
         subst = action.x_substitution(i, inverse=False)
         lhs_nums = [p.subs(subst, action.x_vars) for p in nums]
@@ -187,7 +175,7 @@ def _separating_point(lnum, lden, rnum, rden, action) -> str | None:
 def _symbolic_equivariance_witness(F: Covariant) -> dict | None:
     """Cleared polynomial identity F(gx) det^{p_w} ... = g_W F(x) det^{k}."""
     action = F.action
-    nums, den = _common_denominator(F)
+    nums, den = common_denominator(F.coords)
     ring = action.xg_vars
     det = action.det_poly.embed(ring)
     num_subs = []
@@ -270,6 +258,25 @@ def verified(action: GroupAction, coords, expect: bool = True) -> Covariant:
     if expect and not rep.ok:
         raise CovariantError(f"covariant is not equivariant: {rep.failed_checks()[0].witness}")
     return F
+
+
+def ensure_equivariant(Fs: list[Covariant]) -> Report:
+    """One check per covariant, deciding each status at most once: only
+    ``unchecked`` covariants are verified; a status certified earlier (e.g.
+    while a family was built) is recorded as it stands."""
+    report = Report("equivariance of the covariant family")
+    for i, F in enumerate(Fs):
+        name = f"covariant_{i + 1}_equivariant"
+        if F.status == EQUIVARIANT:
+            report.add(name, True, "certified during family construction")
+        elif F.status == REFUTED:
+            report.add(name, False, "equivariance refuted", F.refutation)
+        else:
+            sub = verify_equivariance(F)
+            check = sub.checks[0]
+            report.add(name, check.passed, check.detail, check.witness)
+            report.seconds += sub.seconds
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +407,25 @@ def evaluate_matrix(Fs: list[Covariant], point: dict) -> list[list]:
     return [[cols[j][i] for j in range(len(Fs))] for i in range(len(cols[0]))]
 
 
+def _symbolic_rank(Fs: list[Covariant]) -> int:
+    mat = coordinate_matrix(Fs)
+    if any(isinstance(x, RatFn) for row in mat.entries for x in row):
+        mat = mat.clear_row_denominators()
+    return mat.rank()
+
+
+# witness candidates tried before any symbolic elimination
+WITNESS_FIRST_CANDIDATES = 32
+
+
 def generic_independence(Fs: list[Covariant], seed: int = 0) -> Report:
     """Rank of the coordinate matrix over the function field.
 
-    If the rank equals the family size, a rational witness point with
-    exactly confirmed independent values is reported as well.
+    A rational point where the e covariants take rank e proves independence
+    exactly, so the seeded candidate points are tried first; the symbolic
+    rank is computed only when none of the first candidates is a witness
+    (and always for more covariants than dim W).  For an independent family
+    the reported witness is the first full-rank candidate of the stream.
     """
     report = Report("generic independence")
     with Stopwatch(report):
@@ -413,23 +434,29 @@ def generic_independence(Fs: list[Covariant], seed: int = 0) -> Report:
         d = action.w_dim
         report.data["family_size"] = e
         report.data["w_dim"] = d
-        mat = coordinate_matrix(Fs)
-        if any(isinstance(x, RatFn) for row in mat.entries for x in row):
-            mat = mat.clear_row_denominators()
-        rank = mat.rank()
-        report.data["rank"] = rank
+        coordinate_matrix(Fs)  # rejects families over different actions
         if e > d:
+            rank = _symbolic_rank(Fs)
+            report.data["rank"] = rank
             report.data["verdict"] = "dependent"
             report.add("independent", False,
                        f"{e} covariants into a {d}-dimensional module are "
                        f"automatically dependent (rank {rank} < {e})")
             return report
+        points = candidate_points(action.x_dim, random.Random(seed))
+        witness = _independence_witness(
+            Fs, itertools.islice(points, WITNESS_FIRST_CANDIDATES))
+        rank = e
+        if witness is None:
+            rank = _symbolic_rank(Fs)
+            if rank == e:
+                witness = _independence_witness(Fs, points)
+        report.data["rank"] = rank
         if rank < e:
             report.data["verdict"] = "dependent"
             report.add("independent", False, f"rank {rank} < family size {e}")
             return report
         report.data["verdict"] = "independent"
-        witness = _independence_witness(Fs, seed)
         if witness is None:
             report.add("independent", True,
                        f"rank {rank} = family size; no rational witness found "
@@ -444,11 +471,12 @@ def generic_independence(Fs: list[Covariant], seed: int = 0) -> Report:
     return report
 
 
-def _independence_witness(Fs: list[Covariant], seed: int):
+def _independence_witness(Fs: list[Covariant], points):
+    """The first of ``points`` where the family has full rank e, with the
+    e x e minor when e = dim W; None if no point qualifies."""
     action = Fs[0].action
-    rng = random.Random(seed)
     e = len(Fs)
-    for point in candidate_points(action.x_dim, rng):
+    for point in points:
         vals = _point_dict(action.x_vars, point, action.field)
         try:
             rows = evaluate_matrix(Fs, vals)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 
 class ExactAlgError(Exception):
@@ -691,7 +691,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         if r.is_zero():
             pb = r
         else:
-            pb = r.exact_div(_content(r, idx))
+            # monic scaling keeps each remainder's rational coefficients at
+            # their canonical size instead of compounding lb factors
+            pb = r.exact_div(_content(r, idx)).monic()
     pa = pa.exact_div(_content(pa, idx))
     return (g * pa).monic()
 
@@ -700,6 +702,16 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
     if a.is_zero() or b.is_zero():
         return Poly.zero(a.vars, a.field)
     return (a * b).exact_div(poly_gcd(a, b)).monic()
+
+
+def common_denominator(entries) -> tuple[list[Poly], Poly]:
+    """Write Poly/RatFn entries over one monic denominator: entry k equals
+    nums[k] / den, with den the lcm of the entry denominators."""
+    lifted = [x if isinstance(x, RatFn) else RatFn(x, reduce=False) for x in entries]
+    den = lifted[0].den.ring_one()
+    for x in lifted:
+        den = poly_lcm(den, x.den)
+    return [x.num * den.exact_div(x.den) for x in lifted], den
 
 
 # ---------------------------------------------------------------------------
@@ -1126,14 +1138,7 @@ class Matrix:
 
     def clear_row_denominators(self) -> "Matrix":
         """Scale each row by its common denominator; kernel and rank agree."""
-        out = []
-        for row in self.entries:
-            lifted = [x if isinstance(x, RatFn) else RatFn(x, reduce=False) for x in row]
-            l = lifted[0].den.ring_one()
-            for x in lifted:
-                l = poly_lcm(l, x.den)
-            out.append([(x.num * l.exact_div(x.den)) for x in lifted])
-        return Matrix(out)
+        return Matrix([common_denominator(row)[0] for row in self.entries])
 
     def __str__(self):
         return "[" + "; ".join(", ".join(str(x) for x in row) for row in self.entries) + "]"

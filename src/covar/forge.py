@@ -21,7 +21,6 @@ from .covariant import (
     CovariantError,
     EQUIVARIANT,
     coordinate_matrix,
-    generic_independence,
     verified,
     verify_equivariance,
     weight_of,
@@ -31,10 +30,8 @@ from .exactalg import (
     ExactAlgError,
     Matrix,
     Poly,
-    RatFn,
+    common_denominator,
     field_one,
-    poly_lcm,
-    qmat,
 )
 
 
@@ -152,30 +149,22 @@ def clear_denominators(Fs: list[Covariant], G: FiniteGroupAction
     for F in Fs:
         if F.status != EQUIVARIANT:
             raise CovariantError("clear_denominators requires verified covariants")
-    h = Poly.one(G.x_vars, G.field)
-    lifted_all = []
-    for F in Fs:
-        lifted = [c if isinstance(c, RatFn) else RatFn(c, reduce=False) for c in F.coords]
-        lifted_all.append(lifted)
-        for c in lifted:
-            h = poly_lcm(h, c.den)
+    nums, h = common_denominator([c for F in Fs for c in F.coords])
     f = Poly.one(G.x_vars, G.field)
     for g in G.elements():
         f = f * G.act_on_poly(g, h)
     w = weight_of(G, f)
     if w is None or not w.is_trivial():
         raise ForgeError("orbit product failed to be an absolute invariant")
-    out: list[Covariant] = []
-    n = 0
+    # every denominator divides f^n exactly when their lcm h does
     power = Poly.one(G.x_vars, G.field)
-    while True:
-        if all(c.den.divides(power) for lifted in lifted_all for c in lifted):
-            break
-        n += 1
+    while not h.divides(power):
         power = power * f
-    for lifted in lifted_all:
-        coords = [c.num * power.exact_div(c.den) for c in lifted]
-        F_int = Covariant(G, coords)
+    scale = power.exact_div(h)
+    d = G.w_dim
+    out: list[Covariant] = []
+    for k in range(len(Fs)):
+        F_int = Covariant(G, [p * scale for p in nums[k * d:(k + 1) * d]])
         rep = verify_equivariance(F_int)
         if not rep.ok:
             raise ForgeError("cleared covariant failed its equivariance check")

@@ -42,8 +42,8 @@ from .exactalg import (
     Matrix,
     Poly,
     RatFn,
+    common_denominator,
     field_one,
-    poly_lcm,
 )
 from .report import Report, Stopwatch
 
@@ -73,16 +73,8 @@ def _ratfn_quotient(num: Poly, den: Poly) -> Poly | RatFn:
 
 def _cleared_rows(mat: Matrix) -> tuple[list[list[Poly]], list[Poly]]:
     """Write each row over one denominator: row i equals nums[i] / dens[i]."""
-    nums: list[list[Poly]] = []
-    dens: list[Poly] = []
-    for row in mat.entries:
-        lifted = [x if isinstance(x, RatFn) else RatFn(x, reduce=False) for x in row]
-        den = lifted[0].den.ring_one()
-        for x in lifted:
-            den = poly_lcm(den, x.den)
-        nums.append([x.num * den.exact_div(x.den) for x in lifted])
-        dens.append(den)
-    return nums, dens
+    rows = [common_denominator(row) for row in mat.entries]
+    return [nums for nums, _ in rows], [den for _, den in rows]
 
 
 def _dot(row: list[Poly], vec: list[Poly]) -> Poly:
@@ -110,6 +102,8 @@ class NoNameMap:
     w_vars: tuple[str, ...]
     out_vars: tuple[str, ...]
     covariants: list[Covariant] = dc_field(default_factory=list)
+    # the verify_isomorphism report that accepted the map at build time
+    report: Report | None = dc_field(default=None, compare=False, repr=False)
 
     @property
     def f(self):
@@ -138,9 +132,10 @@ class NoNameMap:
 def build_isomorphism(Fs: list[Covariant], out_vars: tuple[str, ...] | None = None) -> NoNameMap:
     """Construct the localized isomorphism from d independent covariants.
 
-    All structural identities (two-sided inverse over the localization,
-    invariance of every generator, and both substitution round trips) are
-    verified before the map is returned.
+    The map is accepted only if :func:`verify_isomorphism` passes every
+    structural check (two-sided inverse over the localization, invariance of
+    every generator, both substitution round trips, ...); that report is
+    returned with the map as ``m.report``.
     """
     if not Fs:
         raise DimensionError("empty covariant list")
@@ -161,16 +156,10 @@ def build_isomorphism(Fs: list[Covariant], out_vars: tuple[str, ...] | None = No
         phi = adj.map(lambda e: RatFn(e, f, reduce=False))
     out_vars = tuple(out_vars) if out_vars else _pick_out_vars(action, len(Fs))
     m = NoNameMap(action, ri, phi, F_mat, action.w_vars, out_vars, list(Fs))
-
-    problems = []
-    if not _two_sided_inverse(m):
-        problems.append("phi and phi_inv are not mutually inverse")
-    bad = _generator_invariance(m)
-    if bad is not None:
-        problems.append(f"generator {bad[0] + 1} is not invariant (witness: {bad[1]})")
-    problems.extend(_round_trip_failures(m))
-    if problems:
-        raise IsomorphismError("; ".join(problems))
+    m.report = verify_isomorphism(m)
+    if not m.report.ok:
+        raise IsomorphismError("failed checks: " + ", ".join(
+            c.name for c in m.report.failed_checks()))
     return m
 
 
@@ -212,11 +201,6 @@ def _product_is_identity(left: Matrix, right: Matrix) -> bool:
             elif acc != expect:
                 return False
     return True
-
-
-def _two_sided_inverse(m: NoNameMap) -> bool:
-    return (_product_is_identity(m.phi, m.phi_inv)
-            and _product_is_identity(m.phi_inv, m.phi))
 
 
 def _round_trip_failures(m: NoNameMap) -> list[str]:
@@ -319,17 +303,13 @@ def _generator_invariance_generic(action, pn, pd, w_vars):
     ring = action.x_vars + tuple(w_vars) + action.g_vars
     det = action.det_poly.embed(ring)
     field = action.field
-    den_cache: dict[int, tuple[Poly, int]] = {}
     for i in range(len(pn)):
         gen_ring = action.x_vars + tuple(w_vars)
         num = Poly.zero(gen_ring, field)
         for j, name in enumerate(w_vars):
             num = num + pn[i][j].embed(gen_ring) * Poly.var(name, gen_ring, field)
         num_moved, kn = action.act_cleared(num, "xw", out_vars=ring)
-        key = id(pd[i])
-        if key not in den_cache:
-            den_cache[key] = action.act_cleared(pd[i], "x", out_vars=ring)
-        den_moved, kd = den_cache[key]
+        den_moved, kd = action.act_cleared(pd[i], "x", out_vars=ring)
         # num_moved/det^kn / (den_moved/det^kd) == num/pd[i]
         k = min(kn, kd)
         lhs = num_moved * pd[i].embed(ring) * det ** (kd - k)
@@ -398,7 +378,7 @@ def verify_isomorphism(m: NoNameMap) -> Report:
 
 def _generator_invariance_direct(m: NoNameMap):
     """Finite-group route through the full (x, w)-ring substitution, kept
-    separate from the matrix-identity route used at build time."""
+    separate from the matrix-identity route of :func:`_generator_invariance`."""
     action = m.action
     gens = m.generators()
     ring = action.x_vars + m.w_vars

@@ -13,16 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .action import FiniteGroupAction, GroupAction
+from .action import FiniteGroupAction
 from .covariant import (
     Covariant,
-    CovariantError,
     coordinate_matrix,
     generic_independence,
     weight_of,
 )
 from .exactalg import (
-    DimensionError,
     ExactAlgError,
     ExactDivisionError,
     Matrix,

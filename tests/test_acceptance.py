@@ -411,3 +411,16 @@ def test_criterion_10_projection_generators():
         assert rep.ok
         inv_check = [c for c in rep.checks if c.name == "generators_invariant"]
         assert inv_check and inv_check[0].passed
+
+
+def test_criterion_11_witness_first_independence():
+    from covar.exactalg import qmat_det
+
+    with criterion(11, "gl3-independence-witness-first", 10.0):
+        code, out = run_cli(["independence", "matrix_words_gl3", "--format", "machine"])
+        assert code == 0
+        data = json.loads(out)["report"]["data"]
+        assert data["verdict"] == "independent" and data["rank"] == 9
+        point = {v: Fraction(c) for v, c in data["witness_point"].items()}
+        rows = evaluate_matrix(parse_problem("matrix_words_gl3").covariants, point)
+        assert qmat_det(tuple(tuple(r) for r in rows)) == Fraction(data["witness_minor"])

@@ -237,6 +237,37 @@ def test_usage_errors_exit_two(tmp_path):
     assert exc.value.code == 2
 
 
+def _certificate_without_f(tmp_path):
+    cert = tmp_path / "cert.json"
+    assert run_cli(["noname-build", "vandermonde_s2", "--out", str(cert)])[0] == 0
+    payload = json.loads(cert.read_text())
+    del payload["f"]
+    return payload
+
+
+@pytest.mark.parametrize("command,make_payload,field", [
+    ("verify", lambda tmp: {
+        "group": {"type": "symbolic", "n": 2, "x_template": "gl_conjugation",
+                  "w_template": "gl_conjugation", "x_copies": 2, "w_copies": 1},
+        "family": {"name": "matrix_words"}}, "family.n"),
+    ("verify", lambda tmp: {
+        "field": {"prime": 5},
+        "group": {"type": "finite",
+                  "generators": [{"x": [["1/5", "0"], ["0", "1"]],
+                                  "w": [["1", "0"], ["0", "1"]]}]},
+        "covariants": [["x1", "x2"]]}, "group.generators"),
+    ("noname-verify", _certificate_without_f, "f"),
+], ids=["family-without-n", "gf5-entry-with-denominator-5", "certificate-without-f"])
+def test_malformed_input_exits_two_naming_the_field(tmp_path, command, make_payload,
+                                                    field):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(make_payload(tmp_path)))
+    code, _, err = run_cli([command, str(path)])
+    assert code == 2
+    assert f"error: {field}:" in err
+    assert "Traceback" not in err
+
+
 def test_word_family_preset_n3_uses_certified_status():
     code, out, _ = run_cli(["example", "matrix_words_gl3"])
     assert code == 0

@@ -12,6 +12,7 @@ from covar.covariant import (
     covariant_matrix,
     coordinate_matrix,
     det_relative_invariant,
+    ensure_equivariant,
     evaluate_matrix,
     generic_independence,
     verified,
@@ -206,3 +207,45 @@ def test_weight_of_symbolic_scalar(scalar_action):
     assert w is not None
     g11 = Poly.var("g11", scalar_action.g_vars)
     assert w.ratfn == RatFn(Poly.one(scalar_action.g_vars), g11)
+
+
+def test_dependent_square_family_reports_symbolic_rank(s2):
+    x1, x2 = Poly.gens(s2.x_vars)
+    F = verified(s2, [x1, x2])
+    G = verified(s2, [2 * x1, 2 * x2])
+    rep = generic_independence([F, G])
+    assert not rep.ok
+    assert rep.data["verdict"] == "dependent" and rep.data["rank"] == 1
+    assert "witness_point" not in rep.data
+
+
+def test_ensure_equivariant_honours_certified_families(monkeypatch):
+    from covar import covariant
+    from covar.cli import parse_problem
+
+    families = [parse_problem(name).covariants
+                for name in ("matrix_words_gl2", "matrix_words_gl3")]
+    calls = []
+    monkeypatch.setattr(covariant, "verify_equivariance",
+                        lambda F: calls.append(F) or verify_equivariance(F))
+    for Fs in families:
+        rep = ensure_equivariant(Fs)
+        assert rep.ok and len(rep.checks) == len(Fs)
+        assert {c.detail for c in rep.checks} == {"certified during family construction"}
+    assert calls == []
+
+
+def test_ensure_equivariant_verifies_unchecked_once(s2, monkeypatch):
+    from covar import covariant
+
+    x1, x2 = Poly.gens(s2.x_vars)
+    good, bad = Covariant(s2, [x1, x2]), Covariant(s2, [x1, x1])
+    calls = []
+    monkeypatch.setattr(covariant, "verify_equivariance",
+                        lambda F: calls.append(F) or verify_equivariance(F))
+    first = ensure_equivariant([good, bad])
+    assert [c.passed for c in first.checks] == [True, False]
+    again = ensure_equivariant([good, bad])
+    assert [c.passed for c in again.checks] == [True, False]
+    assert again.checks[1].witness == bad.refutation
+    assert calls == [good, bad]

@@ -208,3 +208,37 @@ def test_linearize_invariant_map_under_swap(s2):
     assert L.det() == diff
     for F in covs:
         assert F.status == "equivariant"
+
+
+def test_noname_build_runs_each_structural_check_once(monkeypatch):
+    import contextlib
+    import io
+
+    from covar import noname
+    from covar.cli import main
+
+    counts = {"_product_is_identity": 0, "_round_trip_failures": 0}
+    for name in counts:
+        original = getattr(noname, name)
+
+        def spy(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(noname, name, spy)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["noname-build", "matrix_words_gl2"]) == 0
+    assert counts == {"_product_is_identity": 2, "_round_trip_failures": 1}
+
+
+def test_build_isomorphism_returns_its_report(vandermonde_pair):
+    m = build_isomorphism(vandermonde_pair)
+    assert m.report.ok
+    assert m.report.checks == verify_isomorphism(m).checks
+
+
+def test_build_isomorphism_names_failed_checks(vandermonde_pair, monkeypatch):
+    from covar import noname
+
+    monkeypatch.setattr(noname, "_round_trip_failures", lambda m: ["forced failure"])
+    with pytest.raises(IsomorphismError, match="round_trips"):
+        build_isomorphism(vandermonde_pair)
