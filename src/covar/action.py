@@ -36,6 +36,8 @@ from .exactalg import (
     qmat,
     qmat_det,
     qmat_identity,
+    qmat_inv,
+    qmat_mul,
 )
 
 
@@ -67,17 +69,22 @@ class FiniteGroupAction:
 
     def __init__(self, x_mats: list[QMat], w_mats: list[QMat],
                  x_vars: tuple[str, ...], w_vars: tuple[str, ...],
-                 generators: list[int], field: PrimeField | None = None):
+                 generators: list[int], right: list[list[int]],
+                 field: PrimeField | None = None):
         self.x_mats = x_mats
         self.w_mats = w_mats
         self.x_vars = x_vars
         self.w_vars = w_vars
         self.generators = generators
+        # Cayley table: right[i][k] is the index of element i times generator k
+        self.right = right
         self.field = field
         self.identity = 0
-        self._index = {m: i for i, m in enumerate(x_mats)}
-        self._mul_cache: dict[tuple[int, int], int] = {}
-        self.inv = [self._find_inverse(i) for i in range(len(x_mats))]
+        index = {m: i for i, m in enumerate(x_mats)}
+        try:
+            self.inv = [index[qmat_inv(m, field)] for m in x_mats]
+        except KeyError:
+            raise ActionError("element without inverse; closure is corrupt") from None
 
     # -- structure -----------------------------------------------------------
 
@@ -96,22 +103,11 @@ class FiniteGroupAction:
     def elements(self) -> range:
         return range(self.order)
 
-    def mul(self, i: int, j: int) -> int:
-        key = (i, j)
-        hit = self._mul_cache.get(key)
-        if hit is None:
-            from .exactalg import qmat_mul
-            hit = self._index[qmat_mul(self.x_mats[i], self.x_mats[j])]
-            self._mul_cache[key] = hit
-        return hit
-
-    def _find_inverse(self, i: int) -> int:
-        from .exactalg import qmat_mul
-        ident = self.x_mats[self.identity]
-        for j in range(self.order):
-            if qmat_mul(self.x_mats[i], self.x_mats[j]) == ident:
-                return j
-        raise ActionError("element without inverse; closure is corrupt")
+    def distinct_generators(self) -> list[int]:
+        """Generator indices without repeats.  The elements satisfying an
+        equivariance or relative-invariance identity form a subgroup, so the
+        identity holds on the whole group iff it holds on these."""
+        return list(dict.fromkeys(self.generators))
 
     # -- actions on polynomials ------------------------------------------------
 
@@ -160,10 +156,9 @@ def make_finite_group(generators: list[tuple], x_vars: tuple[str, ...] | None = 
 
     The w-images must define a homomorphism from the generated matrix group;
     a collision (same x-matrix reached with two different w-matrices) is
-    reported as an error.  Closure past ``max_order`` pairs aborts.
+    reported as an error.  Closure past ``max_order`` pairs aborts.  The
+    products computed on the way are kept as the Cayley table ``right``.
     """
-    from .exactalg import qmat_mul
-
     if not generators:
         raise ActionError("at least one generator pair is required")
     gen_pairs = [(qmat(x, field), qmat(w, field)) for x, w in generators]
@@ -185,30 +180,31 @@ def make_finite_group(generators: list[tuple], x_vars: tuple[str, ...] | None = 
     if set(x_vars) & set(w_vars):
         raise ActionError("X and W variable names overlap")
 
-    ident = (qmat_identity(nx, field), qmat_identity(nw, field))
-    seen: dict[QMat, QMat] = {ident[0]: ident[1]}
-    order: list[tuple[QMat, QMat]] = [ident]
-    queue = [ident]
-    while queue:
-        cur = queue.pop(0)
+    # breadth first: the loop walks the element lists while they grow, and
+    # each product with a generator fills one Cayley-table entry
+    x_mats = [qmat_identity(nx, field)]
+    w_mats = [qmat_identity(nw, field)]
+    index: dict[QMat, int] = {x_mats[0]: 0}
+    right: list[list[int]] = []
+    for cur_x, cur_w in zip(x_mats, w_mats):
+        row = []
         for gx, gw in gen_pairs:
-            nxt = (qmat_mul(cur[0], gx), qmat_mul(cur[1], gw))
-            known = seen.get(nxt[0])
-            if known is None:
-                if len(order) >= max_order:
+            nxt_x, nxt_w = qmat_mul(cur_x, gx), qmat_mul(cur_w, gw)
+            j = index.get(nxt_x)
+            if j is None:
+                if len(x_mats) >= max_order:
                     raise ClosureCapError(
                         f"closure exceeded the cap of {max_order} elements")
-                seen[nxt[0]] = nxt[1]
-                order.append(nxt)
-                queue.append(nxt)
-            elif known != nxt[1]:
+                j = index[nxt_x] = len(x_mats)
+                x_mats.append(nxt_x)
+                w_mats.append(nxt_w)
+            elif w_mats[j] != nxt_w:
                 raise ActionError(
                     "w-images do not define a homomorphism: one x-matrix "
                     "carries two distinct w-matrices")
-    x_mats = [p[0] for p in order]
-    w_mats = [p[1] for p in order]
-    gen_indices = [x_mats.index(g[0]) for g in gen_pairs]
-    return FiniteGroupAction(x_mats, w_mats, x_vars, w_vars, gen_indices, field)
+            row.append(j)
+        right.append(row)
+    return FiniteGroupAction(x_mats, w_mats, x_vars, w_vars, right[0], right, field)
 
 
 # ---------------------------------------------------------------------------
@@ -612,14 +608,17 @@ class Character:
     __hash__ = None
 
     def check_multiplicative(self) -> bool:
-        """theta(gh) = theta(g) theta(h); all pairs for finite groups, a
-        two-generic-element polynomial identity for symbolic ones."""
+        """theta(gh) = theta(g) theta(h); a two-generic-element polynomial
+        identity for symbolic groups.  For finite groups theta(e) = 1 and
+        theta(i gen_k) = theta(i) theta(gen_k) over the Cayley table: every
+        element is a word in the generators, so that is the whole identity."""
         action = self.action
         if action.is_finite:
-            ident_ok = self.table[action.identity] == field_one(action.field)
-            return ident_ok and all(
-                self.table[action.mul(i, j)] == self.table[i] * self.table[j]
-                for i in range(action.order) for j in range(action.order))
+            t = self.table
+            gen_values = [t[g] for g in action.generators]
+            return t[action.identity] == field_one(action.field) and all(
+                t[j] == t[i] * v
+                for i, row in enumerate(action.right) for j, v in zip(row, gen_values))
         n = action.n
         h_vars = tuple(f"h{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
         ring = action.g_vars + h_vars
@@ -680,14 +679,19 @@ def extend_finite_action(action: FiniteGroupAction, y_vars: tuple[str, ...],
         raise ActionError("variable-name collision between X and Y")
     ny = len(y_vars)
     zero = Fraction(0) if action.field is None else action.field.zero
+    ys = [qmat(y, action.field) for y in y_mats]
+    if any(len(y) != ny or any(len(r) != ny for r in y) for y in ys):
+        raise DimensionError("Y-matrix size does not match y_vars")
+    # the product action keeps the Cayley table only if Y is a homomorphism
+    if ys[action.identity] != qmat_identity(ny, action.field) or any(
+            qmat_mul(ys[i], ys[g]) != ys[j]
+            for i, row in enumerate(action.right) for j, g in zip(row, action.generators)):
+        raise ActionError("Y-matrices do not define a homomorphism")
     new_mats = []
-    for m, y in zip(action.x_mats, y_mats):
-        y = qmat(y, action.field)
-        if len(y) != ny or any(len(r) != ny for r in y):
-            raise DimensionError("Y-matrix size does not match y_vars")
+    for m, y in zip(action.x_mats, ys):
         nx = len(m)
         top = [tuple(row) + (zero,) * ny for row in m]
         bottom = [(zero,) * nx + tuple(row) for row in y]
         new_mats.append(tuple(top + bottom))
     return FiniteGroupAction(new_mats, action.w_mats, action.x_vars + y_vars,
-                             action.w_vars, action.generators, action.field)
+                             action.w_vars, action.generators, action.right, action.field)

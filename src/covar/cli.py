@@ -132,6 +132,7 @@ def parse_problem(source: str | dict, path: str = "") -> ProblemFile:
         except json.JSONDecodeError as exc:
             raise ProblemError(f"invalid JSON: {exc}") from None
     _expect(isinstance(raw, dict), "top level: expected a JSON object")
+    _expect(isinstance(raw.get("hypotheses", {}), dict), "hypotheses: expected an object")
     field = _parse_field(raw)
     group_block = raw.get("group")
     _expect(isinstance(group_block, dict), "group: required object missing")
@@ -217,6 +218,10 @@ def _family_from_block(block: dict, group: GroupAction) -> list[Covariant]:
     if name == "matrix_words":
         words = block.get("words")
         if words is not None:
+            _expect(isinstance(words, list), "family.words: expected an array")
+            for k, w in enumerate(words):
+                _expect(isinstance(w, list), f"family.words[{k}]: expected an array "
+                        "of integers")
             words = [tuple(_int(x, f"family.words[{k}]") for x in w)
                      for k, w in enumerate(words)]
         fam = example_family("matrix_words", n=param("n"), words=words,
@@ -225,6 +230,8 @@ def _family_from_block(block: dict, group: GroupAction) -> list[Covariant]:
         fam = example_family("projections", n=param("n"), m=param("m"))
     elif name == "power_maps":
         powers = block.get("powers")
+        _expect(powers is None or isinstance(powers, list),
+                "family.powers: expected an array of integers")
         group_arg = group if isinstance(group, FiniteGroupAction) else None
         fam = example_family("power_maps", n=param("n"),
                              powers=[_int(p, "family.powers") for p in powers]

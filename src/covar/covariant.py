@@ -140,10 +140,11 @@ def _point_dict(vars, point, field):
 
 
 def _finite_equivariance_witness(F: Covariant) -> dict | None:
-    """None if F(gx) = g_W F(x) for every element, else a witness dict."""
+    """None if F(gx) = g_W F(x) for every generator, and so (the stabilizer
+    of F being a subgroup) for every element; else a witness dict."""
     action = F.action
     nums, den = common_denominator(F.coords)
-    for i in action.elements():
+    for i in action.distinct_generators():
         subst = action.x_substitution(i, inverse=False)
         lhs_nums = [p.subs(subst, action.x_vars) for p in nums]
         lhs_den = den.subs(subst, action.x_vars)
@@ -240,9 +241,11 @@ def verify_equivariance(F: Covariant) -> Report:
             witness = _symbolic_equivariance_witness(F)
         if witness is None:
             F.status = EQUIVARIANT
-            kind = ("all %d elements" % F.action.order) if F.action.is_finite \
-                else "the generic element"
-            report.add("equivariant", True, f"identity holds for {kind}")
+            route = "for the generic element"
+            if F.action.is_finite:
+                k = len(F.action.distinct_generators())
+                route = f"on {k} generator{'s' * (k != 1)} ({k} of {F.action.order} elements)"
+            report.add("equivariant", True, f"identity holds {route}")
         else:
             F.status = REFUTED
             F.refutation = witness
@@ -334,10 +337,11 @@ def _is_relative_invariant(action: GroupAction, f: Poly | RatFn,
     if f.is_zero():
         return True
     if action.is_finite:
-        for i in action.elements():
-            if action.act_on_poly(i, f) != f * weight.value(i):
-                return False
-        return True
+        # {g : g.f = weight(g) f} is a subgroup when the weight is a character;
+        # a weight table read from a file may not be one
+        elements = (action.distinct_generators() if weight.check_multiplicative()
+                    else action.elements())
+        return all(action.act_on_poly(i, f) == f * weight.value(i) for i in elements)
     if isinstance(f, RatFn):
         moved = action.act_on_poly(f, "x")
         return moved == f.embed(moved.vars) * weight.ratfn.embed(moved.vars)

@@ -709,8 +709,11 @@ def common_denominator(entries) -> tuple[list[Poly], Poly]:
     nums[k] / den, with den the lcm of the entry denominators."""
     lifted = [x if isinstance(x, RatFn) else RatFn(x, reduce=False) for x in entries]
     den = lifted[0].den.ring_one()
+    folded: list[Poly] = []
     for x in lifted:
-        den = poly_lcm(den, x.den)
+        if x.den not in folded:  # lcm(l, b) = l once b is folded in
+            folded.append(x.den)
+            den = poly_lcm(den, x.den)
     return [x.num * den.exact_div(x.den) for x in lifted], den
 
 
@@ -1164,10 +1167,21 @@ def qmat_identity(n: int, field: PrimeField | None = None) -> QMat:
 
 
 def qmat_mul(a: QMat, b: QMat) -> QMat:
+    """Product of scalar matrices, skipping zero entries: the permutation
+    and monomial matrices of finite groups are mostly zeros."""
     if len(a[0]) != len(b):
         raise DimensionError("scalar matrix shapes do not match")
-    bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    zero = b[0][0] - b[0][0]
+    out = []
+    for row in a:
+        acc = [zero] * len(b[0])
+        for x, b_row in zip(row, b):
+            if x:
+                for j, y in enumerate(b_row):
+                    if y:
+                        acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def qmat_det(a: QMat, field: PrimeField | None = None) -> Coeff:

@@ -7,10 +7,16 @@ from covar import (
     symbolic_general_linear,
     verified,
 )
+from covar.exactalg import qmat_mul
 
 SWAP = [["0", "1"], ["1", "0"]]
 CYCLE3 = [["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]]
 SWAP3 = [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]]
+
+
+def group_mul(G, g, h):
+    """Index of the product of elements g and h of a finite group."""
+    return G.x_mats.index(qmat_mul(G.x_mats[g], G.x_mats[h]))
 
 
 @pytest.fixture

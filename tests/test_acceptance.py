@@ -424,3 +424,25 @@ def test_criterion_11_witness_first_independence():
         point = {v: Fraction(c) for v, c in data["witness_point"].items()}
         rows = evaluate_matrix(parse_problem("matrix_words_gl3").covariants, point)
         assert qmat_det(tuple(tuple(r) for r in rows)) == Fraction(data["witness_minor"])
+
+
+def test_criterion_12_s6_power_maps_on_generators(tmp_path):
+    n = 6
+    cycle = [["1" if i == (j + 1) % n else "0" for j in range(n)] for i in range(n)]
+    swap = [["1" if (i, j) in ((0, 1), (1, 0)) or (i == j > 1) else "0"
+             for j in range(n)] for i in range(n)]
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    problem = {"group": {"type": "finite",
+                         "generators": [{"x": cycle, "w": cycle}, {"x": swap, "w": swap}]},
+               "covariants": [[x if k == 1 else f"{x}^{k}" for x in xs]
+                              for k in range(1, n + 1)]}
+    path = tmp_path / "s6_power_maps.json"
+    path.write_text(json.dumps(problem))
+    with criterion(12, "s6-closure-and-verify-on-generators", 10.0):
+        assert parse_problem(str(path)).group.order == 720
+        code, out = run_cli(["verify", str(path), "--format", "machine"])
+        assert code == 0
+        checks = json.loads(out)["report"]["checks"]
+        assert len(checks) == n
+        assert {c["detail"] for c in checks} == {
+            "identity holds on 2 generators (2 of 720 elements)"}

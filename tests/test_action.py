@@ -16,9 +16,9 @@ from covar.action import (
     make_finite_group,
     symbolic_general_linear,
 )
-from covar.exactalg import Matrix, Poly, RatFn, qmat
+from covar.exactalg import Matrix, Poly, RatFn, qmat, qmat_mul
 
-from conftest import CYCLE3, SWAP, SWAP3
+from conftest import CYCLE3, SWAP, SWAP3, group_mul
 
 
 def test_swap_closure_order_two():
@@ -32,7 +32,7 @@ def test_s3_closure_order_six():
     G = make_finite_group([(CYCLE3, CYCLE3), (SWAP3, SWAP3)])
     assert G.order == 6
     for i in G.elements():
-        assert G.mul(i, G.inv[i]) == G.identity
+        assert group_mul(G, i, G.inv[i]) == G.identity
 
 
 def test_unipotent_hits_closure_cap():
@@ -84,7 +84,7 @@ def test_finite_action_composes(terms):
     for g in G.elements():
         for h in G.elements():
             assert G.act_on_poly(g, G.act_on_poly(h, p)) == \
-                G.act_on_poly(G.mul(g, h), p)
+                G.act_on_poly(group_mul(G, g, h), p)
 
 
 def test_scalar_action_on_variable():
@@ -252,3 +252,49 @@ def test_extend_finite_action_product_blocks():
     with pytest.raises(ActionError, match="collision"):
         extend_finite_action(G, ("x1", "y2"), [
             [["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]])
+
+
+def _perm(images):
+    n = len(images)
+    return [["1" if images[i] == j else "0" for j in range(n)] for i in range(n)]
+
+
+def _symmetric(n):
+    cycle = _perm([(i + 1) % n for i in range(n)])
+    swap = _perm([1, 0] + list(range(2, n)))
+    return make_finite_group([(cycle, cycle), (swap, swap)])
+
+
+@pytest.mark.parametrize("n,order", [(4, 24), (5, 120)])
+def test_inverses_found_by_elimination(n, order):
+    G = _symmetric(n)
+    assert G.order == order
+    ident = G.x_mats[G.identity]
+    for i in G.elements():
+        assert qmat_mul(G.x_mats[i], G.x_mats[G.inv[i]]) == ident
+
+
+def test_cayley_table_agrees_with_products():
+    G = _symmetric(4)
+    assert len(G.right) == G.order
+    for i in G.elements():
+        for k, g in enumerate(G.generators):
+            j = G.x_mats.index(qmat_mul(G.x_mats[i], G.x_mats[g]))
+            assert G.right[i][k] == j
+            assert qmat_mul(G.w_mats[i], G.w_mats[g]) == G.w_mats[j]
+
+
+def test_check_multiplicative_rejects_a_non_character_table():
+    G = make_finite_group([(CYCLE3, CYCLE3), (SWAP3, SWAP3)])
+    assert det_w_inverse_character(G).check_multiplicative()
+    other = next(i for i in G.elements() if i not in G.generators and i != G.identity)
+    table = [Fraction(1)] * G.order
+    table[other] = Fraction(2)
+    assert not Character(G, table=table).check_multiplicative()
+    assert not Character(G, table=[Fraction(-1)] * G.order).check_multiplicative()
+
+
+def test_extend_finite_action_rejects_non_homomorphic_y():
+    G = make_finite_group([(SWAP, SWAP)])
+    with pytest.raises(ActionError, match="homomorphism"):
+        extend_finite_action(G, ("y1", "y2"), [SWAP, SWAP])

@@ -257,7 +257,18 @@ def _certificate_without_f(tmp_path):
                                   "w": [["1", "0"], ["0", "1"]]}]},
         "covariants": [["x1", "x2"]]}, "group.generators"),
     ("noname-verify", _certificate_without_f, "f"),
-], ids=["family-without-n", "gf5-entry-with-denominator-5", "certificate-without-f"])
+    ("verify", lambda tmp: {
+        "hypotheses": [],
+        "group": {"type": "finite",
+                  "generators": [{"x": [["0", "1"], ["1", "0"]],
+                                  "w": [["0", "1"], ["1", "0"]]}]},
+        "covariants": [["x1", "x2"]]}, "hypotheses"),
+    ("verify", lambda tmp: {
+        "group": {"type": "symbolic", "n": 2, "x_template": "gl_conjugation",
+                  "w_template": "gl_conjugation", "x_copies": 2, "w_copies": 1},
+        "family": {"name": "matrix_words", "n": 2, "words": [1, 2]}}, "family.words[0]"),
+], ids=["family-without-n", "gf5-entry-with-denominator-5", "certificate-without-f",
+        "hypotheses-not-an-object", "word-not-an-array"])
 def test_malformed_input_exits_two_naming_the_field(tmp_path, command, make_payload,
                                                     field):
     path = tmp_path / "malformed.json"

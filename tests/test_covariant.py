@@ -9,6 +9,7 @@ from covar.covariant import (
     Covariant,
     DimensionError,
     UnverifiedCovariantError,
+    _is_relative_invariant,
     covariant_matrix,
     coordinate_matrix,
     det_relative_invariant,
@@ -20,9 +21,9 @@ from covar.covariant import (
     weight_of,
 )
 from covar.exactalg import Matrix, Poly, RatFn, qmat_rank
-from covar.action import make_finite_group, symbolic_general_linear
+from covar.action import Character, make_finite_group, symbolic_general_linear
 
-from conftest import SWAP, word_covariants
+from conftest import CYCLE3, SWAP, SWAP3, word_covariants
 
 
 def test_identity_map_is_equivariant(s3):
@@ -249,3 +250,49 @@ def test_ensure_equivariant_verifies_unchecked_once(s2, monkeypatch):
     assert [c.passed for c in again.checks] == [True, False]
     assert again.checks[1].witness == bad.refutation
     assert calls == [good, bad]
+
+
+def _holds_on_every_element(F) -> bool:
+    """Test-local oracle: F(gx) = g_W F(x) for every element, by substitution."""
+    G = F.action
+    for i in G.elements():
+        subst = G.x_substitution(i, inverse=False)
+        moved = [c.subs(subst, G.x_vars) for c in F.coords]
+        w = G.w_mats[i]
+        for c in range(G.w_dim):
+            rhs = Poly.zero(G.x_vars)
+            for l in range(G.w_dim):
+                rhs = rhs + F.coords[l] * w[c][l]
+            if moved[c] != rhs:
+                return False
+    return True
+
+
+def test_covariant_moved_by_one_generator_is_refuted_there():
+    # the swap is listed first and fixes F; the 3-cycle moves it
+    G = make_finite_group([(SWAP3, SWAP3), (CYCLE3, CYCLE3)])
+    x1, x2, x3 = Poly.gens(G.x_vars)
+    F = Covariant(G, [x1, x2, x1 + x2 + x3])
+    rep = verify_equivariance(F)
+    assert not rep.ok and F.status == "refuted"
+    assert rep.failed_checks()[0].witness["element"] == G.generators[1]
+    assert not _holds_on_every_element(F)
+    good = Covariant(G, [x1 * x2 * x3 * x for x in (x1, x2, x3)])
+    rep = verify_equivariance(good)
+    assert rep.ok and _holds_on_every_element(good)
+    assert rep.checks[0].detail == "identity holds on 2 generators (2 of 6 elements)"
+
+
+def test_non_character_weight_is_checked_on_every_element():
+    G = make_finite_group([(CYCLE3, CYCLE3), (SWAP3, SWAP3)])
+    f = Poly.parse("x1 + x2 + x3", G.x_vars)
+    other = next(i for i in G.elements() if i not in G.generators and i != G.identity)
+    table = [Fraction(1)] * G.order
+    table[other] = Fraction(2)
+    weight = Character(G, table=table)
+    assert not weight.check_multiplicative()
+    every_element = all(G.act_on_poly(i, f) == f * weight.value(i) for i in G.elements())
+    assert not every_element
+    assert not _is_relative_invariant(G, f, weight)
+    assert _is_relative_invariant(G, f, Character.trivial(G))
+

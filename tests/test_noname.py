@@ -242,3 +242,78 @@ def test_build_isomorphism_names_failed_checks(vandermonde_pair, monkeypatch):
     monkeypatch.setattr(noname, "_round_trip_failures", lambda m: ["forced failure"])
     with pytest.raises(IsomorphismError, match="round_trips"):
         build_isomorphism(vandermonde_pair)
+
+
+def test_each_report_clears_phi_and_the_frame_once(monkeypatch, tmp_path):
+    import contextlib
+    import io
+
+    from covar import noname
+    from covar.cli import main
+
+    calls = []
+    original = noname._cleared_rows
+    monkeypatch.setattr(noname, "_cleared_rows",
+                        lambda mat: calls.append(mat) or original(mat))
+    cert = str(tmp_path / "cert.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["noname-build", "matrix_words_gl2"]) == 0
+        assert len(calls) == 2
+        assert main(["noname-build", "projections_v3_m4", "--out", cert]) == 0
+        assert len(calls) == 4
+        assert main(["noname-verify", cert]) == 0
+    assert len(calls) == 6
+
+
+def test_generator_invariance_routes(monkeypatch, tmp_path):
+    """noname-build decides generators_invariant by the matrix identity on
+    the generators; noname-verify cross-checks by the full substitution on
+    every element."""
+    import contextlib
+    import io
+
+    from covar import noname
+    from covar.cli import main
+
+    counts = {"_generator_invariance": 0, "_generator_invariance_direct": 0}
+    for name in counts:
+        original = getattr(noname, name)
+
+        def spy(m, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(m)
+        monkeypatch.setattr(noname, name, spy)
+    cert = str(tmp_path / "cert.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["noname-build", "projections_v3_m4", "--out", cert]) == 0
+        assert counts == {"_generator_invariance": 1, "_generator_invariance_direct": 0}
+        assert main(["noname-verify", cert]) == 0
+    assert counts == {"_generator_invariance": 1, "_generator_invariance_direct": 1}
+
+
+def test_tampered_weight_certificate_fails_noname_verify(tmp_path):
+    import contextlib
+    import io
+    import json
+
+    from covar.cli import load_certificate, main
+
+    cert = tmp_path / "cert.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["noname-build", "projections_v3_m4", "--out", str(cert)]) == 0
+    payload = json.loads(cert.read_text())
+    values = payload["weight"]["values"]
+    assert len(values) == 6
+    # one value off at a non-generator element: no longer a character, so
+    # relative invariance is checked on every element and fails there
+    values[-1] = "2"
+    cert.write_text(json.dumps(payload))
+    m, _ = load_certificate(str(cert))
+    assert len(values) - 1 not in m.action.generators
+    assert not m.invariant.weight.check_multiplicative()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["noname-verify", str(cert)]) == 1
+    text = out.getvalue()
+    assert "[FAIL] f_relative_invariant" in text
+    assert "[FAIL] weight_is_det_w_inverse" in text
