@@ -107,7 +107,11 @@ def _parse_field(raw: dict) -> PrimeField | None:
         return None
     _expect(isinstance(block, dict) and "prime" in block,
             "field: expected an object with a 'prime' entry")
-    return PrimeField(_int(block["prime"], "field.prime"))
+    prime = _int(block["prime"], "field.prime")
+    try:
+        return PrimeField(prime)
+    except ExactAlgError as exc:
+        raise ProblemError(f"field.prime: {exc}") from None
 
 
 def _parse_matrix(rows, where: str) -> list[list[str]]:

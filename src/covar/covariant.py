@@ -19,8 +19,7 @@ from .exactalg import (
     RatFn,
     common_denominator,
     lift_coeff,
-    qmat_det,
-    qmat_rank,
+    qmat_rank_det,
 )
 from .report import Report, Stopwatch
 
@@ -486,9 +485,7 @@ def _independence_witness(Fs: list[Covariant], points):
             rows = evaluate_matrix(Fs, vals)
         except ZeroDivisionError:
             continue
-        if qmat_rank(rows) == e:
-            minor = None
-            if e == len(rows):
-                minor = qmat_det(tuple(tuple(r) for r in rows), action.field)
+        rank, minor = qmat_rank_det(rows, action.field)
+        if rank == e:
             return vals, minor
     return None

@@ -114,6 +114,11 @@ class FpElem:
             return NotImplemented
         return other / self
 
+    def __pow__(self, n: int):
+        if n < 0:
+            return (FpElem(self.field, 1) / self) ** -n
+        return FpElem(self.field, pow(self.val, n, self.field.p))
+
     def __neg__(self):
         return FpElem(self.field, -self.val)
 
@@ -141,13 +146,44 @@ class FpElem:
         return f"FpElem({self.val} mod {self.field.p})"
 
 
+# Miller-Rabin on these bases decides primality for every p below the bound
+# (Sorenson & Webster 2015); larger moduli are refused, not guessed at.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(p: int) -> bool:
+    if p >= _MR_BOUND:
+        raise ExactAlgError(f"a modulus of {len(str(p))} digits is too large: "
+                            f"primality is proven only below {_MR_BOUND}")
+    if p < 2:
+        return False
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """GF(p) for a prime p; calling the field lifts an int into it."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if not _is_prime(p):
             raise ExactAlgError(f"{p} is not prime")
         self.p = p
 
@@ -1026,34 +1062,16 @@ class Matrix:
     # -- fraction-free elimination ------------------------------------------
 
     def det(self) -> Entry:
-        """Determinant by Bareiss fraction-free elimination."""
+        """Determinant by Bareiss fraction-free elimination: the last pivot,
+        signed by the row swaps, or zero when the rank is short."""
         if self.rows != self.cols:
             raise DimensionError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
+        if self.rows == 0:
             raise DimensionError("determinant of an empty matrix")
-        like = self.entries[0][0]
-        one = like.ring_one()
-        if n == 1:
-            return self.entries[0][0]
-        m = [row[:] for row in self.entries]
-        sign = 1
-        prev = one
-        for k in range(n - 1):
-            if not m[k][k]:
-                for i in range(k + 1, n):
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return like.ring_zero()
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).exact_div(prev)
-                m[i][k] = like.ring_zero()
-            prev = m[k][k]
-        d = m[n - 1][n - 1]
+        m, pivots, sign = self._echelon_ff()
+        if len(pivots) < self.rows:
+            return self.entries[0][0].ring_zero()
+        d = m[-1][-1]
         return d if sign == 1 else -d
 
     def adjugate(self) -> "Matrix":
@@ -1075,11 +1093,13 @@ class Matrix:
                 out[j][i] = cof
         return Matrix(out)
 
-    def _echelon_ff(self) -> tuple[list[list[Entry]], list[int]]:
-        """Fraction-free row echelon; returns (rows, pivot column indices)."""
+    def _echelon_ff(self) -> tuple[list[list[Entry]], list[int], int]:
+        """Fraction-free (Bareiss) row echelon; returns (rows, pivot column
+        indices, sign of the row permutation)."""
         like = self.entries[0][0] if self.rows else None
         m = [row[:] for row in self.entries]
         pivots: list[int] = []
+        sign = 1
         r = 0
         prev = like.ring_one() if like is not None else None
         for c in range(self.cols):
@@ -1094,6 +1114,7 @@ class Matrix:
                 continue
             if pivot_row != r:
                 m[r], m[pivot_row] = m[pivot_row], m[r]
+                sign = -sign
             for i in range(r + 1, self.rows):
                 for j in range(c + 1, self.cols):
                     m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]).exact_div(prev)
@@ -1101,7 +1122,7 @@ class Matrix:
             prev = m[r][c]
             pivots.append(c)
             r += 1
-        return m, pivots
+        return m, pivots, sign
 
     def rank(self) -> int:
         """Rank over the fraction field of the entry ring."""
@@ -1117,7 +1138,7 @@ class Matrix:
         columns 0, so the last nonzero coefficient of the output is 1."""
         if self.rows == 0 or self.cols == 0:
             return None
-        echelon, pivots = self._echelon_ff()
+        echelon, pivots, _ = self._echelon_ff()
         if len(pivots) == self.cols:
             return None
         free = [c for c in range(self.cols) if c not in pivots]
@@ -1185,29 +1206,9 @@ def qmat_mul(a: QMat, b: QMat) -> QMat:
 
 
 def qmat_det(a: QMat, field: PrimeField | None = None) -> Coeff:
-    n = len(a)
-    if any(len(row) != n for row in a):
+    if any(len(row) != len(a) for row in a):
         raise DimensionError("determinant of a non-square scalar matrix")
-    m = [list(row) for row in a]
-    det = field_one(field)
-    sign = 1
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if m[i][k]:
-                pivot = i
-                break
-        if pivot is None:
-            return field_zero(field)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            factor = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] = m[i][j] - factor * m[k][j]
-        det = det * m[k][k]
-    return det if sign == 1 else -det
+    return qmat_rank_det(a, field)[1]
 
 
 def qmat_inv(a: QMat, field: PrimeField | None = None) -> QMat:
@@ -1233,30 +1234,39 @@ def qmat_inv(a: QMat, field: PrimeField | None = None) -> QMat:
 
 
 def qmat_rank(a: Sequence[Sequence[Coeff]]) -> int:
+    return qmat_rank_det(a)[0]
+
+
+def qmat_rank_det(a: Sequence[Sequence[Coeff]], field: PrimeField | None = None
+                  ) -> tuple[int, Coeff | None]:
+    """Rank of a scalar matrix and, when it is square, its determinant (None
+    otherwise), from one Gaussian elimination that skips zero entries."""
     rows = [list(r) for r in a]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
+    pivots: list[Coeff] = []
+    sign = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
         for i in range(r + 1, len(rows)):
             if rows[i][c]:
                 f = rows[i][c] / rows[r][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        rank += 1
-        r += 1
-        if r == len(rows):
+        pivots.append(rows[r][c])
+        if len(pivots) == len(rows):
             break
-    return rank
+    if any(len(row) != len(rows) for row in rows):
+        return len(pivots), None
+    if len(pivots) < len(rows):
+        return len(pivots), field_zero(field)
+    det = field_one(field)
+    for p in pivots:
+        det = det * p
+    return len(pivots), det if sign == 1 else -det
 
 
 # ---------------------------------------------------------------------------

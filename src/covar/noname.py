@@ -15,9 +15,10 @@ constructions: recovering covariants from a matrix of invariant generators,
 and extracting covariants from the linear component of an invariant
 polynomial map.
 
-Internally every identity is checked on cleared data: rows of rational
-matrices are written as polynomial rows over one denominator per row, so no
-gcd computation happens inside the hot verification loops.
+Internally every identity is checked on cleared data: each rational matrix
+is written as a polynomial matrix over one denominator per matrix, as Phi
+lives over the one localization k[X]_f, so no gcd computation happens inside
+the hot verification loops.
 """
 
 from __future__ import annotations
@@ -72,10 +73,11 @@ def _ratfn_quotient(num: Poly, den: Poly) -> Poly | RatFn:
         return RatFn(num, den)
 
 
-def _cleared_rows(mat: Matrix) -> tuple[list[list[Poly]], list[Poly]]:
-    """Write each row over one denominator: row i equals nums[i] / dens[i]."""
-    rows = [common_denominator(row) for row in mat.entries]
-    return [nums for nums, _ in rows], [den for _, den in rows]
+def _cleared_rows(mat: Matrix) -> tuple[list[list[Poly]], Poly]:
+    """Write the matrix over one denominator: mat equals nums / den."""
+    flat, den = common_denominator([e for row in mat.entries for e in row])
+    n = mat.cols
+    return [flat[i:i + n] for i in range(0, len(flat), n)], den
 
 
 def _dot(row: list[Poly], vec: list[Poly]) -> Poly:
@@ -94,8 +96,9 @@ class NoNameMap:
     the relative invariant f as one shared denominator (the adjugate shape),
     and ``phi_inv`` is the covariant matrix F, so that phi * phi_inv is the
     identity over the localization at f.  ``phi_rows`` and ``frame_rows``
-    hold the two matrices written over one denominator per row.  They are
-    computed once per map, so ``phi`` and ``phi_inv`` must not be reassigned.
+    hold the two matrices written over one denominator per matrix, as
+    (numerator rows, denominator).  They are computed once per map, so
+    ``phi`` and ``phi_inv`` must not be reassigned.
     """
 
     action: GroupAction
@@ -117,26 +120,27 @@ class NoNameMap:
         return self.phi.rows
 
     @cached_property
-    def phi_rows(self) -> tuple[list[list[Poly]], list[Poly]]:
+    def phi_rows(self) -> tuple[list[list[Poly]], Poly]:
         return _cleared_rows(self.phi)
 
     @cached_property
-    def frame_rows(self) -> tuple[list[list[Poly]], list[Poly]]:
+    def frame_rows(self) -> tuple[list[list[Poly]], Poly]:
         return _cleared_rows(self.phi_inv)
 
     def generators(self) -> list[RatFn]:
         """The invariant generators Phi_i = sum_j phi_ij w_j in the
-        (x, w)-ring, each over its row denominator."""
+        (x, w)-ring, all over phi's one denominator."""
         ring = self.action.x_vars + self.w_vars
         field = self.action.field
-        nums, dens = self.phi_rows
+        nums, den = self.phi_rows
+        den = den.embed(ring)
         out = []
         for i in range(self.dim):
             acc = Poly.zero(ring, field)
             for j in range(self.dim):
                 w_j = Poly.var(self.w_vars[j], ring, field)
                 acc = acc + nums[i][j].embed(ring) * w_j
-            out.append(RatFn(acc, dens[i].embed(ring), reduce=False))
+            out.append(RatFn(acc, den, reduce=False))
         return out
 
 
@@ -175,110 +179,47 @@ def build_isomorphism(Fs: list[Covariant], out_vars: tuple[str, ...] | None = No
 
 
 # ---------------------------------------------------------------------------
-# structural checks (all on cleared rows)
+# structural checks (all on cleared matrices)
 # ---------------------------------------------------------------------------
 
 
 def _product_is_identity(left, right) -> bool:
     """left * right == I over the fraction field, for two matrices given as
-    cleared rows (nums, dens)."""
+    (nums, den): Ln * Rn == (ld * rd) * I."""
     ln, ld = left
     rn, rd = right
-    d = len(ln)
-    rd_equal = all(den == rd[0] for den in rd)
-    for i in range(d):
-        for j in range(d):
-            acc = None
-            if rd_equal:
-                for k in range(d):
-                    term = ln[i][k] * rn[k][j]
-                    acc = term if acc is None else acc + term
-                expect = ld[i] * rd[0] if i == j else None
-            else:
-                for k in range(d):
-                    term = ln[i][k] * rn[k][j]
-                    for l in range(d):
-                        if l != k:
-                            term = term * rd[l]
-                    acc = term if acc is None else acc + term
-                if i == j:
-                    expect = ld[i]
-                    for l in range(d):
-                        expect = expect * rd[l]
-                else:
-                    expect = None
-            if expect is None:
-                if not acc.is_zero():
-                    return False
-            elif acc != expect:
+    scale = ld * rd
+    zero = scale.ring_zero()
+    cols = list(zip(*rn))
+    for i, row in enumerate(ln):
+        for j, col in enumerate(cols):
+            if _dot(row, col) != (scale if i == j else zero):
                 return False
     return True
 
 
 def _round_trip_failures(m: NoNameMap) -> list[str]:
-    """Both substitution round trips, exactly, on cleared rows.
+    """Both substitution round trips, exactly, on cleared matrices.
 
     (1) w := sum_i a_i F_i(x) substituted into Phi must return a;
     (2) a := Phi(x, w) substituted into sum_i a_i F_i(x) must return w.
+    With phi = pn/pd and the frame fn/fd, each is the identity
+    first * (second * v) == (pd * fd) * v.
     """
     action = m.action
-    d = m.dim
-    field = action.field
-    failures: list[str] = []
-
     pn, pd = m.phi_rows
     fn, fd = m.frame_rows
-
-    ring_a = action.x_vars + m.out_vars
-    a_vec = [Poly.var(v, ring_a, field) for v in m.out_vars]
-    p_a = [[e.embed(ring_a) for e in row] for row in pn]
-    f_a = [[e.embed(ring_a) for e in row] for row in fn]
-    fd_a = [e.embed(ring_a) for e in fd]
-    pd_a = [e.embed(ring_a) for e in pd]
-    # w_c = (fn_c . a)/fd_c ; Phi_i(x, w) = sum_c pn_ic w_c / pd_i
-    fd_equal = all(e == fd_a[0] for e in fd_a)
-    for i in range(d):
-        if fd_equal:
-            lhs = _dot(p_a[i], [_dot(f_a[c], a_vec) for c in range(d)])
-            rhs = a_vec[i] * pd_a[i] * fd_a[0]
-        else:
-            lhs = None
-            for c in range(d):
-                term = p_a[i][c] * _dot(f_a[c], a_vec)
-                for l in range(d):
-                    if l != c:
-                        term = term * fd_a[l]
-                lhs = term if lhs is None else lhs + term
-            rhs = a_vec[i] * pd_a[i]
-            for l in range(d):
-                rhs = rhs * fd_a[l]
-        if lhs != rhs:
-            failures.append(f"round trip through phi fails at output {i + 1}")
-
-    ring_w = action.x_vars + m.w_vars
-    w_vec = [Poly.var(v, ring_w, field) for v in m.w_vars]
-    p_w = [[e.embed(ring_w) for e in row] for row in pn]
-    f_w = [[e.embed(ring_w) for e in row] for row in fn]
-    fd_w = [e.embed(ring_w) for e in fd]
-    pd_w = [e.embed(ring_w) for e in pd]
-    pd_equal = all(e == pd_w[0] for e in pd_w)
-    for c in range(d):
-        if pd_equal:
-            lhs = _dot(f_w[c], [_dot(p_w[i], w_vec) for i in range(d)])
-            rhs = w_vec[c] * fd_w[c] * pd_w[0]
-        else:
-            lhs = None
-            for i in range(d):
-                term = f_w[c][i] * _dot(p_w[i], w_vec)
-                for l in range(d):
-                    if l != i:
-                        term = term * pd_w[l]
-                lhs = term if lhs is None else lhs + term
-            rhs = w_vec[c] * fd_w[c]
-            for l in range(d):
-                rhs = rhs * pd_w[l]
-        if lhs != rhs:
-            failures.append(f"round trip through the frame fails at coordinate {c + 1}")
+    failures: list[str] = []
+    for first, second, vars_, where in (
+            (pn, fn, m.out_vars, "round trip through phi fails at output"),
+            (fn, pn, m.w_vars, "round trip through the frame fails at coordinate")):
+        ring = action.x_vars + vars_
+        vec = [Poly.var(v, ring, action.field) for v in vars_]
+        scale = (pd * fd).embed(ring)
+        inner = [_dot([e.embed(ring) for e in row], vec) for row in second]
+        for i, row in enumerate(first):
+            if _dot([e.embed(ring) for e in row], inner) != scale * vec[i]:
+                failures.append(f"{where} {i + 1}")
     return failures
 
 
@@ -295,16 +236,16 @@ def _generator_invariance(m: NoNameMap):
         for g in action.distinct_generators():
             subst = action.x_substitution(g, inverse=True)
             w = action.w_mats[g]
+            den_moved = pd.subs(subst, action.x_vars)
             for i in range(d):
                 num_moved = [p.subs(subst, action.x_vars) for p in pn[i]]
-                den_moved = pd[i].subs(subst, action.x_vars)
                 for j in range(d):
                     rhs = Poly.zero(action.x_vars, action.field)
                     for l in range(d):
                         if w[l][j]:
                             rhs = rhs + pn[i][l] * w[l][j]
-                    # num_moved[j]/den_moved == rhs/pd[i]
-                    if num_moved[j] * pd[i] != rhs * den_moved:
+                    # num_moved[j]/den_moved == rhs/pd
+                    if num_moved[j] * pd != rhs * den_moved:
                         return i, f"element {g}"
         return None
     return _generator_invariance_generic(action, pn, pd, m.w_vars)
@@ -312,20 +253,21 @@ def _generator_invariance(m: NoNameMap):
 
 def _generator_invariance_generic(action, pn, pd, w_vars):
     """Cleared substitution check that each generator is fixed by the
-    generic element, row by row."""
+    generic element, row by row, with the one denominator moved once."""
     ring = action.x_vars + tuple(w_vars) + action.g_vars
+    gen_ring = action.x_vars + tuple(w_vars)
     det = action.det_poly.embed(ring)
     field = action.field
+    den_moved, kd = action.act_cleared(pd, "x", out_vars=ring)
+    den = pd.embed(ring)
     for i in range(len(pn)):
-        gen_ring = action.x_vars + tuple(w_vars)
         num = Poly.zero(gen_ring, field)
         for j, name in enumerate(w_vars):
             num = num + pn[i][j].embed(gen_ring) * Poly.var(name, gen_ring, field)
         num_moved, kn = action.act_cleared(num, "xw", out_vars=ring)
-        den_moved, kd = action.act_cleared(pd[i], "x", out_vars=ring)
-        # num_moved/det^kn / (den_moved/det^kd) == num/pd[i]
+        # num_moved/det^kn / (den_moved/det^kd) == num/pd
         k = min(kn, kd)
-        lhs = num_moved * pd[i].embed(ring) * det ** (kd - k)
+        lhs = num_moved * den * det ** (kd - k)
         rhs = num.embed(ring) * den_moved * det ** (kn - k)
         if lhs != rhs:
             return i, "the generic element"
@@ -352,12 +294,7 @@ def verify_isomorphism(m: NoNameMap, cross_check: bool = True) -> Report:
                    "phi entries depend only on the X-variables")
 
         report.add("f_nonzero", not m.f.is_zero(), "denominator is not zero")
-        det_frame = m.phi_inv.det()
-        if isinstance(m.f, RatFn) or isinstance(det_frame, RatFn):
-            f_ok = (m.f if isinstance(m.f, RatFn) else RatFn(m.f, reduce=False)) == det_frame
-        else:
-            f_ok = m.f == det_frame
-        report.add("f_equals_det_of_frame", bool(f_ok),
+        report.add("f_equals_det_of_frame", bool(m.f == m.phi_inv.det()),
                    "localization denominator equals the frame determinant")
 
         expected = det_w_inverse_character(action)
@@ -434,7 +371,7 @@ def covariants_from_generators(phi: Matrix, action: GroupAction) -> list[Covaria
         action,
         RelativeInvariant(Poly.one(action.x_vars, action.field),
                           _trivial_weight(action), action),
-        phi.map(lambda e: e if isinstance(e, RatFn) else RatFn(e, reduce=False)),
+        phi,
         Matrix.identity(d, RatFn.one(action.x_vars, action.field)),
         action.w_vars, _pick_out_vars(action, d))
     bad = _generator_invariance(probe)
@@ -442,22 +379,26 @@ def covariants_from_generators(phi: Matrix, action: GroupAction) -> list[Covaria
         raise IsomorphismError(
             f"generator row {bad[0] + 1} is not invariant (witness: {bad[1]})")
 
-    nums, dens = probe.phi_rows
+    nums, den = probe.phi_rows
     P = Matrix(nums)
     detP = P.det()
     if detP.is_zero():
         raise IsomorphismError("generator matrix is singular over k(X)")
-    adjP = P.adjugate()
-    # phi = diag(1/dens) * P, so phi^{-1} = adj(P) * diag(dens) / det(P)
+    # phi = P / den, so phi^{-1} = adj(P) * den / det(P)
+    return _inverse_columns(P, den, detP, action, "recovered")
+
+
+def _inverse_columns(P: Matrix, num: Poly, den: Poly, action: GroupAction,
+                     what: str) -> list[Covariant]:
+    """The columns of adj(P) * num / den as covariants, each verified
+    equivariant."""
+    adj = P.adjugate()
     out = []
-    for j in range(d):
-        coords = []
-        for i in range(d):
-            coords.append(_ratfn_quotient(adjP.entries[i][j] * dens[j], detP))
-        F = Covariant(action, coords)
-        rep = verify_equivariance(F)
-        if not rep.ok:
-            raise IsomorphismError(f"recovered column {j + 1} is not equivariant")
+    for j in range(P.cols):
+        F = Covariant(action, [_ratfn_quotient(adj.entries[i][j] * num, den)
+                               for i in range(P.rows)])
+        if not verify_equivariance(F).ok:
+            raise IsomorphismError(f"{what} column {j + 1} is not equivariant")
         out.append(F)
     return out
 
@@ -507,19 +448,7 @@ def linearize_isomorphism(coords: list[Poly], action: GroupAction,
     if inv_scale is None:
         raise IsomorphismError(
             f"linear component determinant is not a unit: {det}")
-    adjL = L.adjugate()
-    out = []
-    for j in range(d):
-        coords_j = []
-        for i in range(d):
-            entry = _ratfn_quotient(adjL.entries[i][j] * inv_scale.num, inv_scale.den)
-            coords_j.append(entry)
-        F = Covariant(action, coords_j)
-        rep = verify_equivariance(F)
-        if not rep.ok:
-            raise IsomorphismError(f"extracted column {j + 1} is not equivariant")
-        out.append(F)
-    return L, out
+    return L, _inverse_columns(L, inv_scale.num, inv_scale.den, action, "extracted")
 
 
 def _map_invariance_failure(coords: list[Poly], action: GroupAction, ring):

@@ -120,7 +120,7 @@ def relation_over_function_field(Fs: list[Covariant]):
 
 
 def _independence_certificate(mat: Matrix) -> IndependenceCertificate:
-    echelon, pivots = mat._echelon_ff()
+    _, pivots, _ = mat._echelon_ff()
     # recover pivot rows of the original matrix by rank-tracking rows greedily
     e = len(pivots)
     chosen_rows: list[int] = []

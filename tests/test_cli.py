@@ -245,6 +245,13 @@ def _certificate_without_f(tmp_path):
     return payload
 
 
+def _swap_problem_over(prime):
+    swap = [["0", "1"], ["1", "0"]]
+    return {"field": {"prime": prime},
+            "group": {"type": "finite", "generators": [{"x": swap, "w": swap}]},
+            "covariants": [["x1", "x2"]]}
+
+
 @pytest.mark.parametrize("command,make_payload,field", [
     ("verify", lambda tmp: {
         "group": {"type": "symbolic", "n": 2, "x_template": "gl_conjugation",
@@ -267,8 +274,11 @@ def _certificate_without_f(tmp_path):
         "group": {"type": "symbolic", "n": 2, "x_template": "gl_conjugation",
                   "w_template": "gl_conjugation", "x_copies": 2, "w_copies": 1},
         "family": {"name": "matrix_words", "n": 2, "words": [1, 2]}}, "family.words[0]"),
+    ("verify", lambda tmp: _swap_problem_over(6), "field.prime"),
+    ("verify", lambda tmp: _swap_problem_over(int("7" * 400)), "field.prime"),
 ], ids=["family-without-n", "gf5-entry-with-denominator-5", "certificate-without-f",
-        "hypotheses-not-an-object", "word-not-an-array"])
+        "hypotheses-not-an-object", "word-not-an-array", "composite-prime",
+        "prime-with-400-digits"])
 def test_malformed_input_exits_two_naming_the_field(tmp_path, command, make_payload,
                                                     field):
     path = tmp_path / "malformed.json"
@@ -300,6 +310,8 @@ def test_prime_field_problem(tmp_path):
     payload = json.loads(out)
     assert payload["report"]["ok"]
     assert "positive characteristic" in payload["report"]["data"]["assumptions"][0]
+    # witness points are evaluated in GF(5), powers included
+    assert run_cli(["independence", str(path)])[0] == 0
 
 
 def test_machine_format_is_json():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from covar.exactalg import (
     DimensionError,
+    ExactAlgError,
     ExactDivisionError,
     Matrix,
     ParseError,
@@ -19,6 +20,7 @@ from covar.exactalg import (
     qmat_det,
     qmat_inv,
     qmat_rank,
+    qmat_rank_det,
 )
 
 V2 = ("x1", "x2")
@@ -369,6 +371,15 @@ def test_qmat_helpers():
     assert qmat_rank(m) == 2
     singular = qmat([["1", "2"], ["2", "4"]])
     assert qmat_rank(singular) == 1
+    # elimination swaps rows twice here, so the sign comes back to +
+    m = qmat([["0", "2", "1"], ["0", "0", "3"], ["5", "1", "0"]])
+    assert qmat_rank_det(m) == (3, Fraction(30)) and qmat_det(m) == Fraction(30)
+    assert qmat_rank_det(singular) == (1, Fraction(0))
+    assert qmat_rank_det(qmat([["1", "2", "3"], ["2", "4", "6"]])) == (1, None)
+    assert qmat_rank_det(qmat([["0", "0", "1"], ["1", "0", "0"]])) == (2, None)
+    F7 = PrimeField(7)
+    assert qmat_rank_det(qmat([["3", "1"], ["1", "5"]], F7), F7) == (1, F7(0))
+    assert qmat_rank_det(qmat([["3", "1"], ["1", "4"]], F7), F7) == (2, F7(4))
 
 
 # -- prime-field mode ---------------------------------------------------------------------
@@ -382,6 +393,22 @@ def test_prime_field_arithmetic():
     assert half * F7(2) == F7(1)
     with pytest.raises(Exception):
         PrimeField(6)
+
+
+def test_prime_field_decides_large_moduli_quickly():
+    import time
+
+    start = time.perf_counter()
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ExactAlgError, match="not prime"):
+        PrimeField(2**61 + 1)  # 3 divides it
+    # a strong pseudoprime to every prime base up to 37
+    with pytest.raises(ExactAlgError, match="not prime"):
+        PrimeField(318665857834031151167461)
+    # a Mersenne prime above the bound of the deterministic test is refused
+    with pytest.raises(ExactAlgError, match="too large"):
+        PrimeField(2**89 - 1)
 
 
 def test_prime_field_ratfn_and_det():

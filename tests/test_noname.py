@@ -317,3 +317,23 @@ def test_tampered_weight_certificate_fails_noname_verify(tmp_path):
     text = out.getvalue()
     assert "[FAIL] f_relative_invariant" in text
     assert "[FAIL] weight_is_det_w_inverse" in text
+
+
+def test_frame_rows_with_different_denominators(s2):
+    """F1 = (1/x1, 1/x2) and F2 = (1, 1): the frame's two rows have the
+    denominators x1 and x2, so the frame is cleared over their product."""
+    import dataclasses
+
+    x1, x2 = Poly.gens(s2.x_vars)
+    one = Poly.one(s2.x_vars)
+    Fs = [verified(s2, [RatFn(one, x1), RatFn(one, x2)]), verified(s2, [one, one])]
+    m = build_isomorphism(Fs)
+    assert m.frame_rows[1] == x1 * x2
+    assert verify_isomorphism(m).ok
+
+    rows = [row[:] for row in m.phi_inv.entries]
+    rows[1] = [2 * e for e in rows[1]]
+    bad = dataclasses.replace(m, phi_inv=Matrix(rows), report=None)
+    failed = {c.name for c in verify_isomorphism(bad).failed_checks()}
+    assert {"phi_times_frame_is_identity", "frame_times_phi_is_identity",
+            "round_trips"} <= failed

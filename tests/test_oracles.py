@@ -111,3 +111,37 @@ def test_refuted_covariant_fails_at_its_witness():
     fx = [c.eval(values) for c in F.coords]
     rhs = [sum(w[i][j] * fx[j] for j in range(2)) for i in range(2)]
     assert lhs != rhs
+
+
+def test_primality_matches_sympy():
+    from covar.exactalg import ExactAlgError, PrimeField
+
+    def accepted(p):
+        try:
+            PrimeField(p)
+            return True
+        except ExactAlgError:
+            return False
+
+    rng = random.Random(11)
+    # small moduli, Carmichael numbers, strong pseudoprimes to small base
+    # sets, and random moduli up to the deterministic bound
+    candidates = list(range(-2, 2000)) + [561, 41041, 3215031751, 3825123056546413051]
+    candidates += [rng.randrange(2**40, 2**81) | 1 for _ in range(200)]
+    for p in candidates:
+        assert accepted(p) == sympy.isprime(p), p
+
+
+def test_scalar_rank_and_det_match_sympy():
+    from covar.exactalg import qmat, qmat_rank_det
+
+    rng = random.Random(5)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        # small entries so that singular and rank-deficient matrices occur
+        entries = [[rng.randint(-1, 1) * rng.choice([1, 2]) for _ in range(cols)]
+                   for _ in range(rows)]
+        rank, det = qmat_rank_det(qmat(entries))
+        expected = sympy.Matrix(entries)
+        assert rank == expected.rank()
+        assert det == (expected.det() if rows == cols else None)
