@@ -262,43 +262,40 @@ class TemplateSpec:
     def det_power(self, n: int) -> int:
         return 1 if self.kind == "conjugation" else 0
 
-    def operator(self, g: Matrix, adj_g: Matrix) -> Matrix:
-        """Numerator matrix N with action = N / det^det_power, block per copy."""
+    def block(self, g: Matrix, adj_g: Matrix) -> Matrix:
+        """Numerator of the action on one copy: ``[1]`` (trivial), ``[s]``
+        (scalar), ``g`` (natural) or the n^2 x n^2 conjugation block."""
         n = g.rows
-        like = g.entries[0][0]
         if self.kind == "trivial":
-            return Matrix.identity(self.m, like)
+            return Matrix.identity(1, g.entries[0][0])
         if self.kind == "scalar":
             if n != 1:
                 raise ActionError("scalar template requires a 1x1 generic element")
-            s = g.entries[0][0]
-            zero = like.ring_zero()
-            return Matrix([[s if i == j else zero for j in range(self.m)]
-                           for i in range(self.m)])
+            return g
         if self.kind == "natural":
-            block = g
-        elif self.kind == "conjugation":
+            return g
+        if self.kind == "conjugation":
             # coordinates a_{ij} row-major: (g A adj_g)_{ij} = sum g_{ik} a_{kl} adj_{lj}
-            entries = []
-            for i in range(n):
-                for j in range(n):
-                    row = []
-                    for k in range(n):
-                        for l in range(n):
-                            row.append(g.entries[i][k] * adj_g.entries[l][j])
-                    entries.append(row)
-            block = Matrix(entries)
-        else:
-            raise ActionError(f"unknown action template {self.kind!r}")
-        size = block.rows
-        zero = like.ring_zero()
-        total = size * self.m
-        out = [[zero] * total for _ in range(total)]
-        for c in range(self.m):
-            for i in range(size):
-                for j in range(size):
-                    out[c * size + i][c * size + j] = block.entries[i][j]
-        return Matrix(out)
+            return Matrix([[g.entries[i][k] * adj_g.entries[l][j]
+                            for k in range(n) for l in range(n)]
+                           for i in range(n) for j in range(n)])
+        raise ActionError(f"unknown action template {self.kind!r}")
+
+    def operator(self, g: Matrix, adj_g: Matrix) -> Matrix:
+        """Numerator matrix N with action = N / det^det_power: one block per copy."""
+        return _block_diagonal(self.block(g, adj_g), self.m)
+
+
+def _block_diagonal(block: Matrix, copies: int) -> Matrix:
+    """``copies`` copies of ``block`` down the diagonal."""
+    size = block.rows
+    zero = block.entries[0][0].ring_zero()
+    total = size * copies
+    out = [[zero] * total for _ in range(total)]
+    for c in range(copies):
+        for i in range(size):
+            out[c * size + i][c * size:(c + 1) * size] = block.entries[i]
+    return Matrix(out)
 
 
 def generic_matrix(n: int, vars: tuple[str, ...], prefix: str = "g",
@@ -337,19 +334,28 @@ class SymbolicGroupAction:
         self.det_poly = g.det()
         adj = g.adjugate()
         self.adj_mat = adj
-
-        self.x_num = x_spec.operator(g, adj)          # action = x_num / det^x_detpow
-        self.x_detpow = x_spec.det_power(n)
-        self.w_num = w_spec.operator(g, adj)
-        self.w_detpow = w_spec.det_power(n)
-        # inverse action = template(adj g) / det^{h - p}: substituting
-        # g^{-1} = adj(g)/det into an h-homogeneous template.
         adj_of_adj = adj.adjugate()
-        self.x_inv_num = x_spec.operator(adj, adj_of_adj)
+        # one (block(g), block(adj g)) pair per distinct template kind; X and
+        # W share it when their kinds match
+        blocks = {spec.kind: (spec.block(g, adj), spec.block(adj, adj_of_adj))
+                  for spec in (x_spec, w_spec)}
+        self._check_construction(blocks)
+
+        # action = num / det^detpow; the inverse action is template(adj g) /
+        # det^{h - p}: substituting g^{-1} = adj(g)/det into an h-homogeneous
+        # template.
+        x_block, x_inv_block = blocks[x_spec.kind]
+        w_block, w_inv_block = blocks[w_spec.kind]
+        self.x_num = _block_diagonal(x_block, x_spec.m)
+        self.x_detpow = x_spec.det_power(n)
+        self.w_num = _block_diagonal(w_block, w_spec.m)
+        self.w_detpow = w_spec.det_power(n)
+        self.x_inv_num = _block_diagonal(x_inv_block, x_spec.m)
         self.x_inv_detpow = x_spec.homogeneity(n) - self.x_detpow
-        self.w_inv_num = w_spec.operator(adj, adj_of_adj)
+        self.w_inv_num = _block_diagonal(w_inv_block, w_spec.m)
         self.w_inv_detpow = w_spec.homogeneity(n) - self.w_detpow
-        self._check_construction()
+        # linear-image tables of act_cleared, per (space, inverse, out_vars)
+        self._images: dict[tuple, list[Poly]] = {}
 
     # -- sanity at construction ------------------------------------------------
 
@@ -357,26 +363,23 @@ class SymbolicGroupAction:
         return {f"g{i}{j}": (1 if i == j else 0)
                 for i in range(1, self.n + 1) for j in range(1, self.n + 1)}
 
-    def _check_construction(self):
+    def _check_construction(self, blocks: dict[str, tuple[Matrix, Matrix]]):
+        """block(id) == I and block(g) * block(adj g) == det^h * I for every
+        template kind, h its homogeneity.  An action matrix and its inverse
+        are block-diagonal copies of these blocks, so their product is
+        block-diagonal with this block product in every diagonal block: the
+        whole identity holds iff the block identity does."""
         ident = self._identity_point()
-        for num, size in ((self.x_num, len(self.x_vars)), (self.w_num, len(self.w_vars))):
+        one = field_one(self.field)
+        for kind, (num, inv_num) in blocks.items():
+            size = num.rows
             for i in range(size):
                 for j in range(size):
-                    val = num.entries[i][j].eval(ident)
-                    expect = field_one(self.field) if i == j else 0
-                    if val != expect:
+                    if num.entries[i][j].eval(ident) != (one if i == j else 0):
                         raise ActionError("template does not specialize to the "
                                           "identity at g = id")
-        # x_num(g) * x_num(adj g) must equal a det power times the identity
-        for num, inv_num, p, q in ((self.x_num, self.x_inv_num, self.x_detpow,
-                                    self.x_inv_detpow),
-                                   (self.w_num, self.w_inv_num, self.w_detpow,
-                                    self.w_inv_detpow)):
-            prod = num * inv_num
-            size = prod.rows
-            factor = self.det_poly ** (p + q)
-            ident_m = Matrix.identity(size, self.det_poly).scale(factor)
-            if prod != ident_m:
+            factor = self.det_poly ** TemplateSpec(kind).homogeneity(self.n)
+            if num * inv_num != Matrix.identity(size, self.det_poly).scale(factor):
                 raise ActionError("inverse template check failed")
 
     # -- dimensions --------------------------------------------------------------
@@ -411,6 +414,14 @@ class SymbolicGroupAction:
             imgs.append(acc)
         return imgs
 
+    def _space(self, space: str, inverse: bool) -> tuple[tuple[str, ...], Matrix, int]:
+        """(variables, cleared numerator, det power) of one side's point map."""
+        if space == "x":
+            return (self.x_vars, self.x_inv_num if inverse else self.x_num,
+                    self.x_inv_detpow if inverse else self.x_detpow)
+        return (self.w_vars, self.w_inv_num if inverse else self.w_num,
+                self.w_inv_detpow if inverse else self.w_detpow)
+
     def act_cleared(self, p: Poly, side: str = "x", inverse: bool = True,
                     out_vars: tuple[str, ...] | None = None) -> tuple[Poly, int]:
         """Apply the generic substitution to p with determinant powers cleared.
@@ -420,28 +431,23 @@ class SymbolicGroupAction:
         side ``xw``, p(g^{-1} x, g_W^{-1} w)); ``inverse=False`` substitutes
         the forward point maps instead.
         """
-        spaces: list[tuple[tuple[str, ...], Matrix, int]] = []
-        if side in ("x", "xw"):
-            spaces.append((self.x_vars,
-                           self.x_inv_num if inverse else self.x_num,
-                           self.x_inv_detpow if inverse else self.x_detpow))
-        if side in ("w", "xw"):
-            spaces.append((self.w_vars,
-                           self.w_inv_num if inverse else self.w_num,
-                           self.w_inv_detpow if inverse else self.w_detpow))
-        if not spaces:
+        names = {"x": ("x",), "w": ("w",), "xw": ("x", "w")}.get(side)
+        if names is None:
             raise ActionError(f"unknown side {side!r}")
+        spaces = [self._space(name, inverse) for name in names]
         out_vars = out_vars or tuple(dict.fromkeys(p.vars + self.g_vars))
         allowed = set().union(*(set(s[0]) for s in spaces))
         if not set(p.support_vars()) <= allowed:
             raise DimensionError("polynomial does not live on the declared space")
         table: dict[str, Poly] = {}
         space_of: dict[str, int] = {}
-        for s_idx, (space_vars, num, _) in enumerate(spaces):
-            images = self._linear_images(num, space_vars, out_vars)
-            for name, img in zip(space_vars, images):
-                table[name] = img
-                space_of[name] = s_idx
+        for s_idx, (name, (space_vars, num, _)) in enumerate(zip(names, spaces)):
+            key = (name, inverse, out_vars)
+            if key not in self._images:
+                self._images[key] = self._linear_images(num, space_vars, out_vars)
+            for var, img in zip(space_vars, self._images[key]):
+                table[var] = img
+                space_of[var] = s_idx
         p_emb = p.embed(out_vars) if p.vars != out_vars else p
         # per-space maximal degrees fix the shared denominator det^k
         max_deg = [0] * len(spaces)

@@ -228,28 +228,22 @@ def _family_from_block(block: dict, group: GroupAction) -> list[Covariant]:
                         "of integers")
             words = [tuple(_int(x, f"family.words[{k}]") for x in w)
                      for k, w in enumerate(words)]
-        fam = example_family("matrix_words", n=param("n"), words=words,
-                             verify=block.get("verify", "auto"))
+        params = dict(n=param("n"), words=words, verify=block.get("verify", "auto"))
     elif name == "projections":
-        fam = example_family("projections", n=param("n"), m=param("m"))
+        params = dict(n=param("n"), m=param("m"))
     elif name == "power_maps":
         powers = block.get("powers")
         _expect(powers is None or isinstance(powers, list),
                 "family.powers: expected an array of integers")
-        group_arg = group if isinstance(group, FiniteGroupAction) else None
-        fam = example_family("power_maps", n=param("n"),
-                             powers=[_int(p, "family.powers") for p in powers]
-                             if powers else None,
-                             group=group_arg)
+        params = dict(n=param("n"), powers=[_int(p, "family.powers") for p in powers]
+                      if powers else None)
     else:
         raise ProblemError(f"family.name: unknown family {name!r}")
-    _expect(fam[0].action.x_vars == group.x_vars
-            and fam[0].action.w_vars == group.w_vars,
-            "family: generated family does not live on the declared spaces")
-    if fam[0].action is not group:
-        # rebuild on the problem's group object so later ops share one action
-        fam = [Covariant(group, F.coords, F.status) for F in fam]
-    return fam
+    try:
+        return example_family(name, group=group, **params)
+    except DimensionError:
+        raise ProblemError("family: generated family does not live on the "
+                           "declared spaces") from None
 
 
 def _read_problem_text(source: str) -> tuple[str, str]:
@@ -336,7 +330,8 @@ def load_certificate(path: str) -> tuple[NoNameMap, ProblemFile]:
     f = RatFn.parse(raw["f"], group.x_vars, group.field)
     f = f.as_poly() if f.is_poly() else f
     weight = _parse_weight(raw["weight"], group)
-    phi = Matrix([[RatFn.parse(e, group.x_vars, group.field) for e in row]
+    # phi keeps its written denominator f, so phi_rows folds it once
+    phi = Matrix([[RatFn.parse(e, group.x_vars, group.field, reduce=False) for e in row]
                   for row in raw["phi"]])
     phi_inv_entries = [[RatFn.parse(e, group.x_vars, group.field) for e in row]
                        for row in raw["phi_inv"]]

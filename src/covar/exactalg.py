@@ -804,13 +804,16 @@ class RatFn:
         return cls(Poly.one(vars, field))
 
     @classmethod
-    def parse(cls, text: str, vars: Sequence[str], field: PrimeField | None = None) -> "RatFn":
+    def parse(cls, text: str, vars: Sequence[str], field: PrimeField | None = None,
+              *, reduce: bool = True) -> "RatFn":
+        """Read ``(num)/(den)`` or a polynomial; ``reduce=False`` keeps the
+        written denominator instead of removing the gcd."""
         text = text.strip()
         m = re.fullmatch(r"\(([^()]*)\)\s*/\s*\(([^()]*)\)", text)
         if m:
             return cls(Poly.parse(m.group(1), vars, field),
-                       Poly.parse(m.group(2), vars, field))
-        return cls(Poly.parse(text, vars, field))
+                       Poly.parse(m.group(2), vars, field), reduce=reduce)
+        return cls(Poly.parse(text, vars, field), reduce=reduce)
 
     # -- queries ---------------------------------------------------------------
 

@@ -14,7 +14,7 @@ from .action import (
     FiniteGroupAction,
     GroupAction,
     SymbolicGroupAction,
-    symbolic_general_linear,
+    TemplateSpec,
 )
 from .covariant import (
     Covariant,
@@ -226,8 +226,22 @@ def _word_matrix(action: SymbolicGroupAction, copy: int) -> Matrix:
                     for j in range(1, n + 1)] for i in range(1, n + 1)])
 
 
+def _generic_action(n: int, kind: str, x_copies: int,
+                    group: GroupAction | None) -> SymbolicGroupAction:
+    """The generic GL_n element acting by ``kind`` on x_copies copies of X
+    and one copy of W: ``group`` itself when given, else a new action."""
+    x_spec, w_spec = TemplateSpec(kind, x_copies), TemplateSpec(kind, 1)
+    if group is None:
+        return SymbolicGroupAction(n, x_spec, w_spec)
+    if group.is_finite or (group.n, group.x_spec, group.w_spec) != (n, x_spec, w_spec):
+        raise DimensionError(f"the family needs the generic GL_{n} element with "
+                             f"{kind} on {x_copies} copies of X and one of W")
+    return group
+
+
 def matrix_word_family(n: int, words: list[tuple[int, int]] | None = None,
-                       verify: str = "auto") -> list[Covariant]:
+                       verify: str = "auto",
+                       group: GroupAction | None = None) -> list[Covariant]:
     """Covariants (A, B) -> A^i B^j on pairs of n x n matrices under
     simultaneous conjugation.
 
@@ -235,15 +249,15 @@ def matrix_word_family(n: int, words: list[tuple[int, int]] | None = None,
     full generic-element substitution per word; ``product`` verifies the
     degree-one generators directly and certifies products through one check
     that conjugation acts by algebra automorphisms; ``auto`` picks ``direct``
-    for n <= 2 and ``product`` above.
+    for n <= 2 and ``product`` above.  The family lives on ``group`` when
+    given (which must be that conjugation action), else on a new action.
     """
     if words is None:
         words = [(i, j) for i in range(n) for j in range(n)]
     for i, j in words:
         if i < 0 or j < 0:
             raise ForgeError(f"malformed word exponents ({i}, {j})")
-    action = symbolic_general_linear(n, "gl_conjugation", "gl_conjugation",
-                                     x_copies=2, w_copies=1)
+    action = _generic_action(n, "conjugation", 2, group)
     A = _word_matrix(action, 0)
     B = _word_matrix(action, 1)
     mode = verify
@@ -299,13 +313,13 @@ def _check_conjugation_is_algebra_morphism(action: SymbolicGroupAction):
                          "cannot certify word products")
 
 
-def projection_family(n: int, m: int) -> tuple[list[Covariant], SymbolicGroupAction]:
+def projection_family(n: int, m: int, group: GroupAction | None = None
+                      ) -> tuple[list[Covariant], SymbolicGroupAction]:
     """The first n projections (v_1..v_m) -> v_j from m copies of the natural
-    module, under the generic diagonal GL_n action."""
+    module, under the generic diagonal GL_n action (``group`` when given)."""
     if m < n:
         raise ForgeError("need at least n copies to project onto n of them")
-    action = symbolic_general_linear(n, "gl_natural", "gl_natural",
-                                     x_copies=m, w_copies=1)
+    action = _generic_action(n, "natural", m, group)
     out = []
     for j in range(n):
         coords = []
@@ -332,14 +346,14 @@ def _symmetric_group_action(n: int) -> FiniteGroupAction:
 
 
 def power_map_family(n: int, powers: list[int] | None = None,
-                     group: FiniteGroupAction | None = None) -> list[Covariant]:
+                     group: GroupAction | None = None) -> list[Covariant]:
     """Coordinate power maps (x_1..x_n) -> (x_1^i..x_n^i) under a
     permutation action (the full symmetric group by default)."""
     if powers is None:
         powers = list(range(1, n + 1))
     action = group if group is not None else _symmetric_group_action(n)
-    if action.x_dim != n or action.w_dim != n:
-        raise DimensionError("group must act on k^n for both X and W")
+    if not action.is_finite or action.x_dim != n or action.w_dim != n:
+        raise DimensionError("group must be finite and act on k^n for both X and W")
     xs = Poly.gens(action.x_vars, action.field)
     out = []
     for i in powers:
@@ -357,14 +371,14 @@ def example_family(name: str, **params) -> list[Covariant]:
     """Named covariant families with pre-verified equivariance.
 
     ``matrix_words`` (n, words), ``projections`` (n, m), ``power_maps``
-    (n, powers).
+    (n, powers); each takes an optional ``group`` to build the family on.
     """
+    group = params.get("group")
     if name == "matrix_words":
         return matrix_word_family(params["n"], params.get("words"),
-                                  params.get("verify", "auto"))
+                                  params.get("verify", "auto"), group)
     if name == "projections":
-        return projection_family(params["n"], params["m"])[0]
+        return projection_family(params["n"], params["m"], group)[0]
     if name == "power_maps":
-        return power_map_family(params["n"], params.get("powers"),
-                                params.get("group"))
+        return power_map_family(params["n"], params.get("powers"), group)
     raise ForgeError(f"unknown example family {name!r}")

@@ -131,6 +131,20 @@ def test_template_operator_is_multiplicative(kind, n, copies):
     assert Ng * Nh == Ngh
 
 
+def test_wrong_conjugation_block_at_adj_g_is_rejected(monkeypatch):
+    block = TemplateSpec.block
+
+    def wrong_at_adj(self, g, adj_g):
+        out = block(self, g, adj_g)
+        if self.kind == "conjugation" and g.entries[0][0].total_degree() > 1:
+            out.entries[0][1] = out.entries[0][1] + out.entries[0][0]
+        return out
+
+    monkeypatch.setattr(TemplateSpec, "block", wrong_at_adj)
+    with pytest.raises(ActionError, match="inverse template"):
+        symbolic_general_linear(3, "gl_conjugation", "gl_conjugation", x_copies=2)
+
+
 def test_symbolic_identity_specialization():
     C = symbolic_general_linear(2, "gl_conjugation", "gl_natural", x_copies=1)
     ident = qmat([["1", "0"], ["0", "1"]])

@@ -314,6 +314,77 @@ def test_prime_field_problem(tmp_path):
     assert run_cli(["independence", str(path)])[0] == 0
 
 
+def _symbolic_family_problem(n, template, x_copies, family, field=None):
+    prob = {"group": {"type": "symbolic", "n": n, "x_template": template,
+                      "w_template": template, "x_copies": x_copies, "w_copies": 1},
+            "family": family}
+    if field is not None:
+        prob["field"] = {"prime": field}
+    return prob
+
+
+@pytest.mark.parametrize("command", ["independence", "noname-build"])
+@pytest.mark.parametrize("problem", [
+    _symbolic_family_problem(2, "gl_conjugation", 2,
+                             {"name": "matrix_words", "n": 2}, field=5),
+    _symbolic_family_problem(2, "gl_natural", 3,
+                             {"name": "projections", "n": 2, "m": 3}, field=5),
+], ids=["matrix-words", "projections"])
+def test_symbolic_families_over_a_prime_field(tmp_path, problem, command):
+    # the family is built on the problem's GF(5) group, not over Q
+    path = tmp_path / "gf5_family.json"
+    path.write_text(json.dumps(problem))
+    code, out, err = run_cli([command, str(path), "--format", "machine"])
+    assert code == 0, err
+    assert json.loads(out)["report"]["ok"]
+
+
+_SWAP = [["0", "1"], ["1", "0"]]
+
+
+@pytest.mark.parametrize("problem", [
+    _symbolic_family_problem(2, "gl_natural", 2, {"name": "matrix_words", "n": 2}),
+    _symbolic_family_problem(3, "gl_conjugation", 2, {"name": "matrix_words", "n": 2}),
+    _symbolic_family_problem(2, "gl_natural", 4, {"name": "projections", "n": 2, "m": 3}),
+    {"group": {"type": "finite", "generators": [{"x": _SWAP, "w": _SWAP}]},
+     "family": {"name": "matrix_words", "n": 2}},
+    # power maps are covariant for permutations, not for the scalar GL_1 action
+    {"group": {"type": "symbolic", "n": 1, "x_template": "scalar",
+               "w_template": "scalar", "x_copies": 2, "w_copies": 2},
+     "family": {"name": "power_maps", "n": 2}},
+], ids=["words-on-natural", "words-n2-on-n3", "projections-m3-on-4-copies",
+        "words-on-finite", "power-maps-on-scalar"])
+def test_family_that_does_not_fit_its_group_exits_two(tmp_path, problem):
+    path = tmp_path / "misfit.json"
+    path.write_text(json.dumps(problem))
+    code, _, err = run_cli(["verify", str(path)])
+    assert code == 2
+    assert "error: family: generated family does not live on the declared spaces" in err
+
+
+def test_word_family_is_built_on_the_problem_group(monkeypatch):
+    from covar import action
+
+    inits = []
+    built = []
+    init, images = action.SymbolicGroupAction.__init__, action.SymbolicGroupAction._linear_images
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_images(self, num, space_vars, out_vars):
+        built.append((id(num), space_vars, out_vars))
+        return images(self, num, space_vars, out_vars)
+
+    monkeypatch.setattr(action.SymbolicGroupAction, "__init__", counting_init)
+    monkeypatch.setattr(action.SymbolicGroupAction, "_linear_images", counting_images)
+    problem = parse_problem("matrix_words_gl3")
+    assert inits == [problem.group]
+    assert all(F.action is problem.group for F in problem.covariants)
+    assert built and len(built) == len(set(built))
+
+
 def test_machine_format_is_json():
     code, out, _ = run_cli(["independence", "vandermonde_s2",
                             "--format", "machine"])
