@@ -40,6 +40,7 @@ from .exactalg import (
     Poly,
     PrimeField,
     RatFn,
+    lift_coeff,
 )
 from .forge import (
     GenerationExhaustedError,
@@ -47,7 +48,14 @@ from .forge import (
     example_family,
     generate_covariants,
 )
-from .noname import NoNameMap, build_isomorphism, verify_isomorphism
+from .noname import (
+    NoNameMap,
+    _is_frame_of,
+    _pick_out_vars,
+    _taken_names,
+    build_isomorphism,
+    verify_isomorphism,
+)
 from .reflect import (
     BridgeFlags,
     IndependenceCertificate,
@@ -290,12 +298,43 @@ def _serialize_weight(weight: Character) -> dict:
     return {"type": "symbolic", "value": str(weight.ratfn)}
 
 
-def _parse_weight(block: dict, group: GroupAction) -> Character:
-    if block.get("type") == "finite":
-        from .exactalg import lift_coeff
-        values = [lift_coeff(v, group.field) for v in block["values"]]
-        return Character(group, table=values)
-    return Character(group, ratfn=RatFn.parse(block["value"], group.g_vars, group.field))
+def _parse_weight(block, group: GroupAction) -> Character:
+    kind, key = ("finite", "values") if group.is_finite else ("symbolic", "value")
+    _expect(isinstance(block, dict) and block.get("type") == kind,
+            f"weight: expected an object of type {kind!r}")
+    entry = block.get(key)
+    _expect(isinstance(entry, list) if group.is_finite else isinstance(entry, str),
+            f"weight.{key}: expected " + ("an array" if group.is_finite else "a string"))
+    try:
+        if group.is_finite:
+            return Character(group, table=[lift_coeff(v, group.field) for v in entry])
+        return Character(group, ratfn=RatFn.parse(entry, group.g_vars, group.field))
+    except (ExactAlgError, ValueError, ZeroDivisionError) as exc:
+        raise ProblemError(f"weight.{key}: {exc}") from None
+
+
+def _certificate_entry(text, where: str, group: GroupAction,
+                       reduce: bool = True) -> Poly | RatFn:
+    """One certificate string parsed over the X-variables, as a Poly when
+    it is one; the error names the field."""
+    _expect(isinstance(text, str), f"{where}: expected a string")
+    try:
+        e = RatFn.parse(text, group.x_vars, group.field, reduce=reduce)
+    except (ParseError, ZeroDivisionError) as exc:
+        raise ProblemError(f"{where}: {exc}") from None
+    return e.as_poly() if reduce and e.is_poly() else e
+
+
+def _certificate_square(raw: dict, key: str, group: GroupAction,
+                        reduce: bool = True) -> list[list[Poly | RatFn]]:
+    """A certificate field holding d rows of d strings, d = dim W."""
+    d = group.w_dim
+    rows = raw[key]
+    _expect(isinstance(rows, list) and len(rows) == d
+            and all(isinstance(r, list) and len(r) == d for r in rows),
+            f"{key}: expected {d} rows of {d} strings")
+    return [[_certificate_entry(e, f"{key}[{i}][{j}]", group, reduce)
+             for j, e in enumerate(row)] for i, row in enumerate(rows)]
 
 
 def certificate_payload(m: NoNameMap, problem: ProblemFile, report: Report) -> dict:
@@ -327,27 +366,27 @@ def load_certificate(path: str) -> tuple[NoNameMap, ProblemFile]:
     problem = parse_problem({"group": raw["group"], "space": raw.get("space", {}),
                              "field": raw.get("field")}, path)
     group = problem.group
-    f = RatFn.parse(raw["f"], group.x_vars, group.field)
-    f = f.as_poly() if f.is_poly() else f
+    d = group.w_dim
+    f = _certificate_entry(raw["f"], "f", group)
     weight = _parse_weight(raw["weight"], group)
     # phi keeps its written denominator f, so phi_rows folds it once
-    phi = Matrix([[RatFn.parse(e, group.x_vars, group.field, reduce=False) for e in row]
-                  for row in raw["phi"]])
-    phi_inv_entries = [[RatFn.parse(e, group.x_vars, group.field) for e in row]
-                       for row in raw["phi_inv"]]
-    phi_inv = Matrix([[e.as_poly() if e.is_poly() else e for e in row]
-                      for row in phi_inv_entries])
+    phi = Matrix(_certificate_square(raw, "phi", group, reduce=False))
+    phi_inv = Matrix(_certificate_square(raw, "phi_inv", group))
     covs = []
-    for coords in raw.get("covariants", []):
-        parsed = [RatFn.parse(c, group.x_vars, group.field) for c in coords]
-        parsed = [p.as_poly() if p.is_poly() else p for p in parsed]
-        covs.append(Covariant(group, parsed))
+    if "covariants" in raw:
+        covs = [Covariant(group, coords)
+                for coords in _certificate_square(raw, "covariants", group)]
+        _expect(_is_frame_of(covs, phi_inv),
+                "covariants: expected the columns of phi_inv, in order")
+    out_vars = raw.get("out_vars")
+    if out_vars is None:
+        out_vars = list(_pick_out_vars(group, d))
+    _expect(isinstance(out_vars, list) and len(out_vars) == d
+            and all(isinstance(v, str) and v for v in out_vars)
+            and len(set(out_vars)) == d and not set(out_vars) & _taken_names(group),
+            f"out_vars: expected {d} distinct names, none of them an x, w or g variable")
     invariant = RelativeInvariant(f, weight, group)
-    out_vars = tuple(raw.get("out_vars", ()))
-    if not out_vars:
-        from .noname import _pick_out_vars
-        out_vars = _pick_out_vars(group, phi.rows)
-    m = NoNameMap(group, invariant, phi, phi_inv, group.w_vars, out_vars, covs)
+    m = NoNameMap(group, invariant, phi, phi_inv, group.w_vars, tuple(out_vars), covs)
     return m, problem
 
 

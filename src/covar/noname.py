@@ -10,6 +10,11 @@ set X_f where f = det(F) does not vanish, with inverse
 (x, a) -> (x, sum_i a_i F_i(x)).  The coordinates Phi_i are invariant
 rational functions and generate the invariant field of X x W over that of X.
 
+The frame F is the certificate: once phi * F = I and F * phi = I are
+checked over k(X)_f, the generators Phi_i are invariant exactly when the d
+frame columns are equivariant (F(gx) = g_W F(x) gives phi(gx) = phi(x)
+g_W^{-1}, and conversely), so the equivariance ledger decides invariance.
+
 This module builds the map, verifies it, and runs the converse
 constructions: recovering covariants from a matrix of invariant generators,
 and extracting covariants from the linear component of an invariant
@@ -35,6 +40,7 @@ from .covariant import (
     UnverifiedCovariantError,
     covariant_matrix,
     det_relative_invariant,
+    ensure_equivariant,
     verify_equivariance,
 )
 from .exactalg import (
@@ -54,13 +60,18 @@ class IsomorphismError(ExactAlgError):
     pass
 
 
-def _pick_out_vars(action: GroupAction, d: int) -> tuple[str, ...]:
+def _taken_names(action: GroupAction) -> set[str]:
+    """The x, w and g variable names, which output coordinates must avoid."""
     taken = set(action.x_vars) | set(action.w_vars)
     if not action.is_finite:
         taken |= set(action.g_vars)
+    return taken
+
+
+def _pick_out_vars(action: GroupAction, d: int) -> tuple[str, ...]:
     for prefix in ("a", "t", "u", "aa"):
         names = tuple(f"{prefix}{i}" for i in range(1, d + 1))
-        if not (set(names) & taken):
+        if not (set(names) & _taken_names(action)):
             return names
     raise IsomorphismError("could not pick fresh output coordinate names")
 
@@ -131,17 +142,10 @@ class NoNameMap:
         """The invariant generators Phi_i = sum_j phi_ij w_j in the
         (x, w)-ring, all over phi's one denominator."""
         ring = self.action.x_vars + self.w_vars
-        field = self.action.field
+        ws = [Poly.var(v, ring, self.action.field) for v in self.w_vars]
         nums, den = self.phi_rows
-        den = den.embed(ring)
-        out = []
-        for i in range(self.dim):
-            acc = Poly.zero(ring, field)
-            for j in range(self.dim):
-                w_j = Poly.var(self.w_vars[j], ring, field)
-                acc = acc + nums[i][j].embed(ring) * w_j
-            out.append(RatFn(acc, den, reduce=False))
-        return out
+        return [RatFn(_dot([e.embed(ring) for e in row], ws), den.embed(ring),
+                      reduce=False) for row in nums]
 
 
 def build_isomorphism(Fs: list[Covariant], out_vars: tuple[str, ...] | None = None) -> NoNameMap:
@@ -150,7 +154,8 @@ def build_isomorphism(Fs: list[Covariant], out_vars: tuple[str, ...] | None = No
     The map is accepted only if :func:`verify_isomorphism` passes every
     structural check (two-sided inverse over the localization, invariance of
     every generator, both substitution round trips, ...); that report is
-    returned with the map as ``m.report``.
+    returned with the map as ``m.report``.  The frame columns are the given,
+    already certified covariants, so invariance needs no new substitution.
     """
     if not Fs:
         raise DimensionError("empty covariant list")
@@ -171,7 +176,7 @@ def build_isomorphism(Fs: list[Covariant], out_vars: tuple[str, ...] | None = No
         phi = adj.map(lambda e: RatFn(e, f, reduce=False))
     out_vars = tuple(out_vars) if out_vars else _pick_out_vars(action, len(Fs))
     m = NoNameMap(action, ri, phi, F_mat, action.w_vars, out_vars, list(Fs))
-    m.report = verify_isomorphism(m, cross_check=False)
+    m.report = verify_isomorphism(m)
     if not m.report.ok:
         raise IsomorphismError("failed checks: " + ", ".join(
             c.name for c in m.report.failed_checks()))
@@ -223,64 +228,30 @@ def _round_trip_failures(m: NoNameMap) -> list[str]:
     return failures
 
 
-def _generator_invariance(m: NoNameMap):
-    """Invariance of every generator row: for finite groups the matrix
-    identity (g . phi) = phi * g_W on the group's generators (the elements
-    fixing a row form a subgroup); for the generic element the cleared
-    row-wise substitution identity.  Returns (row, witness) on failure, None
-    when all rows are invariant."""
-    action = m.action
-    d = m.dim
-    pn, pd = m.phi_rows
-    if action.is_finite:
-        for g in action.distinct_generators():
-            subst = action.x_substitution(g, inverse=True)
-            w = action.w_mats[g]
-            den_moved = pd.subs(subst, action.x_vars)
-            for i in range(d):
-                num_moved = [p.subs(subst, action.x_vars) for p in pn[i]]
-                for j in range(d):
-                    rhs = Poly.zero(action.x_vars, action.field)
-                    for l in range(d):
-                        if w[l][j]:
-                            rhs = rhs + pn[i][l] * w[l][j]
-                    # num_moved[j]/den_moved == rhs/pd
-                    if num_moved[j] * pd != rhs * den_moved:
-                        return i, f"element {g}"
-        return None
-    return _generator_invariance_generic(action, pn, pd, m.w_vars)
+def _is_frame_of(Fs: list[Covariant], frame: Matrix) -> bool:
+    """Whether the covariants are, in order, the columns of ``frame``."""
+    return len(Fs) == frame.cols and all(
+        F.coords[i] == frame.entries[i][j]
+        for j, F in enumerate(Fs) for i in range(frame.rows))
 
 
-def _generator_invariance_generic(action, pn, pd, w_vars):
-    """Cleared substitution check that each generator is fixed by the
-    generic element, row by row, with the one denominator moved once."""
-    ring = action.x_vars + tuple(w_vars) + action.g_vars
-    gen_ring = action.x_vars + tuple(w_vars)
-    det = action.det_poly.embed(ring)
-    field = action.field
-    den_moved, kd = action.act_cleared(pd, "x", out_vars=ring)
-    den = pd.embed(ring)
-    for i in range(len(pn)):
-        num = Poly.zero(gen_ring, field)
-        for j, name in enumerate(w_vars):
-            num = num + pn[i][j].embed(gen_ring) * Poly.var(name, gen_ring, field)
-        num_moved, kn = action.act_cleared(num, "xw", out_vars=ring)
-        # num_moved/det^kn / (den_moved/det^kd) == num/pd
-        k = min(kn, kd)
-        lhs = num_moved * den * det ** (kd - k)
-        rhs = num.embed(ring) * den_moved * det ** (kn - k)
-        if lhs != rhs:
-            return i, "the generic element"
-    return None
+def _frame_columns(m: NoNameMap) -> list[Covariant]:
+    """The columns of phi_inv as covariants: the map's own (with their
+    ledger status) when they are those columns, else fresh unchecked ones."""
+    if _is_frame_of(m.covariants, m.phi_inv):
+        return m.covariants
+    return [Covariant(m.action, [row[j] for row in m.phi_inv.entries])
+            for j in range(m.phi_inv.cols)]
 
 
-def verify_isomorphism(m: NoNameMap, cross_check: bool = True) -> Report:
+def verify_isomorphism(m: NoNameMap) -> Report:
     """Re-derive and check every structural property of the map, each as a
     named check.
 
-    With ``cross_check`` a finite group's generator invariance is decided by
-    the full (x, w)-substitution on every element, a route independent of
-    the build; without it, by the matrix identity on the generators.
+    ``generators_invariant`` is decided by the ledger on the d frame
+    columns: certified columns stand, unchecked ones are verified once each.
+    It proves invariance together with ``phi_linear_in_w`` and the two
+    inverse identities, and the report is ``ok`` only when all of them pass.
     """
     report = Report("no-name isomorphism verification")
     with Stopwatch(report):
@@ -317,11 +288,12 @@ def verify_isomorphism(m: NoNameMap, cross_check: bool = True) -> Report:
                        "both substitution round trips return the inputs exactly")
 
         if linear:
-            bad = (_generator_invariance_direct(m) if action.is_finite and cross_check
-                   else _generator_invariance(m))
+            frame = ensure_equivariant(_frame_columns(m)).checks
+            bad = next((j for j, c in enumerate(frame) if not c.passed), None)
             report.add("generators_invariant", bad is None,
                        "every generator is fixed by the group action" if bad is None
-                       else f"generator {bad[0] + 1} moves under {bad[1]}")
+                       else f"frame column {bad + 1} is not equivariant, so a generator "
+                       "moves", None if bad is None else frame[bad].witness)
         else:
             report.add("generators_invariant", False,
                        "phi entries must depend only on the X-variables")
@@ -329,23 +301,6 @@ def verify_isomorphism(m: NoNameMap, cross_check: bool = True) -> Report:
         report.data["f"] = str(m.f)
         report.data["dim"] = d
     return report
-
-
-def _generator_invariance_direct(m: NoNameMap):
-    """Finite-group route through the full (x, w)-ring substitution, kept
-    separate from the matrix-identity route of :func:`_generator_invariance`."""
-    action = m.action
-    gens = m.generators()
-    ring = action.x_vars + m.w_vars
-    for g in action.elements():
-        subst = dict(action.x_substitution(g, inverse=True, out_vars=ring))
-        subst.update(action.w_substitution(g, inverse=True, out_vars=ring))
-        for i, gen in enumerate(gens):
-            num_moved = gen.num.subs(subst, ring)
-            den_moved = gen.den.subs(subst, ring)
-            if num_moved * gen.den != gen.num * den_moved:
-                return i, f"element {g}"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -358,34 +313,23 @@ def covariants_from_generators(phi: Matrix, action: GroupAction) -> list[Covaria
     invariant-generator coefficients over the function field of X.
 
     Row i of ``phi`` holds the coefficients of the generator
-    sum_j phi_ij w_j; the rows must be invariant (checked), the matrix
-    invertible over k(X).  The returned covariants are the columns of the
-    inverse matrix, each verified equivariant.
+    sum_j phi_ij w_j; the matrix must be invertible over k(X).  The returned
+    covariants are the columns of the inverse matrix, each verified
+    equivariant; a column is equivariant exactly when the rows are
+    invariant, so that check also decides the rows.
     """
     if phi.rows != phi.cols:
         raise DimensionError("generator matrix must be square")
     if phi.rows != action.w_dim:
         raise DimensionError("generator matrix size must match dim W")
-    d = phi.rows
-    probe = NoNameMap(
-        action,
-        RelativeInvariant(Poly.one(action.x_vars, action.field),
-                          _trivial_weight(action), action),
-        phi,
-        Matrix.identity(d, RatFn.one(action.x_vars, action.field)),
-        action.w_vars, _pick_out_vars(action, d))
-    bad = _generator_invariance(probe)
-    if bad is not None:
-        raise IsomorphismError(
-            f"generator row {bad[0] + 1} is not invariant (witness: {bad[1]})")
-
-    nums, den = probe.phi_rows
+    nums, den = _cleared_rows(phi)
     P = Matrix(nums)
     detP = P.det()
     if detP.is_zero():
         raise IsomorphismError("generator matrix is singular over k(X)")
     # phi = P / den, so phi^{-1} = adj(P) * den / det(P)
-    return _inverse_columns(P, den, detP, action, "recovered")
+    return _inverse_columns(P, den, detP, action,
+                            "the generator rows are not invariant: recovered")
 
 
 def _inverse_columns(P: Matrix, num: Poly, den: Poly, action: GroupAction,
@@ -398,14 +342,10 @@ def _inverse_columns(P: Matrix, num: Poly, den: Poly, action: GroupAction,
         F = Covariant(action, [_ratfn_quotient(adj.entries[i][j] * num, den)
                                for i in range(P.rows)])
         if not verify_equivariance(F).ok:
-            raise IsomorphismError(f"{what} column {j + 1} is not equivariant")
+            raise IsomorphismError(f"{what} column {j + 1} is not equivariant "
+                                   f"(witness: {F.refutation})")
         out.append(F)
     return out
-
-
-def _trivial_weight(action: GroupAction):
-    from .action import Character
-    return Character.trivial(action)
 
 
 def linearize_isomorphism(coords: list[Poly], action: GroupAction,

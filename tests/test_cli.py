@@ -237,10 +237,14 @@ def test_usage_errors_exit_two(tmp_path):
     assert exc.value.code == 2
 
 
-def _certificate_without_f(tmp_path):
+def _certificate_with(tmp_path, **fields):
     cert = tmp_path / "cert.json"
     assert run_cli(["noname-build", "vandermonde_s2", "--out", str(cert)])[0] == 0
-    payload = json.loads(cert.read_text())
+    return dict(json.loads(cert.read_text()), **fields)
+
+
+def _certificate_without_f(tmp_path):
+    payload = _certificate_with(tmp_path)
     del payload["f"]
     return payload
 
@@ -276,9 +280,22 @@ def _swap_problem_over(prime):
         "family": {"name": "matrix_words", "n": 2, "words": [1, 2]}}, "family.words[0]"),
     ("verify", lambda tmp: _swap_problem_over(6), "field.prime"),
     ("verify", lambda tmp: _swap_problem_over(int("7" * 400)), "field.prime"),
+    ("noname-verify", lambda tmp: _certificate_with(tmp, phi=[[1, "0"], ["0", "1"]]),
+     "phi[0][0]"),
+    ("noname-verify", lambda tmp: _certificate_with(tmp, weight={}), "weight"),
+    ("noname-verify", lambda tmp: _certificate_with(tmp, weight="1"), "weight"),
+    ("noname-verify", lambda tmp: _certificate_with(tmp, out_vars=["a1"]), "out_vars"),
+    ("noname-verify", lambda tmp: _certificate_with(tmp, out_vars=["x1", "x2"]),
+     "out_vars"),
+    ("noname-verify", lambda tmp: _certificate_with(tmp, out_vars=["a1", "a1"]),
+     "out_vars"),
+    ("noname-verify", lambda tmp: _certificate_with(
+        tmp, covariants=[["x1^2", "x2^2"], ["x1", "x2"]]), "covariants"),
 ], ids=["family-without-n", "gf5-entry-with-denominator-5", "certificate-without-f",
         "hypotheses-not-an-object", "word-not-an-array", "composite-prime",
-        "prime-with-400-digits"])
+        "prime-with-400-digits", "phi-entry-not-a-string", "weight-empty-object",
+        "weight-not-an-object", "out-vars-shorter-than-d", "out-vars-taken-by-x",
+        "out-vars-repeated", "covariants-not-the-frame-columns"])
 def test_malformed_input_exits_two_naming_the_field(tmp_path, command, make_payload,
                                                     field):
     path = tmp_path / "malformed.json"

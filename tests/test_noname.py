@@ -266,29 +266,164 @@ def test_each_report_clears_phi_and_the_frame_once(monkeypatch, tmp_path):
 
 
 def test_generator_invariance_routes(monkeypatch, tmp_path):
-    """noname-build decides generators_invariant by the matrix identity on
-    the generators; noname-verify cross-checks by the full substitution on
-    every element."""
+    """generators_invariant is decided by the equivariance ledger on the
+    frame columns: noname-build finds them certified by the command's own
+    ledger call, and noname-verify checks each certificate column once."""
     import contextlib
     import io
 
-    from covar import noname
+    from covar import cli, covariant, noname
     from covar.cli import main
 
-    counts = {"_generator_invariance": 0, "_generator_invariance_direct": 0}
-    for name in counts:
-        original = getattr(noname, name)
+    calls = []  # one entry per verify_equivariance call: inside verify_isomorphism?
+    inside = [False]
+    verify_equivariance = covariant.verify_equivariance
+    monkeypatch.setattr(covariant, "verify_equivariance",
+                        lambda F: calls.append(inside[0]) or verify_equivariance(F))
+    verify_isomorphism = noname.verify_isomorphism
 
-        def spy(m, _name=name, _original=original):
-            counts[_name] += 1
-            return _original(m)
-        monkeypatch.setattr(noname, name, spy)
+    def spy(m):
+        inside[0] = True
+        try:
+            return verify_isomorphism(m)
+        finally:
+            inside[0] = False
+    monkeypatch.setattr(noname, "verify_isomorphism", spy)
+    monkeypatch.setattr(cli, "verify_isomorphism", spy)
     cert = str(tmp_path / "cert.json")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["noname-build", "projections_v3_m4", "--out", cert]) == 0
-        assert counts == {"_generator_invariance": 1, "_generator_invariance_direct": 0}
+        assert calls == [False] * 3
         assert main(["noname-verify", cert]) == 0
-    assert counts == {"_generator_invariance": 1, "_generator_invariance_direct": 1}
+        assert calls == [False] * 3 + [True] * 3
+        assert main(["noname-build", "matrix_words_gl2"]) == 0
+    assert calls == [False] * 3 + [True] * 3
+
+
+# -- certificates: the frame decides generator invariance ----------------------------
+
+
+def _certificate(tmp_path, problem) -> dict:
+    """The payload noname-build writes for a preset name or a problem dict."""
+    import contextlib
+    import io
+    import json
+
+    from covar.cli import main
+
+    if isinstance(problem, dict):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        problem = str(path)
+    cert = tmp_path / "built.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["noname-build", problem, "--out", str(cert)]) == 0
+    return json.loads(cert.read_text())
+
+
+def _with_frame(payload: dict, frame: Matrix) -> dict:
+    """The certificate with ``frame`` as phi_inv and as its covariants, f its
+    determinant and phi = adj(frame)/f its exact inverse."""
+    f = frame.det()
+    return dict(payload, f=str(f),
+                phi=[[str(RatFn(e, f, reduce=False)) for e in row]
+                     for row in frame.adjugate().entries],
+                phi_inv=[[str(e) for e in row] for row in frame.entries],
+                covariants=[[str(row[j]) for row in frame.entries]
+                            for j in range(frame.cols)])
+
+
+def _run_verify(tmp_path, payload: dict):
+    """noname-verify on the payload: (exit code, {check name: passed}, map)."""
+    import contextlib
+    import io
+    import json
+
+    from covar.cli import load_certificate, main
+
+    path = tmp_path / "verify.json"
+    path.write_text(json.dumps(payload))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["noname-verify", str(path), "--format", "machine"])
+    checks = json.loads(out.getvalue())["report"]["checks"]
+    return code, {c["name"]: c["passed"] for c in checks}, load_certificate(str(path))[0]
+
+
+def _generators_fixed_by_every_element(m: NoNameMap) -> bool:
+    """Reference: every generator sum_j phi_ij w_j, moved by every element
+    of the finite group through the full (x, w)-substitution, is unchanged."""
+    action = m.action
+    ring = action.x_vars + m.w_vars
+    for g in action.elements():
+        subst = dict(action.x_substitution(g, inverse=True, out_vars=ring))
+        subst.update(action.w_substitution(g, inverse=True, out_vars=ring))
+        for gen in m.generators():
+            if gen.num.subs(subst, ring) * gen.den != gen.num * gen.den.subs(subst, ring):
+                return False
+    return True
+
+
+def _power_map_problem(n: int) -> dict:
+    cycle = [["1" if i == (j + 1) % n else "0" for j in range(n)] for i in range(n)]
+    swap = [["1" if (i, j) in ((0, 1), (1, 0)) or (i == j > 1) else "0"
+             for j in range(n)] for i in range(n)]
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    return {"group": {"type": "finite",
+                      "generators": [{"x": cycle, "w": cycle}, {"x": swap, "w": swap}]},
+            "covariants": [[x if k == 1 else f"{x}^{k}" for x in xs]
+                           for k in range(1, n + 1)]}
+
+
+def _bad_frame_vandermonde(tmp_path) -> dict:
+    """Frame columns (x1, x2) and (2 x1^2, x2^2 + x1 x2): the second is not
+    equivariant under the swap, f is still x1 x2^2 - x1^2 x2, and phi is
+    the frame's exact inverse."""
+    good = _certificate(tmp_path, "vandermonde_s2")
+    x1, x2 = Poly.gens(("x1", "x2"))
+    bad = _with_frame(good, Matrix([[x1, 2 * x1**2], [x2, x2**2 + x1 * x2]]))
+    assert bad["f"] == good["f"]
+    return bad
+
+
+def test_bad_frame_certificate_fails_only_generators_invariant(tmp_path):
+    code, checks, _ = _run_verify(tmp_path, _bad_frame_vandermonde(tmp_path))
+    assert code == 1
+    assert [name for name, passed in checks.items() if not passed] == [
+        "generators_invariant"]
+
+
+def test_transposed_gl2_frame_column_fails_generators_invariant(tmp_path):
+    good = _certificate(tmp_path, "matrix_words_gl2")
+    code, checks, m = _run_verify(tmp_path, good)
+    assert code == 0 and all(checks.values())
+    rows = [row[:] for row in m.phi_inv.entries]
+    # column 2 holds the word A; row-major coordinates 2 and 3 are a12, a21
+    rows[1][1], rows[2][1] = rows[2][1], rows[1][1]
+    code, checks, _ = _run_verify(tmp_path, _with_frame(good, Matrix(rows)))
+    assert code == 1
+    assert not checks["generators_invariant"]
+    assert checks["phi_times_frame_is_identity"] and checks["frame_times_phi_is_identity"]
+
+
+def test_frame_verdict_matches_all_elements_reference(tmp_path):
+    vandermonde = _certificate(tmp_path, "vandermonde_s2")
+    swapped = dict(vandermonde, phi=vandermonde["phi"][::-1])
+    bad_frame = _bad_frame_vandermonde(tmp_path)
+    # without a covariants field the columns come from phi_inv alone
+    bare_bad_frame = {k: v for k, v in bad_frame.items() if k != "covariants"}
+    cases = [("vandermonde", vandermonde, 0, True),
+             ("s4 power maps", _certificate(tmp_path, _power_map_problem(4)), 0, True),
+             ("bad frame", bad_frame, 1, False),
+             ("bad frame without covariants", bare_bad_frame, 1, False),
+             ("swapped rows", swapped, 1, True)]
+    for name, payload, want_code, want_invariant in cases:
+        code, checks, m = _run_verify(tmp_path, payload)
+        assert code == want_code, name
+        assert checks["generators_invariant"] is want_invariant, name
+        assert _generators_fixed_by_every_element(m) is want_invariant, name
+    # the swapped rows keep every generator invariant and fail the product
+    assert not checks["phi_times_frame_is_identity"]
 
 
 def test_tampered_weight_certificate_fails_noname_verify(tmp_path):
