@@ -7,8 +7,10 @@ over the function field.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 from .action import Character, GroupAction, det_w_inverse_character
 from .exactalg import (
@@ -18,6 +20,7 @@ from .exactalg import (
     Poly,
     RatFn,
     common_denominator,
+    int_rank_det,
     lift_coeff,
     qmat_rank_det,
 )
@@ -322,12 +325,19 @@ class RelativeInvariant:
     f: Poly | RatFn
     weight: Character
     action: GroupAction = dc_field(repr=False, default=None)
+    # Set where f is made as a determinant, so later checks reuse them: the
+    # matrix f is the determinant of, and the verdict of the weight identity.
+    # They are not init fields, so a dataclasses.replace copy re-derives both.
+    frame: Matrix | None = dc_field(default=None, init=False, repr=False, compare=False)
+    verdict: bool | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def is_zero(self) -> bool:
         return self.f.is_zero()
 
     def verify(self) -> bool:
+        if self.verdict is not None:
+            return self.verdict
         return _is_relative_invariant(self.action, self.f, self.weight)
 
 
@@ -396,7 +406,9 @@ def det_relative_invariant(Fs: list[Covariant]) -> RelativeInvariant:
     weight = det_w_inverse_character(action)
     if not _is_relative_invariant(action, f, weight):
         raise CovariantError("determinant failed its weight identity")
-    return RelativeInvariant(f, weight, action)
+    ri = RelativeInvariant(f, weight, action)
+    ri.frame, ri.verdict = mat, True
+    return ri
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +436,12 @@ WITNESS_FIRST_CANDIDATES = 32
 def generic_independence(Fs: list[Covariant], seed: int = 0) -> Report:
     """Rank of the coordinate matrix over the function field.
 
-    A rational point where the e covariants take rank e proves independence
-    exactly, so the seeded candidate points are tried first; the symbolic
-    rank is computed only when none of the first candidates is a witness
-    (and always for more covariants than dim W).  For an independent family
-    the reported witness is the first full-rank candidate of the stream.
+    The rank at a rational point is at most the generic rank, which is at
+    most min(e, dim W); a point where the e covariants take that full rank
+    decides the generic rank exactly.  So the seeded candidate points are
+    tried first, and the symbolic rank is computed only when none of the
+    first candidates has full rank.  For an independent family the reported
+    witness is the first full-rank candidate of the stream.
     """
     report = Report("generic independence")
     with Stopwatch(report):
@@ -438,27 +451,23 @@ def generic_independence(Fs: list[Covariant], seed: int = 0) -> Report:
         report.data["family_size"] = e
         report.data["w_dim"] = d
         coordinate_matrix(Fs)  # rejects families over different actions
+        points = candidate_points(action.x_dim, random.Random(seed))
+        witness = _independence_witness(
+            Fs, itertools.islice(points, WITNESS_FIRST_CANDIDATES))
+        rank = min(e, d) if witness is not None else _symbolic_rank(Fs)
+        report.data["rank"] = rank
         if e > d:
-            rank = _symbolic_rank(Fs)
-            report.data["rank"] = rank
             report.data["verdict"] = "dependent"
             report.add("independent", False,
                        f"{e} covariants into a {d}-dimensional module are "
                        f"automatically dependent (rank {rank} < {e})")
             return report
-        points = candidate_points(action.x_dim, random.Random(seed))
-        witness = _independence_witness(
-            Fs, itertools.islice(points, WITNESS_FIRST_CANDIDATES))
-        rank = e
-        if witness is None:
-            rank = _symbolic_rank(Fs)
-            if rank == e:
-                witness = _independence_witness(Fs, points)
-        report.data["rank"] = rank
         if rank < e:
             report.data["verdict"] = "dependent"
             report.add("independent", False, f"rank {rank} < family size {e}")
             return report
+        if witness is None:
+            witness = _independence_witness(Fs, points)
         report.data["verdict"] = "independent"
         if witness is None:
             report.add("independent", True,
@@ -474,18 +483,101 @@ def generic_independence(Fs: list[Covariant], seed: int = 0) -> Report:
     return report
 
 
+class _IntegerColumns:
+    """The coordinate matrix compiled once for exact evaluation over ints.
+
+    Column j is written over one denominator and scaled to integer
+    coefficients, so at a point it equals ``nums[j](pt) * scales[j] /
+    dens[j](pt)`` with ``scales[j]`` an exact rational.  Each polynomial is
+    a tuple of ``(int coeff, ((var index, exp), ...))`` terms.  Over GF(p)
+    the coefficients are the representatives in [0, p) and every scale is 1.
+    """
+
+    def __init__(self, Fs: list[Covariant]):
+        self.field = Fs[0].action.field
+        self.nums, self.dens, self.scales = [], [], []
+        for F in Fs:
+            nums, den = common_denominator(F.coords)
+            num_mult, den_mult = _coeff_lcm(nums), _coeff_lcm([den])
+            self.nums.append([_int_terms(p, num_mult) for p in nums])
+            self.dens.append(_int_terms(den, den_mult))
+            self.scales.append(Fraction(den_mult, num_mult))
+        self.max_exp = [0] * len(Fs[0].action.x_vars)
+        for terms in self.dens + [t for col in self.nums for t in col]:
+            for _, mono in terms:
+                for i, k in mono:
+                    self.max_exp[i] = max(self.max_exp[i], k)
+
+    def powers(self, point) -> list[list[int]]:
+        """Per coordinate, its powers up to the largest exponent used."""
+        p = self.field.p if self.field is not None else None
+        table = []
+        for x, top in zip(point, self.max_exp):
+            row = [1]
+            for _ in range(top):
+                row.append(row[-1] * x if p is None else row[-1] * x % p)
+            table.append(row)
+        return table
+
+
+def _coeff_lcm(polys: list[Poly]) -> int:
+    """The lcm of the coefficient denominators (1 over GF(p))."""
+    mult = 1
+    for poly in polys:
+        for c in poly.terms.values():
+            if isinstance(c, Fraction):
+                mult = math.lcm(mult, c.denominator)
+    return mult
+
+
+def _int_terms(poly: Poly, mult: int) -> tuple:
+    out = []
+    for exps, c in poly.terms.items():
+        coeff = c.numerator * (mult // c.denominator) if isinstance(c, Fraction) else c.val
+        out.append((coeff, tuple((i, k) for i, k in enumerate(exps) if k)))
+    return tuple(out)
+
+
+def _eval_int(terms: tuple, powers: list[list[int]]) -> int:
+    total = 0
+    for coeff, mono in terms:
+        for i, k in mono:
+            coeff *= powers[i][k]
+        total += coeff
+    return total
+
+
 def _independence_witness(Fs: list[Covariant], points):
-    """The first of ``points`` where the family has full rank e, with the
-    e x e minor when e = dim W; None if no point qualifies."""
+    """The first of ``points`` where the family has full rank min(e, dim W),
+    with the e x e minor when e = dim W; None if no point qualifies.
+
+    Points where a column's denominator vanishes are skipped: it is the lcm
+    of the entry denominators, so these are exactly the points where an
+    entry is undefined.  Over Q the rank and
+    the minor come from one integer Bareiss elimination of the compiled
+    numerators, the minor being det(N) * prod(scale_j / D_j); over GF(p) the
+    integer values are reduced and eliminated in the field."""
     action = Fs[0].action
-    e = len(Fs)
+    cols = _IntegerColumns(Fs)
+    field = cols.field
+    full = min(len(Fs), action.w_dim)
     for point in points:
-        vals = _point_dict(action.x_vars, point, action.field)
-        try:
-            rows = evaluate_matrix(Fs, vals)
-        except ZeroDivisionError:
+        powers = cols.powers(point)
+        dens = [_eval_int(den, powers) for den in cols.dens]
+        if field is not None:
+            dens = [field(v) for v in dens]
+        if not all(dens):
             continue
-        rank, minor = qmat_rank_det(rows, action.field)
-        if rank == e:
-            return vals, minor
+        rows = list(zip(*[[_eval_int(num, powers) for num in col] for col in cols.nums]))
+        if field is None:
+            rank, minor = int_rank_det(rows)
+            if rank == full and minor is not None:
+                minor = Fraction(minor)
+                for scale, den in zip(cols.scales, dens):
+                    minor = minor * scale / den
+        else:
+            rows = [[field(v) / den for v, den in zip(row, dens)] for row in rows]
+            rank, minor = qmat_rank_det(rows, field)
+        if rank == full:
+            return _point_dict(action.x_vars, point, field), minor
     return None

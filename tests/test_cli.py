@@ -225,6 +225,20 @@ def test_example_command_builds_family():
     assert code == 0 and "a11" in out
 
 
+def test_package_runs_as_a_module():
+    import subprocess
+    import sys
+
+    import covar
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(covar.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "covar", "example"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "vandermonde_s2" in proc.stdout
+
+
 def test_usage_errors_exit_two(tmp_path):
     code, _, err = run_cli(["independence", "/missing.json"])
     assert code == 2 and "error" in err

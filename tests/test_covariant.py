@@ -1,6 +1,7 @@
 """Covariants: equivariance, determinant invariants, generic independence."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,10 @@ from covar.covariant import (
     Covariant,
     DimensionError,
     UnverifiedCovariantError,
+    _independence_witness,
     _is_relative_invariant,
+    _point_dict,
+    candidate_points,
     covariant_matrix,
     coordinate_matrix,
     det_relative_invariant,
@@ -20,7 +24,7 @@ from covar.covariant import (
     verify_equivariance,
     weight_of,
 )
-from covar.exactalg import Matrix, Poly, RatFn, qmat_rank
+from covar.exactalg import Matrix, Poly, RatFn, qmat_rank, qmat_rank_det
 from covar.action import Character, make_finite_group, symbolic_general_linear
 
 from conftest import CYCLE3, SWAP, SWAP3, word_covariants
@@ -296,3 +300,115 @@ def test_non_character_weight_is_checked_on_every_element():
     assert not _is_relative_invariant(G, f, weight)
     assert _is_relative_invariant(G, f, Character.trivial(G))
 
+
+# -- the witness scan over the integers ------------------------------------------
+
+
+def _fraction_witness(Fs, points):
+    """The reference scan: every candidate evaluated over the coefficient
+    field by evaluate_matrix and eliminated by qmat_rank_det."""
+    action = Fs[0].action
+    full = min(len(Fs), action.w_dim)
+    for point in points:
+        vals = _point_dict(action.x_vars, point, action.field)
+        try:
+            rows = evaluate_matrix(Fs, vals)
+        except ZeroDivisionError:
+            continue
+        rank, minor = qmat_rank_det(rows, action.field)
+        if rank == full:
+            return vals, minor
+    return None
+
+
+def _gf5_problem(template, x_copies, family):
+    return {"field": {"prime": 5},
+            "group": {"type": "symbolic", "n": 2, "x_template": template,
+                      "w_template": template, "x_copies": x_copies, "w_copies": 1},
+            "family": family}
+
+
+def _witness_families():
+    from covar.cli import list_presets, parse_problem
+    from covar.forge import power_map_family
+
+    out = {name: parse_problem(name).covariants for name in list_presets()}
+    out = {name: Fs for name, Fs in out.items() if Fs}
+    out["s4_power_maps"] = power_map_family(4)
+    out["s5_power_maps"] = power_map_family(5)
+    out["gf5_matrix_words"] = parse_problem(
+        _gf5_problem("gl_conjugation", 2, {"name": "matrix_words", "n": 2})).covariants
+    out["gf5_projections"] = parse_problem(
+        _gf5_problem("gl_natural", 3, {"name": "projections", "n": 2, "m": 3})).covariants
+    # rational coefficients in numerators and denominators: nontrivial scales
+    s2 = make_finite_group([(SWAP, SWAP)])
+    x1, x2 = Poly.gens(s2.x_vars)
+    out["fractional_pair"] = [
+        verified(s2, [RatFn(x1 / 2, x1 + x2), RatFn(x2 / 2, x1 + x2)]),
+        verified(s2, [RatFn(x1**2, 3 * x1 * x2 + 1), RatFn(x2**2, 3 * x1 * x2 + 1)])]
+    return out
+
+
+def test_integer_witness_scan_matches_the_fraction_route():
+    """Point by point over the first 500 candidates, the compiled integer
+    scan skips the same points and returns the same (point, minor).  The
+    18-variable gl3 words take about 8 ms a point over Fractions, so they
+    are compared on their first 40 candidates."""
+    families = _witness_families()
+    assert {"rational_swap", "powers_s2_cubic", "scalar_counterexample",
+            "matrix_words_gl3"} <= set(families)
+    for name, Fs in families.items():
+        stream = candidate_points(Fs[0].action.x_dim, random.Random(0))
+        points = list(itertools.islice(stream, 40 if name == "matrix_words_gl3" else 500))
+        found = 0
+        for point in points:
+            got = _independence_witness(Fs, [point])
+            assert got == _fraction_witness(Fs, [point]), (name, point)
+            found += got is not None
+        assert found or name == "s5_power_maps", name
+    # rational_swap's denominators vanish at some candidates, which both skip
+    Fs = families["rational_swap"]
+    action = Fs[0].action
+    skipped = 0
+    for point in itertools.islice(candidate_points(action.x_dim, random.Random(0)), 500):
+        try:
+            evaluate_matrix(Fs, _point_dict(action.x_vars, point, action.field))
+        except ZeroDivisionError:
+            skipped += 1
+    assert skipped
+
+
+def test_integer_witness_scan_finds_the_s5_witness():
+    from covar.forge import power_map_family
+
+    Fs = power_map_family(5)
+    point, minor = _independence_witness(Fs, candidate_points(5, random.Random(0)))
+    assert [int(c) for c in point.values()] == [-3, -2, -1, 1, 2]
+    assert minor == Fraction(-34560)
+    assert type(minor) is Fraction
+
+
+def test_more_covariants_than_dim_w_are_decided_by_a_point(s2, monkeypatch):
+    from covar import covariant
+    from covar.cli import parse_problem
+
+    calls = []
+    original = covariant._symbolic_rank
+    monkeypatch.setattr(covariant, "_symbolic_rank",
+                        lambda Fs: calls.append(Fs) or original(Fs))
+    for name, detail in (
+            ("powers_s2_cubic", "3 covariants into a 2-dimensional module are "
+                                "automatically dependent (rank 2 < 3)"),
+            ("scalar_counterexample", "2 covariants into a 1-dimensional module are "
+                                      "automatically dependent (rank 1 < 2)")):
+        rep = generic_independence(parse_problem(name).covariants)
+        assert [c.detail for c in rep.checks] == [detail], name
+    assert calls == []
+    # no point has rank dim W when the generic rank is smaller
+    x1, x2 = Poly.gens(s2.x_vars)
+    fam = [verified(s2, [x1, x2]), verified(s2, [x1 * x1 * x2, x1 * x2 * x2]),
+           verified(s2, [(x1 + x2) * x1, (x1 + x2) * x2])]
+    rep = generic_independence(fam)
+    assert rep.data["rank"] == 1 and len(calls) == 1
+    assert rep.checks[0].detail == ("3 covariants into a 2-dimensional module are "
+                                    "automatically dependent (rank 1 < 3)")

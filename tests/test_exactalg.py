@@ -14,6 +14,7 @@ from covar.exactalg import (
     Poly,
     PrimeField,
     RatFn,
+    int_rank_det,
     poly_gcd,
     poly_lcm,
     qmat,
@@ -114,6 +115,43 @@ def test_parse_rejects_garbage():
         p2("x1 $ x2")
     with pytest.raises(ParseError):
         p2("")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("x1 + + x2", "expected a coefficient or variable (at position 5)"),
+    ("x1 $ x2", "unexpected character ' ' (at position 2)"),
+    ("   ", "empty polynomial text"),
+    ("x9 + 1", "undeclared variable 'x9' (at position 0)"),
+    ("2*x1 x2", "expected '+' or '-', found 'x2' (at position 5)"),
+    ("x1^x2", "expected an integer exponent (at position 3)"),
+    ("1/x1", "expected an integer denominator (at position 2)"),
+    ("2^3", "expected '+' or '-', found '^' (at position 1)"),
+    ("x1 * ", "expected a coefficient or variable (at position 5)"),
+    ("-", "expected a coefficient or variable (at position 1)"),
+])
+def test_parse_errors_name_the_position(text, message):
+    with pytest.raises(ParseError) as err:
+        p2(text)
+    assert str(err.value) == message
+
+
+def test_parse_folds_repeated_factors_and_terms():
+    assert str(p2("x1*x1*x2^2 - 3*x2^2*x1^2")) == "-2*x1^2*x2^2"
+    assert str(p2("+x1^0*x2^0 + 1 - 1/2*x1*2")) == "2 - x1"
+    F5 = PrimeField(5)
+    assert str(Poly.parse("5*x1 + 3*x2*2", V2, F5)) == "x2"
+    with pytest.raises(ZeroDivisionError):
+        Poly.parse("1/5*x1", V2, F5)
+
+
+def test_parse_round_trips_a_2000_term_polynomial():
+    terms = {(i, j, k): Fraction((-1) ** (i + j) * (7 * i + 3 * j + k + 1), 1 + k % 4)
+             for i in range(13) for j in range(13) for k in range(13)}
+    p = Poly(V3, dict(list(terms.items())[:2000]))
+    text = str(p)
+    assert len(p.terms) == 2000
+    q = p3(text)
+    assert q == p and str(q) == text
 
 
 def test_ratfn_parse_forms():
@@ -380,6 +418,44 @@ def test_qmat_helpers():
     F7 = PrimeField(7)
     assert qmat_rank_det(qmat([["3", "1"], ["1", "5"]], F7), F7) == (1, F7(0))
     assert qmat_rank_det(qmat([["3", "1"], ["1", "4"]], F7), F7) == (2, F7(4))
+
+
+@st.composite
+def int_matrices(draw):
+    """Small integer matrices, square about half the time, some with a
+    dependent row, a zero row or a zero column."""
+    n_rows = draw(st.integers(1, 5))
+    n_cols = n_rows if draw(st.booleans()) else draw(st.integers(1, 5))
+    entries = st.one_of(st.integers(-4, 4), st.integers(-10**12, 10**12))
+    rows = draw(st.lists(st.lists(entries, min_size=n_cols, max_size=n_cols),
+                         min_size=n_rows, max_size=n_rows))
+    if n_rows > 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n_rows - 1))] = [0] * n_cols
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n_cols - 1))
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices())
+def test_int_rank_det_matches_qmat_rank_det(rows):
+    rank, det = int_rank_det(rows)
+    assert (rank, det) == qmat_rank_det(qmat(rows))
+    assert det is None or type(det) is int
+
+
+def test_int_rank_det_examples():
+    assert int_rank_det([[0, 1], [1, 0]]) == (2, -1)
+    assert int_rank_det([[0, 2, 1], [0, 0, 3], [5, 1, 0]]) == (3, 30)
+    assert int_rank_det([[1, 2], [2, 4]]) == (1, 0)
+    assert int_rank_det([[1, 2, 3], [2, 4, 6]]) == (1, None)
+    assert int_rank_det([[0, 0], [0, 0], [0, 0]]) == (0, None)
+    assert int_rank_det([]) == qmat_rank_det(()) == (0, 1)
 
 
 # -- prime-field mode ---------------------------------------------------------------------

@@ -470,5 +470,53 @@ def test_frame_rows_with_different_denominators(s2):
     rows[1] = [2 * e for e in rows[1]]
     bad = dataclasses.replace(m, phi_inv=Matrix(rows), report=None)
     failed = {c.name for c in verify_isomorphism(bad).failed_checks()}
-    assert {"phi_times_frame_is_identity", "frame_times_phi_is_identity",
-            "round_trips"} <= failed
+    assert {"f_equals_det_of_frame", "phi_times_frame_is_identity",
+            "frame_times_phi_is_identity", "round_trips"} <= failed
+
+
+def test_build_reuses_the_frame_determinant_and_weight_verdict(tmp_path, monkeypatch):
+    """noname-build takes det(frame) once and decides the weight identity of
+    f once, in det_relative_invariant; noname-verify recomputes both from
+    the certificate."""
+    import contextlib
+    import io
+
+    from covar import covariant
+    from covar.cli import main
+
+    dets, weights = [], []
+    det = Matrix.det
+    monkeypatch.setattr(Matrix, "det", lambda self: dets.append(
+        (self.rows, self.entries[0][0].vars)) or det(self))
+    weight_check = covariant._is_relative_invariant
+    monkeypatch.setattr(covariant, "_is_relative_invariant",
+                        lambda *args: weights.append(args) or weight_check(*args))
+    cert = tmp_path / "gl2.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["noname-build", "matrix_words_gl2", "--out", str(cert)]) == 0
+    # the frame is 4 x 4 over the x-ring (the adjugate takes 3 x 3 minors,
+    # the W-determinant character a 4 x 4 determinant over the g-ring)
+    frame = (4, tuple(f"{m}{i}{j}" for m in "ab" for i in (1, 2) for j in (1, 2)))
+    assert dets.count(frame) == 1 and len(weights) == 1
+    dets.clear()
+    weights.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["noname-verify", str(cert)]) == 0
+    assert dets.count(frame) == 1 and len(weights) == 1
+
+
+def test_parse_round_trips_preset_and_certificate_polynomials(tmp_path):
+    from covar.cli import list_presets, parse_problem
+
+    texts = []
+    for name in list_presets():
+        for F in parse_problem(name).covariants:
+            texts += [(str(c), c.vars, c.field) for c in F.coords]
+    payload = _certificate(tmp_path, _power_map_problem(4))
+    xs = ("x1", "x2", "x3", "x4")
+    entries = [payload["f"]] + [e for key in ("phi", "phi_inv")
+                                for row in payload[key] for e in row]
+    texts += [(text, xs, None) for text in entries]
+    assert any(text.startswith("(") for text, _, _ in texts)
+    for text, vars, field in texts:
+        assert str(RatFn.parse(text, vars, field, reduce=False)) == text
