@@ -85,6 +85,8 @@ class FiniteGroupAction:
             self.inv = [index[qmat_inv(m, field)] for m in x_mats]
         except KeyError:
             raise ActionError("element without inverse; closure is corrupt") from None
+        # substitution tables, per (side, element, inverse, out_vars)
+        self._substitutions: dict[tuple, dict[str, Poly]] = {}
 
     # -- structure -----------------------------------------------------------
 
@@ -122,16 +124,28 @@ class FiniteGroupAction:
             images[name] = img
         return images
 
+    def _substitution(self, side: str, i: int, inverse: bool,
+                      out_vars: tuple[str, ...] | None) -> dict[str, Poly]:
+        mats, vars = (self.x_mats, self.x_vars) if side == "x" else (self.w_mats, self.w_vars)
+        out_vars = tuple(out_vars or vars)
+        key = (side, i, inverse, out_vars)
+        table = self._substitutions.get(key)
+        if table is None:
+            mat = mats[self.inv[i] if inverse else i]
+            table = self._substitutions[key] = self._subst_from_matrix(mat, vars, out_vars)
+        return table
+
     def x_substitution(self, i: int, inverse: bool = True,
                        out_vars: tuple[str, ...] | None = None) -> dict[str, Poly]:
-        """Map x_k -> sum_l (M)_{kl} x_l with M the (inverse) element matrix."""
-        mat = self.x_mats[self.inv[i] if inverse else i]
-        return self._subst_from_matrix(mat, self.x_vars, out_vars or self.x_vars)
+        """Map x_k -> sum_l (M)_{kl} x_l with M the (inverse) element matrix.
+        The table is built once per (element, inverse, out_vars) and shared:
+        callers must not mutate it."""
+        return self._substitution("x", i, inverse, out_vars)
 
     def w_substitution(self, i: int, inverse: bool = True,
                        out_vars: tuple[str, ...] | None = None) -> dict[str, Poly]:
-        mat = self.w_mats[self.inv[i] if inverse else i]
-        return self._subst_from_matrix(mat, self.w_vars, out_vars or self.w_vars)
+        """The W-side table of :meth:`x_substitution`, cached the same way."""
+        return self._substitution("w", i, inverse, out_vars)
 
     def act_on_poly(self, i: int, p: Poly | RatFn) -> Poly | RatFn:
         """Function action (g . p)(x) = p(g^{-1} x) on the X-space."""

@@ -493,6 +493,8 @@ def cmd_noname_verify(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.degree_bound < 0:
+        raise ProblemError(f"--degree-bound: must be nonnegative, got {args.degree_bound}")
     problem = parse_problem(args.problem)
     if not isinstance(problem.group, FiniteGroupAction):
         raise ProblemError("generate works on finite groups only")

@@ -8,6 +8,7 @@ projections, coordinate power maps under permutations).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .action import (
     ActionError,
@@ -21,7 +22,6 @@ from .covariant import (
     CovariantError,
     EQUIVARIANT,
     coordinate_matrix,
-    verified,
     verify_equivariance,
     weight_of,
 )
@@ -62,6 +62,92 @@ def _group_order_inverse(G: FiniteGroupAction):
     return field_one(G.field) / G.field(order)
 
 
+def _small(c):
+    """A rational with denominator 1 as an int, so that the integer matrices
+    of most groups average in int arithmetic; anything else unchanged."""
+    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+
+
+def _monomial_step(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(alpha - e_k, k) with k the last variable that occurs in x^alpha."""
+    k = max(i for i, e in enumerate(alpha) if e)
+    return alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:], k
+
+
+class _Orbit:
+    """Reynolds averaging over one finite group, local to one call.
+
+    ``images`` yields, level by level in degree, the image of each wanted
+    monomial x^alpha under every g^{-1}: the image of x^(alpha - e_k) times
+    the image of x_k.  Only the previous level is kept.  ``average`` sums a
+    seed map against those images with the W-matrices, accumulating
+    coefficients directly, and scales by 1/|G| once at the end.
+    """
+
+    def __init__(self, G: FiniteGroupAction):
+        self.G = G
+        self.scale = _group_order_inverse(G)
+        self.one = _small(field_one(G.field))
+        d = G.w_dim
+        # per element: the nonzero (c, w[c][l]) of each W-column l, and the
+        # image of each x_k under g^{-1} as (variable index, coefficient) pairs
+        self.w_cols = [[[(c, _small(w[c][l])) for c in range(d) if w[c][l]]
+                        for l in range(d)] for w in G.w_mats]
+        self.linear = []
+        for g in G.elements():
+            subst = G.x_substitution(g, inverse=True)
+            self.linear.append([[(exps.index(1), _small(c))
+                                 for exps, c in subst[v].terms.items()]
+                                for v in G.x_vars])
+
+    def images(self, wanted):
+        """Yield (alpha, images) for each wanted exponent tuple in increasing
+        degree, then sorted order; images[g] is the term dict of x^alpha
+        evaluated at g^{-1} x."""
+        wanted = set(wanted)
+        top = max((sum(a) for a in wanted), default=-1)
+        levels = [set() for _ in range(top + 1)]
+        for a in wanted:
+            levels[sum(a)].add(a)
+        for t in range(top, 0, -1):
+            levels[t - 1].update(_monomial_step(a)[0] for a in levels[t])
+        zero = (0,) * self.G.x_dim
+        prev = {zero: [{zero: self.one}] * self.G.order}
+        for t, level in enumerate(levels):
+            if t:
+                prev = {a: self._step(prev, a) for a in level}
+            for a in sorted(level & wanted):
+                yield a, prev[a]
+
+    def _step(self, prev, alpha):
+        base, k = _monomial_step(alpha)
+        out = []
+        for img, lin in zip(prev[base], self.linear):
+            acc: dict[tuple[int, ...], object] = {}
+            for exps, c in img.items():
+                for j, a in lin[k]:
+                    key = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
+                    v = acc.get(key)
+                    acc[key] = c * a if v is None else v + c * a
+            out.append({e: c for e, c in acc.items() if c})
+        return out
+
+    def average(self, seeds) -> list[Poly]:
+        """(1/|G|) sum_g g_W H(g^{-1} x) for H = sum x^alpha sum_l h_l e_l,
+        given as (images of x^alpha, [(l, h_l), ...]) pairs."""
+        acc = [{} for _ in range(self.G.w_dim)]
+        for images, coeffs in seeds:
+            for img, cols in zip(images, self.w_cols):
+                for l, h in coeffs:
+                    for c, w in cols[l]:
+                        f, target = w * h, acc[c]
+                        for exps, v in img.items():
+                            old = target.get(exps)
+                            target[exps] = f * v if old is None else old + f * v
+        return [Poly(self.G.x_vars, {e: v * self.scale for e, v in a.items()}, self.G.field)
+                for a in acc]
+
+
 def reynolds_project(H: list[Poly], G: FiniteGroupAction) -> Covariant:
     """Group-average a polynomial map X -> W into a covariant.
 
@@ -70,71 +156,76 @@ def reynolds_project(H: list[Poly], G: FiniteGroupAction) -> Covariant:
     """
     if len(H) != G.w_dim:
         raise DimensionError("seed map has the wrong number of coordinates")
-    scale = _group_order_inverse(G)
-    total = [Poly.zero(G.x_vars, G.field) for _ in range(G.w_dim)]
-    for g in G.elements():
-        subst = G.x_substitution(g, inverse=True)
-        moved = [h.subs(subst, G.x_vars) for h in H]
-        w = G.w_mats[g]
-        for c in range(G.w_dim):
-            for l in range(G.w_dim):
-                if w[c][l]:
-                    total[c] = total[c] + moved[l] * w[c][l]
-    coords = [t * scale for t in total]
-    F = Covariant(G, coords)
-    rep = verify_equivariance(F)
-    if not rep.ok:
-        raise ForgeError("averaged map failed its equivariance check")
+    orbit = _Orbit(G)
+    coeffs: dict[tuple[int, ...], list] = {}
+    for l, h in enumerate(Covariant(G, H).poly_coords()):
+        for exps, c in h.terms.items():
+            coeffs.setdefault(exps, []).append((l, _small(c)))
+    F = Covariant(G, orbit.average((images, coeffs[a])
+                                   for a, images in orbit.images(coeffs)))
+    _verify_averaged(F)
     return F
 
 
-def _monomial_seeds(G: FiniteGroupAction, degree_bound: int):
-    """Seed maps x^alpha e_i ordered by degree, then monomial order, then
-    W-basis index; deterministic."""
-    from itertools import combinations_with_replacement
+def _verify_averaged(F: Covariant):
+    if not verify_equivariance(F).ok:
+        raise ForgeError("averaged map failed its equivariance check")
 
-    nx = G.x_dim
+
+def _monomials(nx: int, degree_bound: int) -> list[tuple[int, ...]]:
+    """Exponent tuples in nx variables of total degree at most degree_bound."""
+    out = []
     for degree in range(degree_bound + 1):
-        exps = set()
         for combo in combinations_with_replacement(range(nx), degree):
             e = [0] * nx
             for idx in combo:
                 e[idx] += 1
-            exps.add(tuple(e))
-        for e in sorted(exps, key=lambda t: (sum(t), t)):
-            mono = Poly(G.x_vars, {e: field_one(G.field)}, G.field)
-            for i in range(G.w_dim):
-                coords = [mono if c == i else Poly.zero(G.x_vars, G.field)
-                          for c in range(G.w_dim)]
-                yield coords
+            out.append(tuple(e))
+    return out
+
+
+def _ray_key(coords: list[Poly]):
+    """A key shared exactly by the nonzero scalar multiples of a nonzero map."""
+    lead = next(c for c in coords if c).lc()
+    return tuple(frozenset((e, v / lead) for e, v in c.terms.items()) for c in coords)
 
 
 def generate_covariants(G: FiniteGroupAction, degree_bound: int) -> list[Covariant]:
     """Greedy search for dim(W) generically independent covariants.
 
-    Averages monomial seed maps in increasing degree and keeps each
-    projection that raises the rank of the accumulated coordinate matrix
-    over the function field.  Raises :class:`GenerationExhaustedError` with
-    the achieved rank if the bound is hit first (a meaningful outcome: a
-    stabilizer acting nontrivially on W makes a full family impossible).
+    Averages the monomial seed maps x^alpha e_i in increasing degree, then
+    monomial order, then W-basis index, and keeps each average that raises
+    the rank of the accumulated coordinate matrix over the function field.
+    The d seeds of one monomial share its orbit images.  An average equal
+    up to a nonzero constant to an earlier one is not ranked again: the
+    earlier one was kept or lay in the span of the covariants kept then, so
+    the rank cannot rise.  Each kept covariant is verified once.  Raises
+    :class:`GenerationExhaustedError` with the achieved rank if the bound is
+    hit first (a meaningful outcome: a stabilizer acting nontrivially on W
+    makes a full family impossible).
     """
     d = G.w_dim
+    orbit = _Orbit(G)
     kept: list[Covariant] = []
-    rank = 0
-    for seed in _monomial_seeds(G, degree_bound):
-        F = reynolds_project(seed, G)
-        if all(c.is_zero() for c in F.coords):
-            continue
-        trial = kept + [F]
-        new_rank = coordinate_matrix(trial).rank()
-        if new_rank > rank:
-            kept.append(F)
-            rank = new_rank
-            if rank == d:
-                return kept
+    seen = set()
+    for _alpha, images in orbit.images(_monomials(G.x_dim, degree_bound)):
+        for i in range(d):
+            coords = orbit.average([(images, [(i, orbit.one)])])
+            if not any(coords):
+                continue
+            key = _ray_key(coords)
+            if key in seen:
+                continue
+            seen.add(key)
+            F = Covariant(G, coords)
+            if coordinate_matrix(kept + [F]).rank() > len(kept):
+                _verify_averaged(F)
+                kept.append(F)
+                if len(kept) == d:
+                    return kept
     raise GenerationExhaustedError(
-        f"degree bound {degree_bound} reached with rank {rank} < {d}",
-        rank, kept)
+        f"degree bound {degree_bound} reached with rank {len(kept)} < {d}",
+        len(kept), kept)
 
 
 def clear_denominators(Fs: list[Covariant], G: FiniteGroupAction

@@ -305,16 +305,17 @@ def _swap_problem_over(prime):
      "out_vars"),
     ("noname-verify", lambda tmp: _certificate_with(
         tmp, covariants=[["x1^2", "x2^2"], ["x1", "x2"]]), "covariants"),
+    ("generate --degree-bound -1", lambda tmp: _swap_problem_over(5), "--degree-bound"),
 ], ids=["family-without-n", "gf5-entry-with-denominator-5", "certificate-without-f",
         "hypotheses-not-an-object", "word-not-an-array", "composite-prime",
         "prime-with-400-digits", "phi-entry-not-a-string", "weight-empty-object",
         "weight-not-an-object", "out-vars-shorter-than-d", "out-vars-taken-by-x",
-        "out-vars-repeated", "covariants-not-the-frame-columns"])
+        "out-vars-repeated", "covariants-not-the-frame-columns", "negative-degree-bound"])
 def test_malformed_input_exits_two_naming_the_field(tmp_path, command, make_payload,
                                                     field):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(make_payload(tmp_path)))
-    code, _, err = run_cli([command, str(path)])
+    code, _, err = run_cli([*command.split(), str(path)])
     assert code == 2
     assert f"error: {field}:" in err
     assert "Traceback" not in err

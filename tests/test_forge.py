@@ -1,14 +1,18 @@
 """Covariant production: averaging, greedy generation, clearing, lifting,
 and the built-in families."""
 
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from covar.action import extend_finite_action, make_finite_group
+from covar.cli import parse_problem
 from covar.covariant import (
     Covariant,
+    coordinate_matrix,
     det_relative_invariant,
     evaluate_matrix,
     generic_independence,
@@ -29,7 +33,7 @@ from covar.forge import (
     _symmetric_group_action,
 )
 
-from conftest import SWAP
+from conftest import CYCLE3, SWAP, SWAP3
 
 
 def test_average_of_non_equivariant_seed(s2):
@@ -138,6 +142,194 @@ def test_generate_over_odd_prime_field():
     fam = generate_covariants(G, 2)
     assert len(fam) == 2
     assert not det_relative_invariant(fam).is_zero
+
+
+# -- generate_covariants against the seed-by-seed route ------------------------
+
+ROTATION = [["0", "-1"], ["1", "0"]]
+# W = the rotation plane plus a line on which the rotation acts by -1, so
+# the degree-one averages fill only two of the three directions
+ROTATION_AND_SIGN = [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "-1"]]
+
+
+def _seed_by_seed(G, degree_bound):
+    """The reference route: every monomial seed x^alpha e_i averaged on its
+    own by reynolds_project, then a full symbolic rank of the kept ones plus
+    the average.  Returns (kept, achieved rank, full family found)."""
+    d = G.w_dim
+    zero = Poly.zero(G.x_vars, G.field)
+    kept = []
+    for degree in range(degree_bound + 1):
+        exps = sorted(e for e in itertools.product(range(degree + 1), repeat=G.x_dim)
+                      if sum(e) == degree)
+        for e in exps:
+            mono = Poly(G.x_vars, {e: 1 if G.field is None else G.field.one}, G.field)
+            for i in range(d):
+                F = reynolds_project([mono if c == i else zero for c in range(d)], G)
+                if all(c.is_zero() for c in F.coords):
+                    continue
+                if coordinate_matrix(kept + [F]).rank() > len(kept):
+                    kept.append(F)
+                    if len(kept) == d:
+                        return kept, d, True
+    return kept, len(kept), False
+
+
+def _s4_power_map_group():
+    """S4 from a relabelled 4-cycle and a transposition, as in the power-map
+    problems, so its element order differs from _symmetric_group_action(4)."""
+    def perm(images):
+        return [["1" if images[j] == i else "0" for j in range(4)] for i in range(4)]
+    cycle, swap = perm([2, 3, 1, 0]), perm([0, 3, 2, 1])
+    return make_finite_group([(cycle, cycle), (swap, swap)])
+
+
+def _preset_group(name):
+    return parse_problem(name).group
+
+
+# name -> (group builder, degree bound by which a full family exists)
+DIFFERENTIAL_GROUPS = {
+    "s2": (lambda: make_finite_group([(SWAP, SWAP)]), 3),
+    "s3": (lambda: make_finite_group([(CYCLE3, CYCLE3), (SWAP3, SWAP3)]), 3),
+    "s4": (lambda: _symmetric_group_action(4), 4),
+    "s4_power_maps": (_s4_power_map_group, 4),
+    "pm_triv": (lambda: make_finite_group([([["-1"]], [["1"]])]), 2),
+    "pm_sign": (lambda: make_finite_group([([["-1"]], [["-1"]])]), 2),
+    # two copies of the sign line in W: averages that agree on w1 differ
+    "sign_twice": (lambda: make_finite_group(
+        [([["-1"]], [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]])]), 2),
+    "gf5_swap": (lambda: make_finite_group([(SWAP, SWAP)], field=PrimeField(5)), 3),
+    "rotation": (lambda: make_finite_group([(ROTATION, ROTATION)]), 2),
+    "rotation_and_sign": (lambda: make_finite_group([(ROTATION, ROTATION_AND_SIGN)]), 2),
+    "vandermonde_s2": (lambda: _preset_group("vandermonde_s2"), 3),
+    "powers_s2_cubic": (lambda: _preset_group("powers_s2_cubic"), 3),
+    "rational_swap": (lambda: _preset_group("rational_swap"), 3),
+}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_GROUPS)
+def test_generate_matches_seed_by_seed_route(name):
+    build, top = DIFFERENTIAL_GROUPS[name]
+    G = build()
+    for bound in range(top + 1):
+        expect, rank, full = _seed_by_seed(G, bound)
+        if full:
+            got = generate_covariants(G, bound)
+        else:
+            with pytest.raises(GenerationExhaustedError) as info:
+                generate_covariants(G, bound)
+            assert info.value.achieved_rank == rank
+            got = info.value.found
+        assert len(got) == len(expect)
+        assert all(F.same_coords(E) and F.status == "equivariant"
+                   for F, E in zip(got, expect))
+    assert full, f"{name} should reach a full family by degree {top}"
+
+
+def test_generate_modular_obstruction_over_gf2():
+    G = make_finite_group([(SWAP, SWAP)], field=PrimeField(2))
+    for bound in range(3):
+        with pytest.raises(ModularObstructionError):
+            generate_covariants(G, bound)
+
+
+@pytest.mark.parametrize("name", ["s3", "s4_power_maps", "gf5_swap", "rotation"])
+def test_reynolds_project_matches_substitution_sum(name):
+    """The shared orbit images against the plain sum over elements of
+    g_W H(g^{-1} x), each term substituted with act_on_poly."""
+    G = DIFFERENTIAL_GROUPS[name][0]()
+    rng = random.Random(11)
+    for _ in range(5):
+        H = [Poly(G.x_vars, {tuple(rng.randint(0, 2) for _ in G.x_vars):
+                             Fraction(rng.randint(1, 5)) if G.field is None
+                             else G.field(rng.randint(1, 4))
+                             for _ in range(3)}, G.field)
+             for _ in range(G.w_dim)]
+        total = [Poly.zero(G.x_vars, G.field) for _ in range(G.w_dim)]
+        for g in G.elements():
+            moved = [G.act_on_poly(g, h) for h in H]
+            for c in range(G.w_dim):
+                for l in range(G.w_dim):
+                    total[c] = total[c] + moved[l] * G.w_mats[g][c][l]
+        inv = Fraction(1, G.order) if G.field is None else G.field.one / G.field(G.order)
+        assert reynolds_project(H, G).poly_coords() == [t * inv for t in total]
+
+
+def test_generate_s4_ranks_distinct_averages_and_verifies_what_it_keeps(monkeypatch):
+    from covar import forge
+    from covar.action import FiniteGroupAction
+
+    G = _symmetric_group_action(4)
+    calls = {"verify": 0, "rank": 0, "built": 0}
+    requested = set()
+    verify, rank = forge.verify_equivariance, Matrix.rank
+    x_subst, build = FiniteGroupAction.x_substitution, FiniteGroupAction._subst_from_matrix
+
+    def spy_verify(F):
+        calls["verify"] += 1
+        return verify(F)
+
+    def spy_rank(self):
+        calls["rank"] += 1
+        return rank(self)
+
+    def spy_x_subst(self, i, inverse=True, out_vars=None):
+        requested.add((i, inverse, tuple(out_vars or self.x_vars)))
+        return x_subst(self, i, inverse, out_vars)
+
+    def spy_build(self, *args):
+        calls["built"] += 1
+        return build(self, *args)
+
+    monkeypatch.setattr(forge, "verify_equivariance", spy_verify)
+    monkeypatch.setattr(Matrix, "rank", spy_rank)
+    monkeypatch.setattr(FiniteGroupAction, "x_substitution", spy_x_subst)
+    monkeypatch.setattr(FiniteGroupAction, "_subst_from_matrix", spy_build)
+    fam = generate_covariants(G, 4)
+    assert len(fam) == 4 and all(F.status == "equivariant" for F in fam)
+    assert calls["verify"] == 4
+    assert calls["rank"] == 8
+    # one table per element and direction, each built once
+    assert {(g, True, G.x_vars) for g in G.elements()} <= requested
+    assert calls["built"] == len(requested)
+
+
+def test_generate_does_not_rank_a_multiple_of_an_earlier_average(monkeypatch):
+    G = make_finite_group([(ROTATION, ROTATION_AND_SIGN)])
+    calls = []
+    rank = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda self: calls.append(1) or rank(self))
+    fam = generate_covariants(G, 2)
+    assert [str(F) for F in fam] == ["(1/2*x2, -1/2*x1, 0)", "(1/2*x1, 1/2*x2, 0)",
+                                     "(0, 0, 1/2*x2^2 - 1/2*x1^2)"]
+    # x2 e_1, x2 e_2 and x2^2 e_3 are ranked; x1 e_1 averages to the same
+    # map as x2 e_2, and x1 e_2 to -1 times the average of x2 e_1
+    assert len(calls) == 3
+
+
+def test_substitution_tables_are_cached(s3):
+    assert s3.x_substitution(2) is s3.x_substitution(2, inverse=True, out_vars=s3.x_vars)
+    assert s3.w_substitution(2) is s3.w_substitution(2)
+    assert s3.x_substitution(2) is not s3.x_substitution(2, inverse=False)
+
+
+# The family generate_covariants returned for S5 at degree bound 5 before
+# averaging shared its orbit images (11 s then), pinned as text.
+S5_FAMILY = [["1/5"] * 5] + [
+    [" + ".join(f"1/20*x{j}{power}" for j in range(5, 0, -1) if j != i)
+     for i in range(1, 6)]
+    for power in ("", "^2", "^3", "^4")
+]
+
+
+def test_generate_s5_bound_five_regression():
+    G = _symmetric_group_action(5)
+    start = time.perf_counter()
+    fam = generate_covariants(G, 5)
+    elapsed = time.perf_counter() - start
+    assert [[str(c) for c in F.coords] for F in fam] == S5_FAMILY
+    assert elapsed < 3.0, f"S5 generate took {elapsed:.2f} s"
 
 
 def test_clear_denominators_swap_example(s2):
