@@ -154,11 +154,6 @@ class FiniteGroupAction:
         images = self.x_substitution(i, inverse=True, out_vars=p.vars)
         return p.subs(images, p.vars)
 
-    def act_matrix_w(self, i: int) -> Matrix:
-        """W-action of element i as a matrix over constant polynomials in x."""
-        return Matrix([[Poly.const(c, self.x_vars, self.field) for c in row]
-                       for row in self.w_mats[i]])
-
     def describe(self) -> str:
         return f"finite group of order {self.order} on {self.x_dim}-dim X, {self.w_dim}-dim W"
 
@@ -266,13 +261,6 @@ class TemplateSpec:
             return default_w_vars(self.m)
         return default_x_vars(self.m)
 
-    def homogeneity(self, n: int) -> int:
-        if self.kind == "conjugation":
-            return n
-        if self.kind in ("natural", "scalar"):
-            return 1
-        return 0
-
     def det_power(self, n: int) -> int:
         return 1 if self.kind == "conjugation" else 0
 
@@ -346,29 +334,18 @@ class SymbolicGroupAction:
         g = generic_matrix(n, self.g_vars, "g", field)
         self.g_mat = g
         self.det_poly = g.det()
-        adj = g.adjugate()
-        self.adj_mat = adj
-        adj_of_adj = adj.adjugate()
-        # one (block(g), block(adj g)) pair per distinct template kind; X and
-        # W share it when their kinds match
-        blocks = {spec.kind: (spec.block(g, adj), spec.block(adj, adj_of_adj))
-                  for spec in (x_spec, w_spec)}
+        self.adj_mat = g.adjugate()
+        # one block per distinct template kind; X and W share it when their
+        # kinds match
+        blocks = {spec.kind: spec.block(g, self.adj_mat) for spec in (x_spec, w_spec)}
         self._check_construction(blocks)
 
-        # action = num / det^detpow; the inverse action is template(adj g) /
-        # det^{h - p}: substituting g^{-1} = adj(g)/det into an h-homogeneous
-        # template.
-        x_block, x_inv_block = blocks[x_spec.kind]
-        w_block, w_inv_block = blocks[w_spec.kind]
-        self.x_num = _block_diagonal(x_block, x_spec.m)
+        # action = num / det^detpow
+        self.x_num = _block_diagonal(blocks[x_spec.kind], x_spec.m)
         self.x_detpow = x_spec.det_power(n)
-        self.w_num = _block_diagonal(w_block, w_spec.m)
+        self.w_num = _block_diagonal(blocks[w_spec.kind], w_spec.m)
         self.w_detpow = w_spec.det_power(n)
-        self.x_inv_num = _block_diagonal(x_inv_block, x_spec.m)
-        self.x_inv_detpow = x_spec.homogeneity(n) - self.x_detpow
-        self.w_inv_num = _block_diagonal(w_inv_block, w_spec.m)
-        self.w_inv_detpow = w_spec.homogeneity(n) - self.w_detpow
-        # linear-image tables of act_cleared, per (space, inverse, out_vars)
+        # linear-image tables of act_cleared, per (side, out_vars)
         self._images: dict[tuple, list[Poly]] = {}
 
     # -- sanity at construction ------------------------------------------------
@@ -377,24 +354,23 @@ class SymbolicGroupAction:
         return {f"g{i}{j}": (1 if i == j else 0)
                 for i in range(1, self.n + 1) for j in range(1, self.n + 1)}
 
-    def _check_construction(self, blocks: dict[str, tuple[Matrix, Matrix]]):
-        """block(id) == I and block(g) * block(adj g) == det^h * I for every
-        template kind, h its homogeneity.  An action matrix and its inverse
-        are block-diagonal copies of these blocks, so their product is
-        block-diagonal with this block product in every diagonal block: the
-        whole identity holds iff the block identity does."""
+    def _check_construction(self, blocks: dict[str, Matrix]):
+        """block(id) == I for every template kind, and adj(g) g == det(g) I.
+        The second makes adj(g)/det(g) the inverse of g, so the conjugation
+        block M -> g M adj(g)/det(g) is an action by algebra automorphisms:
+        the fact the word-product certificates rest on."""
         ident = self._identity_point()
         one = field_one(self.field)
-        for kind, (num, inv_num) in blocks.items():
+        for num in blocks.values():
             size = num.rows
             for i in range(size):
                 for j in range(size):
                     if num.entries[i][j].eval(ident) != (one if i == j else 0):
                         raise ActionError("template does not specialize to the "
                                           "identity at g = id")
-            factor = self.det_poly ** TemplateSpec(kind).homogeneity(self.n)
-            if num * inv_num != Matrix.identity(size, self.det_poly).scale(factor):
-                raise ActionError("inverse template check failed")
+        if self.adj_mat * self.g_mat != Matrix.identity(self.n, self.det_poly).scale(
+                self.det_poly):
+            raise ActionError("adjugate check failed: adj(g) g != det(g) I")
 
     # -- dimensions --------------------------------------------------------------
 
@@ -428,27 +404,25 @@ class SymbolicGroupAction:
             imgs.append(acc)
         return imgs
 
-    def _space(self, space: str, inverse: bool) -> tuple[tuple[str, ...], Matrix, int]:
+    def _space(self, space: str) -> tuple[tuple[str, ...], Matrix, int]:
         """(variables, cleared numerator, det power) of one side's point map."""
         if space == "x":
-            return (self.x_vars, self.x_inv_num if inverse else self.x_num,
-                    self.x_inv_detpow if inverse else self.x_detpow)
-        return (self.w_vars, self.w_inv_num if inverse else self.w_num,
-                self.w_inv_detpow if inverse else self.w_detpow)
+            return self.x_vars, self.x_num, self.x_detpow
+        return self.w_vars, self.w_num, self.w_detpow
 
-    def act_cleared(self, p: Poly, side: str = "x", inverse: bool = True,
+    def act_cleared(self, p: Poly, side: str = "x",
                     out_vars: tuple[str, ...] | None = None) -> tuple[Poly, int]:
-        """Apply the generic substitution to p with determinant powers cleared.
+        """Substitute the point maps into p with determinant powers cleared.
 
-        Returns (num, k) with the substituted function equal to num / det^k.
-        ``inverse=True`` gives the function action p(g^{-1} x) (and, with
-        side ``xw``, p(g^{-1} x, g_W^{-1} w)); ``inverse=False`` substitutes
-        the forward point maps instead.
+        Returns (num, k) with p(g x) = num / det^k (and, with side ``xw``,
+        p(g x, g_W w) = num / det^k).  The function action p(g^{-1} x) is
+        never formed: g -> g^{-1} is an automorphism of k[g_ij, 1/det], so an
+        identity holds for every g . p exactly when it holds for every p(g x).
         """
         names = {"x": ("x",), "w": ("w",), "xw": ("x", "w")}.get(side)
         if names is None:
             raise ActionError(f"unknown side {side!r}")
-        spaces = [self._space(name, inverse) for name in names]
+        spaces = [self._space(name) for name in names]
         out_vars = out_vars or tuple(dict.fromkeys(p.vars + self.g_vars))
         allowed = set().union(*(set(s[0]) for s in spaces))
         if not set(p.support_vars()) <= allowed:
@@ -456,7 +430,7 @@ class SymbolicGroupAction:
         table: dict[str, Poly] = {}
         space_of: dict[str, int] = {}
         for s_idx, (name, (space_vars, num, _)) in enumerate(zip(names, spaces)):
-            key = (name, inverse, out_vars)
+            key = (name, out_vars)
             if key not in self._images:
                 self._images[key] = self._linear_images(num, space_vars, out_vars)
             for var, img in zip(space_vars, self._images[key]):
@@ -504,17 +478,22 @@ class SymbolicGroupAction:
         return total, k_total
 
     def act_on_poly(self, p: Poly | RatFn, side: str = "x") -> RatFn:
-        """Function action by the generic element, as a rational function
-        in the space variables extended by the g-variables."""
+        """Function action p(g^{-1} x) by the generic element, as a rational
+        function in the space variables extended by the g-variables: the
+        cleared forward image at g -> adj(g)/det(g), times det^k."""
         out_vars = tuple(dict.fromkeys(p.vars + self.g_vars))
-        if isinstance(p, RatFn):
-            num_n, kn = self.act_cleared(p.num, side, out_vars=out_vars)
-            den_n, kd = self.act_cleared(p.den, side, out_vars=out_vars)
-            det = self.det_poly.embed(out_vars)
-            return RatFn(num_n * det ** kd, den_n * det ** kn)
-        num, k = self.act_cleared(p, side, out_vars=out_vars)
         det = self.det_poly.embed(out_vars)
-        return RatFn(num, det ** k)
+        adj = (a for row in self.adj_mat.entries for a in row)
+        inverse = {v: RatFn(a.embed(out_vars), det, reduce=False)
+                   for v, a in zip(self.g_vars, adj)}
+
+        def moved(q: Poly) -> RatFn:
+            num, k = self.act_cleared(q, side, out_vars)
+            return RatFn(det ** k) * num.subs(inverse, out_vars)
+
+        if isinstance(p, RatFn):
+            return moved(p.num) / moved(p.den)
+        return moved(p)
 
     # -- rational specializations ----------------------------------------------
 

@@ -231,20 +231,30 @@ def _family_from_block(block: dict, group: GroupAction) -> list[Covariant]:
         words = block.get("words")
         if words is not None:
             _expect(isinstance(words, list), "family.words: expected an array")
+            pairs = []
             for k, w in enumerate(words):
-                _expect(isinstance(w, list), f"family.words[{k}]: expected an array "
-                        "of integers")
-            words = [tuple(_int(x, f"family.words[{k}]") for x in w)
-                     for k, w in enumerate(words)]
-        params = dict(n=param("n"), words=words, verify=block.get("verify", "auto"))
+                where = f"family.words[{k}]"
+                _expect(isinstance(w, list) and len(w) == 2,
+                        f"{where}: expected a pair of nonnegative integers")
+                pair = (_int(w[0], where), _int(w[1], where))
+                _expect(min(pair) >= 0, f"{where}: exponents must be "
+                        f"nonnegative, got {w}")
+                pairs.append(pair)
+            words = pairs
+        params = dict(n=param("n"), words=words)
     elif name == "projections":
         params = dict(n=param("n"), m=param("m"))
+        _expect(params["m"] >= params["n"], f"family.m: need at least n = "
+                f"{params['n']} copies, got {params['m']}")
     elif name == "power_maps":
         powers = block.get("powers")
         _expect(powers is None or isinstance(powers, list),
                 "family.powers: expected an array of integers")
-        params = dict(n=param("n"), powers=[_int(p, "family.powers") for p in powers]
-                      if powers else None)
+        if powers is not None:
+            powers = [_int(p, "family.powers") for p in powers]
+            _expect(min(powers, default=0) >= 0,
+                    f"family.powers: powers must be nonnegative, got {powers}")
+        params = dict(n=param("n"), powers=powers)
     else:
         raise ProblemError(f"family.name: unknown family {name!r}")
     try:
@@ -577,8 +587,10 @@ def _reflection_from_block(block, group: FiniteGroupAction) -> Reflection:
     refls = find_reflections(group)
     if block is None:
         raise ProblemError("lower needs a 'reflection' object in the problem file")
+    _expect(isinstance(block, dict), "reflection: expected an object with "
+            "'element' or 'x'")
     if "element" in block:
-        idx = int(block["element"])
+        idx = _int(block["element"], "reflection.element")
         for r in refls:
             if r.element == idx:
                 return r

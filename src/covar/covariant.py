@@ -183,9 +183,8 @@ def _symbolic_equivariance_witness(F: Covariant) -> dict | None:
     det = action.det_poly.embed(ring)
     num_subs = []
     for p in nums:
-        n, k = action.act_cleared(p, "x", inverse=False, out_vars=ring)
-        num_subs.append((n, k))
-    den_sub, k_den = action.act_cleared(den, "x", inverse=False, out_vars=ring)
+        num_subs.append(action.act_cleared(p, "x", ring))
+    den_sub, k_den = action.act_cleared(den, "x", ring)
     den_emb = den.embed(ring)
     nums_emb = [p.embed(ring) for p in nums]
     w = action.w_num
@@ -351,15 +350,17 @@ def _is_relative_invariant(action: GroupAction, f: Poly | RatFn,
         elements = (action.distinct_generators() if weight.check_multiplicative()
                     else action.elements())
         return all(action.act_on_poly(i, f) == f * weight.value(i) for i in elements)
-    if isinstance(f, RatFn):
-        moved = action.act_on_poly(f, "x")
-        return moved == f.embed(moved.vars) * weight.ratfn.embed(moved.vars)
-    num, k = action.act_cleared(f, "x")
-    ring = num.vars
+    # g.f = theta(g) f for every g exactly when f(gx) theta(g) = f(x) for
+    # every g (put gx for x).  With f = N/D and N(gx) = N'/det^a,
+    # D(gx) = D'/det^b, that is the one cleared identity below.
+    num, den = (f.num, f.den) if isinstance(f, RatFn) else (f, f.ring_one())
+    ring = tuple(dict.fromkeys(f.vars + action.g_vars))
+    num_moved, a = action.act_cleared(num, "x", ring)
+    den_moved, b = action.act_cleared(den, "x", ring)
     det = action.det_poly.embed(ring)
     theta = weight.ratfn.embed(ring)
-    # num/det^k == theta * f
-    return num * theta.den == f.embed(ring) * theta.num * det ** k
+    return (num_moved * det ** b * theta.num * den.embed(ring)
+            == num.embed(ring) * den_moved * det ** a * theta.den)
 
 
 def weight_of(action: GroupAction, f: Poly) -> Character | None:
@@ -379,9 +380,10 @@ def weight_of(action: GroupAction, f: Poly) -> Character | None:
                 return None
             values.append(theta)
         return Character(action, table=values)
-    moved = action.act_on_poly(f, "x")
-    ring = moved.vars
-    theta = moved / RatFn(f.embed(ring), reduce=False)
+    # g.f = theta(g) f with theta(g) = f(x) / f(gx) = f det^k / num
+    num, k = action.act_cleared(f, "x")
+    ring = num.vars
+    theta = RatFn(f.embed(ring) * action.det_poly.embed(ring) ** k, num)
     if set(theta.support_vars()) - set(action.g_vars):
         return None
     return Character(action, ratfn=_restrict(theta, action.g_vars))

@@ -346,12 +346,6 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, name: str) -> int:
-        idx = self.vars.index(name)
-        if not self.terms:
-            return -1
-        return max(e[idx] for e in self.terms)
-
     def support_vars(self) -> set[str]:
         used: set[str] = set()
         for exps in self.terms:
@@ -986,11 +980,6 @@ class Matrix:
         one, zero = like.ring_one(), like.ring_zero()
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int, like: Entry) -> "Matrix":
-        z = like.ring_zero()
-        return cls([[z for _ in range(cols)] for _ in range(rows)])
-
     def __getitem__(self, key: tuple[int, int]) -> Entry:
         return self.entries[key[0]][key[1]]
 
@@ -1043,21 +1032,6 @@ class Matrix:
 
     def scale(self, factor) -> "Matrix":
         return Matrix([[x * factor for x in row] for row in self.entries])
-
-    def apply(self, vec: Sequence[Entry]) -> list[Entry]:
-        if len(vec) != self.cols:
-            raise DimensionError("vector length does not match column count")
-        out = []
-        for i in range(self.rows):
-            acc = None
-            for k in range(self.cols):
-                term = self.entries[i][k] * vec[k]
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return out
-
-    def column(self, j: int) -> list[Entry]:
-        return [self.entries[i][j] for i in range(self.rows)]
 
     def embed(self, new_vars: Sequence[str]) -> "Matrix":
         return self.map(lambda x: x.embed(new_vars))

@@ -331,16 +331,15 @@ def _generic_action(n: int, kind: str, x_copies: int,
 
 
 def matrix_word_family(n: int, words: list[tuple[int, int]] | None = None,
-                       verify: str = "auto",
                        group: GroupAction | None = None) -> list[Covariant]:
     """Covariants (A, B) -> A^i B^j on pairs of n x n matrices under
     simultaneous conjugation.
 
-    ``verify`` selects how equivariance is certified: ``direct`` runs the
-    full generic-element substitution per word; ``product`` verifies the
-    degree-one generators directly and certifies products through one check
-    that conjugation acts by algebra automorphisms; ``auto`` picks ``direct``
-    for n <= 2 and ``product`` above.  The family lives on ``group`` when
+    Words of degree at most one are verified directly.  A longer word is
+    certified by the product argument: X and W carry the same conjugation
+    block M -> g M adj(g)/det(g), which is multiplicative because the action
+    checked adj(g) g = det(g) I when it was built, so the images of A and B
+    multiply to the image of A^i B^j.  The family lives on ``group`` when
     given (which must be that conjugation action), else on a new action.
     """
     if words is None:
@@ -351,11 +350,6 @@ def matrix_word_family(n: int, words: list[tuple[int, int]] | None = None,
     action = _generic_action(n, "conjugation", 2, group)
     A = _word_matrix(action, 0)
     B = _word_matrix(action, 1)
-    mode = verify
-    if mode == "auto":
-        mode = "direct" if n <= 2 else "product"
-    if mode == "product":
-        _check_conjugation_is_algebra_morphism(action)
     out = []
     for i, j in words:
         M = Matrix.identity(n, A.entries[0][0])
@@ -365,43 +359,14 @@ def matrix_word_family(n: int, words: list[tuple[int, int]] | None = None,
             M = M * B
         coords = [M.entries[r][c] for r in range(n) for c in range(n)]
         F = Covariant(action, coords)
-        if mode == "direct" or (i + j) <= 1:
+        if i + j <= 1:
             rep = verify_equivariance(F)
             if not rep.ok:
                 raise ForgeError(f"word A^{i}B^{j} failed its equivariance check")
         else:
-            # products of equivariant matrix values stay equivariant because
-            # the W-action is by algebra automorphisms (checked above)
-            F.status = EQUIVARIANT
+            F.status = EQUIVARIANT  # the product argument above
         out.append(F)
     return out
-
-
-def _check_conjugation_is_algebra_morphism(action: SymbolicGroupAction):
-    """One cleared identity: the W-action applied to a product of two generic
-    matrices equals the product of the W-actions applied to the factors."""
-    n = action.n
-    u_vars = tuple(f"u{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
-    v_vars = tuple(f"v{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
-    ring = u_vars + v_vars + action.g_vars
-    field = action.field
-    U = Matrix([[Poly.var(f"u{i}{j}", ring, field) for j in range(1, n + 1)]
-                for i in range(1, n + 1)])
-    V = Matrix([[Poly.var(f"v{i}{j}", ring, field) for j in range(1, n + 1)]
-                for i in range(1, n + 1)])
-    g = Matrix([[Poly.var(f"g{i}{j}", ring, field) for j in range(1, n + 1)]
-                for i in range(1, n + 1)])
-    adj = g.adjugate()
-    det = action.det_poly.embed(ring)
-
-    def conj(M: Matrix) -> Matrix:
-        return g * M * adj
-
-    lhs = conj(U * V).scale(det)      # det * g U V adj
-    rhs = conj(U) * conj(V)           # g U adj g V adj = det * g U V adj
-    if lhs != rhs:
-        raise ForgeError("conjugation is not an algebra morphism; "
-                         "cannot certify word products")
 
 
 def projection_family(n: int, m: int, group: GroupAction | None = None
@@ -466,8 +431,7 @@ def example_family(name: str, **params) -> list[Covariant]:
     """
     group = params.get("group")
     if name == "matrix_words":
-        return matrix_word_family(params["n"], params.get("words"),
-                                  params.get("verify", "auto"), group)
+        return matrix_word_family(params["n"], params.get("words"), group)
     if name == "projections":
         return projection_family(params["n"], params["m"], group)[0]
     if name == "power_maps":

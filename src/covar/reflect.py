@@ -120,22 +120,16 @@ def relation_over_function_field(Fs: list[Covariant]):
 
 
 def _independence_certificate(mat: Matrix) -> IndependenceCertificate:
+    """The minor on the pivot columns and, among the rows, the first that
+    are independent on them: the pivot columns of the transposed submatrix,
+    in ascending order."""
     _, pivots, _ = mat._echelon_ff()
-    # recover pivot rows of the original matrix by rank-tracking rows greedily
-    e = len(pivots)
-    chosen_rows: list[int] = []
-    rows_so_far: list[list] = []
-    for r in range(mat.rows):
-        trial = rows_so_far + [[mat.entries[r][c] for c in pivots]]
-        if Matrix(trial).rank() > len(rows_so_far):
-            chosen_rows.append(r)
-            rows_so_far = trial
-        if len(chosen_rows) == e:
-            break
-    minor = Matrix([[mat.entries[r][c] for c in pivots] for r in chosen_rows]).det()
+    sub = Matrix([[mat.entries[r][c] for c in pivots] for r in range(mat.rows)])
+    _, rows, _ = sub.transpose()._echelon_ff()
+    minor = Matrix([sub.entries[r] for r in rows]).det()
     if minor.is_zero():
         raise ReflectError("internal: certificate minor vanished")
-    return IndependenceCertificate(chosen_rows, list(pivots), minor)
+    return IndependenceCertificate(rows, list(pivots), minor)
 
 
 @dataclass

@@ -95,6 +95,25 @@ def test_scalar_action_on_variable():
     assert moved == RatFn(Poly.var("x1", ring), Poly.var("g11", ring))
 
 
+@pytest.mark.parametrize("kind,n,copies,text,expected", [
+    ("gl_natural", 2, 1, "x11^2 + 3*x21",
+     "(-3*x21*g11*g12*g21 + 3*x21*g11^2*g22 + x21^2*g12^2 + 3*x11*g12*g21^2 "
+     "- 3*x11*g11*g21*g22 - 2*x11*x21*g12*g22 + x11^2*g22^2)/"
+     "(g12^2*g21^2 - 2*g11*g12*g21*g22 + g11^2*g22^2)"),
+    ("gl_conjugation", 2, 1, "a12",
+     "(-a22*g12*g22 - a21*g12^2 + a12*g22^2 + a11*g12*g22)/(-g12*g21 + g11*g22)"),
+    ("gl_conjugation", 2, 1, "a11 + a22", "a22 + a11"),
+    ("scalar", 1, 2, "x1^2 - x2", "(-x2*g11 + x1^2)/(g11^2)"),
+    ("scalar", 1, 2, "(x1)/(x2^2 + 1)", "(x1*g11)/(g11^2 + x2^2)"),
+], ids=["natural", "conjugation", "conjugation-trace", "scalar", "scalar-ratfn"])
+def test_symbolic_act_on_poly_is_the_function_action(kind, n, copies, text, expected):
+    """p(g^{-1} x) as a reduced rational function, in pinned canonical form:
+    the function action is derived from the forward point maps."""
+    G = symbolic_general_linear(n, kind, kind, x_copies=copies)
+    p = RatFn.parse(text, G.x_vars)
+    assert str(G.act_on_poly(p.as_poly() if p.is_poly() else p)) == expected
+
+
 def test_symbolic_templates_dimensions():
     C = symbolic_general_linear(2, "gl_conjugation", "gl_conjugation",
                                 x_copies=2, w_copies=1)
@@ -131,17 +150,28 @@ def test_template_operator_is_multiplicative(kind, n, copies):
     assert Ng * Nh == Ngh
 
 
-def test_wrong_conjugation_block_at_adj_g_is_rejected(monkeypatch):
-    block = TemplateSpec.block
+def test_wrong_adjugate_or_identity_block_is_rejected(monkeypatch):
+    adjugate, block = Matrix.adjugate, TemplateSpec.block
 
-    def wrong_at_adj(self, g, adj_g):
-        out = block(self, g, adj_g)
-        if self.kind == "conjugation" and g.entries[0][0].total_degree() > 1:
-            out.entries[0][1] = out.entries[0][1] + out.entries[0][0]
+    def one_wrong_entry(self):
+        # doubled off the diagonal, so every block is still I at g = id
+        out = adjugate(self)
+        out.entries[0][1] = out.entries[0][1] * 2
         return out
 
-    monkeypatch.setattr(TemplateSpec, "block", wrong_at_adj)
-    with pytest.raises(ActionError, match="inverse template"):
+    with monkeypatch.context() as patch:
+        patch.setattr(Matrix, "adjugate", one_wrong_entry)
+        with pytest.raises(ActionError, match="adjugate check"):
+            symbolic_general_linear(3, "gl_conjugation", "gl_conjugation", x_copies=2)
+
+    def wrong_at_identity(self, g, adj_g):
+        out = block(self, g, adj_g)
+        if self.kind == "conjugation":
+            out.entries[0][0] = out.entries[0][0] + out.entries[0][0].ring_one()
+        return out
+
+    monkeypatch.setattr(TemplateSpec, "block", wrong_at_identity)
+    with pytest.raises(ActionError, match="identity at g = id"):
         symbolic_general_linear(3, "gl_conjugation", "gl_conjugation", x_copies=2)
 
 
@@ -171,8 +201,7 @@ def test_conjugation_fixes_trace_and_det():
 def test_act_cleared_inverse_composition():
     C = symbolic_general_linear(2, "gl_conjugation", "gl_conjugation", x_copies=1)
     p = Poly.parse("a11^2 - a12*a21", C.x_vars)
-    fwd, kf = C.act_cleared(p, "x", inverse=False)
-    # applying g then g^{-1} returns p up to the cleared determinant powers
+    fwd, kf = C.act_cleared(p, "x")
     ring = fwd.vars
     det = C.det_poly.embed(ring)
     # evaluate both composition orders at a specialization instead of
@@ -193,13 +222,13 @@ def test_act_cleared_inverse_composition():
 
 
 def test_two_generic_elements_compose():
-    """Substituting one generic action after another matches the action of
-    the product matrix, after clearing determinant powers."""
+    """Substituting the point map of g and then that of h is substituting
+    the point map of h g: q(x) = p(h x) gives q(g x) = p(h g x)."""
     C = symbolic_general_linear(2, "gl_natural", "gl_natural")
     x1 = Poly.var("x11", C.x_vars)
     g_point = {"g11": 1, "g12": 2, "g21": 0, "g22": 1}
     h_point = {"g11": 3, "g12": 0, "g21": 1, "g22": 1}
-    gh = [[5, 2], [1, 1]]  # g * h for the two matrices above
+    hg = [[3, 6], [1, 3]]  # h * g for the two matrices above
 
     def act_at(point, p):
         num, k = C.act_cleared(p, "x")
@@ -220,8 +249,8 @@ def test_two_generic_elements_compose():
 
     p = x1
     one_then_other = act_at(g_point, act_at(h_point, p))
-    combined = act_at({"g11": gh[0][0], "g12": gh[0][1],
-                       "g21": gh[1][0], "g22": gh[1][1]}, p)
+    combined = act_at({"g11": hg[0][0], "g12": hg[0][1],
+                       "g21": hg[1][0], "g22": hg[1][1]}, p)
     assert one_then_other == combined
 
 

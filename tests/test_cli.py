@@ -263,6 +263,17 @@ def _certificate_without_f(tmp_path):
     return payload
 
 
+def _cubic_with_reflection(reflection):
+    payload = json.loads(parse_problem("powers_s2_cubic").canonical_text())
+    return dict(payload, reflection=reflection)
+
+
+def _family_problem(template, copies, **family):
+    return {"group": {"type": "symbolic", "n": 2, "x_template": template,
+                      "w_template": template, "x_copies": copies, "w_copies": 1},
+            "family": dict(family, n=2)}
+
+
 def _swap_problem_over(prime):
     swap = [["0", "1"], ["1", "0"]]
     return {"field": {"prime": prime},
@@ -306,11 +317,27 @@ def _swap_problem_over(prime):
     ("noname-verify", lambda tmp: _certificate_with(
         tmp, covariants=[["x1^2", "x2^2"], ["x1", "x2"]]), "covariants"),
     ("generate --degree-bound -1", lambda tmp: _swap_problem_over(5), "--degree-bound"),
+    ("lower", lambda tmp: _cubic_with_reflection({"element": "abc"}), "reflection.element"),
+    ("lower", lambda tmp: _cubic_with_reflection("element"), "reflection"),
+    ("verify", lambda tmp: _family_problem("gl_conjugation", 2, name="matrix_words",
+                                           words=[[1]]), "family.words[0]"),
+    ("verify", lambda tmp: _family_problem("gl_conjugation", 2, name="matrix_words",
+                                           words=[[0, 1], [1, 2, 3]]), "family.words[1]"),
+    ("verify", lambda tmp: _family_problem("gl_conjugation", 2, name="matrix_words",
+                                           words=[[1, -1]]), "family.words[0]"),
+    ("verify", lambda tmp: {"group": {"type": "finite", "generators": [
+        {"x": [["0", "1"], ["1", "0"]], "w": [["0", "1"], ["1", "0"]]}]},
+        "family": {"name": "power_maps", "n": 2, "powers": [1, -2]}}, "family.powers"),
+    ("verify", lambda tmp: _family_problem("gl_natural", 1, name="projections", m=1),
+     "family.m"),
 ], ids=["family-without-n", "gf5-entry-with-denominator-5", "certificate-without-f",
         "hypotheses-not-an-object", "word-not-an-array", "composite-prime",
         "prime-with-400-digits", "phi-entry-not-a-string", "weight-empty-object",
         "weight-not-an-object", "out-vars-shorter-than-d", "out-vars-taken-by-x",
-        "out-vars-repeated", "covariants-not-the-frame-columns", "negative-degree-bound"])
+        "out-vars-repeated", "covariants-not-the-frame-columns", "negative-degree-bound",
+        "reflection-element-not-an-integer", "reflection-not-an-object",
+        "word-of-one-exponent", "word-of-three-exponents", "negative-word-exponent",
+        "negative-power", "projections-m-below-n"])
 def test_malformed_input_exits_two_naming_the_field(tmp_path, command, make_payload,
                                                     field):
     path = tmp_path / "malformed.json"
@@ -319,6 +346,16 @@ def test_malformed_input_exits_two_naming_the_field(tmp_path, command, make_payl
     assert code == 2
     assert f"error: {field}:" in err
     assert "Traceback" not in err
+
+
+def test_empty_word_or_power_list_is_an_empty_family():
+    words = parse_problem(_family_problem("gl_conjugation", 2, name="matrix_words",
+                                          words=[]))
+    swap = [["0", "1"], ["1", "0"]]
+    powers = parse_problem({"group": {"type": "finite",
+                                      "generators": [{"x": swap, "w": swap}]},
+                            "family": {"name": "power_maps", "n": 2, "powers": []}})
+    assert words.covariants == [] and powers.covariants == []
 
 
 def test_word_family_preset_n3_uses_certified_status():

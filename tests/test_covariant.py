@@ -122,6 +122,29 @@ def test_word_covariant_weight_is_trivial(conj2):
     assert not ri.is_zero
 
 
+def test_symbolic_relative_invariance_refutes_a_wrong_weight(conj2):
+    """The gl2 frame determinant is an absolute invariant: det(g)^1 is not
+    its weight."""
+    Fs = word_covariants(conj2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    ri = det_relative_invariant(Fs)
+    det = Character(conj2, ratfn=RatFn(conj2.det_poly))
+    assert _is_relative_invariant(conj2, ri.f, ri.weight)
+    assert not _is_relative_invariant(conj2, ri.f, det)
+
+
+def test_symbolic_relative_invariance_of_rational_functions():
+    """g.f = f(g^{-1} x) = det(g) f for f = 1/det[v1 v2] on two vectors;
+    f / x11 is no relative invariant, and 1/det(g) is not the weight of f."""
+    N = symbolic_general_linear(2, "gl_natural", "gl_natural", x_copies=2)
+    f = RatFn.parse("(1)/(x11*x22 - x21*x12)", N.x_vars)
+    det = RatFn(N.det_poly)
+    assert _is_relative_invariant(N, f, Character(N, ratfn=det))
+    assert not _is_relative_invariant(N, f, Character(N, ratfn=1 / det))
+    x11 = RatFn(Poly.var("x11", N.x_vars))
+    assert not _is_relative_invariant(N, f / x11, Character(N, ratfn=det))
+    assert not _is_relative_invariant(N, f / x11, Character.trivial(N))
+
+
 def test_duplicate_covariant_gives_zero_det(s2):
     x1, x2 = Poly.gens(s2.x_vars)
     F = verified(s2, [x1, x2])

@@ -17,6 +17,7 @@ from covar.covariant import (
     evaluate_matrix,
     generic_independence,
     verified,
+    verify_equivariance,
 )
 from covar.exactalg import Matrix, Poly, PrimeField, RatFn, qmat_rank
 from covar.forge import (
@@ -450,11 +451,17 @@ def test_word_family_witness_evaluation_n2_n3():
 
 
 def test_word_family_direct_vs_product_verification():
-    direct = matrix_word_family(2, verify="direct")
-    threaded = matrix_word_family(2, verify="product")
-    for a, b in zip(direct, threaded):
-        assert a.same_coords(b)
-        assert a.status == b.status == "equivariant"
+    """Every word the product argument certifies is equivariant by the
+    direct generic-element identity too."""
+    words = [(i, j) for i in range(3) for j in range(3)]
+    fam = matrix_word_family(2, words=words)
+    assert len(fam) == len(words)
+    for F in fam:
+        assert F.status == "equivariant"
+        fresh = Covariant(F.action, F.coords)
+        assert fresh.status == "unchecked"
+        assert verify_equivariance(fresh).ok and fresh.status == "equivariant"
+        assert fresh.same_coords(F)
 
 
 def test_projection_family_shape():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from covar.covariant import verified, weight_of
-from covar.exactalg import Poly, RatFn
+from covar.exactalg import Matrix, Poly, RatFn
 from covar.forge import power_map_family, _symmetric_group_action
 from covar.reflect import (
     BridgeFlags,
@@ -16,6 +16,7 @@ from covar.reflect import (
     Reflection,
     Relation,
     XSpaceFlags,
+    _independence_certificate,
     descend_to_invariant_relation,
     find_reflections,
     lower_relation,
@@ -77,6 +78,20 @@ def test_independent_family_gets_certificate(vandermonde_pair):
     from covar.covariant import covariant_matrix
 
     assert cert.minor == covariant_matrix(vandermonde_pair).det()
+
+
+def test_certificate_rows_are_the_first_independent_rows():
+    """Pivot columns 0 and 2; row 0 vanishes and row 2 is twice row 1 there,
+    so the first rows independent on them are rows 1 and 3."""
+    P = lambda text: Poly.parse(text, ("x1", "x2"))  # noqa: E731
+    mat = Matrix([[P(t) for t in row] for row in (
+        ["0", "0", "0"],
+        ["x1", "x1^2", "x1 + x2"],
+        ["2*x1", "2*x1^2", "2*x1 + 2*x2"],
+        ["x2", "x1*x2", "1"])])
+    cert = _independence_certificate(mat)
+    assert (cert.rows, cert.cols) == ([1, 3], [0, 2])
+    assert cert.minor == P("-x2^2 - x1*x2 + x1")
 
 
 def test_relation_and_independence_never_disagree(s2, cubic_family,
