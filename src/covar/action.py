@@ -1,6 +1,6 @@
 """Linear group actions on affine spaces.
 
-Two group models share one interface:
+Two group models share one forward interface:
 
 * :class:`FiniteGroupAction` holds an explicit element list (closed under
   products and inverses) of invertible scalar matrices acting on the X-space,
@@ -8,8 +8,12 @@ Two group models share one interface:
 * :class:`SymbolicGroupAction` holds one generic matrix ``g`` with
   indeterminate entries; the action matrices on X and W have entries
   polynomial in the ``g``-variables divided by a power of ``det(g)``.
-  Identities are checked by clearing those determinant powers and comparing
-  polynomials.
+
+Both check an identity as one forward cleared identity per element of
+``check_elements``: ``act_cleared`` gives p(g x) as a numerator over a power
+of ``check_det``, and ``w_cleared`` gives g_W the same way.  A finite element
+clears nothing (power 0, det 1).  As g -> g^{-1} permutes the group, an
+identity holds for every g . f exactly when it holds for every f(g x).
 
 Conventions (fixed throughout the package):
 
@@ -66,6 +70,8 @@ class FiniteGroupAction:
     """
 
     is_finite = True
+    # a finite element moves no g-variables: a check runs over the space ring
+    g_vars: tuple[str, ...] = ()
 
     def __init__(self, x_mats: list[QMat], w_mats: list[QMat],
                  x_vars: tuple[str, ...], w_vars: tuple[str, ...],
@@ -85,7 +91,7 @@ class FiniteGroupAction:
             self.inv = [index[qmat_inv(m, field)] for m in x_mats]
         except KeyError:
             raise ActionError("element without inverse; closure is corrupt") from None
-        # substitution tables, per (side, element, inverse, out_vars)
+        # substitution tables, per (side, element, out_vars)
         self._substitutions: dict[tuple, dict[str, Poly]] = {}
 
     # -- structure -----------------------------------------------------------
@@ -105,11 +111,23 @@ class FiniteGroupAction:
     def elements(self) -> range:
         return range(self.order)
 
-    def distinct_generators(self) -> list[int]:
-        """Generator indices without repeats.  The elements satisfying an
-        equivariance or relative-invariance identity form a subgroup, so the
-        identity holds on the whole group iff it holds on these."""
-        return list(dict.fromkeys(self.generators))
+    def check_elements(self, weight: "Character | None" = None) -> list[int]:
+        """The elements an identity is checked on: the generators without
+        repeats.  The elements satisfying an equivariance identity, or a
+        relative-invariance identity under a character, form a subgroup, so
+        the identity holds on the whole group iff it holds on these.  A
+        weight table read from a file may not be a character; then every
+        element is checked."""
+        if weight is None or weight.check_multiplicative():
+            return list(dict.fromkeys(self.generators))
+        return list(self.elements())
+
+    def checked_on(self) -> str:
+        k = len(self.check_elements())
+        return f"on {k} generator{'s' * (k != 1)} ({k} of {self.order} elements)"
+
+    def element_label(self, element: int) -> str:
+        return f"element {element}"
 
     # -- actions on polynomials ------------------------------------------------
 
@@ -124,35 +142,48 @@ class FiniteGroupAction:
             images[name] = img
         return images
 
-    def _substitution(self, side: str, i: int, inverse: bool,
+    def _substitution(self, side: str, i: int,
                       out_vars: tuple[str, ...] | None) -> dict[str, Poly]:
         mats, vars = (self.x_mats, self.x_vars) if side == "x" else (self.w_mats, self.w_vars)
         out_vars = tuple(out_vars or vars)
-        key = (side, i, inverse, out_vars)
+        key = (side, i, out_vars)
         table = self._substitutions.get(key)
         if table is None:
-            mat = mats[self.inv[i] if inverse else i]
-            table = self._substitutions[key] = self._subst_from_matrix(mat, vars, out_vars)
+            table = self._substitutions[key] = self._subst_from_matrix(mats[i], vars, out_vars)
         return table
 
-    def x_substitution(self, i: int, inverse: bool = True,
-                       out_vars: tuple[str, ...] | None = None) -> dict[str, Poly]:
-        """Map x_k -> sum_l (M)_{kl} x_l with M the (inverse) element matrix.
-        The table is built once per (element, inverse, out_vars) and shared:
-        callers must not mutate it."""
-        return self._substitution("x", i, inverse, out_vars)
+    def x_substitution(self, i: int, out_vars: tuple[str, ...] | None = None) -> dict[str, Poly]:
+        """Map x_k -> sum_l (M)_{kl} x_l with M the matrix of element i; pass
+        ``inv[i]`` for the inverse.  The table is built once per (element,
+        out_vars) and shared: callers must not mutate it."""
+        return self._substitution("x", i, out_vars)
 
-    def w_substitution(self, i: int, inverse: bool = True,
-                       out_vars: tuple[str, ...] | None = None) -> dict[str, Poly]:
+    def w_substitution(self, i: int, out_vars: tuple[str, ...] | None = None) -> dict[str, Poly]:
         """The W-side table of :meth:`x_substitution`, cached the same way."""
-        return self._substitution("w", i, inverse, out_vars)
+        return self._substitution("w", i, out_vars)
+
+    def act_cleared(self, p: Poly, side: str, out_vars: tuple[str, ...],
+                    element: int) -> tuple[Poly, int]:
+        """(p(g x), 0) for the element g, over ``out_vars`` (with side ``xw``,
+        p(g x, g_W w)): a finite element clears no denominator."""
+        table = self.x_substitution(element, out_vars)
+        if side == "xw":
+            table = {**table, **self.w_substitution(element, out_vars)}
+        return p.subs(table, out_vars), 0
+
+    def check_det(self, ring: tuple[str, ...]) -> None:
+        """det(g) of a check element, None standing for 1."""
+        return None
+
+    def w_cleared(self, element: int, ring: tuple[str, ...]) -> tuple[QMat, int]:
+        """g_W of the element as (numerator rows, det power): scalar rows."""
+        return self.w_mats[element], 0
 
     def act_on_poly(self, i: int, p: Poly | RatFn) -> Poly | RatFn:
         """Function action (g . p)(x) = p(g^{-1} x) on the X-space."""
         if set(p.vars) != set(self.x_vars):
             raise DimensionError("polynomial does not live on the X-space")
-        images = self.x_substitution(i, inverse=True, out_vars=p.vars)
-        return p.subs(images, p.vars)
+        return p.subs(self.x_substitution(self.inv[i], p.vars), p.vars)
 
     def describe(self) -> str:
         return f"finite group of order {self.order} on {self.x_dim}-dim X, {self.w_dim}-dim W"
@@ -300,6 +331,10 @@ def _block_diagonal(block: Matrix, copies: int) -> Matrix:
     return Matrix(out)
 
 
+# the check element of a symbolic action
+GENERIC = "generic"
+
+
 def generic_matrix(n: int, vars: tuple[str, ...], prefix: str = "g",
                    field: PrimeField | None = None) -> Matrix:
     return Matrix([[Poly.var(f"{prefix}{i}{j}", vars, field)
@@ -382,15 +417,26 @@ class SymbolicGroupAction:
     def w_dim(self) -> int:
         return len(self.w_vars)
 
-    @property
-    def xg_vars(self) -> tuple[str, ...]:
-        return self.x_vars + self.g_vars
-
-    @property
-    def xwg_vars(self) -> tuple[str, ...]:
-        return self.x_vars + self.w_vars + self.g_vars
-
     # -- cleared actions -----------------------------------------------------------
+
+    def check_elements(self, weight: "Character | None" = None) -> list[str]:
+        """The one check element: the generic g stands for every element."""
+        return [GENERIC]
+
+    def checked_on(self) -> str:
+        return "for the generic element"
+
+    def element_label(self, element: str) -> str:
+        return "the generic element"
+
+    def check_det(self, ring: tuple[str, ...]) -> Poly:
+        """det(g) over ``ring``, the denominator every cleared image is over."""
+        return self.det_poly.embed(ring)
+
+    def w_cleared(self, element: str, ring: tuple[str, ...]) -> tuple[list[list[Poly]], int]:
+        """g_W as (numerator rows over ``ring``, det power)."""
+        return [[e.embed(ring) if e else e for e in row]
+                for row in self.w_num.entries], self.w_detpow
 
     def _linear_images(self, num: Matrix, space_vars: tuple[str, ...],
                        out_vars: tuple[str, ...]) -> list[Poly]:
@@ -411,13 +457,15 @@ class SymbolicGroupAction:
         return self.w_vars, self.w_num, self.w_detpow
 
     def act_cleared(self, p: Poly, side: str = "x",
-                    out_vars: tuple[str, ...] | None = None) -> tuple[Poly, int]:
+                    out_vars: tuple[str, ...] | None = None,
+                    element: str = GENERIC) -> tuple[Poly, int]:
         """Substitute the point maps into p with determinant powers cleared.
 
         Returns (num, k) with p(g x) = num / det^k (and, with side ``xw``,
-        p(g x, g_W w) = num / det^k).  The function action p(g^{-1} x) is
-        never formed: g -> g^{-1} is an automorphism of k[g_ij, 1/det], so an
-        identity holds for every g . p exactly when it holds for every p(g x).
+        p(g x, g_W w) = num / det^k), g being the one check element.  The
+        function action p(g^{-1} x) is never formed: g -> g^{-1} is an
+        automorphism of k[g_ij, 1/det], so an identity holds for every g . p
+        exactly when it holds for every p(g x).
         """
         names = {"x": ("x",), "w": ("w",), "xw": ("x", "w")}.get(side)
         if names is None:
@@ -495,27 +543,6 @@ class SymbolicGroupAction:
             return moved(p.num) / moved(p.den)
         return moved(p)
 
-    # -- rational specializations ----------------------------------------------
-
-    def specialize(self, mat: QMat) -> tuple[Matrix, Matrix]:
-        """X- and W-action matrices of a concrete invertible matrix, over
-        constant polynomials in the X-ring."""
-        mat = qmat(mat, self.field)
-        det = qmat_det(mat, self.field)
-        if not det:
-            raise ActionError("specialization matrix is not invertible")
-        point = {f"g{i}{j}": mat[i - 1][j - 1]
-                 for i in range(1, self.n + 1) for j in range(1, self.n + 1)}
-        inv_scale = field_one(self.field) / det
-
-        def eval_num(num: Matrix, detpow: int) -> Matrix:
-            scale = inv_scale ** detpow
-            return Matrix([[Poly.const(num.entries[i][j].eval(point) * scale,
-                                       self.x_vars, self.field)
-                            for j in range(num.cols)] for i in range(num.rows)])
-
-        return eval_num(self.x_num, self.x_detpow), eval_num(self.w_num, self.w_detpow)
-
     def describe(self) -> str:
         return (f"generic GL_{self.n} element ({self.x_spec.kind} on X, "
                 f"{self.w_spec.kind} on W)")
@@ -589,6 +616,15 @@ class Character:
     def value(self, i: int):
         return self.table[i]
 
+    def cleared(self, element, ring: tuple[str, ...]) -> tuple:
+        """theta at a check element as (numerator, denominator), None
+        standing for 1: the table value over 1 for a finite element, the
+        rational function's two polynomials over ``ring`` for the generic
+        one."""
+        if self.table is not None:
+            return self.table[element], None
+        return self.ratfn.num.embed(ring), self.ratfn.den.embed(ring)
+
     def is_trivial(self) -> bool:
         if self.table is not None:
             one = field_one(self.action.field)
@@ -631,12 +667,7 @@ class Character:
                       for i in range(1, n + 1) for j in range(1, n + 1)}
             return theta.subs(images, ring)
 
-        ident_point = {v: 0 for v in ring}
-        for i in range(1, n + 1):
-            ident_point[f"g{i}{i}"] = 1
-            ident_point[f"h{i}{i}"] = 1
-        at_identity = self.ratfn.eval({v: (1 if v[1] == v[2] and v[0] == "g" else 0)
-                                       for v in action.g_vars})
+        at_identity = self.ratfn.eval(action._identity_point())
         return (at(gh) == at(g) * at(h)) and at_identity == field_one(action.field)
 
     def __str__(self):

@@ -109,6 +109,21 @@ def _int(value, where: str) -> int:
         raise ProblemError(f"{where}: expected an integer, got {value!r}") from None
 
 
+def _positive(value, where: str) -> int:
+    n = _int(value, where)
+    _expect(n >= 1, f"{where}: expected a positive integer, got {n}")
+    return n
+
+
+def _var_names(space: dict, key: str) -> tuple[str, ...] | None:
+    """space.<key> as a tuple of distinct names, or None when not given."""
+    names = space.get(key)
+    strings = isinstance(names, list) and all(isinstance(v, str) and v for v in names)
+    _expect(not names or (strings and len(set(names)) == len(names)),
+            f"space.{key}: expected an array of distinct variable names")
+    return tuple(names) if names else None
+
+
 def _parse_field(raw: dict) -> PrimeField | None:
     block = raw.get("field")
     if block is None:
@@ -150,6 +165,8 @@ def parse_problem(source: str | dict, path: str = "") -> ProblemFile:
     _expect(isinstance(group_block, dict), "group: required object missing")
     kind = group_block.get("type")
     space = raw.get("space", {})
+    _expect(isinstance(space, dict), "space: expected an object")
+    x_vars, w_vars = _var_names(space, "x_vars"), _var_names(space, "w_vars")
     if kind == "finite":
         gens_block = group_block.get("generators")
         _expect(isinstance(gens_block, list) and gens_block,
@@ -160,8 +177,6 @@ def parse_problem(source: str | dict, path: str = "") -> ProblemFile:
                     f"group.generators[{k}]: expected an object with 'x' and 'w'")
             gens.append((_parse_matrix(pair["x"], f"group.generators[{k}].x"),
                          _parse_matrix(pair["w"], f"group.generators[{k}].w")))
-        x_vars = tuple(space.get("x_vars", ())) or None
-        w_vars = tuple(space.get("w_vars", ())) or None
         max_order = _int(group_block.get("max_order", 10_000), "group.max_order")
         try:
             group = make_finite_group(gens, x_vars=x_vars, w_vars=w_vars,
@@ -174,23 +189,21 @@ def parse_problem(source: str | dict, path: str = "") -> ProblemFile:
     elif kind == "symbolic":
         for key in ("n", "x_template", "w_template"):
             _expect(key in group_block, f"group.{key}: required for symbolic groups")
+        for key in ("x_template", "w_template"):
+            _expect(isinstance(group_block[key], str), f"group.{key}: expected a template name")
         try:
             group = symbolic_general_linear(
-                _int(group_block["n"], "group.n"), group_block["x_template"],
+                _positive(group_block["n"], "group.n"), group_block["x_template"],
                 group_block["w_template"],
-                x_copies=_int(group_block.get("x_copies", 1), "group.x_copies"),
-                w_copies=_int(group_block.get("w_copies", 1), "group.w_copies"),
+                x_copies=_positive(group_block.get("x_copies", 1), "group.x_copies"),
+                w_copies=_positive(group_block.get("w_copies", 1), "group.w_copies"),
                 field=field)
         except (ActionError, DimensionError) as exc:
             raise ProblemError(f"group: {exc}") from None
-        if space.get("x_vars"):
-            _expect(tuple(space["x_vars"]) == group.x_vars,
-                    "space.x_vars: does not match the template's variables "
-                    f"{list(group.x_vars)}")
-        if space.get("w_vars"):
-            _expect(tuple(space["w_vars"]) == group.w_vars,
-                    "space.w_vars: does not match the template's variables "
-                    f"{list(group.w_vars)}")
+        for key, names, declared in (("x_vars", x_vars, group.x_vars),
+                                     ("w_vars", w_vars, group.w_vars)):
+            _expect(names in (None, declared), f"space.{key}: does not match the "
+                    f"template's variables {list(declared)}")
     else:
         raise ProblemError("group.type: must be 'finite' or 'symbolic'")
 

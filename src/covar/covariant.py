@@ -141,94 +141,60 @@ def _point_dict(vars, point, field):
 # ---------------------------------------------------------------------------
 
 
-def _finite_equivariance_witness(F: Covariant) -> dict | None:
-    """None if F(gx) = g_W F(x) for every generator, and so (the stabilizer
-    of F being a subgroup) for every element; else a witness dict."""
+def _product(*factors):
+    """The product of the factors, None standing for 1: a finite element
+    clears no det power, and a polynomial has no denominator."""
+    out = None
+    for x in factors:
+        if x is not None:
+            out = x if out is None else out * x
+    return out
+
+
+def _det_power(det, k: int):
+    return det ** k if k else None
+
+
+def _equivariance_witness(F: Covariant) -> dict | None:
+    """None if F(gx) = g_W F(x) holds for every check element of F's action
+    (the stabilizer of F being a subgroup, for every element); else a witness.
+
+    With F = nums/den, N(gx) = N'/det^a, den(gx) = D'/det^b and
+    g_W = W/det^p, coordinate c is the cleared identity
+    N'_c det^(b+p) den = (W nums)_c D' det^a.
+    """
     action = F.action
     nums, den = common_denominator(F.coords)
-    for i in action.distinct_generators():
-        subst = action.x_substitution(i, inverse=False)
-        lhs_nums = [p.subs(subst, action.x_vars) for p in nums]
-        lhs_den = den.subs(subst, action.x_vars)
-        w = action.w_mats[i]
-        # F(gx)_c = lhs_nums[c]/lhs_den ; (g_W F(x))_c = sum w[c][l] nums[l] / den
-        for c in range(action.w_dim):
-            rhs = Poly.zero(action.x_vars, action.field)
-            for l in range(action.w_dim):
-                if w[c][l]:
-                    rhs = rhs + nums[l] * w[c][l]
-            if lhs_nums[c] * den != rhs * lhs_den:
-                point = _separating_point(lhs_nums[c], lhs_den, rhs, den, action)
-                return {"element": i, "coordinate": c, "point": point}
-    return None
-
-
-def _separating_point(lnum, lden, rnum, rden, action) -> str | None:
-    rng = random.Random(17)
-    for point in candidate_points(len(action.x_vars), rng):
-        vals = _point_dict(action.x_vars, point, action.field)
-        dl, dr = lden.eval(vals), rden.eval(vals)
-        if not dl or not dr:
-            continue
-        if lnum.eval(vals) * dr != rnum.eval(vals) * dl:
-            return str(dict(zip(action.x_vars, point)))
-    return None
-
-
-def _symbolic_equivariance_witness(F: Covariant) -> dict | None:
-    """Cleared polynomial identity F(gx) det^{p_w} ... = g_W F(x) det^{k}."""
-    action = F.action
-    nums, den = common_denominator(F.coords)
-    ring = action.xg_vars
-    det = action.det_poly.embed(ring)
-    num_subs = []
-    for p in nums:
-        num_subs.append(action.act_cleared(p, "x", ring))
-    den_sub, k_den = action.act_cleared(den, "x", ring)
-    den_emb = den.embed(ring)
+    ring = action.x_vars + action.g_vars
+    det = action.check_det(ring)
     nums_emb = [p.embed(ring) for p in nums]
-    w = action.w_num
-    pw = action.w_detpow
-    for c in range(action.w_dim):
-        rhs = Poly.zero(ring, action.field)
-        for l in range(action.w_dim):
-            e = w.entries[c][l]
-            if e:
-                rhs = rhs + e.embed(ring) * nums_emb[l]
-        ln, lk = num_subs[c]
-        # ln/det^lk / (den_sub/det^k_den) == rhs/(det^pw * den_emb)
-        lhs_poly = ln * det ** k_den * det ** pw * den_emb
-        rhs_poly = rhs * den_sub * det ** lk
-        if lhs_poly != rhs_poly:
-            return {"element": "generic", "coordinate": c,
-                    "point": _symbolic_separating_point(F, c)}
+    den_emb = den.embed(ring)
+    for e in action.check_elements():
+        moved = [action.act_cleared(p, "x", ring, e) for p in nums]
+        den_moved, b = action.act_cleared(den, "x", ring, e)
+        w, pw = action.w_cleared(e, ring)
+        for c, (num_moved, a) in enumerate(moved):
+            rhs = Poly.zero(ring, action.field)
+            for l, entry in enumerate(w[c]):
+                if entry:
+                    rhs = rhs + nums_emb[l] * entry
+            lhs = _product(num_moved, _det_power(det, b + pw), den_emb)
+            rhs = _product(rhs, den_moved, _det_power(det, a))
+            if lhs != rhs:
+                point = _separating_point(lhs - rhs, (den_emb, den_moved, det), ring,
+                                          action.field)
+                return {"element": e, "coordinate": c, "point": point}
     return None
 
 
-def _symbolic_separating_point(F: Covariant, coord: int) -> str | None:
-    action = F.action
-    rng = random.Random(23)
-    n = action.n
-    for flat in candidate_points(n * n, rng):
-        mat = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
-        try:
-            mx, mw = action.specialize(mat)
-        except Exception:
-            continue
-        for point in itertools.islice(candidate_points(action.x_dim, rng), 40):
-            vals = _point_dict(action.x_vars, point, action.field)
-            try:
-                fx = [c.eval(vals) for c in F.coords]
-                gx_point = {v: sum(mx.entries[k][l].constant_value() * vals[action.x_vars[l]]
-                                   for l in range(action.x_dim))
-                            for k, v in enumerate(action.x_vars)}
-                f_gx = [c.eval(gx_point) for c in F.coords]
-            except ZeroDivisionError:
-                continue
-            rhs = sum(mw.entries[coord][l].constant_value() * fx[l]
-                      for l in range(action.w_dim))
-            if f_gx[coord] != rhs:
-                return f"g={mat}, x={dict(zip(action.x_vars, point))}"
+def _separating_point(diff: Poly, nonzero, ring, field) -> str | None:
+    """The first candidate point over the check's ring where the cleared
+    difference is nonzero and each of ``nonzero`` (den, den(gx) and det;
+    None stands for 1) is too: there F(gx) and g_W F(x) differ."""
+    for point in candidate_points(len(ring), random.Random(17)):
+        vals = _point_dict(ring, point, field)
+        if all(p is None or p.eval(vals) for p in nonzero) and diff.eval(vals):
+            return str(dict(zip(ring, point)))
     return None
 
 
@@ -236,17 +202,10 @@ def verify_equivariance(F: Covariant) -> Report:
     """Exact identity check of F(gx) = g_W F(x); promotes F.status."""
     report = Report("equivariance")
     with Stopwatch(report):
-        if F.action.is_finite:
-            witness = _finite_equivariance_witness(F)
-        else:
-            witness = _symbolic_equivariance_witness(F)
+        witness = _equivariance_witness(F)
         if witness is None:
             F.status = EQUIVARIANT
-            route = "for the generic element"
-            if F.action.is_finite:
-                k = len(F.action.distinct_generators())
-                route = f"on {k} generator{'s' * (k != 1)} ({k} of {F.action.order} elements)"
-            report.add("equivariant", True, f"identity holds {route}")
+            report.add("equivariant", True, f"identity holds {F.action.checked_on()}")
         else:
             F.status = REFUTED
             F.refutation = witness
@@ -324,9 +283,10 @@ class RelativeInvariant:
     f: Poly | RatFn
     weight: Character
     action: GroupAction = dc_field(repr=False, default=None)
-    # Set where f is made as a determinant, so later checks reuse them: the
-    # matrix f is the determinant of, and the verdict of the weight identity.
-    # They are not init fields, so a dataclasses.replace copy re-derives both.
+    # Set where f is made as the determinant of certified columns, so later
+    # checks reuse them: the matrix f is the determinant of, and the verdict
+    # of the weight identity, which those columns imply.  They are not init
+    # fields, so a dataclasses.replace copy re-derives both.
     frame: Matrix | None = dc_field(default=None, init=False, repr=False, compare=False)
     verdict: bool | None = dc_field(default=None, init=False, repr=False, compare=False)
 
@@ -342,25 +302,25 @@ class RelativeInvariant:
 
 def _is_relative_invariant(action: GroupAction, f: Poly | RatFn,
                            weight: Character) -> bool:
+    """g.f = theta(g) f for every g exactly when f(gx) theta(g) = f(x) for
+    every g (put gx for x).  With f = N/D, N(gx) = N'/det^a, D(gx) = D'/det^b
+    and theta(g) = tn/td, that is N' tn det^b D = N td det^a D' on each check
+    element; a polynomial f has no D."""
     if f.is_zero():
         return True
-    if action.is_finite:
-        # {g : g.f = weight(g) f} is a subgroup when the weight is a character;
-        # a weight table read from a file may not be one
-        elements = (action.distinct_generators() if weight.check_multiplicative()
-                    else action.elements())
-        return all(action.act_on_poly(i, f) == f * weight.value(i) for i in elements)
-    # g.f = theta(g) f for every g exactly when f(gx) theta(g) = f(x) for
-    # every g (put gx for x).  With f = N/D and N(gx) = N'/det^a,
-    # D(gx) = D'/det^b, that is the one cleared identity below.
-    num, den = (f.num, f.den) if isinstance(f, RatFn) else (f, f.ring_one())
+    num, den = (f.num, f.den) if isinstance(f, RatFn) else (f, None)
     ring = tuple(dict.fromkeys(f.vars + action.g_vars))
-    num_moved, a = action.act_cleared(num, "x", ring)
-    den_moved, b = action.act_cleared(den, "x", ring)
-    det = action.det_poly.embed(ring)
-    theta = weight.ratfn.embed(ring)
-    return (num_moved * det ** b * theta.num * den.embed(ring)
-            == num.embed(ring) * den_moved * det ** a * theta.den)
+    det = action.check_det(ring)
+    num_emb = num.embed(ring)
+    den_emb = den.embed(ring) if den is not None else None
+    for e in action.check_elements(weight):
+        theta_num, theta_den = weight.cleared(e, ring)
+        num_moved, a = action.act_cleared(num, "x", ring, e)
+        den_moved, b = action.act_cleared(den, "x", ring, e) if den is not None else (None, 0)
+        if (_product(num_moved, theta_num, _det_power(det, b), den_emb)
+                != _product(num_emb, theta_den, _det_power(det, a), den_moved)):
+            return False
+    return True
 
 
 def weight_of(action: GroupAction, f: Poly) -> Character | None:
@@ -405,10 +365,10 @@ def det_relative_invariant(Fs: list[Covariant]) -> RelativeInvariant:
     f = mat.det()
     if isinstance(f, RatFn) and f.is_poly():
         f = f.as_poly()
-    weight = det_w_inverse_character(action)
-    if not _is_relative_invariant(action, f, weight):
-        raise CovariantError("determinant failed its weight identity")
-    ri = RelativeInvariant(f, weight, action)
+    # every column is certified, F(gx) = g_W F(x), so
+    # det F(gx) = det(g_W) det F(x): f has weight det(g_W)^{-1} with no
+    # further substitution
+    ri = RelativeInvariant(f, det_w_inverse_character(action), action)
     ri.frame, ri.verdict = mat, True
     return ri
 

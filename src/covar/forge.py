@@ -95,7 +95,7 @@ class _Orbit:
                         for l in range(d)] for w in G.w_mats]
         self.linear = []
         for g in G.elements():
-            subst = G.x_substitution(g, inverse=True)
+            subst = G.x_substitution(G.inv[g])
             self.linear.append([[(exps.index(1), _small(c))
                                  for exps, c in subst[v].terms.items()]
                                 for v in G.x_vars])

@@ -38,6 +38,8 @@ from .covariant import (
     EQUIVARIANT,
     RelativeInvariant,
     UnverifiedCovariantError,
+    _det_power,
+    _product,
     det_relative_invariant,
     ensure_equivariant,
     verify_equivariance,
@@ -61,10 +63,7 @@ class IsomorphismError(ExactAlgError):
 
 def _taken_names(action: GroupAction) -> set[str]:
     """The x, w and g variable names, which output coordinates must avoid."""
-    taken = set(action.x_vars) | set(action.w_vars)
-    if not action.is_finite:
-        taken |= set(action.g_vars)
-    return taken
+    return set(action.x_vars) | set(action.w_vars) | set(action.g_vars)
 
 
 def _pick_out_vars(action: GroupAction, d: int) -> tuple[str, ...]:
@@ -393,21 +392,16 @@ def linearize_isomorphism(coords: list[Poly], action: GroupAction,
 
 
 def _map_invariance_failure(coords: list[Poly], action: GroupAction, ring):
-    if action.is_finite:
-        # the elements fixing a coordinate form a subgroup
-        for g in action.distinct_generators():
-            subst = dict(action.x_substitution(g, inverse=True, out_vars=ring))
-            subst.update(action.w_substitution(g, inverse=True, out_vars=ring))
-            for i, p in enumerate(coords):
-                if p.subs(subst, ring) != p:
-                    return i, f"element {g}"
-        return None
-    big_ring = action.xwg_vars
-    det = action.det_poly.embed(big_ring)
-    for i, p in enumerate(coords):
-        moved, k = action.act_cleared(p, "xw", out_vars=big_ring)
-        if moved != p.embed(big_ring) * det ** k:
-            return i, "the generic element"
+    """The first (coordinate, element) with p(gx, g_W w) != p(x, w) over the
+    check elements, the elements fixing a coordinate forming a subgroup; with
+    p(gx, g_W w) = N/det^k that is N == p det^k."""
+    ring = tuple(ring) + action.g_vars
+    det = action.check_det(ring)
+    for e in action.check_elements():
+        for i, p in enumerate(coords):
+            moved, k = action.act_cleared(p, "xw", ring, e)
+            if moved != _product(p.embed(ring), _det_power(det, k)):
+                return i, action.element_label(e)
     return None
 
 

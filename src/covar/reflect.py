@@ -223,7 +223,6 @@ class Reflection:
 
 def _linear_form_coeffs(l: Poly, action: FiniteGroupAction):
     n = action.x_dim
-    coeffs = [None] * n
     zero = field_one(action.field) - field_one(action.field)
     coeffs = [zero] * n
     for exps, c in l.terms.items():

@@ -16,7 +16,7 @@ from covar.action import (
     make_finite_group,
     symbolic_general_linear,
 )
-from covar.exactalg import Matrix, Poly, RatFn, qmat, qmat_mul
+from covar.exactalg import Matrix, Poly, RatFn, qmat_mul
 
 from conftest import CYCLE3, SWAP, SWAP3, group_mul
 
@@ -175,20 +175,6 @@ def test_wrong_adjugate_or_identity_block_is_rejected(monkeypatch):
         symbolic_general_linear(3, "gl_conjugation", "gl_conjugation", x_copies=2)
 
 
-def test_symbolic_identity_specialization():
-    C = symbolic_general_linear(2, "gl_conjugation", "gl_natural", x_copies=1)
-    ident = qmat([["1", "0"], ["0", "1"]])
-    mx, mw = C.specialize(ident)
-    assert mx == Matrix.identity(4, mx.entries[0][0])
-    assert mw == Matrix.identity(2, mw.entries[0][0])
-
-
-def test_specialize_requires_invertible():
-    C = symbolic_general_linear(2, "gl_natural", "gl_natural")
-    with pytest.raises(ActionError):
-        C.specialize(qmat([["1", "1"], ["1", "1"]]))
-
-
 def test_conjugation_fixes_trace_and_det():
     C = symbolic_general_linear(2, "gl_conjugation", "gl_conjugation", x_copies=1)
     for text in ("a11 + a22", "a11*a22 - a12*a21"):
@@ -202,23 +188,19 @@ def test_act_cleared_inverse_composition():
     C = symbolic_general_linear(2, "gl_conjugation", "gl_conjugation", x_copies=1)
     p = Poly.parse("a11^2 - a12*a21", C.x_vars)
     fwd, kf = C.act_cleared(p, "x")
-    ring = fwd.vars
-    det = C.det_poly.embed(ring)
-    # evaluate both composition orders at a specialization instead of
-    # composing symbolically: g = [[1,2],[3,4]] is invertible
-    mx, _ = C.specialize(qmat([["1", "2"], ["3", "4"]]))
-    point = {"a11": 2, "a12": -1, "a21": 5, "a22": 3}
-    moved_point = {}
-    vals = [Fraction(point[v]) for v in C.x_vars]
-    for i, name in enumerate(C.x_vars):
-        moved_point[name] = sum(mx.entries[i][j].constant_value() * vals[j]
-                                for j in range(4))
-    spec_point = dict(moved_point)
-    spec_point.update({g: (1 if g in ("g11",) else 2 if g == "g12" else
-                           3 if g == "g21" else 4) for g in C.g_vars})
-    lhs = fwd.eval({**point, **{"g11": 1, "g12": 2, "g21": 3, "g22": 4}})
-    det_val = C.det_poly.eval({"g11": 1, "g12": 2, "g21": 3, "g22": 4})
-    assert lhs == p.eval(moved_point) * det_val**kf
+    # the cleared image at g = [[1, 2], [3, 4]] is p(g A g^{-1}) det(g)^kf,
+    # with g A g^{-1} multiplied out over Fractions
+    g = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
+    det_val = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    g_inv = [[g[1][1] / det_val, -g[0][1] / det_val],
+             [-g[1][0] / det_val, g[0][0] / det_val]]
+    A = [[2, -1], [5, 3]]
+    moved = [[sum(g[i][k] * A[k][l] * g_inv[l][j] for k in range(2) for l in range(2))
+              for j in range(2)] for i in range(2)]
+    moved_point = {f"a{i + 1}{j + 1}": moved[i][j] for i in range(2) for j in range(2)}
+    point = {f"a{i + 1}{j + 1}": A[i][j] for i in range(2) for j in range(2)}
+    g_point = {f"g{i + 1}{j + 1}": g[i][j] for i in range(2) for j in range(2)}
+    assert fwd.eval({**point, **g_point}) == p.eval(moved_point) * det_val**kf
 
 
 def test_two_generic_elements_compose():

@@ -281,6 +281,20 @@ def _swap_problem_over(prime):
             "covariants": [["x1", "x2"]]}
 
 
+def _symbolic_group(**overrides) -> dict:
+    group = {"type": "symbolic", "n": 2, "x_template": "gl_natural",
+             "w_template": "gl_natural", **overrides}
+    return {"group": group, "covariants": []}
+
+
+def _swap_problem_with_x_vars(x_vars) -> dict:
+    return {"space": {"x_vars": x_vars},
+            "group": {"type": "finite",
+                      "generators": [{"x": [["0", "1"], ["1", "0"]],
+                                      "w": [["0", "1"], ["1", "0"]]}]},
+            "covariants": [[x_vars[1] if isinstance(x_vars[1], str) else "0", "0"]]}
+
+
 @pytest.mark.parametrize("command,make_payload,field", [
     ("verify", lambda tmp: {
         "group": {"type": "symbolic", "n": 2, "x_template": "gl_conjugation",
@@ -330,6 +344,14 @@ def _swap_problem_over(prime):
         "family": {"name": "power_maps", "n": 2, "powers": [1, -2]}}, "family.powers"),
     ("verify", lambda tmp: _family_problem("gl_natural", 1, name="projections", m=1),
      "family.m"),
+    ("verify", lambda tmp: _symbolic_group(x_template=[]), "group.x_template"),
+    ("verify", lambda tmp: _symbolic_group(x_template={}), "group.x_template"),
+    ("verify", lambda tmp: _symbolic_group(w_copies=0), "group.w_copies"),
+    ("verify", lambda tmp: _symbolic_group(x_copies=0), "group.x_copies"),
+    ("verify", lambda tmp: _symbolic_group(x_copies=-1), "group.x_copies"),
+    ("verify", lambda tmp: _symbolic_group(n=0), "group.n"),
+    ("verify", lambda tmp: _swap_problem_with_x_vars(["a", "a"]), "space.x_vars"),
+    ("verify", lambda tmp: _swap_problem_with_x_vars(["a", 3]), "space.x_vars"),
 ], ids=["family-without-n", "gf5-entry-with-denominator-5", "certificate-without-f",
         "hypotheses-not-an-object", "word-not-an-array", "composite-prime",
         "prime-with-400-digits", "phi-entry-not-a-string", "weight-empty-object",
@@ -337,7 +359,9 @@ def _swap_problem_over(prime):
         "out-vars-repeated", "covariants-not-the-frame-columns", "negative-degree-bound",
         "reflection-element-not-an-integer", "reflection-not-an-object",
         "word-of-one-exponent", "word-of-three-exponents", "negative-word-exponent",
-        "negative-power", "projections-m-below-n"])
+        "negative-power", "projections-m-below-n", "x-template-an-array",
+        "x-template-an-object", "no-w-copies", "no-x-copies", "negative-x-copies", "n-zero",
+        "x-vars-repeated", "x-var-not-a-string"])
 def test_malformed_input_exits_two_naming_the_field(tmp_path, command, make_payload,
                                                     field):
     path = tmp_path / "malformed.json"

@@ -1,5 +1,6 @@
 """Covariants: equivariance, determinant invariants, generic independence."""
 
+import ast
 import itertools
 import random
 from fractions import Fraction
@@ -24,7 +25,15 @@ from covar.covariant import (
     verify_equivariance,
     weight_of,
 )
-from covar.exactalg import Matrix, Poly, RatFn, qmat_rank, qmat_rank_det
+from covar.exactalg import (
+    Matrix,
+    Poly,
+    PrimeField,
+    RatFn,
+    lift_coeff,
+    qmat_rank,
+    qmat_rank_det,
+)
 from covar.action import Character, make_finite_group, symbolic_general_linear
 
 from conftest import CYCLE3, SWAP, SWAP3, word_covariants
@@ -57,14 +66,56 @@ def test_transpose_is_refuted(conj2):
     assert witness is not None and witness.get("point")
 
 
+@pytest.mark.parametrize("template,coords,prime", [
+    ("gl_conjugation", ["a11", "a21", "a12", "a22"], None),
+    ("gl_natural", ["x21", "x11"], None),
+    ("gl_natural", ["x21", "x11"], 5),
+    # the first candidate where the two sides differ as polynomials has det(g) = 0
+    ("gl_natural", ["x11", "x11"], None),
+], ids=["gl2-transpose", "swapped-natural", "gf5-swapped-natural", "first-coordinate-twice"])
+def test_symbolic_refutation_point_is_a_genuine_refutation(template, coords, prime):
+    field = PrimeField(prime) if prime else None
+    G = symbolic_general_linear(2, template, template, field=field)
+    F = Covariant(G, [Poly.var(c, G.x_vars, field) for c in coords])
+    witness = verify_equivariance(F).failed_checks()[0].witness
+    assert witness["element"] == "generic"
+    point = ast.literal_eval(witness["point"])
+    g = [[lift_coeff(point[f"g{i}{j}"], field) for j in (1, 2)] for i in (1, 2)]
+    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    assert det
+
+    def act(vec):
+        """The point map of g on X = W, multiplied out by hand."""
+        if template == "gl_natural":
+            return [g[i][0] * vec[0] + g[i][1] * vec[1] for i in range(2)]
+        inv = [[g[1][1] / det, -g[0][1] / det], [-g[1][0] / det, g[0][0] / det]]
+        A = [vec[0:2], vec[2:4]]
+        return [sum(g[i][k] * A[k][l] * inv[l][j] for k in range(2) for l in range(2))
+                for i in range(2) for j in range(2)]
+
+    def at(vals):
+        return [c.eval(dict(zip(G.x_vars, vals))) for c in F.coords]
+
+    x = [lift_coeff(point[v], field) for v in G.x_vars]
+    assert at(act(x)) != act(at(x))
+
+
 def test_refutation_witness_for_finite_group(s2):
     x1, x2 = Poly.gens(s2.x_vars)
     F = Covariant(s2, [x1, x1])  # second coordinate should be x2
     rep = verify_equivariance(F)
     assert not rep.ok
     witness = rep.failed_checks()[0].witness
-    assert witness["element"] == 1
-    assert witness["point"] is not None
+    assert witness == {"element": 1, "coordinate": 0, "point": "{'x1': -1, 'x2': 0}"}
+
+
+def test_refutation_witness_avoids_poles_of_the_moved_map(s2):
+    # the first candidate where the cleared sides differ is (0, -1), where
+    # F(gx) has a pole
+    x1, x2 = Poly.gens(s2.x_vars)
+    F = Covariant(s2, [RatFn(x1, x1 + 1), RatFn(x2, x2 + 2)])
+    witness = verify_equivariance(F).failed_checks()[0].witness
+    assert witness == {"element": 1, "coordinate": 0, "point": "{'x1': 0, 'x2': 1}"}
 
 
 def test_covariant_matrix_examples(vandermonde_pair):
@@ -283,7 +334,7 @@ def _holds_on_every_element(F) -> bool:
     """Test-local oracle: F(gx) = g_W F(x) for every element, by substitution."""
     G = F.action
     for i in G.elements():
-        subst = G.x_substitution(i, inverse=False)
+        subst = G.x_substitution(i)
         moved = [c.subs(subst, G.x_vars) for c in F.coords]
         w = G.w_mats[i]
         for c in range(G.w_dim):

@@ -275,9 +275,9 @@ def test_generate_s4_ranks_distinct_averages_and_verifies_what_it_keeps(monkeypa
         calls["rank"] += 1
         return rank(self)
 
-    def spy_x_subst(self, i, inverse=True, out_vars=None):
-        requested.add((i, inverse, tuple(out_vars or self.x_vars)))
-        return x_subst(self, i, inverse, out_vars)
+    def spy_x_subst(self, i, out_vars=None):
+        requested.add((i, tuple(out_vars or self.x_vars)))
+        return x_subst(self, i, out_vars)
 
     def spy_build(self, *args):
         calls["built"] += 1
@@ -291,8 +291,9 @@ def test_generate_s4_ranks_distinct_averages_and_verifies_what_it_keeps(monkeypa
     assert len(fam) == 4 and all(F.status == "equivariant" for F in fam)
     assert calls["verify"] == 4
     assert calls["rank"] == 8
-    # one table per element and direction, each built once
-    assert {(g, True, G.x_vars) for g in G.elements()} <= requested
+    # one table per element, each built once: averaging reads the table of
+    # every g^{-1}, and the equivariance checks share those tables
+    assert {(G.inv[g], G.x_vars) for g in G.elements()} <= requested
     assert calls["built"] == len(requested)
 
 
@@ -310,9 +311,11 @@ def test_generate_does_not_rank_a_multiple_of_an_earlier_average(monkeypatch):
 
 
 def test_substitution_tables_are_cached(s3):
-    assert s3.x_substitution(2) is s3.x_substitution(2, inverse=True, out_vars=s3.x_vars)
+    assert s3.x_substitution(2) is s3.x_substitution(2, out_vars=s3.x_vars)
     assert s3.w_substitution(2) is s3.w_substitution(2)
-    assert s3.x_substitution(2) is not s3.x_substitution(2, inverse=False)
+    assert s3.x_substitution(2) is not s3.x_substitution(3)
+    ring = s3.x_vars + s3.w_vars
+    assert s3.x_substitution(2, ring) is not s3.x_substitution(2)
 
 
 # The family generate_covariants returned for S5 at degree bound 5 before
