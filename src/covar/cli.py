@@ -61,12 +61,11 @@ from .reflect import (
     IndependenceCertificate,
     Reflection,
     Relation,
-    XSpaceFlags,
+    _relative_invariant_coefficients,
     find_reflections,
     lower_relation,
     module_independence_verdict,
     relation_over_function_field,
-    relative_invariant_relation,
 )
 from .report import Report
 
@@ -392,7 +391,7 @@ def load_certificate(path: str) -> tuple[NoNameMap, ProblemFile]:
     d = group.w_dim
     f = _certificate_entry(raw["f"], "f", group)
     weight = _parse_weight(raw["weight"], group)
-    # phi keeps its written denominator f, so phi_rows folds it once
+    # phi keeps its written denominator det N, so phi_rows folds it once
     phi = Matrix(_certificate_square(raw, "phi", group, reduce=False))
     phi_inv = Matrix(_certificate_square(raw, "phi_inv", group))
     covs = []
@@ -586,8 +585,7 @@ def cmd_relation(args) -> int:
                "kernel relation verified by expansion")
     hyp = problem.hypotheses
     if hyp.get("factorial_affine") and hyp.get("scalar_units"):
-        flags = XSpaceFlags(True, True, hyp.get("note", ""))
-        cleared = relative_invariant_relation(Fs, flags)
+        cleared = _relative_invariant_coefficients(found)
         report.add("relative_invariant_coefficients", cleared.verified,
                    "coefficients are relative invariants of one weight")
         report.data["invariant_coefficients"] = [str(h) for h in cleared.coeffs]

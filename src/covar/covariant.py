@@ -255,16 +255,16 @@ def coordinate_matrix(Fs: list[Covariant]) -> Matrix:
     for F in Fs:
         if F.action is not action:
             raise CovariantError("covariants do not share one action")
-    rational = any(F.is_rational for F in Fs)
-    cols = []
-    for F in Fs:
-        if rational:
-            cols.append([c if isinstance(c, RatFn) else RatFn(c, reduce=False)
-                         for c in F.coords])
-        else:
-            cols.append(F.poly_coords())
-    return Matrix([[cols[j][i] for j in range(len(Fs))]
-                   for i in range(action.w_dim)])
+    return Matrix([[F.coords[i] for F in Fs] for i in range(action.w_dim)])
+
+
+def cleared_rows(Fs: list[Covariant]) -> tuple[Matrix, list[Poly]]:
+    """The coordinate matrix written as diag(D)^-1 N: row r is N_r / D_r,
+    with D_r the common denominator of that row.  N is polynomial, so every
+    elimination on the frame (rank, kernel, minors, det, adjugate) runs
+    fraction-free on it; rank and kernel are those of the frame."""
+    rows = [common_denominator(row) for row in coordinate_matrix(Fs).entries]
+    return Matrix([nums for nums, _ in rows]), [den for _, den in rows]
 
 
 def covariant_matrix(Fs: list[Covariant]) -> Matrix:
@@ -284,10 +284,13 @@ class RelativeInvariant:
     weight: Character
     action: GroupAction = dc_field(repr=False, default=None)
     # Set where f is made as the determinant of certified columns, so later
-    # checks reuse them: the matrix f is the determinant of, and the verdict
-    # of the weight identity, which those columns imply.  They are not init
-    # fields, so a dataclasses.replace copy re-derives both.
+    # checks reuse them: the frame matrix F, its cleared rows (N, D) with
+    # det N, and the verdict of the weight identity, which those columns
+    # imply.  They are not init fields, so a dataclasses.replace copy
+    # re-derives them.
     frame: Matrix | None = dc_field(default=None, init=False, repr=False, compare=False)
+    cleared: tuple[Matrix, list[Poly], Poly] | None = dc_field(
+        default=None, init=False, repr=False, compare=False)
     verdict: bool | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -362,14 +365,16 @@ def det_relative_invariant(Fs: list[Covariant]) -> RelativeInvariant:
                 "det_relative_invariant requires verified covariants")
     action = Fs[0].action
     mat = covariant_matrix(Fs)
-    f = mat.det()
-    if isinstance(f, RatFn) and f.is_poly():
-        f = f.as_poly()
+    N, D = cleared_rows(Fs)
+    det = N.det()
+    # F = diag(D)^-1 N, so f = det N / prod D, in canonical form
+    f = RatFn(det, _product(*D))
+    f = f.num if f.is_poly() else f
     # every column is certified, F(gx) = g_W F(x), so
     # det F(gx) = det(g_W) det F(x): f has weight det(g_W)^{-1} with no
     # further substitution
     ri = RelativeInvariant(f, det_w_inverse_character(action), action)
-    ri.frame, ri.verdict = mat, True
+    ri.frame, ri.cleared, ri.verdict = mat, (N, D, det), True
     return ri
 
 
@@ -385,10 +390,7 @@ def evaluate_matrix(Fs: list[Covariant], point: dict) -> list[list]:
 
 
 def _symbolic_rank(Fs: list[Covariant]) -> int:
-    mat = coordinate_matrix(Fs)
-    if any(isinstance(x, RatFn) for row in mat.entries for x in row):
-        mat = mat.clear_row_denominators()
-    return mat.rank()
+    return cleared_rows(Fs)[0].rank()
 
 
 # witness candidates tried before any symbolic elimination

@@ -959,10 +959,12 @@ Entry = Union[Poly, RatFn]
 class Matrix:
     """Row-major matrix whose entries all live in one ring (Poly or RatFn).
 
-    Determinant and rank use fraction-free (Bareiss) elimination: every
-    division performed is exact, so the routines are valid over the
-    polynomial ring itself; over rational-function entries the same code
-    runs with ordinary field division.
+    Determinant, rank, kernel and adjugate use fraction-free (Bareiss)
+    elimination: every division performed is exact, so the routines are
+    valid over the polynomial ring itself.  The library eliminates on
+    polynomial entries only: a rational matrix is first written over its
+    row (or matrix) denominators.  RatFn entries are held, multiplied and
+    compared, as in the matrix phi of invertible rational functions.
     """
 
     __slots__ = ("entries", "rows", "cols")
@@ -1136,10 +1138,6 @@ class Matrix:
                     acc = acc + lifted[r][j] * vec[j]
             vec[c] = -acc / lifted[r][c]
         return vec
-
-    def clear_row_denominators(self) -> "Matrix":
-        """Scale each row by its common denominator; kernel and rank agree."""
-        return Matrix([common_denominator(row)[0] for row in self.entries])
 
     def __str__(self):
         return "[" + "; ".join(", ".join(str(x) for x in row) for row in self.entries) + "]"

@@ -21,7 +21,7 @@ from .covariant import (
     Covariant,
     CovariantError,
     EQUIVARIANT,
-    coordinate_matrix,
+    cleared_rows,
     verify_equivariance,
     weight_of,
 )
@@ -218,7 +218,7 @@ def generate_covariants(G: FiniteGroupAction, degree_bound: int) -> list[Covaria
                 continue
             seen.add(key)
             F = Covariant(G, coords)
-            if coordinate_matrix(kept + [F]).rank() > len(kept):
+            if cleared_rows(kept + [F])[0].rank() > len(kept):
                 _verify_averaged(F)
                 kept.append(F)
                 if len(kept) == d:

@@ -9,6 +9,8 @@ is an equivariant isomorphism between X_f x W and X_f x k^d over the open
 set X_f where f = det(F) does not vanish, with inverse
 (x, a) -> (x, sum_i a_i F_i(x)).  The coordinates Phi_i are invariant
 rational functions and generate the invariant field of X x W over that of X.
+F may be rational: written as diag(D)^-1 N with N polynomial, it gives
+Phi = adj(N) diag(D)/det(N).
 
 The frame F is the certificate: once phi * F = I and F * phi = I are
 checked over k(X)_f, the generators Phi_i are invariant exactly when the d
@@ -101,13 +103,15 @@ def _dot(row: list[Poly], vec: list[Poly]) -> Poly:
 class NoNameMap:
     """The pair of mutually inverse equivariant maps over X_f.
 
-    ``phi`` is the d x d matrix of invariant rational functions, stored with
-    the relative invariant f as one shared denominator (the adjugate shape),
-    and ``phi_inv`` is the covariant matrix F, so that phi * phi_inv is the
-    identity over the localization at f.  ``phi_rows`` and ``frame_rows``
-    hold the two matrices written over one denominator per matrix, as
-    (numerator rows, denominator).  They are computed once per map, so
-    ``phi`` and ``phi_inv`` must not be reassigned.
+    ``phi`` is the d x d matrix of invariant rational functions, stored as
+    adj(N) diag(D) / det(N) over the one shared denominator det(N), where
+    F = diag(D)^-1 N has each row cleared of its denominator (for a
+    polynomial frame, adj(F)/f); ``phi_inv`` is the covariant matrix F, so
+    that phi * phi_inv is the identity over the localization at f.
+    ``phi_rows`` and ``frame_rows`` hold the two matrices written over one
+    denominator per matrix, as (numerator rows, denominator).  They are
+    computed once per map, so ``phi`` and ``phi_inv`` must not be
+    reassigned.
     """
 
     action: GroupAction
@@ -165,15 +169,12 @@ def build_isomorphism(Fs: list[Covariant], out_vars: tuple[str, ...] | None = No
     if ri.is_zero:
         raise DependentCovariantsError(
             "covariants are generically dependent (determinant vanishes)")
-    F_mat = ri.frame
-    adj = F_mat.adjugate()
-    f = ri.f
-    if isinstance(f, RatFn):
-        phi = adj.map(lambda e: (e if isinstance(e, RatFn) else RatFn(e, reduce=False)) / f)
-    else:
-        phi = adj.map(lambda e: RatFn(e, f, reduce=False))
+    # F = diag(D)^-1 N, so phi = F^-1 = adj(N) diag(D) / det N
+    N, D, det = ri.cleared
+    phi = Matrix([[RatFn(e * D[j], det, reduce=False) for j, e in enumerate(row)]
+                  for row in N.adjugate().entries])
     out_vars = tuple(out_vars) if out_vars else _pick_out_vars(action, len(Fs))
-    m = NoNameMap(action, ri, phi, F_mat, action.w_vars, out_vars, list(Fs))
+    m = NoNameMap(action, ri, phi, ri.frame, action.w_vars, out_vars, list(Fs))
     m.report = verify_isomorphism(m)
     if not m.report.ok:
         raise IsomorphismError("failed checks: " + ", ".join(
@@ -199,6 +200,14 @@ def _product_is_identity(left, right) -> bool:
             if _dot(row, col) != (scale if i == j else zero):
                 return False
     return True
+
+
+def _is_frame_determinant(m: NoNameMap) -> bool:
+    """f == det(phi_inv) as one cleared identity: with the frame fn/fd and
+    f = num/den, num * fd^d == det(fn) * den."""
+    fn, fd = m.frame_rows
+    (num,), den = common_denominator([m.f])
+    return num * fd ** m.dim == Matrix(fn).det() * den
 
 
 def _round_trip_failures(m: NoNameMap) -> list[str]:
@@ -265,7 +274,7 @@ def verify_isomorphism(m: NoNameMap) -> Report:
         report.add("f_nonzero", not m.f.is_zero(), "denominator is not zero")
         # f made as det(phi_inv) by det_relative_invariant needs no second det
         report.add("f_equals_det_of_frame",
-                   m.invariant.frame is m.phi_inv or bool(m.f == m.phi_inv.det()),
+                   m.invariant.frame is m.phi_inv or _is_frame_determinant(m),
                    "localization denominator equals the frame determinant")
 
         expected = det_w_inverse_character(action)
@@ -405,13 +414,9 @@ def _map_invariance_failure(coords: list[Poly], action: GroupAction, ring):
     return None
 
 
-def _unit_inverse(det: Poly | RatFn, f: Poly | None, action: GroupAction) -> RatFn | None:
+def _unit_inverse(det: Poly, f: Poly | None, action: GroupAction) -> RatFn | None:
     """1/det as a RatFn when det is a unit in k[X] (constant) or in the
     localization k[X]_f (an exact divisor of some f^k); None otherwise."""
-    if isinstance(det, RatFn):
-        det = det.as_poly() if det.is_poly() else None
-        if det is None:
-            return None
     if det.is_zero():
         return None
     one = Poly.one(action.x_vars, action.field)

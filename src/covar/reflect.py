@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from .action import FiniteGroupAction
 from .covariant import (
     Covariant,
-    coordinate_matrix,
+    cleared_rows,
     generic_independence,
     weight_of,
 )
@@ -26,6 +26,7 @@ from .exactalg import (
     Matrix,
     Poly,
     RatFn,
+    common_denominator,
     field_one,
     qmat_rank,
 )
@@ -66,18 +67,13 @@ class Relation:
         return max(degs)
 
     def check(self) -> bool:
-        """Exact verification that sum h_i F_i is the zero vector."""
-        action = self.covariants[0].action
-        d = action.w_dim
-        for c in range(d):
-            acc = None
-            for h, F in zip(self.coeffs, self.covariants):
-                term = h * F.coords[c] if not isinstance(F.coords[c], RatFn) \
-                    else (h if isinstance(h, RatFn) else RatFn(h, reduce=False)) * F.coords[c]
-                acc = term if acc is None else acc + term
-            if not acc.is_zero():
-                return False
-        return True
+        """Exact verification that sum h_i F_i is the zero vector: with the
+        coefficients over one denominator and row r of the frame as
+        N_r / D_r, one polynomial identity sum_i h_i N_ri = 0 per row."""
+        hs, _ = common_denominator(self.coeffs)
+        N, _ = cleared_rows(self.covariants)
+        zero = hs[0].ring_zero()
+        return all(not sum((h * e for h, e in zip(hs, row)), zero) for row in N.entries)
 
     def verify(self) -> "Relation":
         self.verified = self.check()
@@ -92,7 +88,7 @@ class IndependenceCertificate:
 
     rows: list[int]
     cols: list[int]
-    minor: object  # Poly | RatFn
+    minor: Poly
 
     def __str__(self):
         return (f"minor on rows {self.rows}, columns {self.cols}: {self.minor}")
@@ -102,21 +98,19 @@ def relation_over_function_field(Fs: list[Covariant]):
     """A kernel vector of the coordinate matrix over k(X), normalized so the
     last nonzero coefficient is 1, or an :class:`IndependenceCertificate`.
 
-    Coefficients that happen to be polynomial are returned as Poly.
+    Both come from the cleared rows N of the frame, which have its kernel;
+    the certificate is a nonzero maximal minor of N.  Coefficients that
+    happen to be polynomial are returned as Poly.
     """
-    mat = coordinate_matrix(Fs)
-    work = mat
-    if any(isinstance(x, RatFn) for row in mat.entries for x in row):
-        work = mat.clear_row_denominators()
-    kernel = work.kernel_vector()
+    N, _ = cleared_rows(Fs)
+    kernel = N.kernel_vector()
     if kernel is None:
-        return _independence_certificate(work)
+        return _independence_certificate(N)
     coeffs = []
     for v in kernel:
         v = v.reduced()
         coeffs.append(v.as_poly() if v.is_poly() else v)
-    rel = Relation(coeffs, list(Fs)).verify()
-    return rel
+    return Relation(coeffs, list(Fs)).verify()
 
 
 def _independence_certificate(mat: Matrix) -> IndependenceCertificate:
@@ -149,7 +143,7 @@ def relative_invariant_relation(Fs: list[Covariant], flags: XSpaceFlags) -> Rela
     Requires the caller to assert that X is factorial affine with only
     scalar units; under those hypotheses the numerator and denominator of
     each invariant kernel coefficient are themselves relative invariants,
-    and multiplying the relation through by the product of denominators
+    and multiplying the relation through by the least common denominator
     leaves relative-invariant coefficients of equal weight.
     """
     if not (flags.factorial_affine and flags.scalar_units):
@@ -160,14 +154,15 @@ def relative_invariant_relation(Fs: list[Covariant], flags: XSpaceFlags) -> Rela
     if isinstance(found, IndependenceCertificate):
         raise NoDependenceError(
             f"family is generically independent ({found})")
-    action = Fs[0].action
-    lifted = [h if isinstance(h, RatFn) else RatFn(h, reduce=False) for h in found.coeffs]
-    product = Poly.one(action.x_vars, action.field)
-    for h in lifted:
-        product = product * h.den
-    coeffs: list[Poly] = []
-    for h in lifted:
-        coeffs.append(h.num * product.exact_div(h.den))
+    return _relative_invariant_coefficients(found)
+
+
+def _relative_invariant_coefficients(rel: Relation) -> Relation:
+    """The verified relation ``rel`` over its coefficients' common
+    denominator, each coefficient checked to be a relative invariant of one
+    common weight (the factorial-affine, scalar-units hypotheses)."""
+    action = rel.covariants[0].action
+    coeffs, _ = common_denominator(rel.coeffs)
     weights = []
     for i, h in enumerate(coeffs):
         if h.is_zero():
@@ -183,8 +178,7 @@ def relative_invariant_relation(Fs: list[Covariant], flags: XSpaceFlags) -> Rela
     if any(w != nonzero[0] for w in nonzero[1:]):
         raise HypothesisError("coefficient weights differ; the asserted "
                               "hypotheses on X are violated")
-    rel = Relation(coeffs, list(Fs)).verify()
-    return rel
+    return Relation(coeffs, rel.covariants).verify()
 
 
 # ---------------------------------------------------------------------------

@@ -509,3 +509,117 @@ def test_golden_outputs(golden_name, argv):
     code, out, _ = run_cli(argv)
     assert code == expected_code
     assert strip_volatile(json.loads(out)) == golden
+
+
+# -- rational frames and padded symbolic checks ------------------------------------
+
+_SWAP_GROUP = {"type": "finite", "generators": [{"x": _SWAP, "w": _SWAP}]}
+_SWAP_RATIONAL = ["(x1)/(x1 + x2)", "(x2)/(x1 + x2)"]
+_RATIONAL_FAMILIES = {
+    # det F = x1*x2^2 - x1^2*x2, a polynomial, from a rational column
+    "polynomial-determinant": [_SWAP_RATIONAL, ["x1^3 + x1^2*x2", "x1*x2^2 + x2^3"]],
+    # det F = (x1*x2^2 - x1^2*x2)/(x1 + x2)
+    "rational-determinant": [_SWAP_RATIONAL, ["x1^2", "x2^2"]],
+}
+
+
+def _write_problem(tmp_path, payload, name="problem.json") -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _machine(argv):
+    code, out, err = run_cli([*argv, "--format", "machine"])
+    return code, (json.loads(out)["report"] if out else None), err
+
+
+def test_relation_certificate_on_a_rational_family():
+    code, report, _ = _machine(["relation", "rational_swap"])
+    assert code == 0
+    assert report["data"] == {"outcome": "independent", "certificate_minor": "x1"}
+    assert "rows [0], columns [0]: x1" in report["checks"][0]["detail"]
+
+
+def test_relation_coefficients_on_a_rational_family(tmp_path):
+    path = _write_problem(tmp_path, {"group": _SWAP_GROUP,
+                                     "covariants": [_SWAP_RATIONAL, ["x1", "x2"]]})
+    code, report, _ = _machine(["relation", path])
+    assert code == 0
+    assert report["data"]["coefficients"] == ["-x2 - x1", "1"]
+
+
+@pytest.mark.parametrize("last,code", [("a22 + a12*a21 + a22^2", 0),
+                                       ("a22 + a12*a21 + 2*a22^2", 1)],
+                         ids=["a-plus-a-squared", "perturbed"])
+def test_verify_pads_det_powers_of_a_non_homogeneous_covariant(tmp_path, last, code):
+    # A + A^2 mixes degrees 1 and 2, so its cleared images carry different
+    # det powers and the check has to pad them to one
+    group = {"type": "symbolic", "n": 2, "x_template": "gl_conjugation",
+             "w_template": "gl_conjugation", "x_copies": 1, "w_copies": 1}
+    coords = ["a11 + a11^2 + a12*a21", "a12 + a11*a12 + a12*a22",
+              "a21 + a11*a21 + a21*a22", last]
+    path = _write_problem(tmp_path, {"group": group, "covariants": [coords]})
+    assert run_cli(["verify", path])[0] == code
+
+
+def test_independence_without_a_rational_witness(tmp_path):
+    # x1^2 + x1 vanishes at every point of GF(2) but not as a polynomial
+    path = _write_problem(tmp_path, {
+        "field": {"prime": 2},
+        "group": {"type": "finite", "generators": [{"x": [["1"]], "w": [["1"]]}]},
+        "covariants": [["x1^2 + x1"]]})
+    code, report, _ = _machine(["independence", path])
+    assert code == 0
+    assert report["data"]["rank"] == 1
+    assert report["checks"][0]["detail"] == (
+        "rank 1 = family size; no rational witness found in the search budget")
+
+
+@pytest.mark.parametrize("family", list(_RATIONAL_FAMILIES), ids=list(_RATIONAL_FAMILIES))
+def test_noname_on_a_rational_frame(tmp_path, family):
+    path = _write_problem(tmp_path, {"group": _SWAP_GROUP,
+                                     "covariants": _RATIONAL_FAMILIES[family]})
+    cert = tmp_path / "cert.json"
+    code, _, err = run_cli(["noname-build", path, "--out", str(cert)])
+    assert code == 0, err
+    assert run_cli(["noname-verify", str(cert)])[0] == 0
+    payload = json.loads(cert.read_text())
+    dens = {e.rpartition("/")[2] for row in payload["phi"] for e in row}
+    assert len(dens) == 1 and "(" in dens.pop()
+    payload["phi"].reverse()
+    swapped = _write_problem(tmp_path, payload, "swapped.json")
+    assert run_cli(["noname-verify", swapped])[0] == 1
+
+
+@pytest.mark.parametrize("family", list(_RATIONAL_FAMILIES), ids=list(_RATIONAL_FAMILIES))
+def test_no_elimination_sees_rational_entries(tmp_path, monkeypatch, family):
+    from covar.exactalg import RatFn
+
+    def refuse(self, other):
+        raise AssertionError("elimination over rational-function entries")
+
+    monkeypatch.setattr(RatFn, "exact_div", refuse)
+    path = _write_problem(tmp_path, {"group": _SWAP_GROUP,
+                                     "covariants": _RATIONAL_FAMILIES[family]})
+    cert = str(tmp_path / "cert.json")
+    for argv in (["independence", path], ["relation", path],
+                 ["noname-build", path, "--out", cert], ["noname-verify", cert]):
+        code, _, err = run_cli(argv)
+        assert code == 0, (argv, err)
+
+
+def test_relation_with_x_flags_runs_one_kernel_elimination(monkeypatch):
+    from covar.exactalg import Matrix
+
+    calls = []
+    kernel_vector = Matrix.kernel_vector
+
+    def counting(self):
+        calls.append(self.rows)
+        return kernel_vector(self)
+
+    monkeypatch.setattr(Matrix, "kernel_vector", counting)
+    code, report, _ = _machine(["relation", "powers_s2_cubic"])
+    assert code == 0 and "invariant_coefficients" in report["data"]
+    assert len(calls) == 1

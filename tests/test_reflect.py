@@ -107,6 +107,22 @@ def test_relation_and_independence_never_disagree(s2, cubic_family,
         assert independent == generic_independence(fam).ok
 
 
+@pytest.mark.parametrize("rational", [False, True], ids=["polynomial", "rational"])
+def test_relation_check_covers_every_row(s2, rational):
+    """The coefficients (x1 + x2, -1) cancel the first row of the frame but
+    not the second, so the relation is refused."""
+    from covar.covariant import Covariant
+
+    x1, x2 = Poly.gens(s2.x_vars)
+    e1 = x1 + x2
+    first = [RatFn(x1 * e1, e1, reduce=False), RatFn(x2, e1)] if rational else [x1, x2]
+    rel = Relation([e1, -Poly.one(s2.x_vars)], [Covariant(s2, first),
+                                                Covariant(s2, [x1 * e1, x1 * e1])])
+    assert not rel.check()
+    with pytest.raises(ReflectError):
+        rel.verify()
+
+
 def test_relative_invariant_relation_cubic(cubic_family):
     rel = relative_invariant_relation(cubic_family, FLAGS)
     G = cubic_family[0].action
