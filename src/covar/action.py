@@ -185,9 +185,6 @@ class FiniteGroupAction:
             raise DimensionError("polynomial does not live on the X-space")
         return p.subs(self.x_substitution(self.inv[i], p.vars), p.vars)
 
-    def describe(self) -> str:
-        return f"finite group of order {self.order} on {self.x_dim}-dim X, {self.w_dim}-dim W"
-
 
 def make_finite_group(generators: list[tuple], x_vars: tuple[str, ...] | None = None,
                       w_vars: tuple[str, ...] | None = None, max_order: int = 10_000,
@@ -542,10 +539,6 @@ class SymbolicGroupAction:
         if isinstance(p, RatFn):
             return moved(p.num) / moved(p.den)
         return moved(p)
-
-    def describe(self) -> str:
-        return (f"generic GL_{self.n} element ({self.x_spec.kind} on X, "
-                f"{self.w_spec.kind} on W)")
 
 
 _TEMPLATES = {"gl_conjugation": "conjugation", "gl_natural": "natural",

@@ -705,10 +705,12 @@ def build_parser() -> argparse.ArgumentParser:
                            "(certificate file for noname-verify)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized witness search (default 0)")
-        p.add_argument("--degree-bound", type=int, default=3, dest="degree_bound",
-                       help="degree bound for generate (default 3)")
-        p.add_argument("--out", default=None,
-                       help="write the certificate / result payload to this path")
+        if name == "generate":
+            p.add_argument("--degree-bound", type=int, default=3, dest="degree_bound",
+                           help="degree bound (default 3)")
+        if name in ("noname-build", "generate"):
+            p.add_argument("--out", default=None,
+                           help="write the certificate / result payload to this path")
         p.add_argument("--format", choices=("text", "machine"), default="text",
                        help="report format on stdout")
         p.set_defaults(fn=fn)

@@ -22,7 +22,6 @@ from .exactalg import (
     common_denominator,
     int_rank_det,
     lift_coeff,
-    qmat_rank_det,
 )
 from .report import Report, Stopwatch
 
@@ -459,6 +458,7 @@ class _IntegerColumns:
 
     def __init__(self, Fs: list[Covariant]):
         self.field = Fs[0].action.field
+        self.p = None if self.field is None else self.field.p
         self.nums, self.dens, self.scales = [], [], []
         for F in Fs:
             nums, den = common_denominator(F.coords)
@@ -474,7 +474,7 @@ class _IntegerColumns:
 
     def powers(self, point) -> list[list[int]]:
         """Per coordinate, its powers up to the largest exponent used."""
-        p = self.field.p if self.field is not None else None
+        p = self.p
         table = []
         for x, top in zip(point, self.max_exp):
             row = [1]
@@ -482,6 +482,11 @@ class _IntegerColumns:
                 row.append(row[-1] * x if p is None else row[-1] * x % p)
             table.append(row)
         return table
+
+    def den_values(self, powers: list[list[int]]) -> list[int]:
+        """Each column's denominator at the point, mod p over GF(p)."""
+        vals = [_eval_int(den, powers) for den in self.dens]
+        return vals if self.p is None else [v % self.p for v in vals]
 
 
 def _coeff_lcm(polys: list[Poly]) -> int:
@@ -517,31 +522,25 @@ def _independence_witness(Fs: list[Covariant], points):
 
     Points where a column's denominator vanishes are skipped: it is the lcm
     of the entry denominators, so these are exactly the points where an
-    entry is undefined.  Over Q the rank and
-    the minor come from one integer Bareiss elimination of the compiled
-    numerators, the minor being det(N) * prod(scale_j / D_j); over GF(p) the
-    integer values are reduced and eliminated in the field."""
+    entry is undefined.  The rank and the minor come from one integer
+    Bareiss elimination of the compiled numerators, over Z or over GF(p),
+    the minor being det(N) * prod(scale_j / D_j)."""
     action = Fs[0].action
     cols = _IntegerColumns(Fs)
-    field = cols.field
+    lift = Fraction if cols.field is None else cols.field
     full = min(len(Fs), action.w_dim)
     for point in points:
         powers = cols.powers(point)
-        dens = [_eval_int(den, powers) for den in cols.dens]
-        if field is not None:
-            dens = [field(v) for v in dens]
+        dens = cols.den_values(powers)
         if not all(dens):
             continue
         rows = list(zip(*[[_eval_int(num, powers) for num in col] for col in cols.nums]))
-        if field is None:
-            rank, minor = int_rank_det(rows)
-            if rank == full and minor is not None:
-                minor = Fraction(minor)
-                for scale, den in zip(cols.scales, dens):
-                    minor = minor * scale / den
-        else:
-            rows = [[field(v) / den for v, den in zip(row, dens)] for row in rows]
-            rank, minor = qmat_rank_det(rows, field)
-        if rank == full:
-            return _point_dict(action.x_vars, point, field), minor
+        rank, minor = int_rank_det(rows, cols.p)
+        if rank < full:
+            continue
+        if minor is not None:
+            minor = lift(minor)
+            for scale, den in zip(cols.scales, dens):
+                minor = minor * scale / den
+        return _point_dict(action.x_vars, point, cols.field), minor
     return None

@@ -20,6 +20,8 @@ intermediate divisions are exact over any integral domain.
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -1075,32 +1077,8 @@ class Matrix:
     def _echelon_ff(self) -> tuple[list[list[Entry]], list[int], int]:
         """Fraction-free (Bareiss) row echelon; returns (rows, pivot column
         indices, sign of the row permutation)."""
-        like = self.entries[0][0] if self.rows else None
         m = [row[:] for row in self.entries]
-        pivots: list[int] = []
-        sign = 1
-        r = 0
-        prev = like.ring_one() if like is not None else None
-        for c in range(self.cols):
-            if r >= self.rows:
-                break
-            pivot_row = None
-            for i in range(r, self.rows):
-                if m[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            if pivot_row != r:
-                m[r], m[pivot_row] = m[pivot_row], m[r]
-                sign = -sign
-            for i in range(r + 1, self.rows):
-                for j in range(c + 1, self.cols):
-                    m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]).exact_div(prev)
-                m[i][c] = like.ring_zero()
-            prev = m[r][c]
-            pivots.append(c)
-            r += 1
+        pivots, sign = _bareiss(m, lambda a, b: a.exact_div(b))
         return m, pivots, sign
 
     def rank(self) -> int:
@@ -1113,37 +1091,81 @@ class Matrix:
 
     def kernel_vector(self) -> list[RatFn] | None:
         """One kernel vector over the fraction field, or None if full column
-        rank.  The last free column carries coefficient 1, earlier free
-        columns 0, so the last nonzero coefficient of the output is 1."""
+        rank; see :func:`echelon_kernel`."""
         if self.rows == 0 or self.cols == 0:
             return None
-        echelon, pivots, _ = self._echelon_ff()
-        if len(pivots) == self.cols:
-            return None
-        free = [c for c in range(self.cols) if c not in pivots]
-        target = free[-1]
-        ring_vars = self.entries[0][0].vars
-        field = self.entries[0][0].field
-        zero = RatFn.zero(ring_vars, field)
-        one = RatFn.one(ring_vars, field)
-        vec: list[RatFn] = [zero] * self.cols
-        vec[target] = one
-        lifted = [[x if isinstance(x, RatFn) else RatFn(x, reduce=False) for x in row]
-                  for row in echelon]
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            acc = zero
-            for j in range(c + 1, self.cols):
-                if lifted[r][j] and vec[j]:
-                    acc = acc + lifted[r][j] * vec[j]
-            vec[c] = -acc / lifted[r][c]
-        return vec
+        return echelon_kernel(*self._echelon_ff()[:2])
 
     def __str__(self):
         return "[" + "; ".join(", ".join(str(x) for x in row) for row in self.entries) + "]"
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
+
+
+def _bareiss(m: list[list], div) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) row echelon of ``m`` in place, over any
+    integral domain whose exact division is ``div(a, b)``; returns the pivot
+    columns and the sign of the row permutation.
+
+    After the step on pivot k every entry below it is a (k+1)-minor of the
+    row-permuted input, so each division by the previous pivot is exact,
+    and the last pivot is the minor on the pivot rows and columns.  A row
+    with a zero in the pivot column is left alone when the pivot equals the
+    previous one, as the step would only multiply it by one.
+    """
+    pivots: list[int] = []
+    sign, prev, n = 1, 1, len(m)
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == n:
+            break
+        for k in range(r, n):
+            if m[k][c]:
+                break
+        else:
+            continue
+        if k != r:
+            m[r], m[k] = m[k], m[r]
+            sign = -sign
+        p, tail = m[r][c], m[r][c + 1:]
+        zero = p - p
+        for row in m[r + 1:]:
+            f = row[c]
+            if f or p != prev:
+                row[c + 1:] = [div(p * x - f * y, prev) for x, y in zip(row[c + 1:], tail)]
+                row[c] = zero
+        prev = p
+        pivots.append(c)
+    return pivots, sign
+
+
+def echelon_kernel(echelon: list[list[Poly]], pivots: list[int]) -> list[RatFn] | None:
+    """One kernel vector of a polynomial matrix over the fraction field,
+    from its Bareiss echelon and pivot columns, or None if every column is
+    a pivot.
+
+    The last free column carries the last pivot d, which is the minor on
+    the pivot rows and columns, and earlier free columns carry 0.  The
+    pivot coordinates are then Cramer's numerators, polynomials, so every
+    division of the back substitution is exact.  Dividing by d at the end
+    makes the last nonzero coefficient 1.
+    """
+    cols = len(echelon[0])
+    free = [c for c in range(cols) if c not in pivots]
+    if not free:
+        return None
+    target, r = free[-1], len(pivots)
+    d = echelon[r - 1][pivots[-1]] if pivots else echelon[0][0].ring_one()
+    zero = d.ring_zero()
+    vec = [zero] * cols
+    vec[target] = d
+    for k in range(r - 1, -1, -1):
+        c, row = pivots[k], echelon[k]
+        acc = sum((row[j] * vec[j] for j in range(c + 1, cols) if row[j] and vec[j]), zero)
+        vec[c] = (-acc).exact_div(row[c])
+    one = RatFn(d.ring_one())
+    return [one if j == target else RatFn(x, d) for j, x in enumerate(vec)]
 
 
 # ---------------------------------------------------------------------------
@@ -1215,64 +1237,38 @@ def qmat_rank(a: Sequence[Sequence[Coeff]]) -> int:
 def qmat_rank_det(a: Sequence[Sequence[Coeff]], field: PrimeField | None = None
                   ) -> tuple[int, Coeff | None]:
     """Rank of a scalar matrix and, when it is square, its determinant (None
-    otherwise), from one Gaussian elimination that skips zero entries."""
-    rows = [list(r) for r in a]
-    pivots: list[Coeff] = []
-    sign = 1
-    for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            sign = -sign
-        for i in range(r + 1, len(rows)):
-            if rows[i][c]:
-                f = rows[i][c] / rows[r][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(rows[r][c])
-        if len(pivots) == len(rows):
-            break
-    if any(len(row) != len(rows) for row in rows):
+    otherwise), by :func:`int_rank_det`.  Over GF(p), given or read off the
+    entries, it eliminates the representatives; over Q each row is scaled
+    to integers by the lcm of its denominators, which the determinant
+    divides back out."""
+    field = field or next((x.field for row in a for x in row if isinstance(x, FpElem)), None)
+    if field is not None:
+        rank, det = int_rank_det([[lift_coeff(x, field).val for x in row] for row in a], field.p)
+        return rank, None if det is None else field(det)
+    scales = [math.lcm(*(x.denominator for x in row)) for row in a]
+    rank, det = int_rank_det([[x.numerator * (s // x.denominator) for x in row]
+                              for row, s in zip(a, scales)])
+    return rank, None if det is None else Fraction(det, math.prod(scales))
+
+
+def int_rank_det(a: Sequence[Sequence[int]], p: int | None = None) -> tuple[int, int | None]:
+    """Rank of an integer matrix and, when it is square, its determinant
+    (None otherwise), by the Bareiss elimination over Z, or over GF(p) on
+    the representatives in [0, p) when ``p`` is given."""
+    if p is None:
+        rows = [list(r) for r in a]
+        div = operator.floordiv
+    else:
+        rows = [[x % p for x in r] for r in a]
+        div = lambda x, y: x * pow(y, -1, p) % p  # noqa: E731
+    pivots, sign = _bareiss(rows, div)
+    if rows and len(rows[0]) != len(rows):
         return len(pivots), None
     if len(pivots) < len(rows):
-        return len(pivots), field_zero(field)
-    det = field_one(field)
-    for p in pivots:
-        det = det * p
-    return len(pivots), det if sign == 1 else -det
-
-
-def int_rank_det(a: Sequence[Sequence[int]]) -> tuple[int, int | None]:
-    """Rank of an integer matrix and, when it is square, its determinant
-    (None otherwise), by one fraction-free (Bareiss) elimination.  Every
-    entry after step k is a (k+1)-minor of ``a``, so each division by the
-    previous pivot is exact and the work stays in Python ints."""
-    rows = [list(r) for r in a]
-    n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
-    rank, sign, prev = 0, 1, 1
-    for c in range(n_cols):
-        pivot = next((i for i in range(rank, n_rows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        if pivot != rank:
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            sign = -sign
-        top = rows[rank]
-        p = top[c]
-        for i in range(rank + 1, n_rows):
-            f = rows[i][c]
-            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
-        prev = p
-        rank += 1
-        if rank == n_rows:
-            break
-    if n_cols != n_rows:
-        return rank, None
-    if rank < n_rows:
-        return rank, 0
-    return rank, prev if sign == 1 else -prev
+        return len(pivots), 0
+    det = rows[-1][-1] if rows else 1
+    det = det if sign == 1 else -det
+    return len(pivots), det if p is None else det % p
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .exactalg import (
     Poly,
     RatFn,
     common_denominator,
+    echelon_kernel,
     field_one,
     qmat_rank,
 )
@@ -103,21 +104,18 @@ def relation_over_function_field(Fs: list[Covariant]):
     happen to be polynomial are returned as Poly.
     """
     N, _ = cleared_rows(Fs)
-    kernel = N.kernel_vector()
+    echelon, pivots, _ = N._echelon_ff()
+    kernel = echelon_kernel(echelon, pivots)
     if kernel is None:
-        return _independence_certificate(N)
-    coeffs = []
-    for v in kernel:
-        v = v.reduced()
-        coeffs.append(v.as_poly() if v.is_poly() else v)
+        return _independence_certificate(N, pivots)
+    coeffs = [v.as_poly() if v.is_poly() else v for v in kernel]
     return Relation(coeffs, list(Fs)).verify()
 
 
-def _independence_certificate(mat: Matrix) -> IndependenceCertificate:
-    """The minor on the pivot columns and, among the rows, the first that
-    are independent on them: the pivot columns of the transposed submatrix,
-    in ascending order."""
-    _, pivots, _ = mat._echelon_ff()
+def _independence_certificate(mat: Matrix, pivots: list[int]) -> IndependenceCertificate:
+    """The minor on the pivot columns of ``mat`` and, among the rows, the
+    first that are independent on them: the pivot columns of the transposed
+    submatrix, in ascending order."""
     sub = Matrix([[mat.entries[r][c] for c in pivots] for r in range(mat.rows)])
     _, rows, _ = sub.transpose()._echelon_ff()
     minor = Matrix([sub.entries[r] for r in rows]).det()

@@ -16,6 +16,7 @@ from covar.cli import (
     main,
     parse_problem,
 )
+from test_noname import _power_map_problem
 
 HERE = os.path.dirname(__file__)
 GOLDEN = os.path.join(HERE, "golden")
@@ -609,17 +610,45 @@ def test_no_elimination_sees_rational_entries(tmp_path, monkeypatch, family):
         assert code == 0, (argv, err)
 
 
-def test_relation_with_x_flags_runs_one_kernel_elimination(monkeypatch):
+@pytest.mark.parametrize("problem,outcome,eliminations", [
+    # the frame N once, then the certificate's transposed pivot columns and its minor
+    ("s4_power_maps", "independent", 3),
+    ("vandermonde_s2", "independent", 3),
+    # the kernel comes from the one echelon of N, also under the X-space flags
+    ("powers_s2_cubic", "relation", 1),
+])
+def test_relation_eliminates_the_frame_once(tmp_path, monkeypatch, problem, outcome,
+                                            eliminations):
     from covar.exactalg import Matrix
 
     calls = []
-    kernel_vector = Matrix.kernel_vector
+    echelon_ff = Matrix._echelon_ff
 
     def counting(self):
         calls.append(self.rows)
-        return kernel_vector(self)
+        return echelon_ff(self)
 
-    monkeypatch.setattr(Matrix, "kernel_vector", counting)
-    code, report, _ = _machine(["relation", "powers_s2_cubic"])
-    assert code == 0 and "invariant_coefficients" in report["data"]
-    assert len(calls) == 1
+    monkeypatch.setattr(Matrix, "_echelon_ff", counting)
+    if problem == "s4_power_maps":
+        problem = _write_problem(tmp_path, _power_map_problem(4))
+    code, report, _ = _machine(["relation", problem])
+    assert code == 0 and report["data"]["outcome"] == outcome
+    assert len(calls) == eliminations
+    if outcome == "relation":
+        assert "invariant_coefficients" in report["data"]
+
+
+@pytest.mark.parametrize("command,option", [
+    ("verify", ["--out", "X"]),
+    ("relation", ["--out", "X"]),
+    ("independence", ["--degree-bound", "2"]),
+    ("noname-build", ["--degree-bound", "2"]),
+])
+def test_options_only_where_they_act(tmp_path, monkeypatch, command, option):
+    """--out belongs to noname-build and generate, --degree-bound to
+    generate; elsewhere they are usage errors, and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "vandermonde_s2", *option])
+    assert exc.value.code == 2
+    assert os.listdir(tmp_path) == []

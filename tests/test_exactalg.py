@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from covar.exactalg import (
     DimensionError,
@@ -442,11 +444,32 @@ def int_matrices(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(int_matrices())
-def test_int_rank_det_matches_qmat_rank_det(rows):
+@given(int_matrices(), st.sampled_from([2, 3, 7, 10**9 + 7]))
+def test_int_rank_det_matches_sympy(rows, p):
+    """The Bareiss elimination over Z and over GF(p) against sympy's
+    Matrix and DomainMatrix over GF(p)."""
+    square = len(rows) == len(rows[0])
     rank, det = int_rank_det(rows)
-    assert (rank, det) == qmat_rank_det(qmat(rows))
+    expected = sympy.Matrix(rows)
+    assert rank == expected.rank()
+    assert det == (expected.det() if square else None)
     assert det is None or type(det) is int
+    K = sympy.GF(p)
+    mod_p = DomainMatrix.from_list(rows, sympy.ZZ).convert_to(K)
+    rank, det = int_rank_det(rows, p)
+    assert rank == mod_p.rank()
+    assert det == (int(mod_p.det()) % p if square else None)
+
+
+def test_scalar_rank_reads_the_field_off_prime_field_entries():
+    F5 = PrimeField(5)
+    swap_minus_one = qmat([["-1", "1"], ["1", "-1"]], F5)
+    assert qmat_rank(swap_minus_one) == 1
+    # 2 and 3 are dependent mod 5 only: 2*4 - 3*1 = 5
+    rows = qmat([["2", "3"], ["1", "4"]], F5)
+    assert qmat_rank(rows) == 1 and qmat_rank_det(rows) == (1, F5(0))
+    assert qmat_rank(qmat([["2", "3"], ["1", "4"]])) == 2
+    assert qmat_rank_det(qmat([["1", "2"], ["3", "4"]], F5)) == (2, F5(3))
 
 
 def test_int_rank_det_examples():
@@ -456,6 +479,8 @@ def test_int_rank_det_examples():
     assert int_rank_det([[1, 2, 3], [2, 4, 6]]) == (1, None)
     assert int_rank_det([[0, 0], [0, 0], [0, 0]]) == (0, None)
     assert int_rank_det([]) == qmat_rank_det(()) == (0, 1)
+    assert int_rank_det([[3, 1], [1, 5]], 7) == (1, 0)
+    assert int_rank_det([[3, 1], [1, 4]], 7) == (2, 4)
 
 
 # -- prime-field mode ---------------------------------------------------------------------

@@ -5,6 +5,7 @@ conventions end to end, not just individual kernels."""
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
 from covar.covariant import verified, verify_equivariance, Covariant
@@ -145,3 +146,25 @@ def test_scalar_rank_and_det_match_sympy():
         expected = sympy.Matrix(entries)
         assert rank == expected.rank()
         assert det == (expected.det() if rows == cols else None)
+
+
+@pytest.mark.parametrize("rows", [
+    [["x1", "x1^2", "x1^3"], ["x2", "x2^2", "x2^3"]],
+    [["x1", "x2", "x1 + x2", "1"], ["x2", "x1", "x1 + x2", "x1*x2"]],
+    [["0", "x1", "x2"], ["0", "x1^2", "x1*x2"]],
+    [["x1 + x2", "x1*x2", "x1^2"], ["1", "x2", "x1"], ["x1 + x2 + 1", "x1*x2 + x2", "x1^2 + x1"]],
+    [["x1", "1/2*x2"], ["2*x1", "x2"]],
+    [["0", "0"], ["0", "0"]],
+])
+def test_kernel_vector_matches_sympy_nullspace(rows):
+    """The kernel vector against sympy's nullspace vector of the last free
+    column, both scaled so that the last nonzero coefficient is 1."""
+    m = Matrix([[Poly.parse(t, ("x1", "x2")) for t in row] for row in rows])
+    table = {v: sympy.Symbol(v) for v in ("x1", "x2")}
+    expected = sympy.Matrix([[to_sympy(e, table) for e in row] for row in m.entries]
+                            ).nullspace()[-1]
+    last = max(i for i, x in enumerate(expected) if x != 0)
+    ker = m.kernel_vector()
+    assert ker[last] == 1 and not any(ker[last + 1:])
+    for got, want in zip(ker, expected / expected[last]):
+        assert sympy.simplify(ratfn_to_sympy(got, table) - want) == 0

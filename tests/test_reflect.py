@@ -80,6 +80,19 @@ def test_independent_family_gets_certificate(vandermonde_pair):
     assert cert.minor == covariant_matrix(vandermonde_pair).det()
 
 
+def test_find_reflections_over_gf5():
+    """The swap over GF(5): M - I has entries -1 = 4, so its rank is taken
+    on prime-field entries without a field argument."""
+    from covar.action import make_finite_group
+    from covar.exactalg import PrimeField
+
+    G = make_finite_group([([["0", "1"], ["1", "0"]], [["0", "1"], ["1", "0"]])],
+                          field=PrimeField(5))
+    refls = find_reflections(G)
+    assert [(r.element, str(r.hyperplane_form)) for r in refls] == [(1, "4*x2 + x1")]
+    assert refls[0].validate()
+
+
 def test_certificate_rows_are_the_first_independent_rows():
     """Pivot columns 0 and 2; row 0 vanishes and row 2 is twice row 1 there,
     so the first rows independent on them are rows 1 and 3."""
@@ -89,7 +102,7 @@ def test_certificate_rows_are_the_first_independent_rows():
         ["x1", "x1^2", "x1 + x2"],
         ["2*x1", "2*x1^2", "2*x1 + 2*x2"],
         ["x2", "x1*x2", "1"])])
-    cert = _independence_certificate(mat)
+    cert = _independence_certificate(mat, mat._echelon_ff()[1])
     assert (cert.rows, cert.cols) == ([1, 3], [0, 2])
     assert cert.minor == P("-x2^2 - x1*x2 + x1")
 
