@@ -41,6 +41,7 @@ from .exactalg import (
     PrimeField,
     RatFn,
     lift_coeff,
+    qmat,
 )
 from .forge import (
     GenerationExhaustedError,
@@ -147,6 +148,25 @@ def _parse_matrix(rows, where: str) -> list[list[str]]:
     return [[str(x) for x in r] for r in rows]
 
 
+def _parsed(cls, text, where: str, group: GroupAction, **options):
+    """``cls.parse`` over the X-variables; a malformed text or a zero
+    denominator names the field."""
+    try:
+        return cls.parse(str(text), group.x_vars, group.field, **options)
+    except (ParseError, ZeroDivisionError) as exc:
+        raise ProblemError(f"{where}: {exc}") from None
+
+
+def _check_hypotheses(hyp) -> None:
+    """Every flag a JSON boolean, ``note`` a string, at most one bridge."""
+    _expect(isinstance(hyp, dict), "hypotheses: expected an object")
+    for key, value in hyp.items():
+        kind, name = (str, "a string") if key == "note" else (bool, "true or false")
+        _expect(isinstance(value, kind), f"hypotheses.{key}: expected {name}, got {value!r}")
+    _expect(not (hyp.get("fraction_field") and hyp.get("reflection")),
+            "hypotheses: flag at most one bridge, fraction_field or reflection")
+
+
 def parse_problem(source: str | dict, path: str = "") -> ProblemFile:
     """Load and validate a problem file (path, preset name, or dict)."""
     if isinstance(source, dict):
@@ -158,7 +178,7 @@ def parse_problem(source: str | dict, path: str = "") -> ProblemFile:
         except json.JSONDecodeError as exc:
             raise ProblemError(f"invalid JSON: {exc}") from None
     _expect(isinstance(raw, dict), "top level: expected a JSON object")
-    _expect(isinstance(raw.get("hypotheses", {}), dict), "hypotheses: expected an object")
+    _check_hypotheses(raw.get("hypotheses", {}))
     field = _parse_field(raw)
     group_block = raw.get("group")
     _expect(isinstance(group_block, dict), "group: required object missing")
@@ -212,15 +232,10 @@ def parse_problem(source: str | dict, path: str = "") -> ProblemFile:
     for k, coords in enumerate(cov_block):
         _expect(isinstance(coords, list) and len(coords) == group.w_dim,
                 f"covariants[{k}]: expected {group.w_dim} coordinate strings")
-        parsed = []
-        for c_idx, text in enumerate(coords):
-            try:
-                parsed.append(RatFn.parse(str(text), group.x_vars, group.field))
-            except ParseError as exc:
-                raise ProblemError(
-                    f"covariants[{k}][{c_idx}]: {exc}") from None
-        parsed = [p.as_poly() if p.is_poly() else p for p in parsed]
-        covariants.append(Covariant(group, parsed))
+        parsed = [_parsed(RatFn, text, f"covariants[{k}][{c_idx}]", group)
+                  for c_idx, text in enumerate(coords)]
+        covariants.append(Covariant(group, [p.as_poly() if p.is_poly() else p
+                                            for p in parsed]))
 
     family = raw.get("family")
     if family is not None:
@@ -340,10 +355,7 @@ def _certificate_entry(text, where: str, group: GroupAction,
     """One certificate string parsed over the X-variables, as a Poly when
     it is one; the error names the field."""
     _expect(isinstance(text, str), f"{where}: expected a string")
-    try:
-        e = RatFn.parse(text, group.x_vars, group.field, reduce=reduce)
-    except (ParseError, ZeroDivisionError) as exc:
-        raise ProblemError(f"{where}: {exc}") from None
+    e = _parsed(RatFn, text, where, group, reduce=reduce)
     return e.as_poly() if reduce and e.is_poly() else e
 
 
@@ -424,7 +436,7 @@ def _note_assumptions(report: Report, problem: ProblemFile) -> None:
         notes.append("positive characteristic: generic separability of the "
                      "action is assumed, not verified")
     if problem.hypotheses.get("note"):
-        notes.append(str(problem.hypotheses["note"]))
+        notes.append(problem.hypotheses["note"])
     if notes:
         report.data["assumptions"] = notes
 
@@ -608,8 +620,10 @@ def _reflection_from_block(block, group: FiniteGroupAction) -> Reflection:
         raise ProblemError(f"reflection.element: element {idx} does not fix a "
                            "hyperplane pointwise")
     if "x" in block:
-        from .exactalg import qmat
-        mat = qmat(_parse_matrix(block["x"], "reflection.x"), group.field)
+        try:
+            mat = qmat(_parse_matrix(block["x"], "reflection.x"), group.field)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ProblemError(f"reflection.x: {exc}") from None
         for r in refls:
             if group.x_mats[r.element] == mat:
                 return r
@@ -626,8 +640,8 @@ def cmd_lower(args) -> int:
     rel_block = problem.raw.get("relation")
     if not isinstance(rel_block, list) or len(rel_block) != len(Fs):
         raise ProblemError("relation: expected one coefficient string per covariant")
-    coeffs = [Poly.parse(str(t), problem.group.x_vars, problem.group.field)
-              for t in rel_block]
+    coeffs = [_parsed(Poly, text, f"relation[{k}]", problem.group)
+              for k, text in enumerate(rel_block)]
     rel = Relation(coeffs, Fs).verify()
     s = _reflection_from_block(problem.raw.get("reflection"), problem.group)
     lowered = lower_relation(rel, s)
@@ -650,7 +664,7 @@ def cmd_module_verdict(args) -> int:
     Fs = _need_covariants(problem)
     ensure_equivariant(Fs)
     hyp = problem.hypotheses
-    flags = BridgeFlags(bool(hyp.get("fraction_field")), bool(hyp.get("reflection")),
+    flags = BridgeFlags(hyp.get("fraction_field", False), hyp.get("reflection", False),
                         hyp.get("note", ""))
     report = module_independence_verdict(Fs, flags, seed=args.seed)
     _note_assumptions(report, problem)

@@ -12,10 +12,11 @@ rational functions and generate the invariant field of X x W over that of X.
 F may be rational: written as diag(D)^-1 N with N polynomial, it gives
 Phi = adj(N) diag(D)/det(N).
 
-The frame F is the certificate: once phi * F = I and F * phi = I are
-checked over k(X)_f, the generators Phi_i are invariant exactly when the d
-frame columns are equivariant (F(gx) = g_W F(x) gives phi(gx) = phi(x)
-g_W^{-1}, and conversely), so the equivariance ledger decides invariance.
+The frame F is the certificate: once phi * F = I is checked over k(X)_f
+(F * phi = I follows, both being square over a domain), the generators
+Phi_i are invariant exactly when the d frame columns are equivariant
+(F(gx) = g_W F(x) gives phi(gx) = phi(x) g_W^{-1}, and conversely), so the
+equivariance ledger decides invariance.
 
 This module builds the map, verifies it, and runs the converse
 constructions: recovering covariants from a matrix of invariant generators,
@@ -187,19 +188,17 @@ def build_isomorphism(Fs: list[Covariant], out_vars: tuple[str, ...] | None = No
 # ---------------------------------------------------------------------------
 
 
-def _product_is_identity(left, right) -> bool:
-    """left * right == I over the fraction field, for two matrices given as
-    (nums, den): Ln * Rn == (ld * rd) * I."""
+def _rows_off_identity(left, right) -> list[int]:
+    """The rows i where left * right differs from the identity, for two
+    matrices given as (nums, den): Ln * Rn != (ld * rd) * e_i."""
     ln, ld = left
     rn, rd = right
     scale = ld * rd
     zero = scale.ring_zero()
     cols = list(zip(*rn))
-    for i, row in enumerate(ln):
-        for j, col in enumerate(cols):
-            if _dot(row, col) != (scale if i == j else zero):
-                return False
-    return True
+    return [i for i, row in enumerate(ln)
+            if any(_dot(row, col) != (scale if i == j else zero)
+                   for j, col in enumerate(cols))]
 
 
 def _is_frame_determinant(m: NoNameMap) -> bool:
@@ -208,31 +207,6 @@ def _is_frame_determinant(m: NoNameMap) -> bool:
     fn, fd = m.frame_rows
     (num,), den = common_denominator([m.f])
     return num * fd ** m.dim == Matrix(fn).det() * den
-
-
-def _round_trip_failures(m: NoNameMap) -> list[str]:
-    """Both substitution round trips, exactly, on cleared matrices.
-
-    (1) w := sum_i a_i F_i(x) substituted into Phi must return a;
-    (2) a := Phi(x, w) substituted into sum_i a_i F_i(x) must return w.
-    With phi = pn/pd and the frame fn/fd, each is the identity
-    first * (second * v) == (pd * fd) * v.
-    """
-    action = m.action
-    pn, pd = m.phi_rows
-    fn, fd = m.frame_rows
-    failures: list[str] = []
-    for first, second, vars_, where in (
-            (pn, fn, m.out_vars, "round trip through phi fails at output"),
-            (fn, pn, m.w_vars, "round trip through the frame fails at coordinate")):
-        ring = action.x_vars + vars_
-        vec = [Poly.var(v, ring, action.field) for v in vars_]
-        scale = (pd * fd).embed(ring)
-        inner = [_dot([e.embed(ring) for e in row], vec) for row in second]
-        for i, row in enumerate(first):
-            if _dot([e.embed(ring) for e in row], inner) != scale * vec[i]:
-                failures.append(f"{where} {i + 1}")
-    return failures
 
 
 def _is_frame_of(Fs: list[Covariant], frame: Matrix) -> bool:
@@ -264,6 +238,8 @@ def verify_isomorphism(m: NoNameMap) -> Report:
     with Stopwatch(report):
         action = m.action
         d = m.dim
+        if not (m.phi.cols == d and m.phi_inv.rows == m.phi_inv.cols == d):
+            raise DimensionError(f"phi and phi_inv must both be {d} x {d}")
 
         linear = all(
             not (m.phi.entries[i][j].support_vars() - set(action.x_vars))
@@ -283,15 +259,19 @@ def verify_isomorphism(m: NoNameMap) -> Report:
         report.add("f_relative_invariant", m.invariant.verify(),
                    "f transforms by its weight under the whole group")
 
-        report.add("phi_times_frame_is_identity",
-                   _product_is_identity(m.phi_rows, m.frame_rows))
-        report.add("frame_times_phi_is_identity",
-                   _product_is_identity(m.frame_rows, m.phi_rows))
-
-        rt_failures = _round_trip_failures(m)
-        if rt_failures:
-            for msg in rt_failures:
-                report.add("round_trips", False, msg)
+        # Round trip (1) returns a_i exactly when row i of phi * F is e_i, the
+        # a being fresh variables; round trip (2) reads F * phi the same way.
+        # Both are d x d over the domain k[X], so phi * F = I gives F * phi = I,
+        # and F * phi is multiplied out only to name its failing rows.
+        phi_off = _rows_off_identity(m.phi_rows, m.frame_rows)
+        frame_off = phi_off and _rows_off_identity(m.frame_rows, m.phi_rows)
+        report.add("phi_times_frame_is_identity", not phi_off)
+        report.add("frame_times_phi_is_identity", not frame_off)
+        if phi_off:
+            for where, rows in (("phi fails at output", phi_off),
+                                ("the frame fails at coordinate", frame_off)):
+                for i in rows:
+                    report.add("round_trips", False, f"round trip through {where} {i + 1}")
         else:
             report.add("round_trips", True,
                        "both substitution round trips return the inputs exactly")

@@ -115,13 +115,13 @@ def relation_over_function_field(Fs: list[Covariant]):
 def _independence_certificate(mat: Matrix, pivots: list[int]) -> IndependenceCertificate:
     """The minor on the pivot columns of ``mat`` and, among the rows, the
     first that are independent on them: the pivot columns of the transposed
-    submatrix, in ascending order."""
+    submatrix, in ascending order.  The last Bareiss pivot of that transpose
+    is the minor of its row-permuted form, so the row-swap sign makes it the
+    minor on those rows."""
     sub = Matrix([[mat.entries[r][c] for c in pivots] for r in range(mat.rows)])
-    _, rows, _ = sub.transpose()._echelon_ff()
-    minor = Matrix([sub.entries[r] for r in rows]).det()
-    if minor.is_zero():
-        raise ReflectError("internal: certificate minor vanished")
-    return IndependenceCertificate(rows, list(pivots), minor)
+    echelon, rows, sign = sub.transpose()._echelon_ff()
+    minor = echelon[-1][rows[-1]]
+    return IndependenceCertificate(rows, list(pivots), minor if sign == 1 else -minor)
 
 
 @dataclass

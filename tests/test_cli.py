@@ -16,6 +16,7 @@ from covar.cli import (
     main,
     parse_problem,
 )
+from covar.exactalg import RatFn
 from test_noname import _power_map_problem
 
 HERE = os.path.dirname(__file__)
@@ -160,6 +161,56 @@ def test_noname_verify_detects_corruption(tmp_path):
     assert code == 1 and "FAIL" in out
 
 
+def _scaled_row(rows, k, x_vars):
+    return [str(RatFn.parse(e, x_vars, reduce=False) * k) for e in rows[0]]
+
+
+def _phi_rows_swapped(cert):
+    cert["phi"].reverse()
+
+
+def _phi_row_tripled(cert):
+    cert["phi"][0] = _scaled_row(cert["phi"], 3, tuple(cert["space"]["x_vars"]))
+
+
+def _frame_row_doubled(cert):
+    cert["phi_inv"][0] = _scaled_row(cert["phi_inv"], 2, tuple(cert["space"]["x_vars"]))
+    del cert["covariants"]
+
+
+def _round_trip(where, indices):
+    return [("round_trips", f"round trip through {where} {i}") for i in indices]
+
+
+_PHI, _FRAME = "phi fails at output", "the frame fails at coordinate"
+_INVERSE_FAILURES = [("phi_times_frame_is_identity", None),
+                     ("frame_times_phi_is_identity", None)]
+
+
+@pytest.mark.parametrize("tamper,failed", [
+    (_phi_rows_swapped, _INVERSE_FAILURES + _round_trip(_PHI, [1, 2, 3, 4])
+     + _round_trip(_FRAME, [1, 2, 3, 4])),
+    # F * phi differs from the identity on other rows than phi * F does
+    (_phi_row_tripled, _INVERSE_FAILURES + _round_trip(_PHI, [1])
+     + _round_trip(_FRAME, [1, 4])),
+    (_frame_row_doubled, [("f_equals_det_of_frame",
+                           "localization denominator equals the frame determinant")]
+     + _INVERSE_FAILURES + _round_trip(_PHI, [1, 2, 3, 4]) + _round_trip(_FRAME, [1])
+     + [("generators_invariant",
+         "frame column 1 is not equivariant, so a generator moves")]),
+], ids=["phi-rows-swapped", "phi-row-tripled", "frame-row-doubled"])
+def test_noname_verify_names_each_failed_row(tmp_path, tamper, failed):
+    cert_path = tmp_path / "cert.json"
+    assert run_cli(["noname-build", "matrix_words_gl2", "--out", str(cert_path)])[0] == 0
+    cert = json.loads(cert_path.read_text())
+    tamper(cert)
+    code, report, _ = _machine(["noname-verify", _write_problem(tmp_path, cert,
+                                                                "tampered.json")])
+    assert code == 1
+    assert [(c["name"], c.get("detail")) for c in report["checks"]
+            if not c["passed"]] == failed
+
+
 def test_symbolic_certificate_roundtrip(tmp_path):
     cert_path = str(tmp_path / "words.json")
     code, _, _ = run_cli(["noname-build", "matrix_words_gl2", "--out", cert_path])
@@ -264,9 +315,9 @@ def _certificate_without_f(tmp_path):
     return payload
 
 
-def _cubic_with_reflection(reflection):
+def _cubic_with(**fields):
     payload = json.loads(parse_problem("powers_s2_cubic").canonical_text())
-    return dict(payload, reflection=reflection)
+    return dict(payload, **fields)
 
 
 def _family_problem(template, copies, **family):
@@ -332,8 +383,8 @@ def _swap_problem_with_x_vars(x_vars) -> dict:
     ("noname-verify", lambda tmp: _certificate_with(
         tmp, covariants=[["x1^2", "x2^2"], ["x1", "x2"]]), "covariants"),
     ("generate --degree-bound -1", lambda tmp: _swap_problem_over(5), "--degree-bound"),
-    ("lower", lambda tmp: _cubic_with_reflection({"element": "abc"}), "reflection.element"),
-    ("lower", lambda tmp: _cubic_with_reflection("element"), "reflection"),
+    ("lower", lambda tmp: _cubic_with(reflection={"element": "abc"}), "reflection.element"),
+    ("lower", lambda tmp: _cubic_with(reflection="element"), "reflection"),
     ("verify", lambda tmp: _family_problem("gl_conjugation", 2, name="matrix_words",
                                            words=[[1]]), "family.words[0]"),
     ("verify", lambda tmp: _family_problem("gl_conjugation", 2, name="matrix_words",
@@ -353,6 +404,25 @@ def _swap_problem_with_x_vars(x_vars) -> dict:
     ("verify", lambda tmp: _symbolic_group(n=0), "group.n"),
     ("verify", lambda tmp: _swap_problem_with_x_vars(["a", "a"]), "space.x_vars"),
     ("verify", lambda tmp: _swap_problem_with_x_vars(["a", 3]), "space.x_vars"),
+    ("lower", lambda tmp: _cubic_with(reflection={"x": [["0", "1"], ["1", "q"]]}),
+     "reflection.x"),
+    ("lower", lambda tmp: _cubic_with(reflection={"x": [["0", "1"], ["1", "1/0"]]}),
+     "reflection.x"),
+    ("module-verdict", lambda tmp: _cubic_with(hypotheses={"fraction_field": "false"}),
+     "hypotheses.fraction_field"),
+    ("relation", lambda tmp: _cubic_with(hypotheses={"factorial_affine": 1,
+                                                     "scalar_units": True}),
+     "hypotheses.factorial_affine"),
+    ("module-verdict", lambda tmp: _cubic_with(hypotheses={"note": ["a", "b"]}),
+     "hypotheses.note"),
+    ("module-verdict", lambda tmp: _cubic_with(hypotheses={"fraction_field": True,
+                                                           "reflection": True}),
+     "hypotheses"),
+    ("lower", lambda tmp: _cubic_with(relation=["x1^2*x2", "-x1^2 - x1*x2", "x1 + "]),
+     "relation[2]"),
+    ("lower", lambda tmp: _cubic_with(relation=["x1^2*x2", "1/0*x1", "x1"]), "relation[1]"),
+    ("verify", lambda tmp: _cubic_with(covariants=[["x1", "x2"], ["x1^2", "(x2)/(0)"]]),
+     "covariants[1][1]"),
 ], ids=["family-without-n", "gf5-entry-with-denominator-5", "certificate-without-f",
         "hypotheses-not-an-object", "word-not-an-array", "composite-prime",
         "prime-with-400-digits", "phi-entry-not-a-string", "weight-empty-object",
@@ -362,7 +432,10 @@ def _swap_problem_with_x_vars(x_vars) -> dict:
         "word-of-one-exponent", "word-of-three-exponents", "negative-word-exponent",
         "negative-power", "projections-m-below-n", "x-template-an-array",
         "x-template-an-object", "no-w-copies", "no-x-copies", "negative-x-copies", "n-zero",
-        "x-vars-repeated", "x-var-not-a-string"])
+        "x-vars-repeated", "x-var-not-a-string", "reflection-entry-not-a-number",
+        "reflection-entry-over-zero", "flag-a-string", "flag-a-number",
+        "note-not-a-string", "both-bridges", "relation-coefficient-unparsable",
+        "relation-coefficient-over-zero", "covariant-over-zero"])
 def test_malformed_input_exits_two_naming_the_field(tmp_path, command, make_payload,
                                                     field):
     path = tmp_path / "malformed.json"
@@ -595,8 +668,6 @@ def test_noname_on_a_rational_frame(tmp_path, family):
 
 @pytest.mark.parametrize("family", list(_RATIONAL_FAMILIES), ids=list(_RATIONAL_FAMILIES))
 def test_no_elimination_sees_rational_entries(tmp_path, monkeypatch, family):
-    from covar.exactalg import RatFn
-
     def refuse(self, other):
         raise AssertionError("elimination over rational-function entries")
 
@@ -611,9 +682,10 @@ def test_no_elimination_sees_rational_entries(tmp_path, monkeypatch, family):
 
 
 @pytest.mark.parametrize("problem,outcome,eliminations", [
-    # the frame N once, then the certificate's transposed pivot columns and its minor
-    ("s4_power_maps", "independent", 3),
-    ("vandermonde_s2", "independent", 3),
+    # the frame N once, then the certificate's transposed pivot columns,
+    # whose last pivot is the minor
+    ("s4_power_maps", "independent", 2),
+    ("vandermonde_s2", "independent", 2),
     # the kernel comes from the one echelon of N, also under the X-space flags
     ("powers_s2_cubic", "relation", 1),
 ])

@@ -210,24 +210,30 @@ def test_linearize_invariant_map_under_swap(s2):
         assert F.status == "equivariant"
 
 
-def test_noname_build_runs_each_structural_check_once(monkeypatch):
+def test_noname_build_runs_each_structural_check_once(monkeypatch, tmp_path):
+    """On a passing map the one product phi * F decides both inverse checks
+    and both round trips: F * phi is never multiplied out."""
     import contextlib
     import io
 
     from covar import noname
     from covar.cli import main
 
-    counts = {"_product_is_identity": 0, "_round_trip_failures": 0}
-    for name in counts:
-        original = getattr(noname, name)
+    products = []
+    original = noname._rows_off_identity
 
-        def spy(*args, _name=name, _original=original):
-            counts[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(noname, name, spy)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["noname-build", "matrix_words_gl2"]) == 0
-    assert counts == {"_product_is_identity": 2, "_round_trip_failures": 1}
+    def spy(left, right):
+        # the gl2 frame is polynomial, so only phi has a nonconstant denominator
+        products.append("F*phi" if left[1].is_constant() else "phi*F")
+        return original(left, right)
+    monkeypatch.setattr(noname, "_rows_off_identity", spy)
+    cert = str(tmp_path / "cert.json")
+    for argv in (["noname-build", "matrix_words_gl2", "--out", cert],
+                 ["noname-verify", cert]):
+        products.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert products == ["phi*F"], argv
 
 
 def test_build_isomorphism_returns_its_report(vandermonde_pair):
@@ -239,9 +245,22 @@ def test_build_isomorphism_returns_its_report(vandermonde_pair):
 def test_build_isomorphism_names_failed_checks(vandermonde_pair, monkeypatch):
     from covar import noname
 
-    monkeypatch.setattr(noname, "_round_trip_failures", lambda m: ["forced failure"])
-    with pytest.raises(IsomorphismError, match="round_trips"):
+    monkeypatch.setattr(noname, "_rows_off_identity", lambda left, right: [0])
+    with pytest.raises(IsomorphismError, match="phi_times_frame_is_identity, "
+                       "frame_times_phi_is_identity, round_trips, round_trips"):
         build_isomorphism(vandermonde_pair)
+
+
+def test_non_square_phi_inv_is_a_dimension_error(vandermonde_pair):
+    import dataclasses
+
+    from covar.exactalg import DimensionError
+
+    m = build_isomorphism(vandermonde_pair)
+    x1, x2 = Poly.gens(m.action.x_vars)
+    wide = dataclasses.replace(m, phi_inv=Matrix([[x1, x1**2, x1], [x2, x2**2, x2]]))
+    with pytest.raises(DimensionError, match="phi and phi_inv must both be 2 x 2"):
+        verify_isomorphism(wide)
 
 
 def test_each_report_clears_phi_and_the_frame_once(monkeypatch, tmp_path):
