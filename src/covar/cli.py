@@ -718,7 +718,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("problem", help="problem file or preset name "
                            "(certificate file for noname-verify)")
         p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized witness search (default 0)")
+                       help="seed for randomized witness search (default 0); "
+                            "with at most 6 X-variables it only orders the random "
+                            "draws tried after every point with max |c| <= 3")
         if name == "generate":
             p.add_argument("--degree-bound", type=int, default=3, dest="degree_bound",
                            help="degree bound (default 3)")

@@ -117,18 +117,37 @@ SPIRAL_MAX_SHELL = 3
 
 
 def candidate_points(n_vars: int, rng: random.Random):
-    """Candidate integer points: smallest first (full shells in low
-    dimension), then seeded random draws of growing range.  Every consumer
-    confirms candidates exactly, so the stream only affects which witness is
-    found, not correctness."""
+    """Candidate integer points.  In low dimension the shells max |c| <= 3
+    come first: their points with strictly increasing coordinates, shell by
+    shell in lexicographic order, then every other point of the shells in
+    the same order.  Then seeded random draws of growing range.
+
+    Frames of Vandermonde type, such as the S_n power maps, vanish wherever
+    two coordinates agree, so the increasing points hold their witnesses;
+    every point of a shell still comes once.  Every consumer confirms
+    candidates exactly, so the stream only affects which witness is found,
+    not correctness."""
     if n_vars <= SPIRAL_MAX_VARS:
-        for shell in range(SPIRAL_MAX_SHELL + 1):
+        shells = range(SPIRAL_MAX_SHELL + 1)
+        for shell in shells:
+            for point in itertools.combinations(range(-shell, shell + 1), n_vars):
+                if _shell(point) == shell:
+                    yield point
+        for shell in shells:
             for point in itertools.product(range(-shell, shell + 1), repeat=n_vars):
-                if max((abs(c) for c in point), default=0) == shell:
+                if _shell(point) == shell and not _increasing(point):
                     yield point
     for bound in (9, 99, 10**6):
         for _ in range(80):
             yield tuple(rng.randint(-bound, bound) for _ in range(n_vars))
+
+
+def _shell(point) -> int:
+    return max((abs(c) for c in point), default=0)
+
+
+def _increasing(point) -> bool:
+    return all(a < b for a, b in zip(point, point[1:]))
 
 
 def _point_dict(vars, point, field):
@@ -401,10 +420,13 @@ def generic_independence(Fs: list[Covariant], seed: int = 0) -> Report:
 
     The rank at a rational point is at most the generic rank, which is at
     most min(e, dim W); a point where the e covariants take that full rank
-    decides the generic rank exactly.  So the seeded candidate points are
-    tried first, and the symbolic rank is computed only when none of the
-    first candidates has full rank.  For an independent family the reported
-    witness is the first full-rank candidate of the stream.
+    decides the generic rank exactly.  So the first
+    ``WITNESS_FIRST_CANDIDATES`` points of :func:`candidate_points` are
+    tried first, and the symbolic rank is computed only when none of them
+    has full rank.  In up to ``SPIRAL_MAX_VARS`` variables those lead with
+    the points of distinct coordinates, which Vandermonde-type frames such
+    as the S_n power maps need to be nonzero.  For an independent family
+    the reported witness is the first full-rank candidate of the stream.
     """
     report = Report("generic independence")
     with Stopwatch(report):

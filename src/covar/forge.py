@@ -7,8 +7,9 @@ projections, coordinate power maps under permutations).
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 from .action import (
     ActionError,
@@ -21,6 +22,9 @@ from .covariant import (
     Covariant,
     CovariantError,
     EQUIVARIANT,
+    WITNESS_FIRST_CANDIDATES,
+    _independence_witness,
+    candidate_points,
     cleared_rows,
     verify_equivariance,
     weight_of,
@@ -195,9 +199,10 @@ def generate_covariants(G: FiniteGroupAction, degree_bound: int) -> list[Covaria
 
     Averages the monomial seed maps x^alpha e_i in increasing degree, then
     monomial order, then W-basis index, and keeps each average that raises
-    the rank of the accumulated coordinate matrix over the function field.
+    the rank of the accumulated coordinate matrix over the function field
+    (see :func:`_raises_rank`).
     The d seeds of one monomial share its orbit images.  An average equal
-    up to a nonzero constant to an earlier one is not ranked again: the
+    up to a nonzero constant to an earlier one is not tried again: the
     earlier one was kept or lay in the span of the covariants kept then, so
     the rank cannot rise.  Each kept covariant is verified once.  Raises
     :class:`GenerationExhaustedError` with the achieved rank if the bound is
@@ -206,6 +211,8 @@ def generate_covariants(G: FiniteGroupAction, degree_bound: int) -> list[Covaria
     """
     d = G.w_dim
     orbit = _Orbit(G)
+    points = list(islice(candidate_points(G.x_dim, random.Random(0)),
+                         WITNESS_FIRST_CANDIDATES))
     kept: list[Covariant] = []
     seen = set()
     for _alpha, images in orbit.images(_monomials(G.x_dim, degree_bound)):
@@ -218,7 +225,7 @@ def generate_covariants(G: FiniteGroupAction, degree_bound: int) -> list[Covaria
                 continue
             seen.add(key)
             F = Covariant(G, coords)
-            if cleared_rows(kept + [F])[0].rank() > len(kept):
+            if _raises_rank(kept, F, points):
                 _verify_averaged(F)
                 kept.append(F)
                 if len(kept) == d:
@@ -226,6 +233,17 @@ def generate_covariants(G: FiniteGroupAction, degree_bound: int) -> list[Covaria
     raise GenerationExhaustedError(
         f"degree bound {degree_bound} reached with rank {len(kept)} < {d}",
         len(kept), kept)
+
+
+def _raises_rank(kept: list[Covariant], F: Covariant, points) -> bool:
+    """Whether F raises the generic rank of the kept covariants.  A point
+    of ``points`` where kept + [F] has rank len(kept) + 1 proves the rise
+    exactly, as the rank at a point never exceeds the generic rank; only
+    when no point shows it is the symbolic rank computed."""
+    family = kept + [F]
+    if _independence_witness(family, points) is not None:
+        return True
+    return cleared_rows(family)[0].rank() > len(kept)
 
 
 def clear_denominators(Fs: list[Covariant], G: FiniteGroupAction

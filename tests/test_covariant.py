@@ -1,13 +1,16 @@
 """Covariants: equivariance, determinant invariants, generic independence."""
 
 import ast
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from covar.covariant import (
+    WITNESS_FIRST_CANDIDATES,
     Covariant,
     DimensionError,
     UnverifiedCovariantError,
@@ -439,7 +442,7 @@ def test_integer_witness_scan_matches_the_fraction_route():
             got = _independence_witness(Fs, [point])
             assert got == _fraction_witness(Fs, [point]), (name, point)
             found += got is not None
-        assert found or name == "s5_power_maps", name
+        assert found, name
     # rational_swap's denominators vanish at some candidates, which both skip
     Fs = families["rational_swap"]
     action = Fs[0].action
@@ -460,6 +463,67 @@ def test_integer_witness_scan_finds_the_s5_witness():
     assert [int(c) for c in point.values()] == [-3, -2, -1, 1, 2]
     assert minor == Fraction(-34560)
     assert type(minor) is Fraction
+
+
+def test_integer_witness_scan_finds_the_s6_witness():
+    Fs = _power_maps(6)
+    point, minor = _independence_witness(Fs, candidate_points(6, random.Random(0)))
+    xs = [int(c) for c in point.values()]
+    assert xs == [-3, -2, -1, 1, 2, 3]
+    # det [x_i^j] = prod x_i * prod_{i<j} (x_j - x_i)
+    assert minor == math.prod(xs) * math.prod(b - a for a, b in itertools.combinations(xs, 2))
+    assert minor == Fraction(-24883200)
+
+
+@functools.cache
+def _power_maps(n):
+    from covar.forge import power_map_family
+
+    return power_map_family(n)
+
+
+# -- the candidate stream --------------------------------------------------------
+
+
+def _spiral(n):
+    """The points of shells max |c| <= 3, shell by shell in product order."""
+    return [p for shell in range(4)
+            for p in itertools.product(range(-shell, shell + 1), repeat=n)
+            if max((abs(c) for c in p), default=0) == shell]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_candidate_stream_reorders_the_shells_increasing_points_first(n):
+    spiral = _spiral(n)
+    stream = list(itertools.islice(candidate_points(n, random.Random(0)), len(spiral)))
+    assert len(set(stream)) == len(stream) and set(stream) == set(spiral)
+    increasing = [p for p in spiral if all(a < b for a, b in zip(p, p[1:]))]
+    assert stream[:len(increasing)] == increasing
+    rest = set(spiral) - set(increasing)
+    assert stream[len(increasing):] == [p for p in spiral if p in rest]
+    # the seeded draws follow, as before
+    rng = random.Random(0)
+    draw = tuple(rng.randint(-9, 9) for _ in range(n))
+    assert next(itertools.islice(candidate_points(n, random.Random(0)), len(spiral), None)) == draw
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_distinct_nonzero_point_among_the_first_candidates(n):
+    first = itertools.islice(candidate_points(n, random.Random(0)), WITNESS_FIRST_CANDIDATES)
+    assert any(0 not in p and len(set(p)) == n for p in first)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_power_maps_are_independent_without_a_symbolic_rank(n, monkeypatch):
+    from covar import covariant
+
+    calls = []
+    original = covariant._symbolic_rank
+    monkeypatch.setattr(covariant, "_symbolic_rank",
+                        lambda Fs: calls.append(Fs) or original(Fs))
+    rep = generic_independence(_power_maps(n))
+    assert rep.ok and rep.data["rank"] == n
+    assert calls == []
 
 
 def test_more_covariants_than_dim_w_are_decided_by_a_point(s2, monkeypatch):

@@ -262,14 +262,18 @@ def test_generate_s4_ranks_distinct_averages_and_verifies_what_it_keeps(monkeypa
     from covar.action import FiniteGroupAction
 
     G = _symmetric_group_action(4)
-    calls = {"verify": 0, "rank": 0, "built": 0}
+    calls = {"verify": 0, "trial": 0, "rank": 0, "built": 0}
     requested = set()
-    verify, rank = forge.verify_equivariance, Matrix.rank
+    verify, trial, rank = forge.verify_equivariance, forge._raises_rank, Matrix.rank
     x_subst, build = FiniteGroupAction.x_substitution, FiniteGroupAction._subst_from_matrix
 
     def spy_verify(F):
         calls["verify"] += 1
         return verify(F)
+
+    def spy_trial(kept, F, points):
+        calls["trial"] += 1
+        return trial(kept, F, points)
 
     def spy_rank(self):
         calls["rank"] += 1
@@ -284,13 +288,17 @@ def test_generate_s4_ranks_distinct_averages_and_verifies_what_it_keeps(monkeypa
         return build(self, *args)
 
     monkeypatch.setattr(forge, "verify_equivariance", spy_verify)
+    monkeypatch.setattr(forge, "_raises_rank", spy_trial)
     monkeypatch.setattr(Matrix, "rank", spy_rank)
     monkeypatch.setattr(FiniteGroupAction, "x_substitution", spy_x_subst)
     monkeypatch.setattr(FiniteGroupAction, "_subst_from_matrix", spy_build)
     fam = generate_covariants(G, 4)
     assert len(fam) == 4 and all(F.status == "equivariant" for F in fam)
     assert calls["verify"] == 4
-    assert calls["rank"] == 8
+    # 8 distinct averages are tried; each of the 4 kept rises at a witness
+    # point, so only the 4 that do not rise take a symbolic rank
+    assert calls["trial"] == 8
+    assert calls["rank"] == 4
     # one table per element, each built once: averaging reads the table of
     # every g^{-1}, and the equivariance checks share those tables
     assert {(G.inv[g], G.x_vars) for g in G.elements()} <= requested
@@ -298,16 +306,22 @@ def test_generate_s4_ranks_distinct_averages_and_verifies_what_it_keeps(monkeypa
 
 
 def test_generate_does_not_rank_a_multiple_of_an_earlier_average(monkeypatch):
+    from covar import forge
+
     G = make_finite_group([(ROTATION, ROTATION_AND_SIGN)])
-    calls = []
-    rank = Matrix.rank
-    monkeypatch.setattr(Matrix, "rank", lambda self: calls.append(1) or rank(self))
+    trials, ranks = [], []
+    trial, rank = forge._raises_rank, Matrix.rank
+    monkeypatch.setattr(forge, "_raises_rank",
+                        lambda kept, F, points: trials.append(F) or trial(kept, F, points))
+    monkeypatch.setattr(Matrix, "rank", lambda self: ranks.append(1) or rank(self))
     fam = generate_covariants(G, 2)
     assert [str(F) for F in fam] == ["(1/2*x2, -1/2*x1, 0)", "(1/2*x1, 1/2*x2, 0)",
                                      "(0, 0, 1/2*x2^2 - 1/2*x1^2)"]
     # x2 e_1, x2 e_2 and x2^2 e_3 are ranked; x1 e_1 averages to the same
     # map as x2 e_2, and x1 e_2 to -1 times the average of x2 e_1
-    assert len(calls) == 3
+    assert len(trials) == 3
+    # each of the three raises the rank at a witness point
+    assert ranks == []
 
 
 def test_substitution_tables_are_cached(s3):
