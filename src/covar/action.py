@@ -25,12 +25,15 @@ Conventions (fixed throughout the package):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import (
+    Coeff,
     DimensionError,
     ExactAlgError,
+    FpElem,
     Matrix,
     Poly,
     PrimeField,
@@ -75,7 +78,7 @@ class FiniteGroupAction:
 
     def __init__(self, x_mats: list[QMat], w_mats: list[QMat],
                  x_vars: tuple[str, ...], w_vars: tuple[str, ...],
-                 generators: list[int], right: list[list[int]],
+                 generators: list[int], right: list[list[int]], inv: list[int],
                  field: PrimeField | None = None):
         self.x_mats = x_mats
         self.w_mats = w_mats
@@ -86,11 +89,8 @@ class FiniteGroupAction:
         self.right = right
         self.field = field
         self.identity = 0
-        index = {m: i for i, m in enumerate(x_mats)}
-        try:
-            self.inv = [index[qmat_inv(m, field)] for m in x_mats]
-        except KeyError:
-            raise ActionError("element without inverse; closure is corrupt") from None
+        # inv[i] is the index of the inverse of element i
+        self.inv = inv
         # substitution tables, per (side, element, out_vars)
         self._substitutions: dict[tuple, dict[str, Poly]] = {}
 
@@ -194,7 +194,8 @@ def make_finite_group(generators: list[tuple], x_vars: tuple[str, ...] | None = 
     The w-images must define a homomorphism from the generated matrix group;
     a collision (same x-matrix reached with two different w-matrices) is
     reported as an error.  Closure past ``max_order`` pairs aborts.  The
-    products computed on the way are kept as the Cayley table ``right``.
+    products computed on the way are kept as the Cayley table ``right``, and
+    the inverses are read off the breadth-first tree.
     """
     if not generators:
         raise ActionError("at least one generator pair is required")
@@ -217,31 +218,106 @@ def make_finite_group(generators: list[tuple], x_vars: tuple[str, ...] | None = 
     if set(x_vars) & set(w_vars):
         raise ActionError("X and W variable names overlap")
 
-    # breadth first: the loop walks the element lists while they grow, and
-    # each product with a generator fills one Cayley-table entry
-    x_mats = [qmat_identity(nx, field)]
-    w_mats = [qmat_identity(nw, field)]
-    index: dict[QMat, int] = {x_mats[0]: 0}
+    # breadth first over integer forms: the loop walks the element lists
+    # while they grow, and each product with a generator fills one
+    # Cayley-table entry
+    p = field.p if field is not None else None
+    gens = [(_sparse_rows(_int_form(gx, p), nx), _sparse_rows(_int_form(gw, p), nw))
+            for gx, gw in gen_pairs]
+    x_forms = [_int_form(qmat_identity(nx, field), p)]
+    w_forms = [_int_form(qmat_identity(nw, field), p)]
+    index = {x_forms[0]: 0}
+    # element j > 0 was first reached as parent[j] times generator via[j]
+    parent, via = [0], [0]
     right: list[list[int]] = []
-    for cur_x, cur_w in zip(x_mats, w_mats):
+    for i, (cur_x, cur_w) in enumerate(zip(x_forms, w_forms)):
         row = []
-        for gx, gw in gen_pairs:
-            nxt_x, nxt_w = qmat_mul(cur_x, gx), qmat_mul(cur_w, gw)
+        for k, (gx, gw) in enumerate(gens):
+            nxt_x = _int_mul(cur_x, gx, nx, p)
             j = index.get(nxt_x)
             if j is None:
-                if len(x_mats) >= max_order:
+                if len(x_forms) >= max_order:
                     raise ClosureCapError(
                         f"closure exceeded the cap of {max_order} elements")
-                j = index[nxt_x] = len(x_mats)
-                x_mats.append(nxt_x)
-                w_mats.append(nxt_w)
-            elif w_mats[j] != nxt_w:
+                j = index[nxt_x] = len(x_forms)
+                x_forms.append(nxt_x)
+                w_forms.append(_int_mul(cur_w, gw, nw, p))
+                parent.append(i)
+                via.append(k)
+            elif w_forms[j] != _int_mul(cur_w, gw, nw, p):
                 raise ActionError(
                     "w-images do not define a homomorphism: one x-matrix "
                     "carries two distinct w-matrices")
             row.append(j)
         right.append(row)
-    return FiniteGroupAction(x_mats, w_mats, x_vars, w_vars, right[0], right, field)
+
+    # (parent g_k)^-1 = g_k^-1 parent^-1, and the parent is found first
+    gen_invs = [_int_form(qmat_inv(gx, field), p) for gx, _ in gen_pairs]
+    inv = [0]
+    for j in range(1, len(x_forms)):
+        inv.append(index[_int_mul(gen_invs[via[j]],
+                                  _sparse_rows(x_forms[inv[parent[j]]], nx), nx, p)])
+    # rows repeat across elements, so each distinct (den, numerators) row is
+    # lifted to field elements once
+    rows: dict[tuple, tuple[Coeff, ...]] = {}
+
+    def matrices(forms: list, n: int) -> list[QMat]:
+        out = []
+        for den, nums in forms:
+            mat = []
+            for r in range(0, n * n, n):
+                key = den, nums[r:r + n]
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = tuple(Fraction(v, den) if p is None
+                                            else FpElem(field, v) for v in key[1])
+                mat.append(row)
+            out.append(tuple(mat))
+        return out
+
+    return FiniteGroupAction(matrices(x_forms, nx), matrices(w_forms, nw), x_vars,
+                             w_vars, right[0], right, inv, field)
+
+
+def _int_form(m: QMat, p: int | None) -> tuple[int, tuple[int, ...]]:
+    """The canonical integer form of a scalar matrix: over Q, (den, flattened
+    integer numerators) with den > 0 coprime to their content; over GF(p),
+    (1, the representatives in [0, p)).  Equal matrices have equal forms."""
+    if p is not None:
+        return 1, tuple(e.val for row in m for e in row)
+    den = math.lcm(*(e.denominator for row in m for e in row))
+    return den, tuple(e.numerator * (den // e.denominator) for row in m for e in row)
+
+
+def _sparse_rows(form: tuple[int, tuple[int, ...]], n: int) -> tuple:
+    """(den, rows of (column, numerator) pairs for the nonzero entries)."""
+    den, nums = form
+    return den, tuple(tuple((c, v) for c, v in enumerate(nums[r * n:(r + 1) * n]) if v)
+                      for r in range(n))
+
+
+def _int_mul(a: tuple[int, tuple[int, ...]], b: tuple, n: int,
+             p: int | None) -> tuple[int, tuple[int, ...]]:
+    """The canonical form of a b, with b given by :func:`_sparse_rows`: one
+    integer product that skips zeros (mod p over GF(p)), then one gcd."""
+    den_a, nums = a
+    den_b, rows = b
+    acc = [0] * (n * n)
+    for k, x in enumerate(nums):
+        if x:
+            r, s = divmod(k, n)
+            r *= n
+            for c, y in rows[s]:
+                acc[r + c] += x * y
+    if p is not None:
+        return 1, tuple(v % p for v in acc)
+    den = den_a * den_b
+    if den != 1:
+        g = math.gcd(den, *acc)
+        if g != 1:
+            den //= g
+            acc = [v // g for v in acc]
+    return den, tuple(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -716,5 +792,7 @@ def extend_finite_action(action: FiniteGroupAction, y_vars: tuple[str, ...],
         top = [tuple(row) + (zero,) * ny for row in m]
         bottom = [(zero,) * nx + tuple(row) for row in y]
         new_mats.append(tuple(top + bottom))
+    # same elements in the same order, so the inverse index carries over
     return FiniteGroupAction(new_mats, action.w_mats, action.x_vars + y_vars,
-                             action.w_vars, action.generators, action.right, action.field)
+                             action.w_vars, action.generators, action.right,
+                             action.inv, action.field)

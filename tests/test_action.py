@@ -16,7 +16,17 @@ from covar.action import (
     make_finite_group,
     symbolic_general_linear,
 )
-from covar.exactalg import Matrix, Poly, RatFn, qmat_mul
+from covar import action as action_module
+from covar.exactalg import (
+    Matrix,
+    Poly,
+    PrimeField,
+    RatFn,
+    qmat,
+    qmat_identity,
+    qmat_inv,
+    qmat_mul,
+)
 
 from conftest import CYCLE3, SWAP, SWAP3, group_mul
 
@@ -284,23 +294,82 @@ def _perm(images):
     return [["1" if images[i] == j else "0" for j in range(n)] for i in range(n)]
 
 
-def _symmetric(n):
+def _symmetric_generators(n):
     cycle = _perm([(i + 1) % n for i in range(n)])
     swap = _perm([1, 0] + list(range(2, n)))
-    return make_finite_group([(cycle, cycle), (swap, swap)])
+    return [(cycle, cycle), (swap, swap)]
 
 
 @pytest.mark.parametrize("n,order", [(4, 24), (5, 120)])
-def test_inverses_found_by_elimination(n, order):
-    G = _symmetric(n)
+def test_inverses_read_off_the_closure_tree(n, order):
+    G = make_finite_group(_symmetric_generators(n))
     assert G.order == order
     ident = G.x_mats[G.identity]
     for i in G.elements():
         assert qmat_mul(G.x_mats[i], G.x_mats[G.inv[i]]) == ident
 
 
+def _naive_closure(generators, field=None):
+    """Breadth-first closure by Fraction/FpElem matrix products, a list
+    search per product and one Gauss-Jordan inverse per element."""
+    gens = [(qmat(x, field), qmat(w, field)) for x, w in generators]
+    xs = [qmat_identity(len(gens[0][0]), field)]
+    ws = [qmat_identity(len(gens[0][1]), field)]
+    right = []
+    for cur_x, cur_w in zip(xs, ws):
+        row = []
+        for gx, gw in gens:
+            nxt = qmat_mul(cur_x, gx)
+            if nxt not in xs:
+                xs.append(nxt)
+                ws.append(qmat_mul(cur_w, gw))
+            row.append(xs.index(nxt))
+        right.append(row)
+    inv = [xs.index(qmat_inv(m, field)) for m in xs]
+    return xs, ws, right, inv, right[0]
+
+
+IDENTITY3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+@pytest.mark.parametrize("generators,field,order", [
+    (_symmetric_generators(3), None, 6),
+    (_symmetric_generators(4), None, 24),
+    (_symmetric_generators(5), None, 120),
+    # the 3-cycle conjugated by diag(1, 2, 3), acting on W as the 3-cycle
+    ([([["0", "0", "1/3"], ["2", "0", "0"], ["0", "3/2", "0"]], CYCLE3)], None, 3),
+    ([([["0", "1"], ["4", "0"]], [["2"]])], PrimeField(5), 4),
+    ([(IDENTITY3, IDENTITY3), (SWAP3, SWAP3), (CYCLE3, CYCLE3), (SWAP3, SWAP3)],
+     None, 6),
+], ids=["s3", "s4", "s5", "rational-entries", "gf5", "identity-and-repeat"])
+def test_closure_matches_a_naive_reference(generators, field, order):
+    G = make_finite_group(generators, field=field)
+    x_mats, w_mats, right, inv, gens = _naive_closure(generators, field)
+    assert G.order == order
+    assert G.x_mats == x_mats and G.w_mats == w_mats
+    assert G.right == right and G.inv == inv and G.generators == gens
+
+
+def test_closure_inverts_each_generator_once_and_multiplies_no_matrix(monkeypatch):
+    calls = {"qmat_inv": 0, "qmat_mul": 0}
+
+    def counted(name):
+        original = getattr(action_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(action_module, name, counted(name))
+    G = make_finite_group(_symmetric_generators(5))
+    assert G.order == 120
+    assert calls == {"qmat_inv": 2, "qmat_mul": 0}
+
+
 def test_cayley_table_agrees_with_products():
-    G = _symmetric(4)
+    G = make_finite_group(_symmetric_generators(4))
     assert len(G.right) == G.order
     for i in G.elements():
         for k, g in enumerate(G.generators):

@@ -333,6 +333,11 @@ def _swap_problem_over(prime):
             "covariants": [["x1", "x2"]]}
 
 
+def _finite_problem(*generators, **group) -> dict:
+    return {"group": {"type": "finite", "generators": list(generators), **group},
+            "covariants": [["x1", "x2"]]}
+
+
 def _symbolic_group(**overrides) -> dict:
     group = {"type": "symbolic", "n": 2, "x_template": "gl_natural",
              "w_template": "gl_natural", **overrides}
@@ -423,6 +428,13 @@ def _swap_problem_with_x_vars(x_vars) -> dict:
     ("lower", lambda tmp: _cubic_with(relation=["x1^2*x2", "1/0*x1", "x1"]), "relation[1]"),
     ("verify", lambda tmp: _cubic_with(covariants=[["x1", "x2"], ["x1^2", "(x2)/(0)"]]),
      "covariants[1][1]"),
+    ("verify", lambda tmp: _finite_problem({"x": [["0", "1"], ["1", "0"]],
+                                            "w": [["0", "-1"], ["1", "0"]]}), "group"),
+    ("verify", lambda tmp: _finite_problem({"x": [["1", "1"], ["0", "1"]],
+                                            "w": [["1", "0"], ["0", "1"]]}, max_order=16),
+     "group"),
+    ("verify", lambda tmp: _finite_problem({"x": [["1", "1"], ["1", "1"]],
+                                            "w": [["0", "1"], ["1", "0"]]}), "group"),
 ], ids=["family-without-n", "gf5-entry-with-denominator-5", "certificate-without-f",
         "hypotheses-not-an-object", "word-not-an-array", "composite-prime",
         "prime-with-400-digits", "phi-entry-not-a-string", "weight-empty-object",
@@ -435,7 +447,8 @@ def _swap_problem_with_x_vars(x_vars) -> dict:
         "x-vars-repeated", "x-var-not-a-string", "reflection-entry-not-a-number",
         "reflection-entry-over-zero", "flag-a-string", "flag-a-number",
         "note-not-a-string", "both-bridges", "relation-coefficient-unparsable",
-        "relation-coefficient-over-zero", "covariant-over-zero"])
+        "relation-coefficient-over-zero", "covariant-over-zero",
+        "w-images-not-a-homomorphism", "unipotent-past-max-order", "singular-generator"])
 def test_malformed_input_exits_two_naming_the_field(tmp_path, command, make_payload,
                                                     field):
     path = tmp_path / "malformed.json"
