@@ -15,6 +15,11 @@ of ``check_det``, and ``w_cleared`` gives g_W the same way.  A finite element
 clears nothing (power 0, det 1).  As g -> g^{-1} permutes the group, an
 identity holds for every g . f exactly when it holds for every f(g x).
 
+Both ``act_cleared`` methods are thin wrappers over one substitution: a check
+element moves each space by numerator rows over det^h, and its substitution
+tables are cached per (side, element, ring).  A new check element needs only
+its rows and its det power.
+
 Conventions (fixed throughout the package):
 
 * points transform by ``x -> M_g x`` (column vectors);
@@ -64,6 +69,81 @@ def default_w_vars(d: int) -> tuple[str, ...]:
     return tuple(f"w{i}" for i in range(1, d + 1))
 
 
+# ---------------------------------------------------------------------------
+# the cleared substitution, shared by both group models
+# ---------------------------------------------------------------------------
+
+def _linear_images(rows, space_vars: tuple[str, ...], out_vars: tuple[str, ...],
+                   field: PrimeField | None) -> list[Poly]:
+    """The images sum_l rows[k][l] v_l of the space variables v_k over
+    ``out_vars``; an entry is a scalar or a polynomial in the g-variables."""
+    images = []
+    for row in rows:
+        acc = Poly.zero(out_vars, field)
+        for name, c in zip(space_vars, row):
+            if c:
+                acc = acc + Poly.var(name, out_vars, field) * (
+                    c.embed(out_vars) if isinstance(c, Poly) else c)
+        images.append(acc)
+    return images
+
+
+def _table(action: "GroupAction", side: str, element, out_vars: tuple[str, ...],
+           rows) -> dict[str, Poly]:
+    """The substitution table of one side of an element, built once per
+    (side, element, out_vars) and shared: callers must not mutate it."""
+    key = side, element, out_vars
+    table = action._tables.get(key)
+    if table is None:
+        space = action.x_vars if side == "x" else action.w_vars
+        table = action._tables[key] = dict(
+            zip(space, _linear_images(rows, space, out_vars, action.field)))
+    return table
+
+
+def _cleared_substitution(action: "GroupAction", p: Poly, side: str,
+                          out_vars: tuple[str, ...], element, moves: dict,
+                          det: Poly | None) -> tuple[Poly, int]:
+    """(num, k) with p(g x) = num / det^k (with side ``xw``, p(g x, g_W w)),
+    g an element that moves side s by ``moves[s]`` = (rows, h), that is
+    v_k -> sum_l rows[k][l] v_l / det^h.
+
+    A term of degree e_s on side s lands over det^(sum_s h_s e_s), its
+    weight.  Each class of terms of equal weight is substituted at once and
+    padded by det^(k - weight), k = sum_s h_s (p's largest degree on side
+    s).  When every h is 0 (a finite element), k = 0 and ``det`` is unread.
+    """
+    if side not in ("x", "w", "xw"):
+        raise ActionError(f"unknown side {side!r}")
+    table: dict[str, Poly] = {}
+    # per space clearing a denominator: (positions of its variables in p, h)
+    spans = []
+    for name in side:  # "xw" moves both spaces
+        rows, h = moves[name]
+        images = _table(action, name, element, out_vars, rows)
+        table.update(images)
+        if h:
+            spans.append(([i for i, v in enumerate(p.vars) if v in images], h))
+    outside = [i for i, v in enumerate(p.vars) if v not in table]
+    if any(exps[i] for exps in p.terms for i in outside):
+        raise DimensionError("polynomial does not live on the declared space")
+    if not spans:
+        return p.subs(table, out_vars), 0
+    classes: dict[int, dict] = {}
+    tops = [0] * len(spans)
+    for exps, coeff in p.terms.items():
+        degrees = [sum(exps[i] for i in pos) for pos, _ in spans]
+        tops = [max(t, e) for t, e in zip(tops, degrees)]
+        weight = sum(h * e for (_, h), e in zip(spans, degrees))
+        classes.setdefault(weight, {})[exps] = coeff
+    k = sum(h * t for (_, h), t in zip(spans, tops))
+    det = det.embed(out_vars)
+    num = Poly.zero(out_vars, action.field)
+    for weight, terms in classes.items():
+        num = num + Poly(p.vars, terms, p.field).subs(table, out_vars) * det ** (k - weight)
+    return num, k
+
+
 class FiniteGroupAction:
     """A finite matrix group with linear actions on the X- and W-spaces.
 
@@ -91,8 +171,8 @@ class FiniteGroupAction:
         self.identity = 0
         # inv[i] is the index of the inverse of element i
         self.inv = inv
-        # substitution tables, per (side, element, out_vars)
-        self._substitutions: dict[tuple, dict[str, Poly]] = {}
+        # substitution tables of act_cleared, per (side, element, out_vars)
+        self._tables: dict[tuple, dict[str, Poly]] = {}
 
     # -- structure -----------------------------------------------------------
 
@@ -131,45 +211,20 @@ class FiniteGroupAction:
 
     # -- actions on polynomials ------------------------------------------------
 
-    def _subst_from_matrix(self, mat: QMat, vars: tuple[str, ...],
-                           out_vars: tuple[str, ...]) -> dict[str, Poly]:
-        images = {}
-        for k, name in enumerate(vars):
-            img = Poly.zero(out_vars, self.field)
-            for l, coeff in enumerate(mat[k]):
-                if coeff:
-                    img = img + Poly.var(vars[l], out_vars, self.field) * coeff
-            images[name] = img
-        return images
-
-    def _substitution(self, side: str, i: int,
-                      out_vars: tuple[str, ...] | None) -> dict[str, Poly]:
-        mats, vars = (self.x_mats, self.x_vars) if side == "x" else (self.w_mats, self.w_vars)
-        out_vars = tuple(out_vars or vars)
-        key = (side, i, out_vars)
-        table = self._substitutions.get(key)
-        if table is None:
-            table = self._substitutions[key] = self._subst_from_matrix(mats[i], vars, out_vars)
-        return table
-
     def x_substitution(self, i: int, out_vars: tuple[str, ...] | None = None) -> dict[str, Poly]:
         """Map x_k -> sum_l (M)_{kl} x_l with M the matrix of element i; pass
-        ``inv[i]`` for the inverse.  The table is built once per (element,
-        out_vars) and shared: callers must not mutate it."""
-        return self._substitution("x", i, out_vars)
-
-    def w_substitution(self, i: int, out_vars: tuple[str, ...] | None = None) -> dict[str, Poly]:
-        """The W-side table of :meth:`x_substitution`, cached the same way."""
-        return self._substitution("w", i, out_vars)
+        ``inv[i]`` for the inverse.  This is the cached X-side table of
+        :meth:`act_cleared`; callers must not mutate it."""
+        out_vars = tuple(out_vars or self.x_vars)
+        return _table(self, "x", i, out_vars, self.x_mats[i])
 
     def act_cleared(self, p: Poly, side: str, out_vars: tuple[str, ...],
                     element: int) -> tuple[Poly, int]:
         """(p(g x), 0) for the element g, over ``out_vars`` (with side ``xw``,
         p(g x, g_W w)): a finite element clears no denominator."""
-        table = self.x_substitution(element, out_vars)
-        if side == "xw":
-            table = {**table, **self.w_substitution(element, out_vars)}
-        return p.subs(table, out_vars), 0
+        return _cleared_substitution(self, p, side, out_vars, element,
+                                     {"x": (self.x_mats[element], 0),
+                                      "w": (self.w_mats[element], 0)}, None)
 
     def check_det(self, ring: tuple[str, ...]) -> None:
         """det(g) of a check element, None standing for 1."""
@@ -453,8 +508,8 @@ class SymbolicGroupAction:
         self.x_detpow = x_spec.det_power(n)
         self.w_num = _block_diagonal(blocks[w_spec.kind], w_spec.m)
         self.w_detpow = w_spec.det_power(n)
-        # linear-image tables of act_cleared, per (side, out_vars)
-        self._images: dict[tuple, list[Poly]] = {}
+        # substitution tables of act_cleared, per (side, element, out_vars)
+        self._tables: dict[tuple, dict[str, Poly]] = {}
 
     # -- sanity at construction ------------------------------------------------
 
@@ -511,24 +566,6 @@ class SymbolicGroupAction:
         return [[e.embed(ring) if e else e for e in row]
                 for row in self.w_num.entries], self.w_detpow
 
-    def _linear_images(self, num: Matrix, space_vars: tuple[str, ...],
-                       out_vars: tuple[str, ...]) -> list[Poly]:
-        imgs = []
-        for k in range(len(space_vars)):
-            acc = Poly.zero(out_vars, self.field)
-            for l, name in enumerate(space_vars):
-                c = num.entries[k][l]
-                if c:
-                    acc = acc + c.embed(out_vars) * Poly.var(name, out_vars, self.field)
-            imgs.append(acc)
-        return imgs
-
-    def _space(self, space: str) -> tuple[tuple[str, ...], Matrix, int]:
-        """(variables, cleared numerator, det power) of one side's point map."""
-        if space == "x":
-            return self.x_vars, self.x_num, self.x_detpow
-        return self.w_vars, self.w_num, self.w_detpow
-
     def act_cleared(self, p: Poly, side: str = "x",
                     out_vars: tuple[str, ...] | None = None,
                     element: str = GENERIC) -> tuple[Poly, int]:
@@ -540,63 +577,11 @@ class SymbolicGroupAction:
         automorphism of k[g_ij, 1/det], so an identity holds for every g . p
         exactly when it holds for every p(g x).
         """
-        names = {"x": ("x",), "w": ("w",), "xw": ("x", "w")}.get(side)
-        if names is None:
-            raise ActionError(f"unknown side {side!r}")
-        spaces = [self._space(name) for name in names]
         out_vars = out_vars or tuple(dict.fromkeys(p.vars + self.g_vars))
-        allowed = set().union(*(set(s[0]) for s in spaces))
-        if not set(p.support_vars()) <= allowed:
-            raise DimensionError("polynomial does not live on the declared space")
-        table: dict[str, Poly] = {}
-        space_of: dict[str, int] = {}
-        for s_idx, (name, (space_vars, num, _)) in enumerate(zip(names, spaces)):
-            key = (name, out_vars)
-            if key not in self._images:
-                self._images[key] = self._linear_images(num, space_vars, out_vars)
-            for var, img in zip(space_vars, self._images[key]):
-                table[var] = img
-                space_of[var] = s_idx
-        p_emb = p.embed(out_vars) if p.vars != out_vars else p
-        # per-space maximal degrees fix the shared denominator det^k
-        max_deg = [0] * len(spaces)
-        for exps in p_emb.terms:
-            per = [0] * len(spaces)
-            for name, e in zip(out_vars, exps):
-                if e and name in space_of:
-                    per[space_of[name]] += e
-            for s_idx in range(len(spaces)):
-                max_deg[s_idx] = max(max_deg[s_idx], per[s_idx])
-        k_total = sum(m * s[2] for m, s in zip(max_deg, spaces))
-        det = self.det_poly.embed(out_vars)
-        det_powers: dict[int, Poly] = {0: Poly.one(out_vars, self.field)}
-
-        def det_pow(k: int) -> Poly:
-            if k not in det_powers:
-                det_powers[k] = det ** k
-            return det_powers[k]
-
-        powers: dict[str, dict[int, Poly]] = {}
-        total = Poly.zero(out_vars, self.field)
-        for exps, coeff in p_emb.terms.items():
-            term = Poly.const(coeff, out_vars, self.field)
-            per = [0] * len(spaces)
-            for name, e in zip(out_vars, exps):
-                if not e:
-                    continue
-                if name not in table:
-                    term = term * Poly.var(name, out_vars, self.field) ** e
-                    continue
-                cache = powers.setdefault(name, {})
-                if e not in cache:
-                    cache[e] = table[name] ** e
-                term = term * cache[e]
-                per[space_of[name]] += e
-            pad = sum((m - d) * s[2] for m, d, s in zip(max_deg, per, spaces))
-            if pad:
-                term = term * det_pow(pad)
-            total = total + term
-        return total, k_total
+        return _cleared_substitution(self, p, side, out_vars, element,
+                                     {"x": (self.x_num.entries, self.x_detpow),
+                                      "w": (self.w_num.entries, self.w_detpow)},
+                                     self.det_poly)
 
     def act_on_poly(self, p: Poly | RatFn, side: str = "x") -> RatFn:
         """Function action p(g^{-1} x) by the generic element, as a rational

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
@@ -72,6 +73,8 @@ from .report import Report
 
 USAGE_EXIT = 2
 MATH_EXIT = 1
+# the status of a program killed by SIGPIPE: the reader closed stdout
+PIPE_EXIT = 141
 
 
 class ProblemError(ExactAlgError):
@@ -102,11 +105,14 @@ def _expect(cond: bool, message: str):
         raise ProblemError(message)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: not a float, a string or a boolean."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int(value, where: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ProblemError(f"{where}: expected an integer, got {value!r}") from None
+    _expect(_is_int(value), f"{where}: expected an integer, got {value!r}")
+    return value
 
 
 def _positive(value, where: str) -> int:
@@ -149,8 +155,10 @@ def _parse_matrix(rows, where: str) -> list[list[str]]:
 
 
 def _parsed(cls, text, where: str, group: GroupAction, **options):
-    """``cls.parse`` over the X-variables; a malformed text or a zero
-    denominator names the field."""
+    """``cls.parse`` over the X-variables of a string or an integer; any
+    other value, a malformed text or a zero denominator names the field."""
+    _expect(isinstance(text, str) or _is_int(text),
+            f"{where}: expected a string or an integer, got {text!r}")
     try:
         return cls.parse(str(text), group.x_vars, group.field, **options)
     except (ParseError, ZeroDivisionError) as exc:
@@ -292,8 +300,6 @@ def _family_from_block(block: dict, group: GroupAction) -> list[Covariant]:
 
 
 def _read_problem_text(source: str) -> tuple[str, str]:
-    import os
-
     if os.path.exists(source):
         with open(source, "r", encoding="utf-8") as fh:
             return fh.read(), source
@@ -382,7 +388,7 @@ def certificate_payload(m: NoNameMap, problem: ProblemFile, report: Report) -> d
         "phi": [[str(e) for e in row] for row in m.phi.entries],
         "phi_inv": [[str(e) for e in row] for row in m.phi_inv.entries],
         "covariants": [[str(c) for c in F.coords] for F in m.covariants],
-        "out_vars": list(m.out_vars),
+        "out_vars": list(_pick_out_vars(m.action, m.dim)),
         "checks": [c.to_dict() for c in report.checks],
     }
 
@@ -412,15 +418,15 @@ def load_certificate(path: str) -> tuple[NoNameMap, ProblemFile]:
                 for coords in _certificate_square(raw, "covariants", group)]
         _expect(_is_frame_of(covs, phi_inv),
                 "covariants: expected the columns of phi_inv, in order")
+    # the output coordinate names are written for readers; no check reads them
     out_vars = raw.get("out_vars")
-    if out_vars is None:
-        out_vars = list(_pick_out_vars(group, d))
-    _expect(isinstance(out_vars, list) and len(out_vars) == d
-            and all(isinstance(v, str) and v for v in out_vars)
-            and len(set(out_vars)) == d and not set(out_vars) & _taken_names(group),
-            f"out_vars: expected {d} distinct names, none of them an x, w or g variable")
+    _expect(out_vars is None or (
+        isinstance(out_vars, list) and len(out_vars) == d
+        and all(isinstance(v, str) and v for v in out_vars)
+        and len(set(out_vars)) == d and not set(out_vars) & _taken_names(group)),
+        f"out_vars: expected {d} distinct names, none of them an x, w or g variable")
     invariant = RelativeInvariant(f, weight, group)
-    m = NoNameMap(group, invariant, phi, phi_inv, group.w_vars, tuple(out_vars), covs)
+    m = NoNameMap(group, invariant, phi, phi_inv, covs)
     return m, problem
 
 
@@ -737,7 +743,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # flushed here, so that a closed stdout is met inside the try
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # no one reads the rest: send it to devnull, so that the flush at
+        # exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return PIPE_EXIT
     except (ProblemError, ParseError, DimensionError, ActionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

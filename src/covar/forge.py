@@ -97,12 +97,8 @@ class _Orbit:
         # image of each x_k under g^{-1} as (variable index, coefficient) pairs
         self.w_cols = [[[(c, _small(w[c][l])) for c in range(d) if w[c][l]]
                         for l in range(d)] for w in G.w_mats]
-        self.linear = []
-        for g in G.elements():
-            subst = G.x_substitution(G.inv[g])
-            self.linear.append([[(exps.index(1), _small(c))
-                                 for exps, c in subst[v].terms.items()]
-                                for v in G.x_vars])
+        self.linear = [[[(l, _small(c)) for l, c in enumerate(row) if c]
+                        for row in G.x_mats[G.inv[g]]] for g in G.elements()]
 
     def images(self, wanted):
         """Yield (alpha, images) for each wanted exponent tuple in increasing

@@ -119,8 +119,6 @@ class NoNameMap:
     invariant: RelativeInvariant
     phi: Matrix
     phi_inv: Matrix
-    w_vars: tuple[str, ...]
-    out_vars: tuple[str, ...]
     covariants: list[Covariant] = dc_field(default_factory=list)
     # the verify_isomorphism report that accepted the map at build time
     report: Report | None = dc_field(default=None, compare=False, repr=False)
@@ -144,14 +142,15 @@ class NoNameMap:
     def generators(self) -> list[RatFn]:
         """The invariant generators Phi_i = sum_j phi_ij w_j in the
         (x, w)-ring, all over phi's one denominator."""
-        ring = self.action.x_vars + self.w_vars
-        ws = [Poly.var(v, ring, self.action.field) for v in self.w_vars]
+        action = self.action
+        ring = action.x_vars + action.w_vars
+        ws = [Poly.var(v, ring, action.field) for v in action.w_vars]
         nums, den = self.phi_rows
         return [RatFn(_dot([e.embed(ring) for e in row], ws), den.embed(ring),
                       reduce=False) for row in nums]
 
 
-def build_isomorphism(Fs: list[Covariant], out_vars: tuple[str, ...] | None = None) -> NoNameMap:
+def build_isomorphism(Fs: list[Covariant]) -> NoNameMap:
     """Construct the localized isomorphism from d independent covariants.
 
     The map is accepted only if :func:`verify_isomorphism` passes every
@@ -174,8 +173,7 @@ def build_isomorphism(Fs: list[Covariant], out_vars: tuple[str, ...] | None = No
     N, D, det = ri.cleared
     phi = Matrix([[RatFn(e * D[j], det, reduce=False) for j, e in enumerate(row)]
                   for row in N.adjugate().entries])
-    out_vars = tuple(out_vars) if out_vars else _pick_out_vars(action, len(Fs))
-    m = NoNameMap(action, ri, phi, ri.frame, action.w_vars, out_vars, list(Fs))
+    m = NoNameMap(action, ri, phi, ri.frame, list(Fs))
     m.report = verify_isomorphism(m)
     if not m.report.ok:
         raise IsomorphismError("failed checks: " + ", ".join(

@@ -18,6 +18,7 @@ from covar.action import (
 )
 from covar import action as action_module
 from covar.exactalg import (
+    DimensionError,
     Matrix,
     Poly,
     PrimeField,
@@ -211,6 +212,95 @@ def test_act_cleared_inverse_composition():
     point = {f"a{i + 1}{j + 1}": A[i][j] for i in range(2) for j in range(2)}
     g_point = {f"g{i + 1}{j + 1}": g[i][j] for i in range(2) for j in range(2)}
     assert fwd.eval({**point, **g_point}) == p.eval(moved_point) * det_val**kf
+
+
+ROTATION = [["0", "-1"], ["1", "0"]]
+ROTATION_AND_SIGN = [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "-1"]]
+
+# one group per model and template: (name, factory)
+CLEARED_GROUPS = {
+    "s3": lambda: make_finite_group([(CYCLE3, CYCLE3), (SWAP3, SWAP3)]),
+    "rotation-on-k3": lambda: make_finite_group([(ROTATION, ROTATION_AND_SIGN)]),
+    "gl2-conjugation": lambda: symbolic_general_linear(
+        2, "gl_conjugation", "gl_conjugation", x_copies=2, w_copies=1),
+    "gl2-natural-2-copies": lambda: symbolic_general_linear(
+        2, "gl_natural", "gl_natural", x_copies=2),
+    "scalar": lambda: symbolic_general_linear(1, "scalar", "scalar", x_copies=2),
+}
+
+
+def _reference_images(G, side: str, ring: tuple, element) -> dict:
+    """The point maps of one element as RatFn images over ``ring``, written
+    as the matrix product rows * (v_1, ..., v_n)^T over det^h."""
+    out = {}
+    for s in ("x", "w") if side == "xw" else (side,):
+        space = G.x_vars if s == "x" else G.w_vars
+        if G.is_finite:
+            rows, den = (G.x_mats if s == "x" else G.w_mats)[element], Poly.one(ring, G.field)
+            rows = [[Poly.const(c, ring, G.field) for c in row] for row in rows]
+        else:
+            num, h = (G.x_num, G.x_detpow) if s == "x" else (G.w_num, G.w_detpow)
+            rows, den = num.embed(ring).entries, G.det_poly.embed(ring) ** h
+        column = Matrix([[Poly.var(v, ring, G.field)] for v in space])
+        for v, (img,) in zip(space, (Matrix(rows) * column).entries):
+            out[v] = RatFn(img, den)
+    return out
+
+
+@pytest.mark.parametrize("group,side,text,k", [
+    ("s3", "x", "x1^2*x2 - x3^3", 0),
+    ("s3", "x", "x1^2 + 2*x2 + 1", 0),
+    ("s3", "w", "w1*w3 + w2^2", 0),
+    ("s3", "xw", "x1*w2 - x3^2*w1 + w3 + 5", 0),
+    ("rotation-on-k3", "x", "x1^3 + x1*x2", 0),
+    ("rotation-on-k3", "w", "w1*w3 - w2^2", 0),
+    ("rotation-on-k3", "xw", "x1*w3 + x2^2*w2 - 1", 0),
+    ("gl2-conjugation", "x", "a11*b12 - a21*b12", 2),
+    ("gl2-conjugation", "x", "a11^2*b22 + a12 + 3", 3),
+    ("gl2-conjugation", "w", "w11*w22 - w12*w21", 2),
+    ("gl2-conjugation", "w", "w12^2 + w21", 2),
+    # k = 1 * 2 + 1 * 1: the largest degrees on each side, not the largest
+    # weight of a term (2)
+    ("gl2-conjugation", "xw", "a11^2 + b12*w21", 3),
+    ("gl2-conjugation", "xw", "a12*w11 + w22^2 + 1", 3),
+    ("gl2-natural-2-copies", "x", "x11*x22 - x21*x12", 0),
+    ("gl2-natural-2-copies", "xw", "x11^2*w2 + x12 + w1", 0),
+    ("scalar", "x", "x1^2 + x2", 0),
+    ("scalar", "xw", "x1*w1 - x2^3", 0),
+])
+def test_act_cleared_matches_a_matrix_product_reference(group, side, text, k):
+    """num equals p at the reference images times det^k, k pinned, on every
+    element of a finite group and at the generic element."""
+    G = CLEARED_GROUPS[group]()
+    ring = G.x_vars + G.w_vars + G.g_vars
+    p = Poly.parse(text, ring)
+    det = G.check_det(ring)
+    for e in G.elements() if G.is_finite else G.check_elements():
+        num, got_k = G.act_cleared(p, side, ring, e)
+        assert got_k == k
+        ref = p.subs(_reference_images(G, side, ring, e), ring)
+        assert RatFn(num) == (ref if det is None else ref * RatFn(det ** k))
+
+
+@pytest.mark.parametrize("group,moved", [
+    ("s2", "w2"),
+    ("gl2-natural", "g11*w1 + g12*w2"),
+])
+def test_act_cleared_moves_its_side_and_refuses_the_rest(group, moved):
+    """Side w moves the W-variables; an unknown side, a variable of the other
+    side and one of neither space are refused by both models."""
+    G = (make_finite_group([(SWAP, SWAP)]) if group == "s2"
+         else symbolic_general_linear(2, "gl_natural", "gl_natural"))
+    ring = G.x_vars + G.w_vars + G.g_vars + ("t",)
+    e = G.check_elements()[0]
+    w1, x1, t = (Poly.var(v, ring) for v in (G.w_vars[0], G.x_vars[0], "t"))
+    num, k = G.act_cleared(w1, "w", ring, e)
+    assert (num, k) == (Poly.parse(moved, ring), 0)
+    with pytest.raises(ActionError, match="unknown side"):
+        G.act_cleared(w1, "wx", ring, e)
+    for p, side in ((w1, "x"), (x1, "w"), (x1 * t, "x"), (t, "xw")):
+        with pytest.raises(DimensionError, match="declared space"):
+            G.act_cleared(p, side, ring, e)
 
 
 def test_two_generic_elements_compose():

@@ -291,6 +291,28 @@ def test_package_runs_as_a_module():
     assert "vandermonde_s2" in proc.stdout
 
 
+def test_closed_stdout_exits_without_a_traceback():
+    """A reader that is gone before the report is written: the child exits
+    with the SIGPIPE status and writes nothing to stderr."""
+    import subprocess
+    import sys
+
+    import covar
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(covar.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "covar", "example"], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
 def test_usage_errors_exit_two(tmp_path):
     code, _, err = run_cli(["independence", "/missing.json"])
     assert code == 2 and "error" in err
@@ -331,6 +353,9 @@ def _swap_problem_over(prime):
     return {"field": {"prime": prime},
             "group": {"type": "finite", "generators": [{"x": swap, "w": swap}]},
             "covariants": [["x1", "x2"]]}
+
+
+SWAP_PAIR = {"x": [["0", "1"], ["1", "0"]], "w": [["0", "1"], ["1", "0"]]}
 
 
 def _finite_problem(*generators, **group) -> dict:
@@ -435,6 +460,15 @@ def _swap_problem_with_x_vars(x_vars) -> dict:
      "group"),
     ("verify", lambda tmp: _finite_problem({"x": [["1", "1"], ["1", "1"]],
                                             "w": [["0", "1"], ["1", "0"]]}), "group"),
+    ("verify", lambda tmp: _symbolic_group(n=2.7), "group.n"),
+    ("verify", lambda tmp: _symbolic_group(n=True), "group.n"),
+    ("verify", lambda tmp: _symbolic_group(x_copies="2"), "group.x_copies"),
+    ("verify", lambda tmp: _family_problem("gl_conjugation", 2, name="matrix_words",
+                                           words=[[1.9, 0]]), "family.words[0]"),
+    ("verify", lambda tmp: _finite_problem(SWAP_PAIR, max_order=2.5), "group.max_order"),
+    ("verify", lambda tmp: dict(_finite_problem(SWAP_PAIR), covariants=[[None, "x2"]]),
+     "covariants[0][0]"),
+    ("lower", lambda tmp: _cubic_with(relation=["x1^2*x2", True, "x1"]), "relation[1]"),
 ], ids=["family-without-n", "gf5-entry-with-denominator-5", "certificate-without-f",
         "hypotheses-not-an-object", "word-not-an-array", "composite-prime",
         "prime-with-400-digits", "phi-entry-not-a-string", "weight-empty-object",
@@ -448,7 +482,9 @@ def _swap_problem_with_x_vars(x_vars) -> dict:
         "reflection-entry-over-zero", "flag-a-string", "flag-a-number",
         "note-not-a-string", "both-bridges", "relation-coefficient-unparsable",
         "relation-coefficient-over-zero", "covariant-over-zero",
-        "w-images-not-a-homomorphism", "unipotent-past-max-order", "singular-generator"])
+        "w-images-not-a-homomorphism", "unipotent-past-max-order", "singular-generator",
+        "n-a-float", "n-a-boolean", "x-copies-a-string", "word-exponent-a-float",
+        "max-order-a-float", "coordinate-null", "relation-coefficient-a-boolean"])
 def test_malformed_input_exits_two_naming_the_field(tmp_path, command, make_payload,
                                                     field):
     path = tmp_path / "malformed.json"
@@ -457,6 +493,18 @@ def test_malformed_input_exits_two_naming_the_field(tmp_path, command, make_payl
     assert code == 2
     assert f"error: {field}:" in err
     assert "Traceback" not in err
+
+
+def test_a_coordinate_or_coefficient_of_another_type_expects_a_string(tmp_path):
+    for command, payload, field in (
+            ("verify", dict(_finite_problem(SWAP_PAIR), covariants=[[None, "x2"]]),
+             "covariants[0][0]"),
+            ("lower", _cubic_with(relation=["x1^2*x2", True, "x1"]), "relation[1]")):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli([command, str(path)])
+        assert code == 2
+        assert f"error: {field}: expected a string" in err
 
 
 def test_empty_word_or_power_list_is_an_empty_family():
@@ -547,18 +595,18 @@ def test_word_family_is_built_on_the_problem_group(monkeypatch):
 
     inits = []
     built = []
-    init, images = action.SymbolicGroupAction.__init__, action.SymbolicGroupAction._linear_images
+    init, images = action.SymbolicGroupAction.__init__, action._linear_images
 
     def counting_init(self, *args, **kwargs):
         inits.append(self)
         init(self, *args, **kwargs)
 
-    def counting_images(self, num, space_vars, out_vars):
-        built.append((id(num), space_vars, out_vars))
-        return images(self, num, space_vars, out_vars)
+    def counting_images(rows, space_vars, out_vars, field):
+        built.append((id(rows), space_vars, out_vars))
+        return images(rows, space_vars, out_vars, field)
 
     monkeypatch.setattr(action.SymbolicGroupAction, "__init__", counting_init)
-    monkeypatch.setattr(action.SymbolicGroupAction, "_linear_images", counting_images)
+    monkeypatch.setattr(action, "_linear_images", counting_images)
     problem = parse_problem("matrix_words_gl3")
     assert inits == [problem.group]
     assert all(F.action is problem.group for F in problem.covariants)

@@ -258,14 +258,13 @@ def test_reynolds_project_matches_substitution_sum(name):
 
 
 def test_generate_s4_ranks_distinct_averages_and_verifies_what_it_keeps(monkeypatch):
-    from covar import forge
-    from covar.action import FiniteGroupAction
+    from covar import action, forge
 
     G = _symmetric_group_action(4)
-    calls = {"verify": 0, "trial": 0, "rank": 0, "built": 0}
-    requested = set()
+    calls = {"verify": 0, "trial": 0, "rank": 0}
+    built = []
     verify, trial, rank = forge.verify_equivariance, forge._raises_rank, Matrix.rank
-    x_subst, build = FiniteGroupAction.x_substitution, FiniteGroupAction._subst_from_matrix
+    images = action._linear_images
 
     def spy_verify(F):
         calls["verify"] += 1
@@ -279,19 +278,14 @@ def test_generate_s4_ranks_distinct_averages_and_verifies_what_it_keeps(monkeypa
         calls["rank"] += 1
         return rank(self)
 
-    def spy_x_subst(self, i, out_vars=None):
-        requested.add((i, tuple(out_vars or self.x_vars)))
-        return x_subst(self, i, out_vars)
-
-    def spy_build(self, *args):
-        calls["built"] += 1
-        return build(self, *args)
+    def spy_images(rows, space_vars, out_vars, field):
+        built.append((id(rows), space_vars, out_vars))
+        return images(rows, space_vars, out_vars, field)
 
     monkeypatch.setattr(forge, "verify_equivariance", spy_verify)
     monkeypatch.setattr(forge, "_raises_rank", spy_trial)
     monkeypatch.setattr(Matrix, "rank", spy_rank)
-    monkeypatch.setattr(FiniteGroupAction, "x_substitution", spy_x_subst)
-    monkeypatch.setattr(FiniteGroupAction, "_subst_from_matrix", spy_build)
+    monkeypatch.setattr(action, "_linear_images", spy_images)
     fam = generate_covariants(G, 4)
     assert len(fam) == 4 and all(F.status == "equivariant" for F in fam)
     assert calls["verify"] == 4
@@ -299,10 +293,10 @@ def test_generate_s4_ranks_distinct_averages_and_verifies_what_it_keeps(monkeypa
     # point, so only the 4 that do not rise take a symbolic rank
     assert calls["trial"] == 8
     assert calls["rank"] == 4
-    # one table per element, each built once: averaging reads the table of
-    # every g^{-1}, and the equivariance checks share those tables
-    assert {(G.inv[g], G.x_vars) for g in G.elements()} <= requested
-    assert calls["built"] == len(requested)
+    # averaging reads the matrix of every g^{-1} and builds no table; the
+    # equivariance checks build one X-table per generator, each once
+    assert sorted(built) == sorted((id(G.x_mats[g]), G.x_vars, G.x_vars)
+                                   for g in set(G.generators))
 
 
 def test_generate_does_not_rank_a_multiple_of_an_earlier_average(monkeypatch):
@@ -324,12 +318,23 @@ def test_generate_does_not_rank_a_multiple_of_an_earlier_average(monkeypatch):
     assert ranks == []
 
 
-def test_substitution_tables_are_cached(s3):
+def test_substitution_tables_are_cached(s3, monkeypatch):
+    from covar import action
+
+    built = []
+    images = action._linear_images
+    monkeypatch.setattr(action, "_linear_images",
+                        lambda *args: built.append(args[1:3]) or images(*args))
     assert s3.x_substitution(2) is s3.x_substitution(2, out_vars=s3.x_vars)
-    assert s3.w_substitution(2) is s3.w_substitution(2)
     assert s3.x_substitution(2) is not s3.x_substitution(3)
     ring = s3.x_vars + s3.w_vars
     assert s3.x_substitution(2, ring) is not s3.x_substitution(2)
+    # act_cleared reads the same tables, and builds the W-table once
+    p = Poly.parse("x1*w2 + x3", ring)
+    for _ in range(2):
+        s3.act_cleared(p, "xw", ring, 2)
+    assert built == [(s3.x_vars, s3.x_vars), (s3.x_vars, s3.x_vars),
+                     (s3.x_vars, ring), (s3.w_vars, ring)]
 
 
 # The family generate_covariants returned for S5 at degree bound 5 before

@@ -40,7 +40,7 @@ def test_frame_columns_map_to_standard_vectors(vandermonde_pair):
     G = m.action
     gens = m.generators()
     for j, F in enumerate(vandermonde_pair):
-        subst = dict(zip(m.w_vars, F.poly_coords()))
+        subst = dict(zip(G.w_vars, F.poly_coords()))
         for i in range(m.dim):
             num = gens[i].num.subs(subst, G.x_vars)
             den = gens[i].den.subs({}, G.x_vars)
@@ -68,8 +68,7 @@ def test_perturbed_entry_is_caught(vandermonde_pair):
     m = build_isomorphism(vandermonde_pair)
     bad_entries = [row[:] for row in m.phi.entries]
     bad_entries[0][0] = bad_entries[0][0] + 1
-    bad = NoNameMap(m.action, m.invariant, Matrix(bad_entries), m.phi_inv,
-                    m.w_vars, m.out_vars)
+    bad = NoNameMap(m.action, m.invariant, Matrix(bad_entries), m.phi_inv)
     rep = verify_isomorphism(bad)
     assert not rep.ok
     details = " ".join(c.detail for c in rep.failed_checks())
@@ -373,10 +372,13 @@ def _generators_fixed_by_every_element(m: NoNameMap) -> bool:
     """Reference: every generator sum_j phi_ij w_j, moved by every element
     of the finite group through the full (x, w)-substitution, is unchanged."""
     action = m.action
-    ring = action.x_vars + m.w_vars
+    ring = action.x_vars + action.w_vars
+    ws = [Poly.var(v, ring, action.field) for v in action.w_vars]
     for g in action.elements():
         subst = dict(action.x_substitution(action.inv[g], ring))
-        subst.update(action.w_substitution(action.inv[g], ring))
+        for v, row in zip(action.w_vars, action.w_mats[action.inv[g]]):
+            subst[v] = sum((w * c for w, c in zip(ws, row) if c),
+                           Poly.zero(ring, action.field))
         for gen in m.generators():
             if gen.num.subs(subst, ring) * gen.den != gen.num * gen.den.subs(subst, ring):
                 return False
