@@ -14,6 +14,9 @@ Both check an identity as one forward cleared identity per element of
 of ``check_det``, and ``w_cleared`` gives g_W the same way.  A finite element
 clears nothing (power 0, det 1).  As g -> g^{-1} permutes the group, an
 identity holds for every g . f exactly when it holds for every f(g x).
+A finite group is checked on its distinct generators, and a finite
+character is read off them (``Character.from_generators``).  The function
+action ``act_on_poly`` stays as a reference; no library routine calls it.
 
 Both ``act_cleared`` methods are thin wrappers over one substitution: a check
 element moves each space by numerator rows over det^h, and its substitution
@@ -191,16 +194,12 @@ class FiniteGroupAction:
     def elements(self) -> range:
         return range(self.order)
 
-    def check_elements(self, weight: "Character | None" = None) -> list[int]:
+    def check_elements(self) -> list[int]:
         """The elements an identity is checked on: the generators without
         repeats.  The elements satisfying an equivariance identity, or a
         relative-invariance identity under a character, form a subgroup, so
-        the identity holds on the whole group iff it holds on these.  A
-        weight table read from a file may not be a character; then every
-        element is checked."""
-        if weight is None or weight.check_multiplicative():
-            return list(dict.fromkeys(self.generators))
-        return list(self.elements())
+        the identity holds on the whole group iff it holds on these."""
+        return list(dict.fromkeys(self.generators))
 
     def checked_on(self) -> str:
         k = len(self.check_elements())
@@ -393,15 +392,6 @@ class TemplateSpec:
     kind: str
     m: int = 1
 
-    def dim(self, n: int) -> int:
-        if self.kind == "conjugation":
-            return n * n * self.m
-        if self.kind == "natural":
-            return n * self.m
-        if self.kind in ("scalar", "trivial"):
-            return self.m
-        raise ActionError(f"unknown action template {self.kind!r}")
-
     def var_names(self, n: int, role: str) -> tuple[str, ...]:
         if self.kind == "conjugation":
             if role == "w":
@@ -547,7 +537,7 @@ class SymbolicGroupAction:
 
     # -- cleared actions -----------------------------------------------------------
 
-    def check_elements(self, weight: "Character | None" = None) -> list[str]:
+    def check_elements(self) -> list[str]:
         """The one check element: the generic g stands for every element."""
         return [GENERIC]
 
@@ -667,6 +657,21 @@ class Character:
             return cls(action, table=[field_one(action.field)] * action.order)
         return cls(action, ratfn=RatFn.one(action.g_vars, action.field))
 
+    @classmethod
+    def from_generators(cls, action: FiniteGroupAction, values: list) -> "Character":
+        """The character with ``values`` on the distinct generators, which
+        the caller vouches belong to a character.  Over the Cayley table,
+        an element takes the value of its breadth-first parent times that
+        of the generator it was first reached by."""
+        at = dict(zip(action.check_elements(), values))
+        gen_values = [at[g] for g in action.generators]
+        table = [field_one(action.field)] + [None] * (action.order - 1)
+        for i, row in enumerate(action.right):
+            for j, v in zip(row, gen_values):
+                if table[j] is None:
+                    table[j] = table[i] * v
+        return cls(action, table=table)
+
     def value(self, i: int):
         return self.table[i]
 
@@ -737,8 +742,8 @@ def det_w_inverse_character(action: GroupAction) -> Character:
     """The character g -> det(g_W)^{-1} attached to determinant invariants."""
     if action.is_finite:
         one = field_one(action.field)
-        return Character(action, table=[one / qmat_det(m, action.field)
-                                        for m in action.w_mats])
+        return Character.from_generators(action, [
+            one / qmat_det(action.w_mats[g], action.field) for g in action.check_elements()])
     det_w = action.w_num.det()  # Poly in g-vars
     power = action.w_detpow * action.w_dim
     theta = RatFn(action.det_poly ** power, det_w)

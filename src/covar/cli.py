@@ -151,16 +151,22 @@ def _parse_matrix(rows, where: str) -> list[list[str]]:
         _expect(len(r) == width, f"{where}: row {i} has {len(r)} entries, expected {width}")
     _expect(len(rows) == width, f"{where}: matrix must be square "
             f"({len(rows)}x{width} given)")
-    return [[str(x) for x in r] for r in rows]
+    return [[_text(x, f"{where}[{i}][{j}]") for j, x in enumerate(r)]
+            for i, r in enumerate(rows)]
+
+
+def _text(value, where: str) -> str:
+    """A string or a JSON integer as text; any other value names the field."""
+    _expect(isinstance(value, str) or _is_int(value),
+            f"{where}: expected a string or an integer, got {value!r}")
+    return str(value)
 
 
 def _parsed(cls, text, where: str, group: GroupAction, **options):
     """``cls.parse`` over the X-variables of a string or an integer; any
     other value, a malformed text or a zero denominator names the field."""
-    _expect(isinstance(text, str) or _is_int(text),
-            f"{where}: expected a string or an integer, got {text!r}")
     try:
-        return cls.parse(str(text), group.x_vars, group.field, **options)
+        return cls.parse(_text(text, where), group.x_vars, group.field, **options)
     except (ParseError, ZeroDivisionError) as exc:
         raise ProblemError(f"{where}: {exc}") from None
 

@@ -326,15 +326,19 @@ def _is_relative_invariant(action: GroupAction, f: Poly | RatFn,
     """g.f = theta(g) f for every g exactly when f(gx) theta(g) = f(x) for
     every g (put gx for x).  With f = N/D, N(gx) = N'/det^a, D(gx) = D'/det^b
     and theta(g) = tn/td, that is N' tn det^b D = N td det^a D' on each check
-    element; a polynomial f has no D."""
+    element; a polynomial f has no D.  A nonzero f determines its weight,
+    which is a character, so a finite weight table that is not one is
+    refused without a substitution."""
     if f.is_zero():
         return True
+    if weight.table is not None and not weight.check_multiplicative():
+        return False
     num, den = (f.num, f.den) if isinstance(f, RatFn) else (f, None)
     ring = tuple(dict.fromkeys(f.vars + action.g_vars))
     det = action.check_det(ring)
     num_emb = num.embed(ring)
     den_emb = den.embed(ring) if den is not None else None
-    for e in action.check_elements(weight):
+    for e in action.check_elements():
         theta_num, theta_den = weight.cleared(e, ring)
         num_moved, a = action.act_cleared(num, "x", ring, e)
         den_moved, b = action.act_cleared(den, "x", ring, e) if den is not None else (None, 0)
@@ -350,17 +354,20 @@ def weight_of(action: GroupAction, f: Poly) -> Character | None:
     if f.is_zero():
         return Character.trivial(action)
     if action.is_finite:
+        # theta(g) = f / f(gx) on each generator.  The g with g.f in k^x f
+        # form a subgroup and theta is a character on it, so the generators
+        # decide the whole group.
+        exps, coeff = f.leading()
         values = []
-        for i in action.elements():
-            moved = action.act_on_poly(i, f)
+        for g in action.check_elements():
+            moved, _ = action.act_cleared(f, "x", f.vars, g)
             if moved.terms.keys() != f.terms.keys():
                 return None
-            exps, coeff = f.leading()
-            theta = moved.terms[exps] / coeff
-            if moved != f * theta:
+            theta = coeff / moved.terms[exps]
+            if moved * theta != f:
                 return None
             values.append(theta)
-        return Character(action, table=values)
+        return Character.from_generators(action, values)
     # g.f = theta(g) f with theta(g) = f(x) / f(gx) = f det^k / num
     num, k = action.act_cleared(f, "x")
     ring = num.vars

@@ -255,9 +255,11 @@ def clear_denominators(Fs: list[Covariant], G: FiniteGroupAction
         if F.status != EQUIVARIANT:
             raise CovariantError("clear_denominators requires verified covariants")
     nums, h = common_denominator([c for F in Fs for c in F.coords])
+    # the product of the h(gx) over all g is that of the g.h = h(g^-1 x),
+    # as g -> g^-1 permutes G
     f = Poly.one(G.x_vars, G.field)
     for g in G.elements():
-        f = f * G.act_on_poly(g, h)
+        f = f * G.act_cleared(h, "x", G.x_vars, g)[0]
     w = weight_of(G, f)
     if w is None or not w.is_trivial():
         raise ForgeError("orbit product failed to be an absolute invariant")

@@ -194,76 +194,30 @@ class Reflection:
     action: FiniteGroupAction = dc_field(repr=False, default=None)
 
     def validate(self) -> bool:
-        mat = self.action.x_mats[self.element]
-        n = len(mat)
-        one = field_one(self.action.field)
-        diff = [[mat[i][j] - (one if i == j else one - one) for j in range(n)]
-                for i in range(n)]
-        if qmat_rank(diff) != 1:
-            return False
-        # l must vanish on the fixed space: l rows combos... check l * v = 0
-        # for a kernel basis of (M - I); equivalently l lies in the row space
-        # of (M - I), which for rank one means proportional to a nonzero row.
-        l_coeffs = _linear_form_coeffs(self.hyperplane_form, self.action)
-        if l_coeffs is None:
-            return False
-        for row in diff:
-            if any(row):
-                return _proportional(l_coeffs, row)
-        return False
+        """Whether the element is a pseudo-reflection and the form is a
+        nonzero multiple of the one read off it."""
+        l = _hyperplane_form(self.action, self.element)
+        return l is not None and self.hyperplane_form.monic() == l
 
 
-def _linear_form_coeffs(l: Poly, action: FiniteGroupAction):
-    n = action.x_dim
-    zero = field_one(action.field) - field_one(action.field)
-    coeffs = [zero] * n
-    for exps, c in l.terms.items():
-        if sum(exps) != 1:
-            return None
-        coeffs[list(exps).index(1)] = c
-    return coeffs
-
-
-def _proportional(a: list, b: list) -> bool:
-    pivot = next((i for i, x in enumerate(b) if x), None)
-    if pivot is None:
-        return not any(a)
-    if not a[pivot]:
-        return False
-    ratio = a[pivot] / b[pivot]
-    return all(x == ratio * y for x, y in zip(a, b))
+def _hyperplane_form(action: FiniteGroupAction, g: int) -> Poly | None:
+    """The monic first nonzero row of M - I, as a linear form on X, when
+    M - I has rank 1 (g fixes a hyperplane pointwise); None otherwise."""
+    one = field_one(action.field)
+    diff = [[e - one if i == j else e for j, e in enumerate(row)]
+            for i, row in enumerate(action.x_mats[g])]
+    if qmat_rank(diff) != 1:
+        return None
+    row = next(r for r in diff if any(r))
+    units = [tuple(int(i == j) for j in range(len(row))) for i in range(len(row))]
+    return Poly(action.x_vars, dict(zip(units, row)), action.field).monic()
 
 
 def find_reflections(action: FiniteGroupAction) -> list[Reflection]:
-    """Scan the element list for pseudo-reflections on the X-space.
-
-    The hyperplane form is the first nonzero row of (M - I), scaled so its
-    leading coefficient is 1.
-    """
-    out = []
-    one = field_one(action.field)
-    zero = one - one
-    n = action.x_dim
-    for g in action.elements():
-        if g == action.identity:
-            continue
-        mat = action.x_mats[g]
-        diff = [[mat[i][j] - (one if i == j else zero) for j in range(n)]
-                for i in range(n)]
-        if qmat_rank(diff) != 1:
-            continue
-        row = next(r for r in diff if any(r))
-        l = Poly.zero(action.x_vars, action.field)
-        for name, c in zip(action.x_vars, row):
-            if c:
-                l = l + Poly.var(name, action.x_vars, action.field) * c
-        l = l.monic()
-        refl = Reflection(g, l, action)
-        if not refl.validate():
-            raise ReflectError("internal: reflection detection produced an "
-                               "invalid hyperplane form")
-        out.append(refl)
-    return out
+    """Scan the element list for pseudo-reflections on the X-space, each
+    with the form of :func:`_hyperplane_form`."""
+    forms = ((g, _hyperplane_form(action, g)) for g in action.elements())
+    return [Reflection(g, l, action) for g, l in forms if l is not None]
 
 
 def lower_relation(rel: Relation, s: Reflection) -> Relation:
@@ -286,7 +240,8 @@ def lower_relation(rel: Relation, s: Reflection) -> Relation:
     for h in rel.coeffs:
         if isinstance(h, RatFn):
             h = h.as_poly()
-        moved = action.act_on_poly(s.element, h)
+        # s.h = h(s^-1 x), moved forward by the inverse element
+        moved, _ = action.act_cleared(h, "x", h.vars, action.inv[s.element])
         diff = h - moved
         try:
             new_coeffs.append(diff.exact_div(l) if not diff.is_zero() else diff)

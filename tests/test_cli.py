@@ -16,6 +16,7 @@ from covar.cli import (
     main,
     parse_problem,
 )
+from covar.action import FiniteGroupAction
 from covar.exactalg import RatFn
 from test_noname import _power_map_problem
 
@@ -469,6 +470,16 @@ def _swap_problem_with_x_vars(x_vars) -> dict:
     ("verify", lambda tmp: dict(_finite_problem(SWAP_PAIR), covariants=[[None, "x2"]]),
      "covariants[0][0]"),
     ("lower", lambda tmp: _cubic_with(relation=["x1^2*x2", True, "x1"]), "relation[1]"),
+    ("verify", lambda tmp: _finite_problem({"x": [[0, 1.0], [1, 0]], "w": SWAP_PAIR["w"]}),
+     "group.generators[0].x[0][1]"),
+    ("verify", lambda tmp: _finite_problem(SWAP_PAIR, {"x": [[0.5, "0"], ["0", "1"]],
+                                                       "w": SWAP_PAIR["w"]}),
+     "group.generators[1].x[0][0]"),
+    ("verify", lambda tmp: _finite_problem({"x": SWAP_PAIR["x"], "w": [["0", True],
+                                                                      ["1", "0"]]}),
+     "group.generators[0].w[0][1]"),
+    ("lower", lambda tmp: _cubic_with(reflection={"x": [["0", "1"], [1.0, "0"]]}),
+     "reflection.x[1][0]"),
 ], ids=["family-without-n", "gf5-entry-with-denominator-5", "certificate-without-f",
         "hypotheses-not-an-object", "word-not-an-array", "composite-prime",
         "prime-with-400-digits", "phi-entry-not-a-string", "weight-empty-object",
@@ -484,7 +495,9 @@ def _swap_problem_with_x_vars(x_vars) -> dict:
         "relation-coefficient-over-zero", "covariant-over-zero",
         "w-images-not-a-homomorphism", "unipotent-past-max-order", "singular-generator",
         "n-a-float", "n-a-boolean", "x-copies-a-string", "word-exponent-a-float",
-        "max-order-a-float", "coordinate-null", "relation-coefficient-a-boolean"])
+        "max-order-a-float", "coordinate-null", "relation-coefficient-a-boolean",
+        "generator-entry-a-float", "generator-entry-a-fraction-float",
+        "generator-entry-a-boolean", "reflection-entry-a-float"])
 def test_malformed_input_exits_two_naming_the_field(tmp_path, command, make_payload,
                                                     field):
     path = tmp_path / "malformed.json"
@@ -499,12 +512,29 @@ def test_a_coordinate_or_coefficient_of_another_type_expects_a_string(tmp_path):
     for command, payload, field in (
             ("verify", dict(_finite_problem(SWAP_PAIR), covariants=[[None, "x2"]]),
              "covariants[0][0]"),
-            ("lower", _cubic_with(relation=["x1^2*x2", True, "x1"]), "relation[1]")):
+            ("lower", _cubic_with(relation=["x1^2*x2", True, "x1"]), "relation[1]"),
+            ("verify", _finite_problem({"x": [[0, 1.0], [1, 0]], "w": SWAP_PAIR["w"]}),
+             "group.generators[0].x[0][1]")):
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(payload))
         code, _, err = run_cli([command, str(path)])
         assert code == 2
         assert f"error: {field}: expected a string" in err
+
+
+def test_finite_commands_never_take_the_function_action(monkeypatch):
+    """clear, lower and relation move polynomials forward by act_cleared."""
+    calls = []
+    for name in ("act_on_poly", "x_substitution"):
+        real = getattr(FiniteGroupAction, name)
+        monkeypatch.setattr(FiniteGroupAction, name,
+                            lambda self, *args, name=name, real=real:
+                            calls.append(name) or real(self, *args))
+    for argv in (["clear", "rational_swap"], ["lower", "powers_s2_cubic"],
+                 ["relation", "powers_s2_cubic"]):
+        code, _, err = run_cli(argv)
+        assert code == 0, err
+    assert calls == []
 
 
 def test_empty_word_or_power_list_is_an_empty_family():

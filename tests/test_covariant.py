@@ -33,11 +33,20 @@ from covar.exactalg import (
     Poly,
     PrimeField,
     RatFn,
+    field_one,
     lift_coeff,
+    qmat_det,
     qmat_rank,
     qmat_rank_det,
 )
-from covar.action import Character, make_finite_group, symbolic_general_linear
+from covar.action import (
+    Character,
+    FiniteGroupAction,
+    det_w_inverse_character,
+    make_finite_group,
+    symbolic_general_linear,
+)
+from covar.forge import _symmetric_group_action
 
 from conftest import CYCLE3, SWAP, SWAP3, word_covariants
 
@@ -281,6 +290,106 @@ def test_weight_of_detects_relative_invariants(s2):
     assert weight_of(s2, x1) is None
     sym = x1 + x2
     assert weight_of(s2, sym).is_trivial()
+
+
+def _vandermonde(xs):
+    out = xs[0] ** 0
+    for i, j in itertools.combinations(range(len(xs)), 2):
+        out = out * (xs[j] - xs[i])
+    return out
+
+
+def _s3_weight_case():
+    # the 3-cycle listed twice: three generators, two distinct
+    G = make_finite_group([(CYCLE3, CYCLE3), (SWAP3, SWAP3), (CYCLE3, CYCLE3)])
+    x1, x2, x3 = Poly.gens(G.x_vars)
+    return G, [_vandermonde([x1, x2, x3]), x1 + x2 + x3,
+               x1 * x2 * x3 * _vandermonde([x1, x2, x3]), x1]
+
+
+def _s4_weight_case():
+    G = _symmetric_group_action(4)
+    xs = Poly.gens(G.x_vars)
+    return G, [_vandermonde(xs), sum(xs[1:], xs[0]) ** 2, xs[0] * xs[1]]
+
+
+def _rational_weight_case():
+    # S3 conjugated by D = diag(1, 2, 3): entries d_i m_ij / d_j such as 2/3,
+    # with relative invariants p(D^-1 x)
+    scale = [1, 2, 3]
+
+    def conj(m):
+        return [[str(Fraction(int(m[i][j]) * scale[i], scale[j])) for j in range(3)]
+                for i in range(3)]
+
+    G = make_finite_group([(conj(CYCLE3), conj(CYCLE3)), (conj(SWAP3), conj(SWAP3))])
+    ys = [x * Fraction(1, d) for x, d in zip(Poly.gens(G.x_vars), scale)]
+    return G, [_vandermonde(ys), ys[0] * ys[1] * ys[2], ys[0] + ys[1]]
+
+
+def _gf5_weight_case():
+    # diag(2, 1) and the swap over GF(5): characters with values 2^k, not only +-1
+    F5 = PrimeField(5)
+    diag = [["2", "0"], ["0", "1"]]
+    G = make_finite_group([(diag, diag), (SWAP, SWAP)], field=F5)
+    x1, x2 = Poly.gens(G.x_vars, F5)
+    return G, [x1 * x2, x1 ** 4 + x2 ** 4, x1 * x2 * (x1 ** 4 - x2 ** 4), x1 + x2]
+
+
+WEIGHT_CASES = {"s3": _s3_weight_case, "s4": _s4_weight_case,
+                "rational": _rational_weight_case, "gf5": _gf5_weight_case}
+
+
+def _weight_reference(G, f):
+    """theta with g.f = theta(g) f on every element, by the function
+    action; None when some element moves f off its line."""
+    values = []
+    for i in G.elements():
+        moved = G.act_on_poly(i, f)
+        theta = moved.lc() / f.lc()
+        if moved != f * theta:
+            return None
+        values.append(theta)
+    return values
+
+
+@pytest.mark.parametrize("case", sorted(WEIGHT_CASES))
+def test_finite_weights_match_an_every_element_reference(case, monkeypatch):
+    """weight_of and det_w_inverse_character read the generators only, one
+    act_cleared per distinct generator, and agree with the tables built on
+    every element."""
+    G, polys = WEIGHT_CASES[case]()
+    one = field_one(G.field)
+    assert det_w_inverse_character(G).table == [
+        one / qmat_det(G.w_mats[i], G.field) for i in G.elements()]
+    moved = []
+    real = FiniteGroupAction.act_cleared
+    monkeypatch.setattr(FiniteGroupAction, "act_cleared",
+                        lambda self, *args: moved.append(args[3]) or real(self, *args))
+    found = 0
+    for f in polys:
+        moved.clear()
+        w = weight_of(G, f)
+        reference = _weight_reference(G, f)
+        if reference is None:
+            assert w is None
+            assert moved and moved == G.check_elements()[:len(moved)]
+        else:
+            found += 1
+            assert w.table == reference and w.check_multiplicative()
+            assert moved == G.check_elements()
+    # the last polynomial of each case is not a relative invariant
+    assert found == len(polys) - 1
+
+
+def test_non_character_weight_is_refused_without_a_substitution(monkeypatch):
+    G = make_finite_group([(CYCLE3, CYCLE3), (SWAP3, SWAP3)])
+    f = Poly.parse("x1 + x2 + x3", G.x_vars)
+    table = [Fraction(1)] * G.order
+    table[-1] = Fraction(2)
+    monkeypatch.setattr(FiniteGroupAction, "act_cleared",
+                        lambda *args: pytest.fail("substituted into f"))
+    assert not _is_relative_invariant(G, f, Character(G, table=table))
 
 
 def test_weight_of_symbolic_scalar(scalar_action):

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from covar.covariant import verified, weight_of
-from covar.exactalg import Matrix, Poly, RatFn
+from covar.action import make_finite_group
+from covar.exactalg import Matrix, Poly, PrimeField, RatFn
 from covar.forge import power_map_family, _symmetric_group_action
 from covar.reflect import (
     BridgeFlags,
@@ -25,7 +26,7 @@ from covar.reflect import (
     relative_invariant_relation,
 )
 
-from conftest import group_mul
+from conftest import SWAP, group_mul
 
 FLAGS = XSpaceFlags(factorial_affine=True, scalar_units=True)
 
@@ -228,6 +229,19 @@ def test_lower_rejects_non_reflection(s3, cubic_family):
     rel = relation_over_function_field(fam3)
     with pytest.raises(ReflectError):
         lower_relation(rel, fake)
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(5)], ids=["Q", "GF5"])
+def test_reflection_validate_accepts_any_nonzero_multiple_of_the_form(field):
+    G = make_finite_group([(SWAP, SWAP)], field=field)
+    [s] = find_reflections(G)
+    x1, x2 = Poly.gens(G.x_vars, field)
+    assert s.validate() and s.hyperplane_form in (x1 - x2, x2 - x1)
+    for form in ((x1 - x2) * 2, (x2 - x1) * 3):
+        assert Reflection(s.element, form, G).validate()
+    for form in (x1 + x2, x1 - x2 + 1, Poly.zero(G.x_vars, field)):
+        assert not Reflection(s.element, form, G).validate()
+    assert not Reflection(G.identity, x1 - x2, G).validate()
 
 
 def test_s3_minimal_relation_lowers_to_zero_everywhere(s3):
