@@ -508,10 +508,11 @@ class SymbolicGroupAction:
                 for i in range(1, self.n + 1) for j in range(1, self.n + 1)}
 
     def _check_construction(self, blocks: dict[str, Matrix]):
-        """block(id) == I for every template kind, and adj(g) g == det(g) I.
-        The second makes adj(g)/det(g) the inverse of g, so the conjugation
-        block M -> g M adj(g)/det(g) is an action by algebra automorphisms:
-        the fact the word-product certificates rest on."""
+        """block(id) == I for every template kind, and adj(g) g == det(g) I ==
+        g adj(g).  These make adj(g)/det(g) the two-sided inverse of g, so
+        the conjugation block M -> g M adj(g)/det(g) is an action by algebra
+        automorphisms that fixes I: the facts the template families'
+        certificates by construction rest on."""
         ident = self._identity_point()
         one = field_one(self.field)
         for num in blocks.values():
@@ -521,9 +522,11 @@ class SymbolicGroupAction:
                     if num.entries[i][j].eval(ident) != (one if i == j else 0):
                         raise ActionError("template does not specialize to the "
                                           "identity at g = id")
-        if self.adj_mat * self.g_mat != Matrix.identity(self.n, self.det_poly).scale(
-                self.det_poly):
+        det_i = Matrix.identity(self.n, self.det_poly).scale(self.det_poly)
+        if self.adj_mat * self.g_mat != det_i:
             raise ActionError("adjugate check failed: adj(g) g != det(g) I")
+        if self.g_mat * self.adj_mat != det_i:
+            raise ActionError("adjugate check failed: g adj(g) != det(g) I")
 
     # -- dimensions --------------------------------------------------------------
 

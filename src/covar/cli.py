@@ -715,13 +715,17 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or, given ``command``, one whose only
+    subparser is that command's, built exactly as in the full parser."""
     parser = argparse.ArgumentParser(
         prog="covar",
         description="construct and verify explicit localized isomorphisms "
                     "from generically independent covariants")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in COMMANDS.items():
+        if command is not None and name != command:
+            continue
         p = sub.add_parser(name, help=fn.__doc__)
         if name == "example":
             p.add_argument("problem", nargs="?", default=None,
@@ -745,9 +749,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse a command line, building only the named command's subparser
+    when the line starts with a command.  Its errors and help are those of
+    the full parser, as that subparser is built the same way; anything left
+    over goes to the full parser, whose usage lists every command."""
+    if argv and argv[0] in COMMANDS:
+        args, extra = build_parser(argv[0]).parse_known_args(argv)
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code = args.fn(args)
         # flushed here, so that a closed stdout is met inside the try

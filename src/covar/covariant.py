@@ -50,7 +50,10 @@ class Covariant:
     ``coords[i]`` is the coefficient of the i-th W-basis vector, a polynomial
     (integral covariant) or rational function (rational covariant) in the
     X-variables.  ``status`` is one of ``unchecked`` / ``equivariant`` /
-    ``refuted`` and is only promoted by :func:`verify_equivariance`.
+    ``refuted``.  It is promoted by :func:`verify_equivariance`, or set to
+    ``equivariant`` where an exact argument certifies the map by its
+    construction (the template families, products of certified covariants
+    and invariants).
     """
 
     def __init__(self, action: GroupAction, coords, status: str = UNCHECKED,

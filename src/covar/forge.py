@@ -249,7 +249,8 @@ def clear_denominators(Fs: list[Covariant], G: FiniteGroupAction
     h is the least common denominator of all coordinates, f the product of
     the h-orbit under the group (an absolute invariant), and the returned
     covariants are f^n F_i for the smallest n making every coordinate
-    integral.  Independence verdicts are unchanged.
+    integral, certified equivariant as an absolute invariant times a
+    certified covariant.  Independence verdicts are unchanged.
     """
     for F in Fs:
         if F.status != EQUIVARIANT:
@@ -263,20 +264,17 @@ def clear_denominators(Fs: list[Covariant], G: FiniteGroupAction
     w = weight_of(G, f)
     if w is None or not w.is_trivial():
         raise ForgeError("orbit product failed to be an absolute invariant")
-    # every denominator divides f^n exactly when their lcm h does
-    power = Poly.one(G.x_vars, G.field)
-    while not h.divides(power):
-        power = power * f
+    # every denominator divides f^n exactly when their lcm h does, and h
+    # divides f, h(x) being the identity's factor: n is 1, or 0 for a
+    # constant h
+    power = Poly.one(G.x_vars, G.field) if h.is_constant() else f
     scale = power.exact_div(h)
     d = G.w_dim
-    out: list[Covariant] = []
-    for k in range(len(Fs)):
-        F_int = Covariant(G, [p * scale for p in nums[k * d:(k + 1) * d]])
-        rep = verify_equivariance(F_int)
-        if not rep.ok:
-            raise ForgeError("cleared covariant failed its equivariance check")
-        out.append(F_int)
-    return f, out
+    # nums / h are the coordinates of F_k and scale = f^n / h, so each
+    # F_int = f^n F_k: an absolute invariant times a certified covariant,
+    # equivariant with no substitution
+    return f, [Covariant(G, [p * scale for p in nums[k * d:(k + 1) * d]], EQUIVARIANT)
+               for k in range(len(Fs))]
 
 
 def lift_through_projection(Fs: list[Covariant], extended: GroupAction
@@ -351,12 +349,15 @@ def matrix_word_family(n: int, words: list[tuple[int, int]] | None = None,
     """Covariants (A, B) -> A^i B^j on pairs of n x n matrices under
     simultaneous conjugation.
 
-    Words of degree at most one are verified directly.  A longer word is
-    certified by the product argument: X and W carry the same conjugation
-    block M -> g M adj(g)/det(g), which is multiplicative because the action
-    checked adj(g) g = det(g) I when it was built, so the images of A and B
-    multiply to the image of A^i B^j.  The family lives on ``group`` when
-    given (which must be that conjugation action), else on a new action.
+    Every word is certified by construction, with no substitution.  X
+    carries two copies of the conjugation block M -> g M adj(g)/det(g) and W
+    one copy of the same block, so the words A and B are equivariant as
+    projections onto one copy.  The word I is, as g I adj(g) = det(g) I.
+    A longer word is by the product argument: the block is multiplicative,
+    as adj(g) g = det(g) I, so the images of A and B multiply to the image
+    of A^i B^j.  The action checked both adjugate identities when it was
+    built.  The family lives on ``group`` when given (which must be that
+    conjugation action), else on a new action.
     """
     if words is None:
         words = [(i, j) for i in range(n) for j in range(n)]
@@ -373,35 +374,32 @@ def matrix_word_family(n: int, words: list[tuple[int, int]] | None = None,
             M = M * A
         for _ in range(j):
             M = M * B
-        coords = [M.entries[r][c] for r in range(n) for c in range(n)]
-        F = Covariant(action, coords)
-        if i + j <= 1:
-            rep = verify_equivariance(F)
-            if not rep.ok:
-                raise ForgeError(f"word A^{i}B^{j} failed its equivariance check")
-        else:
-            F.status = EQUIVARIANT  # the product argument above
-        out.append(F)
+        # certified by the argument of the docstring: _generic_action checked
+        # that X and W carry the conjugation template, W one copy, and
+        # SymbolicGroupAction builds both from one block and one det power
+        out.append(Covariant(action, [e for row in M.entries for e in row], EQUIVARIANT))
     return out
 
 
 def projection_family(n: int, m: int, group: GroupAction | None = None
                       ) -> tuple[list[Covariant], SymbolicGroupAction]:
     """The first n projections (v_1..v_m) -> v_j from m copies of the natural
-    module, under the generic diagonal GL_n action (``group`` when given)."""
+    module, under the generic diagonal GL_n action (``group`` when given).
+
+    Each projection is certified by construction, with no substitution: X
+    carries m copies of the block g and W one copy of the same block, so
+    the projection onto copy j is equivariant.
+    """
     if m < n:
         raise ForgeError("need at least n copies to project onto n of them")
     action = _generic_action(n, "natural", m, group)
     out = []
     for j in range(n):
-        coords = []
-        for i in range(n):
-            coords.append(Poly.var(f"x{i + 1}{j + 1}", action.x_vars, action.field))
-        F = Covariant(action, coords)
-        rep = verify_equivariance(F)
-        if not rep.ok:
-            raise ForgeError(f"projection {j + 1} failed its equivariance check")
-        out.append(F)
+        # _generic_action checked that X and W carry the natural template, W
+        # one copy, and SymbolicGroupAction builds both from one block g with
+        # one det power: v_j(g v) = g v_j = g_W v_j
+        out.append(Covariant(action, [Poly.var(f"x{i + 1}{j + 1}", action.x_vars, action.field)
+                                      for i in range(n)], EQUIVARIANT))
     return out, action
 
 

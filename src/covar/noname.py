@@ -231,6 +231,9 @@ def verify_isomorphism(m: NoNameMap) -> Report:
     columns: certified columns stand, unchecked ones are verified once each.
     It proves invariance together with ``phi_linear_in_w`` and the two
     inverse identities, and the report is ``ok`` only when all of them pass.
+    The same ledger, with ``f_equals_det_of_frame`` and
+    ``weight_is_det_w_inverse``, decides ``f_relative_invariant``; only when
+    one of those fails is the weight identity substituted.
     """
     report = Report("no-name isomorphism verification")
     with Stopwatch(report):
@@ -247,14 +250,21 @@ def verify_isomorphism(m: NoNameMap) -> Report:
 
         report.add("f_nonzero", not m.f.is_zero(), "denominator is not zero")
         # f made as det(phi_inv) by det_relative_invariant needs no second det
-        report.add("f_equals_det_of_frame",
-                   m.invariant.frame is m.phi_inv or _is_frame_determinant(m),
+        is_det = m.invariant.frame is m.phi_inv or _is_frame_determinant(m)
+        report.add("f_equals_det_of_frame", is_det,
                    "localization denominator equals the frame determinant")
 
-        expected = det_w_inverse_character(action)
-        report.add("weight_is_det_w_inverse", m.invariant.weight == expected,
+        is_weight = m.invariant.weight == det_w_inverse_character(action)
+        report.add("weight_is_det_w_inverse", is_weight,
                    "weight of f matches the inverse W-determinant character")
-        report.add("f_relative_invariant", m.invariant.verify(),
+        # the frame ledger, reported as generators_invariant below
+        frame = ensure_equivariant(_frame_columns(m)).checks if linear else []
+        bad = next((j for j, c in enumerate(frame) if not c.passed), None)
+        # Certified columns give det F(gx) = det(g_W) det F(x), so f = det F
+        # has weight det(g_W)^-1 with no substitution; if a premise fails,
+        # the weight identity is checked directly.
+        certified = linear and bad is None and is_det and is_weight
+        report.add("f_relative_invariant", certified or m.invariant.verify(),
                    "f transforms by its weight under the whole group")
 
         # Round trip (1) returns a_i exactly when row i of phi * F is e_i, the
@@ -275,8 +285,6 @@ def verify_isomorphism(m: NoNameMap) -> Report:
                        "both substitution round trips return the inputs exactly")
 
         if linear:
-            frame = ensure_equivariant(_frame_columns(m)).checks
-            bad = next((j for j, c in enumerate(frame) if not c.passed), None)
             report.add("generators_invariant", bad is None,
                        "every generator is fixed by the group action" if bad is None
                        else f"frame column {bad + 1} is not equivariant, so a generator "

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import re
 
 import pytest
 
@@ -17,6 +18,7 @@ from covar.cli import (
     parse_problem,
 )
 from covar.action import FiniteGroupAction
+from covar.covariant import Covariant, verify_equivariance
 from covar.exactalg import RatFn
 from test_noname import _power_map_problem
 
@@ -640,7 +642,13 @@ def test_word_family_is_built_on_the_problem_group(monkeypatch):
     problem = parse_problem("matrix_words_gl3")
     assert inits == [problem.group]
     assert all(F.action is problem.group for F in problem.covariants)
-    assert built and len(built) == len(set(built))
+    # the family is certified by construction; fresh copies of the words of
+    # degree at most one, verified directly, share each table
+    words = [F for F in problem.covariants
+             if max(c.total_degree() for c in F.coords) <= 1]
+    for F in words:
+        assert verify_equivariance(Covariant(problem.group, F.coords)).ok
+    assert len(words) == 3 and built and len(built) == len(set(built))
 
 
 def test_machine_format_is_json():
@@ -815,3 +823,59 @@ def test_options_only_where_they_act(tmp_path, monkeypatch, command, option):
         run_cli([command, "vandermonde_s2", *option])
     assert exc.value.code == 2
     assert os.listdir(tmp_path) == []
+
+
+def _run_cli_exit(argv):
+    """run_cli, with an argparse exit read as its exit code."""
+    buf, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, re.sub(r'"seconds": [0-9.e-]+|\(\d+\.\d+s\)', "", buf.getvalue()), err.getvalue()
+
+
+PARSER_CASES = [
+    ["verify", "vandermonde_s2"],
+    ["independence", "vandermonde_s2", "--seed", "3", "--format", "machine"],
+    ["noname-build", "vandermonde_s2", "--out", "cert.json"],
+    ["noname-verify", "cert.json", "--format", "machine"],
+    ["generate", "s3_permutation", "--degree-bound", "2", "--out", "gen.json"],
+    ["clear", "rational_swap"],
+    ["relation", "powers_s2_cubic", "--format", "machine"],
+    ["lower", "powers_s2_cubic"],
+    ["module-verdict", "scalar_counterexample"],
+    ["example"],
+    ["example", "vandermonde_s2", "--format", "machine"],
+    [], ["--help"], ["-h"], ["verify", "--help"], ["generate", "-h"],
+    ["bogus"], ["bogus", "vandermonde_s2"], ["--format", "machine", "verify", "vandermonde_s2"],
+    ["verify", "vandermonde_s2", "--degree-bound", "3"],
+    ["relation", "vandermonde_s2", "--out", "x.json"],
+    ["verify", "vandermonde_s2", "extra"],
+    ["verify", "vandermonde_s2", "--bogus", "--seed", "x"],
+    ["independence", "vandermonde_s2", "--format", "xml"],
+    ["generate", "s3_permutation", "--degree-bound", "two"],
+    ["verify"], ["noname-verify"],
+    ["verify", "no_such_problem"],
+]
+
+
+def test_command_parser_matches_the_full_parser(tmp_path, monkeypatch):
+    """A command line that names its command first is parsed by that
+    command's subparser alone; the full parser gives the same stdout,
+    stderr and exit code on every line."""
+    from covar import cli
+
+    monkeypatch.chdir(tmp_path)
+    lazy = [_run_cli_exit(argv) for argv in PARSER_CASES]
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+    full = [_run_cli_exit(argv) for argv in PARSER_CASES]
+    for argv, a, b in zip(PARSER_CASES, lazy, full):
+        assert a == b, argv
+    codes = [code for code, _, _ in lazy]
+    # module-verdict finds the scalar counterexample dependent
+    assert codes[:11] == [0] * 8 + [1, 0, 0] and set(codes[11:16]) == {0, 2}
+    # the usage of a misplaced option lists every command
+    assert "{verify,independence,noname-build," in lazy[PARSER_CASES.index(
+        ["verify", "vandermonde_s2", "--degree-bound", "3"])][2]

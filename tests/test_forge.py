@@ -486,6 +486,75 @@ def test_word_family_direct_vs_product_verification():
         assert fresh.same_coords(F)
 
 
+# the words whose direct generic-element check takes well under a second;
+# the longest gl3 words (A^2 B, A B^2, A^2 B^2) take minutes by substitution
+CONSTRUCTION_CASES = {
+    "words_gl2": (2, "conjugation", 2, lambda g: matrix_word_family(2, group=g)),
+    "words_gl3": (3, "conjugation", 2, lambda g: matrix_word_family(
+        3, [(0, 0), (0, 1), (1, 0), (1, 1)], g)),
+    "projections_3_4": (3, "natural", 4, lambda g: projection_family(3, 4, g)[0]),
+    "projections_3_5": (3, "natural", 5, lambda g: projection_family(3, 5, g)[0]),
+}
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(5)], ids=["Q", "GF5"])
+@pytest.mark.parametrize("name", sorted(CONSTRUCTION_CASES))
+def test_template_families_certified_by_construction_pass_the_direct_check(name, field):
+    """Each member the template argument certifies is equivariant by the
+    direct generic-element identity too, and the same check refutes a
+    member with two coordinates exchanged."""
+    from covar.action import SymbolicGroupAction, TemplateSpec
+
+    n, kind, copies, build = CONSTRUCTION_CASES[name]
+    group = SymbolicGroupAction(n, TemplateSpec(kind, copies), TemplateSpec(kind, 1), field)
+    fam = build(group)
+    for F in fam:
+        assert F.status == "equivariant" and F.action is group
+        fresh = Covariant(group, F.coords)
+        assert verify_equivariance(fresh).ok and fresh.status == "equivariant"
+    # the last member is a projection or a product word, never constant
+    swapped = list(fam[-1].coords)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    assert not verify_equivariance(Covariant(group, swapped)).ok
+
+
+def _spy_equivariance_checks(monkeypatch) -> list:
+    """Record every direct equivariance check, through the forge's own
+    import and through the substitution every check runs."""
+    from covar import covariant, forge
+
+    calls = []
+    witness, verify = covariant._equivariance_witness, forge.verify_equivariance
+    monkeypatch.setattr(covariant, "_equivariance_witness",
+                        lambda F: calls.append(F) or witness(F))
+    monkeypatch.setattr(forge, "verify_equivariance",
+                        lambda F: calls.append(F) or verify(F))
+    return calls
+
+
+def test_gl3_word_preset_is_parsed_without_an_equivariance_check(monkeypatch):
+    calls = _spy_equivariance_checks(monkeypatch)
+    problem = parse_problem("matrix_words_gl3")
+    assert len(problem.covariants) == 9 and calls == []
+    assert all(F.status == "equivariant" for F in problem.covariants)
+
+
+def test_clear_denominators_certifies_its_output_without_an_equivariance_check(
+        s2, monkeypatch):
+    x1, x2 = Poly.gens(s2.x_vars)
+    den = x1 + x2
+    fam = [verified(s2, [RatFn(x1, den), RatFn(x2, den)]),
+           verified(s2, [RatFn(x1**2, den**2), RatFn(x2**2, den**2)])]
+    calls = _spy_equivariance_checks(monkeypatch)
+    f, cleared = clear_denominators(fam, s2)
+    assert calls == []
+    for F, G in zip(cleared, fam):
+        assert F.status == "equivariant" and not F.is_rational
+        assert all(a == b * f for a, b in zip(F.coords, G.coords))
+        # the direct check agrees
+        assert verify_equivariance(Covariant(s2, F.coords)).ok
+
+
 def test_projection_family_shape():
     fam, action = projection_family(3, 5)
     assert len(fam) == 3 and action.x_dim == 15

@@ -401,10 +401,14 @@ def _bad_frame_vandermonde(tmp_path) -> dict:
     equivariant under the swap, f is still x1 x2^2 - x1^2 x2, and phi is
     the frame's exact inverse."""
     good = _certificate(tmp_path, "vandermonde_s2")
-    x1, x2 = Poly.gens(("x1", "x2"))
-    bad = _with_frame(good, Matrix([[x1, 2 * x1**2], [x2, x2**2 + x1 * x2]]))
+    bad = _bad_vandermonde_column(good)
     assert bad["f"] == good["f"]
     return bad
+
+
+def _bad_vandermonde_column(payload: dict, m: NoNameMap | None = None) -> dict:
+    x1, x2 = Poly.gens(("x1", "x2"))
+    return _with_frame(payload, Matrix([[x1, 2 * x1**2], [x2, x2**2 + x1 * x2]]))
 
 
 def test_bad_frame_certificate_fails_only_generators_invariant(tmp_path):
@@ -475,6 +479,65 @@ def test_tampered_weight_certificate_fails_noname_verify(tmp_path):
     assert "[FAIL] weight_is_det_w_inverse" in text
 
 
+def _doubled_f(payload: dict, m: NoNameMap) -> dict:
+    return dict(payload, f=str(m.f * 2))
+
+
+def _f_plus_first_variable(payload: dict, m: NoNameMap) -> dict:
+    return dict(payload, f=str(m.f + Poly.var(m.f.vars[0], m.f.vars, m.f.field)))
+
+
+def _transposed_word_a(payload: dict, m: NoNameMap) -> dict:
+    rows = [row[:] for row in m.phi_inv.entries]
+    rows[1][1], rows[2][1] = rows[2][1], rows[1][1]
+    return _with_frame(payload, Matrix(rows))
+
+
+# (problem, tampering, failed checks): the verdicts of the route that
+# substitutes the weight identity whenever it is asked
+WEIGHT_ROUTE_CASES = {
+    "vandermonde": ("vandermonde_s2", None, []),
+    "gl2": ("matrix_words_gl2", None, []),
+    "s4": (_power_map_problem(4), None, []),
+    "vandermonde 2f": ("vandermonde_s2", _doubled_f, ["f_equals_det_of_frame"]),
+    "gl2 2f": ("matrix_words_gl2", _doubled_f, ["f_equals_det_of_frame"]),
+    "s4 2f": (_power_map_problem(4), _doubled_f, ["f_equals_det_of_frame"]),
+    "vandermonde f+x1": ("vandermonde_s2", _f_plus_first_variable,
+                         ["f_equals_det_of_frame", "f_relative_invariant"]),
+    "gl2 f+a11": ("matrix_words_gl2", _f_plus_first_variable,
+                  ["f_equals_det_of_frame", "f_relative_invariant"]),
+    "gl2 transposed A": ("matrix_words_gl2", _transposed_word_a,
+                         ["f_relative_invariant", "generators_invariant"]),
+    "vandermonde bad frame": ("vandermonde_s2", _bad_vandermonde_column,
+                              ["generators_invariant"]),
+}
+
+
+@pytest.mark.parametrize("name", list(WEIGHT_ROUTE_CASES))
+def test_weight_verdict_substitutes_only_when_a_premise_fails(name, tmp_path, monkeypatch):
+    """f_relative_invariant passes with no substitution when f is det(frame),
+    its weight is det(g_W)^-1 and every frame column is certified; if any of
+    those fails, the weight identity is substituted.  Either way every
+    verdict and the exit code are those the substituting route gives, and
+    the direct check of the weight identity agrees."""
+    from covar import covariant
+
+    problem, tamper, failed = WEIGHT_ROUTE_CASES[name]
+    payload = _certificate(tmp_path, problem)
+    if tamper is not None:
+        payload = tamper(payload, _run_verify(tmp_path, payload)[2])
+    substitutions = []
+    direct = covariant._is_relative_invariant
+    monkeypatch.setattr(covariant, "_is_relative_invariant",
+                        lambda *args: substitutions.append(args) or direct(*args))
+    code, checks, m = _run_verify(tmp_path, payload)
+    assert code == (1 if failed else 0)
+    assert [check for check, passed in checks.items() if not passed] == failed
+    premises = ("f_equals_det_of_frame", "weight_is_det_w_inverse", "generators_invariant")
+    assert len(substitutions) == (0 if all(checks[c] for c in premises) else 1)
+    assert direct(m.action, m.f, m.invariant.weight) is checks["f_relative_invariant"]
+
+
 def test_frame_rows_with_different_denominators(s2):
     """F1 = (1/x1, 1/x2) and F2 = (1, 1): the frame's two rows have the
     denominators x1 and x2, so the frame is cleared over their product."""
@@ -498,7 +561,8 @@ def test_frame_rows_with_different_denominators(s2):
 def test_build_reuses_the_frame_determinant_and_weight_verdict(tmp_path, monkeypatch):
     """noname-build takes det(frame) once and substitutes nothing for the
     weight of f, which follows from the certified frame columns;
-    noname-verify recomputes both from the certificate."""
+    noname-verify recomputes det(frame) from the certificate, and its frame
+    ledger with that det decides the weight, again with no substitution."""
     import contextlib
     import io
 
@@ -523,7 +587,7 @@ def test_build_reuses_the_frame_determinant_and_weight_verdict(tmp_path, monkeyp
     weights.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["noname-verify", str(cert)]) == 0
-    assert dets.count(frame) == 1 and len(weights) == 1
+    assert dets.count(frame) == 1 and len(weights) == 0
 
 
 def test_parse_round_trips_preset_and_certificate_polynomials(tmp_path):
