@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactalg import (
     Coeff,
@@ -47,7 +46,9 @@ from .exactalg import (
     PrimeField,
     QMat,
     RatFn,
+    coeff_div,
     field_one,
+    field_zero,
     qmat,
     qmat_det,
     qmat_identity,
@@ -323,7 +324,7 @@ def make_finite_group(generators: list[tuple], x_vars: tuple[str, ...] | None = 
                 key = den, nums[r:r + n]
                 row = rows.get(key)
                 if row is None:
-                    row = rows[key] = tuple(Fraction(v, den) if p is None
+                    row = rows[key] = tuple(coeff_div(v, den) if p is None
                                             else FpElem(field, v) for v in key[1])
                 mat.append(row)
             out.append(tuple(mat))
@@ -746,7 +747,8 @@ def det_w_inverse_character(action: GroupAction) -> Character:
     if action.is_finite:
         one = field_one(action.field)
         return Character.from_generators(action, [
-            one / qmat_det(action.w_mats[g], action.field) for g in action.check_elements()])
+            coeff_div(one, qmat_det(action.w_mats[g], action.field))
+            for g in action.check_elements()])
     det_w = action.w_num.det()  # Poly in g-vars
     power = action.w_detpow * action.w_dim
     theta = RatFn(action.det_poly ** power, det_w)
@@ -770,7 +772,7 @@ def extend_finite_action(action: FiniteGroupAction, y_vars: tuple[str, ...],
     if set(y_vars) & (set(action.x_vars) | set(action.w_vars)):
         raise ActionError("variable-name collision between X and Y")
     ny = len(y_vars)
-    zero = Fraction(0) if action.field is None else action.field.zero
+    zero = field_zero(action.field)
     ys = [qmat(y, action.field) for y in y_mats]
     if any(len(y) != ny or any(len(r) != ny for r in y) for y in ys):
         raise DimensionError("Y-matrix size does not match y_vars")

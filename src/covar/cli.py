@@ -52,7 +52,6 @@ from .forge import (
 )
 from .noname import (
     NoNameMap,
-    _is_frame_of,
     _pick_out_vars,
     _taken_names,
     build_isomorphism,
@@ -371,16 +370,40 @@ def _certificate_entry(text, where: str, group: GroupAction,
     return e.as_poly() if reduce and e.is_poly() else e
 
 
-def _certificate_square(raw: dict, key: str, group: GroupAction,
-                        reduce: bool = True) -> list[list[Poly | RatFn]]:
-    """A certificate field holding d rows of d strings, d = dim W."""
+def _square(raw: dict, key: str, group: GroupAction) -> list[list]:
+    """A certificate field's d rows of d entries, d = dim W, unparsed."""
     d = group.w_dim
     rows = raw[key]
     _expect(isinstance(rows, list) and len(rows) == d
             and all(isinstance(r, list) and len(r) == d for r in rows),
             f"{key}: expected {d} rows of {d} strings")
+    return rows
+
+
+def _certificate_square(raw: dict, key: str, group: GroupAction,
+                        reduce: bool = True) -> list[list[Poly | RatFn]]:
+    """A certificate field holding d rows of d strings, parsed."""
     return [[_certificate_entry(e, f"{key}[{i}][{j}]", group, reduce)
-             for j, e in enumerate(row)] for i, row in enumerate(rows)]
+             for j, e in enumerate(row)] for i, row in enumerate(_square(raw, key, group))]
+
+
+def _frame_covariants(raw: dict, phi_inv: Matrix, group: GroupAction) -> list[Covariant]:
+    """The ``covariants`` field, which must hold the columns of phi_inv in
+    order.  An entry written as the same string as its phi_inv entry parses
+    to the same value, so it takes that parse; only an entry spelled
+    differently is parsed and compared."""
+    written = raw["phi_inv"]
+    columns = []
+    for j, row in enumerate(_square(raw, "covariants", group)):
+        coords = []
+        for i, text in enumerate(row):
+            entry = phi_inv.entries[i][j]
+            if text != written[i][j]:
+                _expect(_certificate_entry(text, f"covariants[{j}][{i}]", group) == entry,
+                        "covariants: expected the columns of phi_inv, in order")
+            coords.append(entry)
+        columns.append(Covariant(group, coords))
+    return columns
 
 
 def certificate_payload(m: NoNameMap, problem: ProblemFile, report: Report) -> dict:
@@ -420,10 +443,7 @@ def load_certificate(path: str) -> tuple[NoNameMap, ProblemFile]:
     phi_inv = Matrix(_certificate_square(raw, "phi_inv", group))
     covs = []
     if "covariants" in raw:
-        covs = [Covariant(group, coords)
-                for coords in _certificate_square(raw, "covariants", group)]
-        _expect(_is_frame_of(covs, phi_inv),
-                "covariants: expected the columns of phi_inv, in order")
+        covs = _frame_covariants(raw, phi_inv, group)
     # the output coordinate names are written for readers; no check reads them
     out_vars = raw.get("out_vars")
     _expect(out_vars is None or (

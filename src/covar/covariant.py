@@ -10,7 +10,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .action import Character, GroupAction, det_w_inverse_character
 from .exactalg import (
@@ -19,6 +18,7 @@ from .exactalg import (
     Matrix,
     Poly,
     RatFn,
+    coeff_div,
     common_denominator,
     int_rank_det,
     lift_coeff,
@@ -366,7 +366,7 @@ def weight_of(action: GroupAction, f: Poly) -> Character | None:
             moved, _ = action.act_cleared(f, "x", f.vars, g)
             if moved.terms.keys() != f.terms.keys():
                 return None
-            theta = coeff / moved.terms[exps]
+            theta = coeff_div(coeff, moved.terms[exps])
             if moved * theta != f:
                 return None
             values.append(theta)
@@ -497,7 +497,7 @@ class _IntegerColumns:
             num_mult, den_mult = _coeff_lcm(nums), _coeff_lcm([den])
             self.nums.append([_int_terms(p, num_mult) for p in nums])
             self.dens.append(_int_terms(den, den_mult))
-            self.scales.append(Fraction(den_mult, num_mult))
+            self.scales.append(coeff_div(den_mult, num_mult))
         self.max_exp = [0] * len(Fs[0].action.x_vars)
         for terms in self.dens + [t for col in self.nums for t in col]:
             for _, mono in terms:
@@ -523,18 +523,16 @@ class _IntegerColumns:
 
 def _coeff_lcm(polys: list[Poly]) -> int:
     """The lcm of the coefficient denominators (1 over GF(p))."""
-    mult = 1
-    for poly in polys:
-        for c in poly.terms.values():
-            if isinstance(c, Fraction):
-                mult = math.lcm(mult, c.denominator)
-    return mult
+    if polys[0].field is not None:
+        return 1
+    return math.lcm(1, *(c.denominator for poly in polys for c in poly.terms.values()))
 
 
 def _int_terms(poly: Poly, mult: int) -> tuple:
+    rational = poly.field is None
     out = []
     for exps, c in poly.terms.items():
-        coeff = c.numerator * (mult // c.denominator) if isinstance(c, Fraction) else c.val
+        coeff = c.numerator * (mult // c.denominator) if rational else c.val
         out.append((coeff, tuple((i, k) for i, k in enumerate(exps) if k)))
     return tuple(out)
 
@@ -559,7 +557,6 @@ def _independence_witness(Fs: list[Covariant], points):
     the minor being det(N) * prod(scale_j / D_j)."""
     action = Fs[0].action
     cols = _IntegerColumns(Fs)
-    lift = Fraction if cols.field is None else cols.field
     full = min(len(Fs), action.w_dim)
     for point in points:
         powers = cols.powers(point)
@@ -571,8 +568,8 @@ def _independence_witness(Fs: list[Covariant], points):
         if rank < full:
             continue
         if minor is not None:
-            minor = lift(minor)
+            minor = lift_coeff(minor, cols.field)
             for scale, den in zip(cols.scales, dens):
-                minor = minor * scale / den
+                minor = coeff_div(minor * scale, den)
         return _point_dict(action.x_vars, point, cols.field), minor
     return None

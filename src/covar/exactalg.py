@@ -3,9 +3,16 @@ functions, and fraction-free matrix algebra.
 
 A polynomial is a finite map from exponent vectors to nonzero coefficients,
 over a fixed ordered tuple of named variables.  Coefficients are exact:
-``fractions.Fraction`` by default, or elements of a prime field ``GF(p)``
-when a :class:`PrimeField` is attached.  Zero coefficients are never stored,
-so dict equality is semantic equality.
+rationals by default, or elements of a prime field ``GF(p)`` when a
+:class:`PrimeField` is attached.  A rational is a Python ``int`` unless a
+division made it a non-integer, and then a ``fractions.Fraction``:
+:func:`lift_coeff`, the parser and :func:`field_one` give ints, ``+ - *``
+keep ints as ints, and :func:`coeff_div`, the one true division of
+coefficients, returns an int whenever the quotient is integral.  A sum or
+product of Fractions may still be a Fraction of denominator 1; since
+``int`` and ``Fraction`` compare, hash and print alike on equal values, no
+result depends on which of the two holds a value.  Zero coefficients are
+never stored, so dict equality is semantic equality.
 
 The monomial order is graded lexicographic with the declared variable order
 (total degree first, then the exponent tuple compared left to right).  The
@@ -215,18 +222,36 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-Coeff = Union[Fraction, FpElem]
+Coeff = Union[int, Fraction, FpElem]
+
+
+def _rational(q: Fraction) -> int | Fraction:
+    """q as an int when it is integral, else unchanged."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def coeff_div(a: Coeff, b: Coeff) -> Coeff:
+    """a / b for coefficients, the one true division of the exact layer.
+
+    Over Q the quotient is an int when it is integral and a Fraction
+    otherwise; GF(p) elements divide as field elements."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return _rational(q) if type(q) is Fraction else q
 
 
 def lift_coeff(value, field: PrimeField | None) -> Coeff:
-    """Lift an int, Fraction, string, or field element into the coefficient field."""
+    """Lift an int, Fraction, string, or field element into the coefficient
+    field; over Q an integral value becomes an int."""
     if field is None:
-        if isinstance(value, Fraction):
-            return value
         if isinstance(value, int):
-            return Fraction(value)
+            return int(value)
+        if isinstance(value, Fraction):
+            return _rational(value)
         if isinstance(value, str):
-            return Fraction(value)
+            return _rational(Fraction(value))
         raise ExactAlgError(f"cannot use {value!r} as a rational coefficient")
     if isinstance(value, FpElem):
         if value.field.p != field.p:
@@ -242,11 +267,11 @@ def lift_coeff(value, field: PrimeField | None) -> Coeff:
 
 
 def field_one(field: PrimeField | None) -> Coeff:
-    return Fraction(1) if field is None else field.one
+    return 1 if field is None else field.one
 
 
 def field_zero(field: PrimeField | None) -> Coeff:
-    return Fraction(0) if field is None else field.zero
+    return 0 if field is None else field.zero
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +290,11 @@ class Poly:
     tuples (one entry per variable) to nonzero coefficients.  Instances are
     treated as immutable: every operation returns a new polynomial, so shared
     values are safe under concurrent use.
+
+    Over Q a coefficient is an ``int`` unless a division made it a
+    non-integer ``Fraction`` (see the module docstring): products and sums of
+    integer polynomials stay in int arithmetic, and :meth:`exact_div` and
+    :meth:`monic` divide through :func:`coeff_div`.
 
     Binary operations require both operands to live in the same ring (same
     variable tuple and coefficient field); use :meth:`embed` to move a
@@ -502,7 +532,8 @@ class Poly:
             return self
         if divisor.is_constant():
             c = divisor.constant_value()
-            return Poly(self.vars, {e: v / c for e, v in self.terms.items()}, self.field)
+            return Poly(self.vars, {e: coeff_div(v, c) for e, v in self.terms.items()},
+                        self.field)
         rem = dict(self.terms)
         quot: dict[tuple[int, ...], Coeff] = {}
         dk, dc = divisor.leading()
@@ -511,7 +542,7 @@ class Poly:
             qk = tuple(a - b for a, b in zip(rk, dk))
             if any(e < 0 for e in qk):
                 raise ExactDivisionError("division leaves a remainder")
-            qc = rem[rk] / dc
+            qc = coeff_div(rem[rk], dc)
             quot[qk] = qc
             for e2, c2 in divisor.terms.items():
                 key = tuple(a + b for a, b in zip(qk, e2))
@@ -536,7 +567,7 @@ class Poly:
         c = self.lc()
         if c == field_one(self.field):
             return self
-        return Poly(self.vars, {e: v / c for e, v in self.terms.items()}, self.field)
+        return Poly(self.vars, {e: coeff_div(v, c) for e, v in self.terms.items()}, self.field)
 
     # -- substitution and evaluation ----------------------------------------
 
@@ -784,8 +815,7 @@ class RatFn:
                 den = den.exact_div(g)
             c = den.lc()
             if c != field_one(num.field):
-                num = num * (field_one(num.field) / c)
-                den = den * (field_one(num.field) / c)
+                num, den = num.exact_div(c), den.exact_div(c)
         self.num = num
         self.den = den
 
@@ -939,7 +969,7 @@ class RatFn:
         d = self.den.eval(point)
         if not d:
             raise ZeroDivisionError("denominator vanishes at the point")
-        return self.num.eval(point) / d
+        return coeff_div(self.num.eval(point), d)
 
     def __str__(self):
         if self.den.is_constant() and self.den.constant_value() == field_one(self.field):
@@ -1224,7 +1254,7 @@ def qmat_inv(a: QMat, field: PrimeField | None = None) -> QMat:
             raise ExactAlgError("scalar matrix is singular")
         m[k], m[pivot] = m[pivot], m[k]
         pv = m[k][k]
-        m[k] = [x / pv for x in m[k]]
+        m[k] = [coeff_div(x, pv) for x in m[k]]
         for i in range(n):
             if i != k and m[i][k]:
                 f = m[i][k]
@@ -1250,7 +1280,7 @@ def qmat_rank_det(a: Sequence[Sequence[Coeff]], field: PrimeField | None = None
     scales = [math.lcm(*(x.denominator for x in row)) for row in a]
     rank, det = int_rank_det([[x.numerator * (s // x.denominator) for x in row]
                               for row, s in zip(a, scales)])
-    return rank, None if det is None else Fraction(det, math.prod(scales))
+    return rank, None if det is None else coeff_div(det, math.prod(scales))
 
 
 def int_rank_det(a: Sequence[Sequence[int]], p: int | None = None) -> tuple[int, int | None]:

@@ -8,7 +8,6 @@ projections, coordinate power maps under permutations).
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations_with_replacement, islice
 
 from .action import (
@@ -34,8 +33,10 @@ from .exactalg import (
     ExactAlgError,
     Matrix,
     Poly,
+    coeff_div,
     common_denominator,
     field_one,
+    lift_coeff,
 )
 
 
@@ -58,18 +59,10 @@ class GenerationExhaustedError(ForgeError):
 
 def _group_order_inverse(G: FiniteGroupAction):
     order = G.order
-    if G.field is None:
-        return Fraction(1, order)
-    if order % G.field.p == 0:
+    if G.field is not None and order % G.field.p == 0:
         raise ModularObstructionError(
             f"group order {order} vanishes in GF({G.field.p})")
-    return field_one(G.field) / G.field(order)
-
-
-def _small(c):
-    """A rational with denominator 1 as an int, so that the integer matrices
-    of most groups average in int arithmetic; anything else unchanged."""
-    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+    return coeff_div(field_one(G.field), lift_coeff(order, G.field))
 
 
 def _monomial_step(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -91,13 +84,13 @@ class _Orbit:
     def __init__(self, G: FiniteGroupAction):
         self.G = G
         self.scale = _group_order_inverse(G)
-        self.one = _small(field_one(G.field))
+        self.one = field_one(G.field)
         d = G.w_dim
         # per element: the nonzero (c, w[c][l]) of each W-column l, and the
         # image of each x_k under g^{-1} as (variable index, coefficient) pairs
-        self.w_cols = [[[(c, _small(w[c][l])) for c in range(d) if w[c][l]]
+        self.w_cols = [[[(c, w[c][l]) for c in range(d) if w[c][l]]
                         for l in range(d)] for w in G.w_mats]
-        self.linear = [[[(l, _small(c)) for l, c in enumerate(row) if c]
+        self.linear = [[[(l, c) for l, c in enumerate(row) if c]
                         for row in G.x_mats[G.inv[g]]] for g in G.elements()]
 
     def images(self, wanted):
@@ -160,7 +153,7 @@ def reynolds_project(H: list[Poly], G: FiniteGroupAction) -> Covariant:
     coeffs: dict[tuple[int, ...], list] = {}
     for l, h in enumerate(Covariant(G, H).poly_coords()):
         for exps, c in h.terms.items():
-            coeffs.setdefault(exps, []).append((l, _small(c)))
+            coeffs.setdefault(exps, []).append((l, c))
     F = Covariant(G, orbit.average((images, coeffs[a])
                                    for a, images in orbit.images(coeffs)))
     _verify_averaged(F)
@@ -187,7 +180,7 @@ def _monomials(nx: int, degree_bound: int) -> list[tuple[int, ...]]:
 def _ray_key(coords: list[Poly]):
     """A key shared exactly by the nonzero scalar multiples of a nonzero map."""
     lead = next(c for c in coords if c).lc()
-    return tuple(frozenset((e, v / lead) for e, v in c.terms.items()) for c in coords)
+    return tuple(frozenset((e, coeff_div(v, lead)) for e, v in c.terms.items()) for c in coords)
 
 
 def generate_covariants(G: FiniteGroupAction, degree_bound: int) -> list[Covariant]:

@@ -54,6 +54,7 @@ from .exactalg import (
     Matrix,
     Poly,
     RatFn,
+    coeff_div,
     common_denominator,
     field_one,
 )
@@ -407,7 +408,8 @@ def _unit_inverse(det: Poly, f: Poly | None, action: GroupAction) -> RatFn | Non
         return None
     one = Poly.one(action.x_vars, action.field)
     if det.is_constant():
-        return RatFn(one, reduce=False) * (field_one(action.field) / det.constant_value())
+        return RatFn(one, reduce=False) * coeff_div(field_one(action.field),
+                                                    det.constant_value())
     if f is None or f.is_zero() or f.is_constant():
         return None
     f = f if f.vars == det.vars else f.embed(det.vars)

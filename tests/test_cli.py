@@ -164,6 +164,29 @@ def test_noname_verify_detects_corruption(tmp_path):
     assert code == 1 and "FAIL" in out
 
 
+@pytest.mark.parametrize("column,accepted", [
+    (["x1*x1", "x2^2"], True),    # the same column, spelled differently
+    (["x1^2", "x2^3"], False),    # a tampered column
+], ids=["respelled", "tampered"])
+def test_certificate_covariants_must_be_the_frame_columns(tmp_path, column, accepted):
+    cert_path = str(tmp_path / "cert.json")
+    run_cli(["noname-build", "vandermonde_s2", "--out", cert_path])
+    with open(cert_path) as fh:
+        cert = json.load(fh)
+    assert cert["covariants"][1] == ["x1^2", "x2^2"]
+    cert["covariants"][1] = column
+    path = _write_problem(tmp_path, cert, "respelled.json")
+    if not accepted:
+        with pytest.raises(ProblemError,
+                           match="covariants: expected the columns of phi_inv, in order"):
+            load_certificate(path)
+        return
+    m, _ = load_certificate(path)
+    assert [F.coords for F in m.covariants] == [
+        [row[j] for row in m.phi_inv.entries] for j in range(2)]
+    assert run_cli(["noname-verify", path])[0] == 0
+
+
 def _scaled_row(rows, k, x_vars):
     return [str(RatFn.parse(e, x_vars, reduce=False) * k) for e in rows[0]]
 

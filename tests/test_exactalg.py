@@ -16,7 +16,9 @@ from covar.exactalg import (
     Poly,
     PrimeField,
     RatFn,
+    coeff_div,
     int_rank_det,
+    lift_coeff,
     poly_gcd,
     poly_lcm,
     qmat,
@@ -43,9 +45,9 @@ def p3(text):
 coeffs = st.fractions(min_value=-8, max_value=8, max_denominator=6).filter(bool)
 
 
-def polys(vars=V2, max_terms=4, max_exp=3):
+def polys(vars=V2, max_terms=4, max_exp=3, coeff=coeffs):
     exps = st.tuples(*[st.integers(0, max_exp)] * len(vars))
-    return st.dictionaries(exps, coeffs, max_size=max_terms).map(
+    return st.dictionaries(exps, coeff, max_size=max_terms).map(
         lambda terms: Poly(vars, terms))
 
 
@@ -525,3 +527,135 @@ def test_lcm():
     x1, x2 = Poly.gens(V2)
     l = poly_lcm(x1 * (x1 + x2), x2 * (x1 + x2))
     assert l == (x1 * x2 * (x1 + x2)).monic()
+
+
+# -- the coefficient representation: ints unless a division makes a non-integer --
+
+small_ints = st.integers(-6, 6).filter(bool)
+rationals = st.one_of(small_ints, st.fractions(-6, 6, max_denominator=4).filter(bool).map(
+    lambda q: lift_coeff(q, None)))
+
+
+def q_polys(coeff=rationals, max_terms=3):
+    return polys(max_terms=max_terms, max_exp=2, coeff=coeff)
+
+
+def _ref(p):
+    """The terms of p as an all-Fraction dict, the reference's representation."""
+    return {e: Fraction(c) for e, c in p.terms.items()}
+
+
+def _checked(p):
+    """The reference dict of p, after checking that every coefficient is
+    an int or a Fraction."""
+    assert all(type(c) in (int, Fraction) for c in p.terms.values()), p.terms
+    return _ref(p)
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_pow(a, k):
+    out = {(0,) * len(V2): Fraction(1)}
+    for _ in range(k):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_monic(a):
+    if not a:
+        return a
+    lead = a[max(a, key=lambda e: (sum(e), e))]
+    return {e: c / lead for e, c in a.items()}
+
+
+def _ref_subs(a, images):
+    """a with variable i replaced by the reference dict images[i]."""
+    total = {}
+    for e, c in a.items():
+        term = {(0,) * len(V2): c}
+        for img, k in zip(images, e):
+            term = _ref_mul(term, _ref_pow(img, k))
+        total = _ref_add(total, term)
+    return total
+
+
+def _ref_eval(a, point):
+    total = Fraction(0)
+    for e, c in a.items():
+        for v, k in zip(point, e):
+            c = c * Fraction(v) ** k
+        total += c
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(q_polys(), q_polys(), st.integers(0, 3), rationals, rationals)
+def test_rational_arithmetic_matches_an_all_fraction_reference(p, q, k, a, b):
+    rp, rq = _ref(p), _ref(q)
+    assert _checked(p + q) == _ref_add(rp, rq)
+    assert _checked(p - q) == _ref_add(rp, {e: -c for e, c in rq.items()})
+    assert _checked(p * q) == _ref_mul(rp, rq)
+    assert _checked(p ** k) == _ref_pow(rp, k)
+    assert _checked(p.monic()) == _ref_monic(rp)
+    assert _checked(p.subs({"x1": q, "x2": p})) == _ref_subs(rp, [rq, rp])
+    value = p.eval([a, b])
+    assert type(value) in (int, Fraction) and value == _ref_eval(rp, [a, b])
+    if q:
+        quot = (p * q).exact_div(q)
+        assert _checked(quot) == rp
+    assert _checked(p.exact_div(Poly.const(a, V2))) == {
+        e: c / Fraction(a) for e, c in rp.items()}
+    expected = Fraction(a) / Fraction(b)
+    got = coeff_div(a, b)
+    assert got == expected
+    assert type(got) is (int if expected.denominator == 1 else Fraction)
+
+
+def _from_sympy(expr, gens):
+    return {tuple(e): Fraction(int(c.p), int(c.q))
+            for e, c in sympy.Poly(expr, *gens, domain="QQ").terms() if c}
+
+
+@settings(max_examples=25, deadline=None)
+@given(q_polys(), q_polys(), q_polys(max_terms=2))
+def test_rational_gcd_matches_an_all_fraction_reference(a, b, g):
+    a, b = a * g, b * g
+    if not a and not b:
+        return
+    gens = sympy.symbols("x1 x2")
+
+    def to_sympy(p):
+        return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                           * gens[0]**e[0] * gens[1]**e[1] for e, c in _ref(p).items()])
+
+    expected = _ref_monic(_from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)), gens))
+    assert _checked(poly_gcd(a, b)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(q_polys(small_ints), q_polys(small_ints), st.integers(0, 3), st.sampled_from([1, -1]))
+def test_integer_inputs_give_int_coefficients(p, q, k, unit):
+    def ints(r):
+        return all(type(c) is int for c in r.terms.values())
+
+    assert ints(p + q) and ints(p - q) and ints(p * q) and ints(p ** k)
+    if q:
+        # a divisor whose leading coefficient is a unit of Z
+        lead = q.leading()[0]
+        q = Poly(V2, {**q.terms, lead: unit})
+        quot = (p * q).exact_div(q)
+        assert quot == p and ints(quot)
