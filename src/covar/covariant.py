@@ -263,6 +263,13 @@ def ensure_equivariant(Fs: list[Covariant]) -> Report:
     return report
 
 
+def require_certified(Fs: list[Covariant], caller: str) -> None:
+    """Refuse, naming ``caller``, unless every covariant is certified
+    equivariant."""
+    if any(F.status != EQUIVARIANT for F in Fs):
+        raise UnverifiedCovariantError(f"{caller} requires verified covariants")
+
+
 # ---------------------------------------------------------------------------
 # coordinate matrices and the determinant relative invariant
 # ---------------------------------------------------------------------------
@@ -387,10 +394,7 @@ def det_relative_invariant(Fs: list[Covariant]) -> RelativeInvariant:
     legal outcome (the family is generically dependent); the caller can test
     ``result.is_zero``.
     """
-    for F in Fs:
-        if F.status != EQUIVARIANT:
-            raise UnverifiedCovariantError(
-                "det_relative_invariant requires verified covariants")
+    require_certified(Fs, "det_relative_invariant")
     action = Fs[0].action
     mat = covariant_matrix(Fs)
     N, D = cleared_rows(Fs)

@@ -19,14 +19,13 @@ from .action import (
 )
 from .covariant import (
     Covariant,
-    CovariantError,
     EQUIVARIANT,
     WITNESS_FIRST_CANDIDATES,
     _independence_witness,
     candidate_points,
     cleared_rows,
+    require_certified,
     verify_equivariance,
-    weight_of,
 )
 from .exactalg import (
     DimensionError,
@@ -142,10 +141,14 @@ class _Orbit:
 
 
 def reynolds_project(H: list[Poly], G: FiniteGroupAction) -> Covariant:
-    """Group-average a polynomial map X -> W into a covariant.
+    """Group-average a polynomial map H: X -> W into a covariant.
 
-    F = (1/|G|) sum_g g_W H(g^{-1} x).  The result is always equivariant
-    (verified before return); maps that are already equivariant are fixed.
+    F = (1/|G|) sum_g g_W H(g^{-1} x) is certified by construction, with no
+    substitution: for k in G, F(kx) = (1/|G|) sum_g g_W H(g^{-1} k x), and
+    g = kh runs over G as h does, so F(kx) = k_W F(x).  The elements of G
+    are (X, W) matrix pairs closed under products, so (kh)_W = k_W h_W, and
+    1/|G| exists, as :func:`_group_order_inverse` refuses a field where |G|
+    vanishes.  Maps that are already equivariant are fixed.
     """
     if len(H) != G.w_dim:
         raise DimensionError("seed map has the wrong number of coordinates")
@@ -154,15 +157,8 @@ def reynolds_project(H: list[Poly], G: FiniteGroupAction) -> Covariant:
     for l, h in enumerate(Covariant(G, H).poly_coords()):
         for exps, c in h.terms.items():
             coeffs.setdefault(exps, []).append((l, c))
-    F = Covariant(G, orbit.average((images, coeffs[a])
-                                   for a, images in orbit.images(coeffs)))
-    _verify_averaged(F)
-    return F
-
-
-def _verify_averaged(F: Covariant):
-    if not verify_equivariance(F).ok:
-        raise ForgeError("averaged map failed its equivariance check")
+    return Covariant(G, orbit.average((images, coeffs[a])
+                                      for a, images in orbit.images(coeffs)), EQUIVARIANT)
 
 
 def _monomials(nx: int, degree_bound: int) -> list[tuple[int, ...]]:
@@ -193,7 +189,9 @@ def generate_covariants(G: FiniteGroupAction, degree_bound: int) -> list[Covaria
     The d seeds of one monomial share its orbit images.  An average equal
     up to a nonzero constant to an earlier one is not tried again: the
     earlier one was kept or lay in the span of the covariants kept then, so
-    the rank cannot rise.  Each kept covariant is verified once.  Raises
+    the rank cannot rise.  Each average is a Reynolds average, certified
+    by construction as in :func:`reynolds_project`, so none is substituted
+    into the group action.  Raises
     :class:`GenerationExhaustedError` with the achieved rank if the bound is
     hit first (a meaningful outcome: a stabilizer acting nontrivially on W
     makes a full family impossible).
@@ -213,9 +211,8 @@ def generate_covariants(G: FiniteGroupAction, degree_bound: int) -> list[Covaria
             if key in seen:
                 continue
             seen.add(key)
-            F = Covariant(G, coords)
+            F = Covariant(G, coords, EQUIVARIANT)
             if _raises_rank(kept, F, points):
-                _verify_averaged(F)
                 kept.append(F)
                 if len(kept) == d:
                     return kept
@@ -237,26 +234,24 @@ def _raises_rank(kept: list[Covariant], F: Covariant, points) -> bool:
 
 def clear_denominators(Fs: list[Covariant], G: FiniteGroupAction
                        ) -> tuple[Poly, list[Covariant]]:
-    """Clear rational covariants to integral ones with one invariant factor.
+    """Clear certified rational covariants Fs to integral ones with one
+    invariant factor.
 
-    h is the least common denominator of all coordinates, f the product of
-    the h-orbit under the group (an absolute invariant), and the returned
-    covariants are f^n F_i for the smallest n making every coordinate
-    integral, certified equivariant as an absolute invariant times a
-    certified covariant.  Independence verdicts are unchanged.
+    h is the least common denominator of all coordinates and f the product
+    of h(gx) over g in G.  f is an absolute invariant by construction, with
+    no substitution: f(kx) is the product of h(gkx), and gk runs over G as g
+    does; f is nonzero, as h is.  The returned covariants are f^n F_i for
+    the smallest n making every coordinate integral, certified equivariant
+    as an absolute invariant times a certified covariant.  All are scaled by
+    the same nonzero f^n, so independence verdicts are unchanged.
     """
-    for F in Fs:
-        if F.status != EQUIVARIANT:
-            raise CovariantError("clear_denominators requires verified covariants")
+    require_certified(Fs, "clear_denominators")
     nums, h = common_denominator([c for F in Fs for c in F.coords])
     # the product of the h(gx) over all g is that of the g.h = h(g^-1 x),
     # as g -> g^-1 permutes G
     f = Poly.one(G.x_vars, G.field)
     for g in G.elements():
         f = f * G.act_cleared(h, "x", G.x_vars, g)[0]
-    w = weight_of(G, f)
-    if w is None or not w.is_trivial():
-        raise ForgeError("orbit product failed to be an absolute invariant")
     # every denominator divides f^n exactly when their lcm h does, and h
     # divides f, h(x) being the identity's factor: n is 1, or 0 for a
     # constant h

@@ -38,13 +38,12 @@ from .action import GroupAction, det_w_inverse_character
 from .covariant import (
     Covariant,
     DependentCovariantsError,
-    EQUIVARIANT,
     RelativeInvariant,
-    UnverifiedCovariantError,
     _det_power,
     _product,
     det_relative_invariant,
     ensure_equivariant,
+    require_certified,
     verify_equivariance,
 )
 from .exactalg import (
@@ -163,9 +162,7 @@ def build_isomorphism(Fs: list[Covariant]) -> NoNameMap:
     if not Fs:
         raise DimensionError("empty covariant list")
     action = Fs[0].action
-    for F in Fs:
-        if F.status != EQUIVARIANT:
-            raise UnverifiedCovariantError("build_isomorphism requires verified covariants")
+    require_certified(Fs, "build_isomorphism")
     ri = det_relative_invariant(Fs)
     if ri.is_zero:
         raise DependentCovariantsError(

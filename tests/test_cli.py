@@ -902,3 +902,125 @@ def test_command_parser_matches_the_full_parser(tmp_path, monkeypatch):
     # the usage of a misplaced option lists every command
     assert "{verify,independence,noname-build," in lazy[PARSER_CASES.index(
         ["verify", "vandermonde_s2", "--degree-bound", "3"])][2]
+
+
+# -- refuted covariants and recorded assumptions -----------------------------------
+
+
+def _preset_with(name, **fields) -> dict:
+    """A copy of a preset's problem with some top-level fields replaced."""
+    return {**json.loads(parse_problem(name).canonical_text()), **fields}
+
+
+# vandermonde_s2 with covariant 2 replaced by (x1^2, x1^2): the swap sends it
+# to (x2^2, x2^2), not to itself
+_REFUTED = _preset_with("vandermonde_s2", covariants=[["x1", "x2"], ["x1^2", "x1^2"]])
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("command,title", [
+    ("noname-build", "no-name construction"),
+    ("clear", "denominator clearing"),
+    ("module-verdict", "module independence"),
+])
+def test_commands_claiming_equivariance_refuse_a_refuted_covariant(tmp_path, command,
+                                                                   title, fmt):
+    code, out, err = run_cli([command, _write_problem(tmp_path, _REFUTED), "--format", fmt])
+    assert (code, err) == (1, "")
+    if fmt == "text":
+        assert out.splitlines()[:2] == [
+            f"== {title} ==", "[FAIL] covariants_equivariant: covariant 2 is not equivariant"]
+    else:
+        assert strip_volatile(json.loads(out)) == {"report": {
+            "title": title, "ok": False, "data": {},
+            "checks": [{"name": "covariants_equivariant", "passed": False,
+                        "detail": "covariant 2 is not equivariant"}]}}
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_verify_names_the_refuted_covariant(tmp_path, fmt):
+    code, out, _ = run_cli(["verify", _write_problem(tmp_path, _REFUTED), "--format", fmt])
+    assert code == 1
+    if fmt == "text":
+        assert "[PASS] covariant_1_equivariant" in out
+        assert "[FAIL] covariant_2_equivariant: equivariance refuted" in out
+    else:
+        checks = json.loads(out)["report"]["checks"]
+        assert [(c["name"], c["passed"]) for c in checks] == [
+            ("covariant_1_equivariant", True), ("covariant_2_equivariant", False)]
+
+
+@pytest.mark.parametrize("command,report", [
+    ("independence", {
+        "title": "generic independence", "ok": True,
+        "checks": [{"name": "independent", "passed": True,
+                    "detail": "rank 2 = family size; witness point confirmed exactly"}],
+        "data": {"family_size": 2, "rank": 2, "verdict": "independent", "w_dim": 2,
+                 "witness_minor": "-1", "witness_point": {"x1": "-1", "x2": "0"}}}),
+    ("relation", {
+        "title": "relation over the function field", "ok": True,
+        "checks": [{"name": "relation_or_certificate", "passed": True,
+                    "detail": "independent; certificate minor on rows [0, 1], "
+                              "columns [0, 1]: -x1^2*x2 + x1^3"}],
+        "data": {"certificate_minor": "-x1^2*x2 + x1^3", "outcome": "independent"}}),
+])
+def test_rank_commands_do_not_decide_equivariance(tmp_path, monkeypatch, command, report):
+    """Ranks and kernels are checked directly; no output of these commands
+    reads the equivariance ledger, so they run no equivariance check."""
+    from covar import covariant
+
+    calls = []
+    witness = covariant._equivariance_witness
+    monkeypatch.setattr(covariant, "_equivariance_witness",
+                        lambda F: calls.append(F) or witness(F))
+    code, got, _ = _machine([command, _write_problem(tmp_path, _REFUTED)])
+    assert code == 0 and strip_volatile(got) == report
+    assert calls == []
+
+
+def test_module_verdict_does_not_bridge_refuted_covariants(tmp_path):
+    """The fraction-field bridge transfers a generic verdict for covariants
+    only.  (x1, x1) and (x2, x2) are not covariants of the swap, and no
+    invariant relation between them exists, so "dependent" would be wrong."""
+    problem = _preset_with("vandermonde_s2", covariants=[["x1", "x1"], ["x2", "x2"]],
+                           hypotheses={"fraction_field": True})
+    code, report, _ = _machine(["module-verdict", _write_problem(tmp_path, problem)])
+    assert code == 1
+    assert report["checks"] == [{"name": "covariants_equivariant", "passed": False,
+                                 "detail": "covariant 1 is not equivariant"}]
+    assert "verdict" not in report["data"]
+
+
+_GF5 = {"prime": 5}
+_POSITIVE_CHARACTERISTIC = ("positive characteristic: generic separability of the "
+                            "action is assumed, not verified")
+
+
+@pytest.mark.parametrize("problem,argv,code", [
+    (_preset_with("vandermonde_s2", field=_GF5), ["verify"], 0),
+    (_preset_with("vandermonde_s2", field=_GF5), ["independence"], 0),
+    (_preset_with("vandermonde_s2", field=_GF5), ["noname-build"], 0),
+    (_preset_with("vandermonde_s2", field=_GF5), ["noname-verify"], 0),
+    (_preset_with("vandermonde_s2", field=_GF5), ["generate"], 0),
+    (_preset_with("vandermonde_s2", field=_GF5), ["clear"], 0),
+    (_preset_with("vandermonde_s2", field=_GF5), ["relation"], 0),
+    (_preset_with("vandermonde_s2", field=_GF5), ["module-verdict"], 0),
+    (_preset_with("powers_s2_cubic", field=_GF5), ["relation"], 0),
+    (_preset_with("powers_s2_cubic", field=_GF5), ["lower"], 0),
+    (_preset_with("vandermonde_s2", field=_GF5, covariants=[["x1", "x2"]] * 2),
+     ["noname-build"], 1),
+    (_preset_with("vandermonde_s2", field=_GF5), ["generate", "--degree-bound", "0"], 1),
+    ({**_REFUTED, "field": _GF5}, ["noname-build"], 1),
+], ids=["verify", "independence", "noname-build", "noname-verify", "generate", "clear",
+        "relation-independent", "module-verdict", "relation-dependent", "lower",
+        "noname-build-dependent", "generate-exhausted", "noname-build-refuted"])
+def test_every_report_on_a_prime_field_problem_records_the_assumption(tmp_path, problem,
+                                                                      argv, code):
+    path = _write_problem(tmp_path, problem)
+    cert = str(tmp_path / "cert.json")
+    if argv == ["noname-verify"]:
+        assert run_cli(["noname-build", path, "--out", cert])[0] == 0
+        path = cert
+    got, report, _ = _machine([argv[0], path, *argv[1:]])
+    assert got == code
+    assert report["data"]["assumptions"] == [_POSITIVE_CHARACTERISTIC]

@@ -257,7 +257,7 @@ def test_reynolds_project_matches_substitution_sum(name):
         assert reynolds_project(H, G).poly_coords() == [t * inv for t in total]
 
 
-def test_generate_s4_ranks_distinct_averages_and_verifies_what_it_keeps(monkeypatch):
+def test_generate_s4_ranks_distinct_averages_and_certifies_what_it_keeps(monkeypatch):
     from covar import action, forge
 
     G = _symmetric_group_action(4)
@@ -287,16 +287,16 @@ def test_generate_s4_ranks_distinct_averages_and_verifies_what_it_keeps(monkeypa
     monkeypatch.setattr(Matrix, "rank", spy_rank)
     monkeypatch.setattr(action, "_linear_images", spy_images)
     fam = generate_covariants(G, 4)
+    # every average is certified by construction: none is substituted
     assert len(fam) == 4 and all(F.status == "equivariant" for F in fam)
-    assert calls["verify"] == 4
+    assert calls["verify"] == 0
     # 8 distinct averages are tried; each of the 4 kept rises at a witness
     # point, so only the 4 that do not rise take a symbolic rank
     assert calls["trial"] == 8
     assert calls["rank"] == 4
-    # averaging reads the matrix of every g^{-1} and builds no table; the
-    # equivariance checks build one X-table per generator, each once
-    assert sorted(built) == sorted((id(G.x_mats[g]), G.x_vars, G.x_vars)
-                                   for g in set(G.generators))
+    # averaging reads the matrix of every g^{-1}, and neither it nor the
+    # rank trials build a substitution table
+    assert built == []
 
 
 def test_generate_does_not_rank_a_multiple_of_an_earlier_average(monkeypatch):
@@ -518,6 +518,48 @@ def test_template_families_certified_by_construction_pass_the_direct_check(name,
     assert not verify_equivariance(Covariant(group, swapped)).ok
 
 
+# name -> (group builder, degree bound for generate)
+AVERAGE_CASES = {
+    "s2": (lambda: make_finite_group([(SWAP, SWAP)]), 3),
+    "s3": (lambda: make_finite_group([(CYCLE3, CYCLE3), (SWAP3, SWAP3)]), 3),
+    "s4": (lambda: _symmetric_group_action(4), 4),
+    "s5": (lambda: _symmetric_group_action(5), 5),
+    "s3_gf7": (lambda: make_finite_group([(CYCLE3, CYCLE3), (SWAP3, SWAP3)],
+                                         field=PrimeField(7)), 3),
+    "rotation_and_sign": (lambda: make_finite_group([(ROTATION, ROTATION_AND_SIGN)]), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AVERAGE_CASES))
+def test_averages_certified_by_construction_pass_the_direct_check(name):
+    """Every covariant generate returns and every Reynolds average is
+    certified with no substitution; a fresh copy of each passes the direct
+    identity check, and the same check refutes the last generated member
+    with its first two distinct coordinates exchanged."""
+    build, bound = AVERAGE_CASES[name]
+    G = build()
+    fam = generate_covariants(G, bound)
+    rng = random.Random(5)
+    seeds = [[Poly(G.x_vars, {tuple(rng.randint(0, 2) for _ in G.x_vars):
+                              G.field(rng.randint(1, 6)) if G.field else rng.randint(-5, 5)
+                              for _ in range(3)}, G.field)
+              for _ in range(G.w_dim)] for _ in range(3)]
+    averages = [reynolds_project(H, G) for H in seeds]
+    assert len(fam) == G.w_dim and any(not F.same_coords(fam[0]) for F in averages)
+    for F in fam + averages:
+        assert F.status == "equivariant" and F.action is G
+        fresh = Covariant(G, F.coords)
+        assert verify_equivariance(fresh).ok and fresh.status == "equivariant"
+    swapped = list(fam[-1].coords)
+    a, b = next((a, b) for a, b in itertools.combinations(range(G.w_dim), 2)
+                if swapped[a] != swapped[b])
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    # for S2 the exchange is the generator's own W-matrix, so the exchanged
+    # member s_W F = F(s x) is again a covariant; no other group here has
+    # an exchange that commutes with its W-action
+    assert verify_equivariance(Covariant(G, swapped)).ok == (name == "s2")
+
+
 def _spy_equivariance_checks(monkeypatch) -> list:
     """Record every direct equivariance check, through the forge's own
     import and through the substitution every check runs."""
@@ -546,8 +588,17 @@ def test_clear_denominators_certifies_its_output_without_an_equivariance_check(
     fam = [verified(s2, [RatFn(x1, den), RatFn(x2, den)]),
            verified(s2, [RatFn(x1**2, den**2), RatFn(x2**2, den**2)])]
     calls = _spy_equivariance_checks(monkeypatch)
+    weights = []
+    from covar import covariant, forge
+    weight_of = covariant.weight_of
+    for module in (covariant, forge):
+        monkeypatch.setattr(module, "weight_of",
+                            lambda G, f: weights.append(f) or weight_of(G, f), raising=False)
     f, cleared = clear_denominators(fam, s2)
-    assert calls == []
+    assert calls == [] and weights == []
+    # the orbit product is an absolute invariant by construction; the
+    # direct computation of its weight agrees
+    assert weight_of(s2, f).is_trivial()
     for F, G in zip(cleared, fam):
         assert F.status == "equivariant" and not F.is_rational
         assert all(a == b * f for a, b in zip(F.coords, G.coords))
