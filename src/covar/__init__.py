@@ -58,13 +58,10 @@ from .noname import (
     verify_isomorphism,
 )
 from .reflect import (
-    BridgeFlags,
-    HypothesisError,
     IndependenceCertificate,
     NoDependenceError,
     Reflection,
     Relation,
-    XSpaceFlags,
     descend_to_invariant_relation,
     find_reflections,
     lower_relation,

@@ -58,7 +58,6 @@ from .noname import (
     verify_isomorphism,
 )
 from .reflect import (
-    BridgeFlags,
     IndependenceCertificate,
     Reflection,
     Relation,
@@ -170,14 +169,19 @@ def _parsed(cls, text, where: str, group: GroupAction, **options):
         raise ProblemError(f"{where}: {exc}") from None
 
 
+# the hypotheses a problem file may assert, each with its JSON type; X = k^n
+# and a finite group decide every other one
+HYPOTHESES = {"fraction_field": (bool, "true or false"), "note": (str, "a string")}
+
+
 def _check_hypotheses(hyp) -> None:
-    """Every flag a JSON boolean, ``note`` a string, at most one bridge."""
+    """Only the keys of ``HYPOTHESES``, each of its type."""
     _expect(isinstance(hyp, dict), "hypotheses: expected an object")
     for key, value in hyp.items():
-        kind, name = (str, "a string") if key == "note" else (bool, "true or false")
+        _expect(key in HYPOTHESES, f"hypotheses.{key}: unknown hypothesis; only "
+                "fraction_field and note can be asserted")
+        kind, name = HYPOTHESES[key]
         _expect(isinstance(value, kind), f"hypotheses.{key}: expected {name}, got {value!r}")
-    _expect(not (hyp.get("fraction_field") and hyp.get("reflection")),
-            "hypotheses: flag at most one bridge, fraction_field or reflection")
 
 
 def parse_problem(source: str | dict, path: str = "") -> ProblemFile:
@@ -624,8 +628,9 @@ def cmd_relation(args) -> int:
     report.data["coefficients"] = [str(h) for h in found.coeffs]
     report.add("relation_or_certificate", found.verified,
                "kernel relation verified by expansion")
-    hyp = problem.hypotheses
-    if hyp.get("factorial_affine") and hyp.get("scalar_units"):
+    # finite groups only: bench/oracle.py checks the weight of these
+    # coefficients on the generators, which a symbolic problem lacks
+    if isinstance(problem.group, FiniteGroupAction):
         cleared = _relative_invariant_coefficients(found)
         report.add("relative_invariant_coefficients", cleared.verified,
                    "coefficients are relative invariants of one weight")
@@ -690,10 +695,8 @@ def cmd_module_verdict(args) -> int:
     Fs = _need_covariants(problem)
     if _refused(Fs, "module independence", problem, args):
         return MATH_EXIT
-    hyp = problem.hypotheses
-    flags = BridgeFlags(hyp.get("fraction_field", False), hyp.get("reflection", False),
-                        hyp.get("note", ""))
-    report = module_independence_verdict(Fs, flags, seed=args.seed)
+    report = module_independence_verdict(
+        Fs, problem.hypotheses.get("fraction_field", False), seed=args.seed)
     _emit(report, args, problem)
     return 0 if report.ok else MATH_EXIT
 

@@ -267,22 +267,29 @@ def clear_denominators(Fs: list[Covariant], G: FiniteGroupAction
 
 def lift_through_projection(Fs: list[Covariant], extended: GroupAction
                             ) -> list[Covariant]:
-    """Reinterpret covariants on X as covariants on X x Y via the projection.
+    """Reinterpret certified covariants on X as covariants on X x Y via the
+    projection.
 
     ``extended`` must be the product action: same group, X-variables a prefix
-    of its X-variables, same W.  Coordinates are unchanged; equivariance and
-    independence verdicts carry over (and equivariance is re-verified).
+    of its X-variables, same W.  For a finite group every element must act
+    on X as before, with no Y-term in its X-coordinates; a symbolic group
+    must be the same GL_n on more copies of the same X template.  Then
+    F(g.(x, y)) = F(g.x) = g.F(x), so the lifts are certified by construction;
+    coordinates are unchanged and independence verdicts carry over.
     """
     if not Fs:
         raise DimensionError("empty covariant list")
+    require_certified(Fs, "lift_through_projection")
     base = Fs[0].action
+    if any(F.action is not base for F in Fs):
+        raise ActionError("covariants do not share one action")
     if extended.x_vars[:len(base.x_vars)] != base.x_vars:
         raise ActionError("extended action does not start with the base X-variables")
     if set(base.x_vars) >= set(extended.x_vars):
         raise ActionError("extended action adds no new variables")
     if extended.w_vars != base.w_vars:
         raise ActionError("extended action must keep the same W-space")
-    if base.is_finite != extended.is_finite:
+    if base.is_finite != extended.is_finite or base.field != extended.field:
         raise ActionError("group models do not match")
     if base.is_finite:
         if extended.order != base.order:
@@ -296,15 +303,12 @@ def lift_through_projection(Fs: list[Covariant], extended: GroupAction
                 raise ActionError("extended action mixes X and Y coordinates")
             if extended.w_mats[g] != base.w_mats[g]:
                 raise ActionError("extended action changes the W-action")
-    out = []
-    for F in Fs:
-        coords = [c.embed(extended.x_vars) for c in F.coords]
-        lifted = Covariant(extended, coords)
-        rep = verify_equivariance(lifted)
-        if not rep.ok:
-            raise ForgeError("lifted covariant failed its equivariance check")
-        out.append(lifted)
-    return out
+    elif (extended.n, extended.x_spec.kind, extended.w_spec) != (
+            base.n, base.x_spec.kind, base.w_spec):
+        raise ActionError("extended action is not the same GL_n on more copies "
+                          "of the same X template")
+    return [Covariant(extended, [c.embed(extended.x_vars) for c in F.coords], EQUIVARIANT)
+            for F in Fs]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Independence theory for covariant families: relations over the function
 field, relations with relative-invariant coefficients, the reflection
-degree-lowering descent, and the bridges between module-level and generic
+degree-lowering descent, and the bridge between module-level and generic
 independence.
 
-Whether module-level conclusions are available depends on global geometric
-hypotheses (the invariant field being the fraction field of the invariant
-ring, or the group being generated by pseudo-reflections).  Those hypotheses
-are caller-asserted flags recorded in every report, never inferred.
+X is always k^n, so k[X] is factorial with only scalar units: no caller
+asserts that.  The bridge, k(X)^G = Frac(k[X]^G), is decided for a finite G
+(a/b = a N / b N with N the product of the g.b over g != 1, and b N is
+invariant); only for a symbolic group does the caller assert it.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .covariant import (
     Covariant,
     cleared_rows,
     generic_independence,
+    require_certified,
     weight_of,
 )
 from .exactalg import (
@@ -40,10 +41,6 @@ class ReflectError(ExactAlgError):
 
 class NoDependenceError(ReflectError):
     """The family is generically independent; no relation exists."""
-
-
-class HypothesisError(ReflectError):
-    """Caller-asserted hypotheses are contradictory or visibly violated."""
 
 
 @dataclass
@@ -124,30 +121,16 @@ def _independence_certificate(mat: Matrix, pivots: list[int]) -> IndependenceCer
     return IndependenceCertificate(rows, list(pivots), minor if sign == 1 else -minor)
 
 
-@dataclass
-class XSpaceFlags:
-    """Caller-asserted hypotheses on X: factorial affine coordinate ring with
-    only scalar units."""
-
-    factorial_affine: bool = False
-    scalar_units: bool = False
-    note: str = ""
-
-
-def relative_invariant_relation(Fs: list[Covariant], flags: XSpaceFlags) -> Relation:
+def relative_invariant_relation(Fs: list[Covariant]) -> Relation:
     """Clear a function-field relation into one whose coefficients are
     relative invariants of one common weight.
 
-    Requires the caller to assert that X is factorial affine with only
-    scalar units; under those hypotheses the numerator and denominator of
-    each invariant kernel coefficient are themselves relative invariants,
-    and multiplying the relation through by the least common denominator
-    leaves relative-invariant coefficients of equal weight.
+    The kernel coefficients are invariant rational functions.  As k[X] is
+    factorial with only scalar units, the reduced numerator and denominator
+    of each are relative invariants, and multiplying the relation through by
+    the least common denominator leaves relative-invariant coefficients of
+    equal weight.
     """
-    if not (flags.factorial_affine and flags.scalar_units):
-        raise HypothesisError(
-            "relative_invariant_relation needs the factorial-affine and "
-            "scalar-units hypotheses asserted")
     found = relation_over_function_field(Fs)
     if isinstance(found, IndependenceCertificate):
         raise NoDependenceError(
@@ -158,24 +141,19 @@ def relative_invariant_relation(Fs: list[Covariant], flags: XSpaceFlags) -> Rela
 def _relative_invariant_coefficients(rel: Relation) -> Relation:
     """The verified relation ``rel`` over its coefficients' common
     denominator, each coefficient checked to be a relative invariant of one
-    common weight (the factorial-affine, scalar-units hypotheses)."""
+    common weight."""
     action = rel.covariants[0].action
     coeffs, _ = common_denominator(rel.coeffs)
     weights = []
     for i, h in enumerate(coeffs):
         if h.is_zero():
-            weights.append(None)
             continue
         w = weight_of(action, h)
         if w is None:
-            raise HypothesisError(
-                f"coefficient {i + 1} is not a relative invariant; the "
-                "asserted hypotheses on X are violated")
+            raise ReflectError(f"coefficient {i + 1} is not a relative invariant")
         weights.append(w)
-    nonzero = [w for w in weights if w is not None]
-    if any(w != nonzero[0] for w in nonzero[1:]):
-        raise HypothesisError("coefficient weights differ; the asserted "
-                              "hypotheses on X are violated")
+    if any(w != weights[0] for w in weights[1:]):
+        raise ReflectError("coefficient weights differ")
     return Relation(coeffs, rel.covariants).verify()
 
 
@@ -283,55 +261,43 @@ def descend_to_invariant_relation(rel: Relation) -> Relation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BridgeFlags:
-    """Which bridge between generic and module independence the caller
-    asserts.  ``fraction_field``: the invariant field is the fraction field
-    of the invariant ring (finite group on affine X, or commutator-group /
-    factorial conditions).  ``reflection``: the group is generated by
-    pseudo-reflections."""
-
-    fraction_field: bool = False
-    reflection: bool = False
-    note: str = ""
+BRIDGE = "invariant field is the fraction field of the invariant ring"
 
 
-def module_independence_verdict(Fs: list[Covariant], flags: BridgeFlags,
+def module_independence_verdict(Fs: list[Covariant], fraction_field: bool = False,
                                 seed: int = 0) -> Report:
     """Decide independence in the module of covariants over the invariant
-    ring, as far as the asserted hypotheses allow.
+    ring.
 
-    With a bridge flagged, the module verdict coincides with generic
-    independence.  With no bridge, generic independence still implies module
-    independence (one direction holds unconditionally); generic dependence
-    leaves the module question open and the verdict abstains.
+    Through the bridge k(X)^G = Frac(k[X]^G), decided for a finite G and
+    asserted by ``fraction_field`` for a symbolic one, the module verdict
+    coincides with generic independence; it is transferred for certified
+    covariants only.  Without the bridge, generic independence still implies
+    module independence (one direction holds unconditionally); generic
+    dependence leaves the module question open and the verdict abstains.
     """
     report = Report("module independence")
     with Stopwatch(report):
-        if flags.fraction_field and flags.reflection:
-            raise HypothesisError("flag exactly one bridge, not both")
+        decided = Fs[0].action.is_finite
+        bridged = decided or fraction_field
+        if bridged:
+            require_certified(Fs, "module_independence_verdict")
         generic = generic_independence(Fs, seed=seed)
         report.data["generic"] = generic.data.get("verdict")
         report.data["rank"] = generic.data.get("rank")
-        if flags.note:
-            report.data["hypothesis_note"] = flags.note
         independent = generic.ok
-        if flags.fraction_field or flags.reflection:
-            bridge = ("invariant field is the fraction field of the invariant ring"
-                      if flags.fraction_field else
-                      "group is generated by pseudo-reflections")
-            report.data["bridge"] = bridge
+        report.data["bridge"] = BRIDGE if bridged else None
+        if bridged:
+            how = "decided, as G is finite" if decided else "asserted"
             report.data["verdict"] = "independent" if independent else "dependent"
             report.add("module_independent", independent,
-                       f"generic verdict transfers through the bridge: {bridge}")
+                       f"generic verdict transfers through the bridge ({how}): {BRIDGE}")
         elif independent:
-            report.data["bridge"] = None
             report.data["verdict"] = "independent"
             report.add("module_independent", True,
                        "generic independence implies independence over the "
                        "invariant ring unconditionally")
         else:
-            report.data["bridge"] = None
             report.data["verdict"] = "abstain"
             report.add("module_independent", False,
                        "generically dependent; without a bridge hypothesis the "

@@ -35,7 +35,6 @@ from covar.forge import (
 from covar.noname import build_isomorphism, covariants_from_generators, verify_isomorphism
 from covar.reflect import (
     Relation,
-    XSpaceFlags,
     find_reflections,
     lower_relation,
     relation_over_function_field,
@@ -313,8 +312,7 @@ def test_criterion_07_invariant_relation():
         rel = relation_over_function_field(fam)
         assert isinstance(rel, Relation)
         assert rel.coeffs == [e2, -e1, Poly.one(G.x_vars)]
-        cleared = relative_invariant_relation(
-            fam, XSpaceFlags(factorial_affine=True, scalar_units=True))
+        cleared = relative_invariant_relation(fam)
         assert cleared.coeffs == [e2, -e1, Poly.one(G.x_vars)]
         for h in cleared.coeffs:
             w = weight_of(G, h)

@@ -288,7 +288,7 @@ def test_module_verdict_exit_codes():
     code, out, _ = run_cli(["module-verdict", "scalar_counterexample"])
     assert code == 1 and "abstain" in out
     code2, _, _ = run_cli(["module-verdict", "powers_s2_cubic"])
-    assert code2 == 1  # dependent family under the asserted bridge
+    assert code2 == 1  # dependent family under the decided bridge
     code3, _, _ = run_cli(["module-verdict", "vandermonde_s2"])
     assert code3 == 0
 
@@ -466,14 +466,17 @@ def _swap_problem_with_x_vars(x_vars) -> dict:
      "reflection.x"),
     ("module-verdict", lambda tmp: _cubic_with(hypotheses={"fraction_field": "false"}),
      "hypotheses.fraction_field"),
-    ("relation", lambda tmp: _cubic_with(hypotheses={"factorial_affine": 1,
-                                                     "scalar_units": True}),
-     "hypotheses.factorial_affine"),
+    ("module-verdict", lambda tmp: _cubic_with(hypotheses={"fraction_field": 1}),
+     "hypotheses.fraction_field"),
     ("module-verdict", lambda tmp: _cubic_with(hypotheses={"note": ["a", "b"]}),
      "hypotheses.note"),
     ("module-verdict", lambda tmp: _cubic_with(hypotheses={"fraction_field": True,
                                                            "reflection": True}),
-     "hypotheses"),
+     "hypotheses.reflection"),
+    ("relation", lambda tmp: _cubic_with(hypotheses={"factorial_affine": True}),
+     "hypotheses.factorial_affine"),
+    ("module-verdict", lambda tmp: _cubic_with(hypotheses={"fraction_feild": True}),
+     "hypotheses.fraction_feild"),
     ("lower", lambda tmp: _cubic_with(relation=["x1^2*x2", "-x1^2 - x1*x2", "x1 + "]),
      "relation[2]"),
     ("lower", lambda tmp: _cubic_with(relation=["x1^2*x2", "1/0*x1", "x1"]), "relation[1]"),
@@ -516,7 +519,8 @@ def _swap_problem_with_x_vars(x_vars) -> dict:
         "x-template-an-object", "no-w-copies", "no-x-copies", "negative-x-copies", "n-zero",
         "x-vars-repeated", "x-var-not-a-string", "reflection-entry-not-a-number",
         "reflection-entry-over-zero", "flag-a-string", "flag-a-number",
-        "note-not-a-string", "both-bridges", "relation-coefficient-unparsable",
+        "note-not-a-string", "both-bridges", "factorial-affine-flag", "misspelt-flag",
+        "relation-coefficient-unparsable",
         "relation-coefficient-over-zero", "covariant-over-zero",
         "w-images-not-a-homomorphism", "unipotent-past-max-order", "singular-generator",
         "n-a-float", "n-a-boolean", "x-copies-a-string", "word-exponent-a-float",
@@ -808,7 +812,8 @@ def test_no_elimination_sees_rational_entries(tmp_path, monkeypatch, family):
     # whose last pivot is the minor
     ("s4_power_maps", "independent", 2),
     ("vandermonde_s2", "independent", 2),
-    # the kernel comes from the one echelon of N, also under the X-space flags
+    # the kernel comes from the one echelon of N, also for the
+    # relative-invariant coefficients
     ("powers_s2_cubic", "relation", 1),
 ])
 def test_relation_eliminates_the_frame_once(tmp_path, monkeypatch, problem, outcome,
@@ -830,6 +835,29 @@ def test_relation_eliminates_the_frame_once(tmp_path, monkeypatch, problem, outc
     assert len(calls) == eliminations
     if outcome == "relation":
         assert "invariant_coefficients" in report["data"]
+
+
+# S2 on the sign character, and the S3 power maps 1..5, a kernel of dimension 2
+_SIGN_S2 = {"group": {"type": "finite", "generators": [{"x": _SWAP, "w": [["-1"]]}]},
+            "covariants": [["x1 - x2"], ["x1^3 - x2^3"], ["x1^2*x2 - x1*x2^2"]]}
+_S3_POWERS = dict(_power_map_problem(3), covariants=[
+    [x if k == 1 else f"{x}^{k}" for x in ("x1", "x2", "x3")] for k in range(1, 6)])
+
+
+@pytest.mark.parametrize("problem,coefficients", [
+    (_SIGN_S2, ["-x1*x2", "0", "1"]),
+    (_S3_POWERS, ["-x1*x2*x3^2 - x1*x2^2*x3 - x1^2*x2*x3",
+                  "x2*x3^2 + x2^2*x3 + x1*x3^2 + 2*x1*x2*x3 + x1*x2^2 + x1^2*x3 + x1^2*x2",
+                  "-x3^2 - x2*x3 - x2^2 - x1*x3 - x1*x2 - x1^2", "0", "1"]),
+], ids=["s2-sign", "s3-powers-1-to-5"])
+def test_finite_dependent_family_needs_no_hypothesis(tmp_path, problem, coefficients):
+    """A finite group decides both the relative-invariant coefficients of a
+    relation and the fraction-field bridge: no hypotheses key is read."""
+    path = _write_problem(tmp_path, problem)
+    code, report, _ = _machine(["relation", path])
+    assert code == 0 and report["data"]["invariant_coefficients"] == coefficients
+    code, report, _ = _machine(["module-verdict", path])
+    assert code == 1 and report["data"]["verdict"] == "dependent"
 
 
 @pytest.mark.parametrize("command,option", [
@@ -989,6 +1017,17 @@ def test_module_verdict_does_not_bridge_refuted_covariants(tmp_path):
     assert report["checks"] == [{"name": "covariants_equivariant", "passed": False,
                                  "detail": "covariant 1 is not equivariant"}]
     assert "verdict" not in report["data"]
+
+
+def test_hypothesis_note_recorded_under_assumptions(tmp_path):
+    note = "commutator-group hypothesis"
+    problem = _preset_with("scalar_counterexample",
+                           hypotheses={"fraction_field": True, "note": note})
+    code, report, _ = _machine(["module-verdict", _write_problem(tmp_path, problem)])
+    assert code == 1 and report["data"]["verdict"] == "dependent"
+    assert report["data"]["assumptions"] == [note]
+    assert "hypothesis_note" not in report["data"]
+    assert "(asserted)" in report["checks"][0]["detail"]
 
 
 _GF5 = {"prime": 5}

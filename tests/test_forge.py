@@ -8,10 +8,16 @@ from fractions import Fraction
 
 import pytest
 
-from covar.action import extend_finite_action, make_finite_group
+from covar.action import (
+    ActionError,
+    extend_finite_action,
+    make_finite_group,
+    symbolic_general_linear,
+)
 from covar.cli import parse_problem
 from covar.covariant import (
     Covariant,
+    UnverifiedCovariantError,
     coordinate_matrix,
     det_relative_invariant,
     evaluate_matrix,
@@ -428,6 +434,40 @@ def test_lift_rejects_non_product_action(s2, vandermonde_pair):
     other = make_finite_group([(SWAP, SWAP)], x_vars=("y1", "y2"))
     with pytest.raises(Exception):
         lift_through_projection(vandermonde_pair, other)
+
+
+def test_lift_is_certified_without_an_equivariance_check(monkeypatch, s2, vandermonde_pair):
+    from covar import covariant, forge
+
+    calls = []
+    for module in (covariant, forge):
+        check = module.verify_equivariance
+        monkeypatch.setattr(module, "verify_equivariance",
+                            lambda F, check=check: calls.append(F) or check(F))
+    ext = extend_finite_action(s2, ("y1", "y2"),
+                               [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]])
+    lifted = lift_through_projection(vandermonde_pair, ext)
+    fam = matrix_word_family(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    lifted += lift_through_projection(fam, symbolic_general_linear(
+        2, "gl_conjugation", "gl_conjugation", x_copies=3, w_copies=1))
+    assert calls == [] and all(F.status == "equivariant" for F in lifted)
+
+
+def test_lift_rejects_uncertified_covariants(s2):
+    x1, x2 = Poly.gens(s2.x_vars)
+    ext = extend_finite_action(s2, ("y1",), [[["1"]], [["1"]]])
+    with pytest.raises(UnverifiedCovariantError):
+        lift_through_projection([Covariant(s2, [x1, x2])], ext)
+
+
+def test_lift_rejects_another_x_template():
+    """x1 scaled by s is a covariant of the scalar action; on three trivial
+    copies of X it is not, though the X-variables extend x1, x2."""
+    scalar = symbolic_general_linear(1, "scalar", "scalar", x_copies=2)
+    trivial = symbolic_general_linear(1, "trivial", "scalar", x_copies=3)
+    x1, _ = Poly.gens(scalar.x_vars)
+    with pytest.raises(ActionError, match="same X template"):
+        lift_through_projection([verified(scalar, [x1])], trivial)
 
 
 def test_lift_word_covariants_to_more_copies():

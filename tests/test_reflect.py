@@ -4,20 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from covar.covariant import verified, weight_of
+from covar.covariant import UnverifiedCovariantError, verified, weight_of
 from covar.action import make_finite_group
 from covar.exactalg import Matrix, Poly, PrimeField, RatFn
 from covar.forge import power_map_family, _symmetric_group_action
 from covar.reflect import (
-    BridgeFlags,
-    HypothesisError,
     IndependenceCertificate,
     NoDependenceError,
     ReflectError,
     Reflection,
     Relation,
-    XSpaceFlags,
     _independence_certificate,
+    _relative_invariant_coefficients,
     descend_to_invariant_relation,
     find_reflections,
     lower_relation,
@@ -27,8 +25,6 @@ from covar.reflect import (
 )
 
 from conftest import SWAP, group_mul
-
-FLAGS = XSpaceFlags(factorial_affine=True, scalar_units=True)
 
 
 @pytest.fixture
@@ -138,7 +134,7 @@ def test_relation_check_covers_every_row(s2, rational):
 
 
 def test_relative_invariant_relation_cubic(cubic_family):
-    rel = relative_invariant_relation(cubic_family, FLAGS)
+    rel = relative_invariant_relation(cubic_family)
     G = cubic_family[0].action
     x1, x2 = Poly.gens(G.x_vars)
     assert rel.coeffs == [x1 * x2, -(x1 + x2), Poly.one(G.x_vars)]
@@ -152,7 +148,7 @@ def test_relative_invariant_relation_scalar(scalar_action):
     xs = Poly.gens(scalar_action.x_vars)
     Fx = verified(scalar_action, [xs[0]])
     Fy = verified(scalar_action, [xs[1]])
-    rel = relative_invariant_relation([Fx, Fy], FLAGS)
+    rel = relative_invariant_relation([Fx, Fy])
     assert rel.coeffs == [-xs[1], xs[0]]
     weights = [weight_of(scalar_action, h) for h in rel.coeffs]
     assert weights[0] == weights[1]
@@ -160,14 +156,18 @@ def test_relative_invariant_relation_scalar(scalar_action):
     assert weights[0].ratfn == RatFn(Poly.one(scalar_action.g_vars), g11)
 
 
-def test_relative_invariant_relation_needs_flags(cubic_family):
-    with pytest.raises(HypothesisError):
-        relative_invariant_relation(cubic_family, XSpaceFlags())
+def test_relative_invariant_coefficients_refuse_a_non_invariant_relation(cubic_family):
+    """x1 (e2, -e1, 1) is a relation, but x1 is no relative invariant of the
+    swap: the check that certifies the output refuses it."""
+    x1, x2 = Poly.gens(cubic_family[0].action.x_vars)
+    rel = Relation([x1 * x1 * x2, -x1 * (x1 + x2), x1], cubic_family).verify()
+    with pytest.raises(ReflectError, match="coefficient 1 is not a relative invariant"):
+        _relative_invariant_coefficients(rel)
 
 
 def test_relative_invariant_relation_needs_dependence(vandermonde_pair):
     with pytest.raises(NoDependenceError):
-        relative_invariant_relation(vandermonde_pair, FLAGS)
+        relative_invariant_relation(vandermonde_pair)
 
 
 # -- reflections ------------------------------------------------------------------
@@ -268,40 +268,48 @@ def test_descent_reaches_invariant_coefficients(cubic_family):
 
 
 def test_verdict_with_fraction_field_bridge(vandermonde_pair):
-    rep = module_independence_verdict(vandermonde_pair,
-                                      BridgeFlags(fraction_field=True))
+    rep = module_independence_verdict(vandermonde_pair, fraction_field=True)
     assert rep.ok and rep.data["verdict"] == "independent"
     assert "fraction field" in rep.data["bridge"]
+    assert "(decided, as G is finite)" in rep.checks[0].detail
 
 
-def test_verdict_with_reflection_bridge(cubic_family):
-    rep = module_independence_verdict(cubic_family, BridgeFlags(reflection=True))
+def test_verdict_decides_the_bridge_for_a_finite_group(cubic_family, vandermonde_pair):
+    rep = module_independence_verdict(cubic_family)
     assert not rep.ok and rep.data["verdict"] == "dependent"
+    assert "(decided, as G is finite)" in rep.checks[0].detail
+    rep = module_independence_verdict(vandermonde_pair)
+    assert rep.ok and rep.data["verdict"] == "independent"
+    assert rep.data["bridge"] == "invariant field is the fraction field of the invariant ring"
 
 
 def test_verdict_abstains_without_bridge(scalar_action):
     xs = Poly.gens(scalar_action.x_vars)
     fam = [verified(scalar_action, [xs[0]]), verified(scalar_action, [xs[1]])]
-    rep = module_independence_verdict(fam, BridgeFlags())
+    rep = module_independence_verdict(fam)
     assert not rep.ok
     assert rep.data["verdict"] == "abstain" and rep.data["rank"] == 1
 
 
-def test_verdict_one_direction_without_bridge(vandermonde_pair):
-    rep = module_independence_verdict(vandermonde_pair, BridgeFlags())
+def test_verdict_one_direction_without_bridge(scalar_action):
+    xs = Poly.gens(scalar_action.x_vars)
+    rep = module_independence_verdict([verified(scalar_action, [xs[0]])])
     assert rep.ok and rep.data["verdict"] == "independent"
     assert rep.data["bridge"] is None
 
 
-def test_contradictory_flags_rejected(vandermonde_pair):
-    with pytest.raises(HypothesisError):
-        module_independence_verdict(vandermonde_pair,
-                                    BridgeFlags(fraction_field=True,
-                                                reflection=True))
+def test_verdict_with_the_bridge_asserted_for_a_symbolic_group(scalar_action):
+    xs = Poly.gens(scalar_action.x_vars)
+    fam = [verified(scalar_action, [xs[0]]), verified(scalar_action, [xs[1]])]
+    rep = module_independence_verdict(fam, fraction_field=True)
+    assert not rep.ok and rep.data["verdict"] == "dependent"
+    assert "(asserted)" in rep.checks[0].detail
 
 
-def test_hypothesis_note_recorded(vandermonde_pair):
-    rep = module_independence_verdict(
-        vandermonde_pair,
-        BridgeFlags(fraction_field=True, note="commutator-group hypothesis"))
-    assert rep.data["hypothesis_note"] == "commutator-group hypothesis"
+def test_bridge_refuses_non_covariants(s2):
+    """(x1, x1) and (x2, x2) are not covariants of the swap; the decided
+    bridge transfers no verdict for them."""
+    x1, x2 = Poly.gens(s2.x_vars)
+    fam = [verified(s2, [x1, x1], expect=False), verified(s2, [x2, x2], expect=False)]
+    with pytest.raises(UnverifiedCovariantError):
+        module_independence_verdict(fam)
