@@ -54,27 +54,58 @@ class Covariant:
     ``equivariant`` where an exact argument certifies the map by its
     construction (the template families, products of certified covariants
     and invariants).
+
+    A covariant made by :meth:`from_program` is kept as entry ``key`` of a
+    ``record`` shared by its family, and its coordinates are formed on the
+    first read of ``coords``.  Until then ``source`` is ``(record, key)``;
+    the witness scan evaluates such a family through the record.
     """
 
     def __init__(self, action: GroupAction, coords, status: str = UNCHECKED,
                  refutation: dict | None = None):
         self.action = action
+        self.source = None
+        x_vars = tuple(action.x_vars)
         fixed = []
         for c in coords:
             if not isinstance(c, (Poly, RatFn)):
                 raise CovariantError("coordinates must be Poly or RatFn")
-            if set(c.support_vars()) - set(action.x_vars):
-                raise DimensionError("coordinate uses variables outside the X-space")
-            if tuple(c.vars) != tuple(action.x_vars):
-                c = c.embed(action.x_vars) if set(c.vars) <= set(action.x_vars) \
-                    else _restrict(c, action.x_vars)
+            # a coordinate over a subset of the X-variables needs no scan of
+            # its terms
+            if tuple(c.vars) != x_vars:
+                if set(c.vars) <= set(x_vars):
+                    c = c.embed(x_vars)
+                elif set(c.support_vars()) - set(x_vars):
+                    raise DimensionError("coordinate uses variables outside the X-space")
+                else:
+                    c = _restrict(c, x_vars)
             fixed.append(c)
         if len(fixed) != action.w_dim:
             raise DimensionError(
                 f"covariant has {len(fixed)} coordinates, W has dimension {action.w_dim}")
-        self.coords = fixed
+        self._coords = fixed
         self.status = status
         self.refutation = refutation
+
+    @classmethod
+    def from_program(cls, action: GroupAction, record, key,
+                     status: str = UNCHECKED) -> "Covariant":
+        """The covariant ``record.expand(key)``, expanded on first read.
+
+        The record promises dim W coordinates over the X-variables, and
+        ``record.point_values(keys)`` for the integer values of its entries
+        at a point (see :func:`_point_values`)."""
+        F = cls.__new__(cls)
+        F.action, F.source, F._coords = action, (record, key), None
+        F.status, F.refutation = status, None
+        return F
+
+    @property
+    def coords(self) -> list:
+        if self._coords is None:
+            record, key = self.source
+            self._coords = record.expand(key)
+        return self._coords
 
     @property
     def is_rational(self) -> bool:
@@ -449,7 +480,8 @@ def generic_independence(Fs: list[Covariant], seed: int = 0) -> Report:
         d = action.w_dim
         report.data["family_size"] = e
         report.data["w_dim"] = d
-        coordinate_matrix(Fs)  # rejects families over different actions
+        if any(F.action is not action for F in Fs):
+            raise CovariantError("covariants do not share one action")
         points = candidate_points(action.x_dim, random.Random(seed))
         witness = _independence_witness(
             Fs, itertools.islice(points, WITNESS_FIRST_CANDIDATES))
@@ -493,8 +525,8 @@ class _IntegerColumns:
     """
 
     def __init__(self, Fs: list[Covariant]):
-        self.field = Fs[0].action.field
-        self.p = None if self.field is None else self.field.p
+        field = Fs[0].action.field
+        self.p = None if field is None else field.p
         self.nums, self.dens, self.scales = [], [], []
         for F in Fs:
             nums, den = common_denominator(F.coords)
@@ -508,21 +540,24 @@ class _IntegerColumns:
                 for i, k in mono:
                     self.max_exp[i] = max(self.max_exp[i], k)
 
-    def powers(self, point) -> list[list[int]]:
-        """Per coordinate, its powers up to the largest exponent used."""
+    def at(self, point):
+        """The numerators of each column at the point, and each column's
+        (scale, denominator value); None where a denominator vanishes.
+        Over GF(p) the values are taken mod p."""
         p = self.p
-        table = []
+        powers = []
         for x, top in zip(point, self.max_exp):
             row = [1]
             for _ in range(top):
                 row.append(row[-1] * x if p is None else row[-1] * x % p)
-            table.append(row)
-        return table
-
-    def den_values(self, powers: list[list[int]]) -> list[int]:
-        """Each column's denominator at the point, mod p over GF(p)."""
-        vals = [_eval_int(den, powers) for den in self.dens]
-        return vals if self.p is None else [v % self.p for v in vals]
+            powers.append(row)
+        dens = [_eval_int(den, powers) for den in self.dens]
+        if p is not None:
+            dens = [v % p for v in dens]
+        if not all(dens):
+            return None
+        return ([[_eval_int(num, powers) for num in col] for col in self.nums],
+                list(zip(self.scales, dens)))
 
 
 def _coeff_lcm(polys: list[Poly]) -> int:
@@ -550,6 +585,17 @@ def _eval_int(terms: tuple, powers: list[list[int]]) -> int:
     return total
 
 
+def _point_values(Fs: list[Covariant]):
+    """The family's integer evaluator, chosen from its form: the shared
+    record when every covariant is kept as a program of one record, else
+    :class:`_IntegerColumns` compiled from the coordinates.  Evaluation at
+    a point is a ring map, so both give the same values."""
+    record = Fs[0].source[0] if Fs[0].source else None
+    if record is not None and all(F.source and F.source[0] is record for F in Fs):
+        return record.point_values([F.source[1] for F in Fs])
+    return _IntegerColumns(Fs)
+
+
 def _independence_witness(Fs: list[Covariant], points):
     """The first of ``points`` where the family has full rank min(e, dim W),
     with the e x e minor when e = dim W; None if no point qualifies.
@@ -557,23 +603,23 @@ def _independence_witness(Fs: list[Covariant], points):
     Points where a column's denominator vanishes are skipped: it is the lcm
     of the entry denominators, so these are exactly the points where an
     entry is undefined.  The rank and the minor come from one integer
-    Bareiss elimination of the compiled numerators, over Z or over GF(p),
-    the minor being det(N) * prod(scale_j / D_j)."""
+    Bareiss elimination of the column numerators at the point, over Z or
+    over GF(p), the minor being det(N) * prod(scale_j / D_j)."""
     action = Fs[0].action
-    cols = _IntegerColumns(Fs)
+    values = _point_values(Fs)
+    p = None if action.field is None else action.field.p
     full = min(len(Fs), action.w_dim)
     for point in points:
-        powers = cols.powers(point)
-        dens = cols.den_values(powers)
-        if not all(dens):
+        at = values.at(point)
+        if at is None:
             continue
-        rows = list(zip(*[[_eval_int(num, powers) for num in col] for col in cols.nums]))
-        rank, minor = int_rank_det(rows, cols.p)
+        cols, factors = at
+        rank, minor = int_rank_det(list(zip(*cols)), p)
         if rank < full:
             continue
         if minor is not None:
-            minor = lift_coeff(minor, cols.field)
-            for scale, den in zip(cols.scales, dens):
+            minor = lift_coeff(minor, action.field)
+            for scale, den in factors:
                 minor = coeff_div(minor * scale, den)
-        return _point_dict(action.x_vars, point, cols.field), minor
+        return _point_dict(action.x_vars, point, action.field), minor
     return None

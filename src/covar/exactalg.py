@@ -1218,7 +1218,7 @@ def qmat_mul(a: QMat, b: QMat) -> QMat:
     """Product of scalar matrices, skipping zero entries.  Group closure
     does not use it: ``make_finite_group`` multiplies integer forms.  It
     serves checks on a closed group, such as the Y-homomorphism check of
-    ``extend_finite_action``."""
+    ``extend_finite_action``, and the matrix words at integer points."""
     if len(a[0]) != len(b):
         raise DimensionError("scalar matrix shapes do not match")
     zero = b[0][0] - b[0][0]

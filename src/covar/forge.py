@@ -32,10 +32,13 @@ from .exactalg import (
     ExactAlgError,
     Matrix,
     Poly,
+    QMat,
     coeff_div,
     common_denominator,
     field_one,
     lift_coeff,
+    qmat_identity,
+    qmat_mul,
 )
 
 
@@ -316,11 +319,101 @@ def lift_through_projection(Fs: list[Covariant], extended: GroupAction
 # ---------------------------------------------------------------------------
 
 
-def _word_matrix(action: SymbolicGroupAction, copy: int) -> Matrix:
-    n = action.n
-    labels = "abcdefghijklmnopqrstuvwxyz"
-    return Matrix([[Poly.var(f"{labels[copy]}{i}{j}", action.x_vars, action.field)
-                    for j in range(1, n + 1)] for i in range(1, n + 1)])
+class MatrixWords:
+    """The shared record of one word family: the generic n x n matrices A
+    and B of the conjugation action on pairs, and the words A^i B^j kept as
+    programs (i, j).
+
+    Entry (r, c) of copy k is X-variable k n^2 + r n + c, as the
+    conjugation template lists them.  :meth:`expand` forms a word's
+    coordinates from powers of A and B that are built once and reused
+    across words; :meth:`point_values` evaluates words at integer points by
+    products of scalar matrices, expanding nothing.
+    """
+
+    def __init__(self, action: SymbolicGroupAction):
+        self.action = action
+        self.n = n = action.n
+        one, nv = field_one(action.field), len(action.x_vars)
+        x = [Poly(action.x_vars, {tuple(int(i == k) for i in range(nv)): one}, action.field)
+             for k in range(2 * n * n)]
+        # _powers[copy][k - 1] is A^k (copy 0) or B^k (copy 1)
+        self._powers = [[Matrix([x[copy * n * n + r * n:copy * n * n + (r + 1) * n]
+                                 for r in range(n)])] for copy in (0, 1)]
+
+    def _power(self, copy: int, k: int) -> Matrix:
+        """A^k or B^k for k >= 1, each power formed once."""
+        powers = self._powers[copy]
+        while len(powers) < k:
+            powers.append(powers[-1] * powers[0])
+        return powers[k - 1]
+
+    def expand(self, word: tuple[int, int]) -> list[Poly]:
+        """The n^2 entries of A^i B^j, row by row."""
+        i, j = word
+        if i and j:
+            M = self._power(0, i) * self._power(1, j)
+        elif i or j:
+            M = self._power(0, i) if i else self._power(1, j)
+        else:
+            M = Matrix.identity(self.n, self._powers[0][0].entries[0][0])
+        return [e for row in M.entries for e in row]
+
+    def point_values(self, words: list[tuple[int, int]]) -> "_WordValues":
+        return _WordValues(self.n, words, self.action.field)
+
+
+class _WordValues:
+    """Words evaluated at integer points: A and B are read off the point,
+    each needed power is formed once per point, and word (i, j) is the
+    product A^i B^j, all over Z, or mod p over GF(p)."""
+
+    def __init__(self, n: int, words: list[tuple[int, int]], field):
+        self.n, self.words = n, words
+        self.p = None if field is None else field.p
+        self.exps = [sorted({w[k] for w in words} - {0}) for k in (0, 1)]
+
+    def at(self, point):
+        """One column per word, its entries row by row, and no denominator
+        factors, as every word is a polynomial with integer coefficients."""
+        n, p = self.n, self.p
+        powers = []
+        for copy, exps in enumerate(self.exps):
+            flat = point[copy * n * n:(copy + 1) * n * n]
+            powers.append(_int_powers(tuple(tuple(flat[r * n:(r + 1) * n]) for r in range(n)),
+                                      exps, p))
+        cols = []
+        for i, j in self.words:
+            if i and j:
+                M = _int_mat_mul(powers[0][i], powers[1][j], p)
+            elif i or j:
+                M = powers[0][i] if i else powers[1][j]
+            else:
+                M = qmat_identity(n)
+            cols.append([x for row in M for x in row])
+        return cols, ()
+
+
+def _int_mat_mul(a: QMat, b: QMat, p: int | None) -> QMat:
+    out = qmat_mul(a, b)
+    return out if p is None else tuple(tuple(x % p for x in row) for row in out)
+
+
+def _int_powers(m: QMat, exps: list[int], p: int | None) -> dict:
+    """m^e for each e of the increasing ``exps``: each from the one before,
+    times m to the gap by repeated squaring."""
+    out, prev = {}, 0
+    for e in exps:
+        gap, step, base = e - prev, None, m
+        while gap:
+            if gap & 1:
+                step = base if step is None else _int_mat_mul(step, base, p)
+            gap >>= 1
+            if gap:
+                base = _int_mat_mul(base, base, p)
+        out[e] = step if not prev else _int_mat_mul(out[prev], step, p)
+        prev = e
+    return out
 
 
 def _generic_action(n: int, kind: str, x_copies: int,
@@ -350,6 +443,15 @@ def matrix_word_family(n: int, words: list[tuple[int, int]] | None = None,
     of A^i B^j.  The action checked both adjugate identities when it was
     built.  The family lives on ``group`` when given (which must be that
     conjugation action), else on a new action.
+
+    The words are kept as programs (i, j) over one shared
+    :class:`MatrixWords` record, and a word's coordinates are expanded on
+    the first read of its ``coords``.  Nothing reads them in ``verify`` and
+    ``module-verdict`` (the ledger holds the certificate) or in
+    ``independence`` (the witness scan multiplies scalar point matrices),
+    unless no candidate point shows full rank and the symbolic rank is
+    needed.  ``relation``, ``noname-build`` and ``example`` expand every
+    word.
     """
     if words is None:
         words = [(i, j) for i in range(n) for j in range(n)]
@@ -357,20 +459,11 @@ def matrix_word_family(n: int, words: list[tuple[int, int]] | None = None,
         if i < 0 or j < 0:
             raise ForgeError(f"malformed word exponents ({i}, {j})")
     action = _generic_action(n, "conjugation", 2, group)
-    A = _word_matrix(action, 0)
-    B = _word_matrix(action, 1)
-    out = []
-    for i, j in words:
-        M = Matrix.identity(n, A.entries[0][0])
-        for _ in range(i):
-            M = M * A
-        for _ in range(j):
-            M = M * B
-        # certified by the argument of the docstring: _generic_action checked
-        # that X and W carry the conjugation template, W one copy, and
-        # SymbolicGroupAction builds both from one block and one det power
-        out.append(Covariant(action, [e for row in M.entries for e in row], EQUIVARIANT))
-    return out
+    record = MatrixWords(action)
+    # certified by the argument of the docstring: _generic_action checked
+    # that X and W carry the conjugation template, W one copy, and
+    # SymbolicGroupAction builds both from one block and one det power
+    return [Covariant.from_program(action, record, (i, j), EQUIVARIANT) for i, j in words]
 
 
 def projection_family(n: int, m: int, group: GroupAction | None = None

@@ -610,6 +610,46 @@ def _symbolic_family_problem(n, template, x_copies, family, field=None):
     return prob
 
 
+def _spy_word_expansion(monkeypatch) -> list:
+    from covar import forge
+
+    expanded = []
+    expand = forge.MatrixWords.expand
+    monkeypatch.setattr(forge.MatrixWords, "expand",
+                        lambda self, word: expanded.append(word) or expand(self, word))
+    return expanded
+
+
+_WORDS_N5 = _symbolic_family_problem(5, "gl_conjugation", 2,
+                                     {"name": "matrix_words", "n": 5})
+
+
+@pytest.mark.parametrize("command", ["verify", "independence", "module-verdict"])
+@pytest.mark.parametrize("problem", ["matrix_words_gl2", "matrix_words_gl3", _WORDS_N5],
+                         ids=["gl2", "gl3", "n5"])
+def test_word_commands_that_read_no_coordinate_expand_no_word(tmp_path, monkeypatch,
+                                                              command, problem):
+    """The ledger holds the certificate of every word, and the witness scan
+    multiplies scalar point matrices, so these commands expand nothing."""
+    if isinstance(problem, dict):
+        problem = _write_problem(tmp_path, problem)
+    expanded = _spy_word_expansion(monkeypatch)
+    code, report, _ = _machine([command, problem])
+    assert code == 0 and report["ok"]
+    assert expanded == []
+
+
+def test_a_far_word_verifies_without_expansion(tmp_path, monkeypatch):
+    """A^1000000 would have to be expanded in 8 variables; it is certified
+    by construction, so verify never forms it."""
+    problem = _symbolic_family_problem(2, "gl_conjugation", 2, {
+        "name": "matrix_words", "n": 2, "words": [[1000000, 0]]})
+    expanded = _spy_word_expansion(monkeypatch)
+    code, report, _ = _machine(["verify", _write_problem(tmp_path, problem)])
+    assert code == 0 and report["data"]["count"] == 1
+    assert expanded == []
+
+
 @pytest.mark.parametrize("command", ["independence", "noname-build"])
 @pytest.mark.parametrize("problem", [
     _symbolic_family_problem(2, "gl_conjugation", 2,
@@ -701,6 +741,10 @@ def test_reports_deterministic_for_fixed_seed():
      ["relation", "powers_s2_cubic", "--format", "machine"]),
     ("s3_generate.json",
      ["generate", "s3_permutation", "--degree-bound", "3", "--format", "machine"]),
+    ("words_gl3_independence.json",
+     ["independence", "matrix_words_gl3", "--format", "machine"]),
+    ("words_gl2_noname.json",
+     ["noname-build", "matrix_words_gl2", "--format", "machine"]),
 ])
 def test_golden_outputs(golden_name, argv):
     with open(os.path.join(GOLDEN, golden_name)) as fh:
@@ -965,17 +1009,32 @@ def test_commands_claiming_equivariance_refuse_a_refuted_covariant(tmp_path, com
                         "detail": "covariant 2 is not equivariant"}]}}
 
 
-@pytest.mark.parametrize("fmt", ["text", "machine"])
-def test_verify_names_the_refuted_covariant(tmp_path, fmt):
-    code, out, _ = run_cli(["verify", _write_problem(tmp_path, _REFUTED), "--format", fmt])
+def _gl2_words_with_a_changed_coefficient() -> dict:
+    """The gl2 words I, A, B, AB given as explicit covariants, the entry
+    a12*b21 + a11*b11 of AB with the coefficient of a11*b11 doubled."""
+    words = [[str(c) for c in F.coords] for F in parse_problem("matrix_words_gl2").covariants]
+    assert words[3][0] == "a12*b21 + a11*b11"
+    words[3][0] = "a12*b21 + 2*a11*b11"
+    return {"group": parse_problem("matrix_words_gl2").raw["group"], "covariants": words}
+
+
+_REFUTED_ROWS = [(_REFUTED, 2), (_gl2_words_with_a_changed_coefficient(), 4)]
+
+
+@pytest.mark.parametrize("fmt,problem,refuted", [
+    (fmt, *row) for row in _REFUTED_ROWS for fmt in ("text", "machine")],
+    ids=["text", "machine", "gl2-words-text", "gl2-words-machine"])
+def test_verify_names_the_refuted_covariant(tmp_path, fmt, problem, refuted):
+    code, out, _ = run_cli(["verify", _write_problem(tmp_path, problem), "--format", fmt])
     assert code == 1
     if fmt == "text":
         assert "[PASS] covariant_1_equivariant" in out
-        assert "[FAIL] covariant_2_equivariant: equivariance refuted" in out
+        assert f"[FAIL] covariant_{refuted}_equivariant: equivariance refuted" in out
     else:
         checks = json.loads(out)["report"]["checks"]
         assert [(c["name"], c["passed"]) for c in checks] == [
-            ("covariant_1_equivariant", True), ("covariant_2_equivariant", False)]
+            (f"covariant_{k}_equivariant", k != refuted)
+            for k in range(1, len(problem["covariants"]) + 1)]
 
 
 @pytest.mark.parametrize("command,report", [

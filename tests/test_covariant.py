@@ -63,6 +63,27 @@ def test_coordinate_count_must_match_w(s2):
         Covariant(s2, [x1])
 
 
+def test_coordinates_in_the_x_ring_are_not_scanned(s2, monkeypatch):
+    """A coordinate over the X-variables, or a subset of them, cannot use
+    another variable, so only a coordinate over a larger ring has its terms
+    scanned; one that uses a variable outside X is still refused."""
+    calls = []
+    support = Poly.support_vars
+    monkeypatch.setattr(Poly, "support_vars",
+                        lambda self: calls.append(self.vars) or support(self))
+    x1, x2 = Poly.gens(s2.x_vars)
+    F = Covariant(s2, [x1 * x2, RatFn(x1, x1 + x2)])
+    G = Covariant(s2, [Poly.var("x1", ("x1",)), x2])
+    assert calls == []
+    assert G.coords[0] == x1
+    wider = ("x1", "x2", "y")
+    H = Covariant(s2, [Poly.parse("x1 + x2", wider), x2])
+    assert calls == [wider] and H.coords[0] == x1 + x2
+    with pytest.raises(DimensionError, match="outside the X-space"):
+        Covariant(s2, [Poly.parse("x1 + y", wider), x2])
+    assert F.coords[1] == RatFn(x1, x1 + x2)
+
+
 def test_product_word_is_equivariant(conj2):
     [F] = word_covariants(conj2, [(1, 1)])
     assert F.status == "equivariant"
@@ -140,8 +161,9 @@ def test_covariant_matrix_rejects_mixed_actions(s2, s3):
     x1, x2 = Poly.gens(s2.x_vars)
     a = verified(s2, [x1, x2])
     b = verified(s3, list(Poly.gens(s3.x_vars)))
-    with pytest.raises(Exception, match="share one action"):
-        coordinate_matrix([a, b])
+    for rank in (coordinate_matrix, generic_independence):
+        with pytest.raises(Exception, match="share one action"):
+            rank([a, b])
 
 
 def test_covariant_matrix_needs_square_count(s2):

@@ -526,6 +526,114 @@ def test_word_family_direct_vs_product_verification():
         assert fresh.same_coords(F)
 
 
+def _words_from_identity(action, words):
+    """The reference expansion: each word starts from I and takes i + j
+    products, A and B read off the X-variables by name."""
+    n = action.n
+
+    def generic(label):
+        return Matrix([[Poly.var(f"{label}{i}{j}", action.x_vars, action.field)
+                        for j in range(1, n + 1)] for i in range(1, n + 1)])
+
+    A, B = generic("a"), generic("b")
+    out = []
+    for i, j in words:
+        M = Matrix.identity(n, A.entries[0][0])
+        for _ in range(i):
+            M = M * A
+        for _ in range(j):
+            M = M * B
+        out.append([e for row in M.entries for e in row])
+    return out
+
+
+def _conjugation_pairs(n, field=None):
+    return symbolic_general_linear(n, "gl_conjugation", "gl_conjugation",
+                                   x_copies=2, w_copies=1, field=field)
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(5)], ids=["Q", "GF5"])
+@pytest.mark.parametrize("n,words", [
+    (2, [(i, j) for i in range(4) for j in range(4)]),
+    (2, [(3, 0), (1, 2), (3, 0), (0, 0)]),
+    (3, None),
+], ids=["gl2-to-cubes", "gl2-repeated", "gl3"])
+def test_word_expansion_reuses_powers_and_matches_the_identity_loop(n, words, field):
+    fam = matrix_word_family(n, words, _conjugation_pairs(n, field))
+    words = words or [(i, j) for i in range(n) for j in range(n)]
+    assert all(F._coords is None for F in fam)
+    assert [F.coords for F in fam] == _words_from_identity(fam[0].action, words)
+    # each power of A and B was formed once, up to the largest exponent
+    record = fam[0].source[0]
+    assert [len(p) for p in record._powers] == [
+        max(1, max(w[k] for w in words)) for k in (0, 1)]
+
+
+def _explicit(Fs):
+    """The same covariants with their coordinates given explicitly, which
+    the witness scan compiles with _IntegerColumns."""
+    return [Covariant(F.action, F.coords, F.status) for F in Fs]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("field", [None, PrimeField(5)], ids=["Q", "GF5"])
+@pytest.mark.parametrize("n,words,verdict", [
+    (2, None, "independent"),
+    (3, None, "independent"),
+    (2, [(0, 0), (1, 0), (1, 0), (1, 1)], "dependent"),
+], ids=["gl2", "gl3", "gl2-repeated-word"])
+def test_word_point_route_matches_the_compiled_coordinates(n, words, verdict, field, seed):
+    """Evaluation at a point is a ring map: the products of scalar point
+    matrices and the compiled expanded coordinates give the same witness
+    point and minor at every candidate, and the same report.  The repeated
+    word has no full-rank point and falls back to the symbolic rank."""
+    from covar.covariant import (WITNESS_FIRST_CANDIDATES, _IntegerColumns,
+                                 _independence_witness, _point_values, candidate_points)
+
+    fam = matrix_word_family(n, words, _conjugation_pairs(n, field))
+    explicit = _explicit(fam)
+    assert isinstance(_point_values(explicit), _IntegerColumns)
+    assert not isinstance(_point_values(fam), _IntegerColumns)
+    stream = candidate_points(fam[0].action.x_dim, random.Random(seed))
+    for point in itertools.islice(stream, WITNESS_FIRST_CANDIDATES):
+        assert _independence_witness(fam, [point]) == _independence_witness(explicit, [point])
+    words_report = generic_independence(fam, seed=seed)
+    coords_report = generic_independence(explicit, seed=seed)
+    assert words_report.data == coords_report.data
+    assert words_report.data["verdict"] == verdict
+    assert [c.to_dict() for c in words_report.checks] == [
+        c.to_dict() for c in coords_report.checks]
+
+
+def test_word_point_route_expands_nothing(monkeypatch):
+    from covar import forge
+
+    expanded = []
+    expand = forge.MatrixWords.expand
+    monkeypatch.setattr(forge.MatrixWords, "expand",
+                        lambda self, word: expanded.append(word) or expand(self, word))
+    fam = matrix_word_family(3)
+    assert generic_independence(fam).data["witness_minor"] == "-713682493594416"
+    assert expanded == []
+    # a dependent family needs the symbolic rank, which reads the coordinates
+    assert not generic_independence(matrix_word_family(2, [(1, 0), (1, 0)])).ok
+    assert expanded == [(1, 0), (1, 0)]
+
+
+def test_word_point_route_takes_far_powers_by_squaring():
+    """A^1000000 over GF(5) at a point, against the matrix powers taken by
+    Fermat: GL_2(F_5) has order 480, so A^1000000 = A^(1000000 mod 480) when
+    A is invertible."""
+    from covar.forge import _int_powers
+
+    A = ((2, 1), (1, 1))
+    far = _int_powers(A, [1000000], 5)[1000000]
+    near = _int_powers(A, [1000000 % 480], 5)[1000000 % 480]
+    assert far == near
+    assert _int_powers(A, [1, 2, 5], None) == {1: A, 2: ((5, 3), (3, 2)),
+                                               5: ((89, 55), (55, 34))}
+
+
 # the words whose direct generic-element check takes well under a second;
 # the longest gl3 words (A^2 B, A B^2, A^2 B^2) take minutes by substitution
 CONSTRUCTION_CASES = {
