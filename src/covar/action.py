@@ -65,12 +65,24 @@ class ClosureCapError(ActionError):
     """Group closure exceeded the configured order cap."""
 
 
-def default_x_vars(n: int) -> tuple[str, ...]:
-    return tuple(f"x{i}" for i in range(1, n + 1))
+class SpaceSizeError(ActionError):
+    """Over ``MAX_SPACE_VARS``; the message starts with ``x_copies:`` or ``w_copies:``."""
 
 
-def default_w_vars(d: int) -> tuple[str, ...]:
-    return tuple(f"w{i}" for i in range(1, d + 1))
+def indexed_name(prefix: str, *indices: int) -> str:
+    """The naming rule: ``prefix`` and the indices, run together while each is at most 9
+    (``a12``), else joined by ``_`` (``a1_11``, ``a11_1``), so equal-length tuples differ."""
+    sep = "_" if len(indices) > 1 and max(indices) > 9 else ""
+    return prefix + sep.join(map(str, indices))
+
+
+def vector_names(prefix: str, d: int) -> tuple[str, ...]:
+    return tuple(indexed_name(prefix, i) for i in range(1, d + 1))
+
+
+def matrix_names(prefix: str, n: int) -> tuple[str, ...]:
+    """The entries of an n x n matrix, row by row."""
+    return tuple(indexed_name(prefix, i, j) for i in range(1, n + 1) for j in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +160,19 @@ def _cleared_substitution(action: "GroupAction", p: Poly, side: str,
     return num, k
 
 
-class FiniteGroupAction:
+class _Spaces:
+    """The dimensions both group models read off their variables."""
+
+    @property
+    def x_dim(self) -> int:
+        return len(self.x_vars)
+
+    @property
+    def w_dim(self) -> int:
+        return len(self.w_vars)
+
+
+class FiniteGroupAction(_Spaces):
     """A finite matrix group with linear actions on the X- and W-spaces.
 
     Elements are indexed 0..order-1 with index 0 the identity; the element
@@ -183,14 +207,6 @@ class FiniteGroupAction:
     @property
     def order(self) -> int:
         return len(self.x_mats)
-
-    @property
-    def x_dim(self) -> int:
-        return len(self.x_vars)
-
-    @property
-    def w_dim(self) -> int:
-        return len(self.w_vars)
 
     def elements(self) -> range:
         return range(self.order)
@@ -266,8 +282,8 @@ def make_finite_group(generators: list[tuple], x_vars: tuple[str, ...] | None = 
             raise ActionError("x-generator is not invertible")
         if not qmat_det(gw, field):
             raise ActionError("w-generator is not invertible")
-    x_vars = tuple(x_vars) if x_vars else default_x_vars(nx)
-    w_vars = tuple(w_vars) if w_vars else default_w_vars(nw)
+    x_vars = tuple(x_vars) if x_vars else vector_names("x", nx)
+    w_vars = tuple(w_vars) if w_vars else vector_names("w", nw)
     if len(x_vars) != nx or len(w_vars) != nw:
         raise DimensionError("variable names do not match matrix sizes")
     if set(x_vars) & set(w_vars):
@@ -394,25 +410,30 @@ class TemplateSpec:
     m: int = 1
 
     def var_names(self, n: int, role: str) -> tuple[str, ...]:
-        if self.kind == "conjugation":
-            if role == "w":
-                return tuple(f"w{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
+        rows, copies = range(1, n + 1), range(1, self.m + 1)
+        if self.kind == "conjugation" and role == "x":
             labels = "abcdefghijklmnopqrstuvwxyz"
             if self.m > len(labels):
                 raise ActionError("too many matrix copies for letter labels")
-            return tuple(f"{labels[c]}{i}{j}" for c in range(self.m)
-                         for i in range(1, n + 1) for j in range(1, n + 1))
+            return tuple(name for c in range(self.m) for name in matrix_names(labels[c], n))
+        if self.m == 1 and role == "w" and self.kind in ("conjugation", "natural"):
+            return matrix_names("w", n) if self.kind == "conjugation" else vector_names("w", n)
+        if self.kind == "conjugation":
+            return tuple(indexed_name("w", c, i, j) for c in copies for i in rows for j in rows)
         if self.kind == "natural":
-            if role == "w":
-                return default_w_vars(n) if self.m == 1 else tuple(
-                    f"w{i}{j}" for j in range(1, self.m + 1) for i in range(1, n + 1))
-            return tuple(f"x{i}{j}" for j in range(1, self.m + 1) for i in range(1, n + 1))
-        if role == "w":
-            return default_w_vars(self.m)
-        return default_x_vars(self.m)
+            return tuple(indexed_name(role, i, j) for j in copies for i in rows)
+        return vector_names(role, self.m)
 
-    def det_power(self, n: int) -> int:
+    def det_power(self) -> int:
+        """h with the action on one copy = block / det(g)^h."""
         return 1 if self.kind == "conjugation" else 0
+
+    def det_exponent(self) -> int:
+        """e with det(block / det(g)^h) = det(g)^e: 1 for the block g, 0 for [1].  The
+        conjugation block g (x) adj(g)^T has determinant det(g)^n det(adj g)^n =
+        det(g)^(n^2) (Kronecker: det(A (x) B) = det(A)^n det(B)^n for n x n A and
+        B), and h = 1 divides each of its n^2 rows by det(g), so e = 0."""
+        return 1 if self.kind in ("natural", "scalar") else 0
 
     def block(self, g: Matrix, adj_g: Matrix) -> Matrix:
         """Numerator of the action on one copy: ``[1]`` (trivial), ``[s]``
@@ -433,10 +454,6 @@ class TemplateSpec:
                            for i in range(n) for j in range(n)])
         raise ActionError(f"unknown action template {self.kind!r}")
 
-    def operator(self, g: Matrix, adj_g: Matrix) -> Matrix:
-        """Numerator matrix N with action = N / det^det_power: one block per copy."""
-        return _block_diagonal(self.block(g, adj_g), self.m)
-
 
 def _block_diagonal(block: Matrix, copies: int) -> Matrix:
     """``copies`` copies of ``block`` down the diagonal."""
@@ -453,14 +470,17 @@ def _block_diagonal(block: Matrix, copies: int) -> Matrix:
 # the check element of a symbolic action
 GENERIC = "generic"
 
+# the most variables of X or W in a symbolic action, whose matrices are dense
+MAX_SPACE_VARS = 1000
+
 
 def generic_matrix(n: int, vars: tuple[str, ...], prefix: str = "g",
                    field: PrimeField | None = None) -> Matrix:
-    return Matrix([[Poly.var(f"{prefix}{i}{j}", vars, field)
-                    for j in range(1, n + 1)] for i in range(1, n + 1)])
+    return Matrix([[Poly.var(indexed_name(prefix, i, j), vars, field) for j in range(1, n + 1)]
+                   for i in range(1, n + 1)])
 
 
-class SymbolicGroupAction:
+class SymbolicGroupAction(_Spaces):
     """The generic element of GL_n acting through declared templates.
 
     The X- and W-side action matrices are stored cleared: a numerator matrix
@@ -477,36 +497,36 @@ class SymbolicGroupAction:
         self.x_spec = x_spec
         self.w_spec = w_spec
         self.field = field
-        self.g_vars = tuple(f"g{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
+        self.g_vars = matrix_names("g", n)
         self.x_vars = x_spec.var_names(n, "x")
         self.w_vars = w_spec.var_names(n, "w")
+        for role, spec, names in (("x", x_spec, self.x_vars), ("w", w_spec, self.w_vars)):
+            if len(names) > MAX_SPACE_VARS:
+                raise SpaceSizeError(
+                    f"{role}_copies: {spec.m} copies give {len(names)} {role.upper()}-"
+                    f"variables, more than the {MAX_SPACE_VARS} a symbolic action takes")
         if set(self.x_vars) & set(self.w_vars):
             raise ActionError("X and W variable names overlap")
         if (set(self.x_vars) | set(self.w_vars)) & set(self.g_vars):
             raise ActionError("space variables collide with g-variables")
+        # g = id: the diagonal of the row-major g is every (n + 1)-th entry
+        self.g_identity = {v: int(k % (n + 1) == 0) for k, v in enumerate(self.g_vars)}
 
-        g = generic_matrix(n, self.g_vars, "g", field)
-        self.g_mat = g
+        self.g_mat = g = generic_matrix(n, self.g_vars, "g", field)
         self.det_poly = g.det()
         self.adj_mat = g.adjugate()
-        # one block per distinct template kind; X and W share it when their
-        # kinds match
-        blocks = {spec.kind: spec.block(g, self.adj_mat) for spec in (x_spec, w_spec)}
+        # one block per distinct template kind, shared when X and W match
+        specs = {spec.kind: spec for spec in (x_spec, w_spec)}
+        blocks = {kind: spec.block(g, self.adj_mat) for kind, spec in specs.items()}
         self._check_construction(blocks)
 
-        # action = num / det^detpow
+        # action = num / det^det_power
         self.x_num = _block_diagonal(blocks[x_spec.kind], x_spec.m)
-        self.x_detpow = x_spec.det_power(n)
         self.w_num = _block_diagonal(blocks[w_spec.kind], w_spec.m)
-        self.w_detpow = w_spec.det_power(n)
         # substitution tables of act_cleared, per (side, element, out_vars)
         self._tables: dict[tuple, dict[str, Poly]] = {}
 
     # -- sanity at construction ------------------------------------------------
-
-    def _identity_point(self) -> dict[str, int]:
-        return {f"g{i}{j}": (1 if i == j else 0)
-                for i in range(1, self.n + 1) for j in range(1, self.n + 1)}
 
     def _check_construction(self, blocks: dict[str, Matrix]):
         """block(id) == I for every template kind, and adj(g) g == det(g) I ==
@@ -514,30 +534,16 @@ class SymbolicGroupAction:
         the conjugation block M -> g M adj(g)/det(g) is an action by algebra
         automorphisms that fixes I: the facts the template families'
         certificates by construction rest on."""
-        ident = self._identity_point()
         one = field_one(self.field)
         for num in blocks.values():
-            size = num.rows
-            for i in range(size):
-                for j in range(size):
-                    if num.entries[i][j].eval(ident) != (one if i == j else 0):
-                        raise ActionError("template does not specialize to the "
-                                          "identity at g = id")
+            if any(e.eval(self.g_identity) != (one if i == j else 0)
+                   for i, row in enumerate(num.entries) for j, e in enumerate(row)):
+                raise ActionError("template does not specialize to the identity at g = id")
         det_i = Matrix.identity(self.n, self.det_poly).scale(self.det_poly)
         if self.adj_mat * self.g_mat != det_i:
             raise ActionError("adjugate check failed: adj(g) g != det(g) I")
         if self.g_mat * self.adj_mat != det_i:
             raise ActionError("adjugate check failed: g adj(g) != det(g) I")
-
-    # -- dimensions --------------------------------------------------------------
-
-    @property
-    def x_dim(self) -> int:
-        return len(self.x_vars)
-
-    @property
-    def w_dim(self) -> int:
-        return len(self.w_vars)
 
     # -- cleared actions -----------------------------------------------------------
 
@@ -558,7 +564,7 @@ class SymbolicGroupAction:
     def w_cleared(self, element: str, ring: tuple[str, ...]) -> tuple[list[list[Poly]], int]:
         """g_W as (numerator rows over ``ring``, det power)."""
         return [[e.embed(ring) if e else e for e in row]
-                for row in self.w_num.entries], self.w_detpow
+                for row in self.w_num.entries], self.w_spec.det_power()
 
     def act_cleared(self, p: Poly, side: str = "x",
                     out_vars: tuple[str, ...] | None = None,
@@ -573,8 +579,8 @@ class SymbolicGroupAction:
         """
         out_vars = out_vars or tuple(dict.fromkeys(p.vars + self.g_vars))
         return _cleared_substitution(self, p, side, out_vars, element,
-                                     {"x": (self.x_num.entries, self.x_detpow),
-                                      "w": (self.w_num.entries, self.w_detpow)},
+                                     {"x": (self.x_num.entries, self.x_spec.det_power()),
+                                      "w": (self.w_num.entries, self.w_spec.det_power())},
                                      self.det_poly)
 
     def act_on_poly(self, p: Poly | RatFn, side: str = "x") -> RatFn:
@@ -603,12 +609,8 @@ _TEMPLATES = {"gl_conjugation": "conjugation", "gl_natural": "natural",
 def symbolic_general_linear(n: int, x_template: str, w_template: str,
                             x_copies: int = 1, w_copies: int = 1,
                             field: PrimeField | None = None) -> SymbolicGroupAction:
-    """Build a symbolic action from named templates.
-
-    Template names: ``gl_conjugation`` (simultaneous conjugation on tuples of
-    n x n matrices), ``gl_natural`` (tuples of column vectors), ``scalar``
-    (n = 1 scaling), ``trivial``.
-    """
+    """Build a symbolic action from the template names ``gl_conjugation``,
+    ``gl_natural``, ``scalar`` and ``trivial`` (see :class:`TemplateSpec`)."""
     for name in (x_template, w_template):
         if name not in _TEMPLATES:
             raise ActionError(
@@ -718,20 +720,17 @@ class Character:
                 t[j] == t[i] * v
                 for i, row in enumerate(action.right) for j, v in zip(row, gen_values))
         n = action.n
-        h_vars = tuple(f"h{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
-        ring = action.g_vars + h_vars
+        ring = action.g_vars + matrix_names("h", n)
         g = generic_matrix(n, ring, "g", action.field)
         h = generic_matrix(n, ring, "h", action.field)
-        gh = g * h
         theta = self.ratfn.embed(ring)
 
         def at(mat: Matrix) -> RatFn:
-            images = {f"g{i}{j}": mat.entries[i - 1][j - 1]
-                      for i in range(1, n + 1) for j in range(1, n + 1)}
-            return theta.subs(images, ring)
+            entries = (e for row in mat.entries for e in row)
+            return theta.subs(dict(zip(action.g_vars, entries)), ring)
 
-        at_identity = self.ratfn.eval(action._identity_point())
-        return (at(gh) == at(g) * at(h)) and at_identity == field_one(action.field)
+        at_identity = self.ratfn.eval(action.g_identity)
+        return at(g * h) == theta * at(h) and at_identity == field_one(action.field)
 
     def __str__(self):
         if self.table is not None:
@@ -749,10 +748,9 @@ def det_w_inverse_character(action: GroupAction) -> Character:
         return Character.from_generators(action, [
             coeff_div(one, qmat_det(action.w_mats[g], action.field))
             for g in action.check_elements()])
-    det_w = action.w_num.det()  # Poly in g-vars
-    power = action.w_detpow * action.w_dim
-    theta = RatFn(action.det_poly ** power, det_w)
-    return Character(action, ratfn=theta)
+    # g_W is m copies of one W block: det(g_W) = det(g)^(e m), with no elimination
+    power = action.w_spec.det_exponent() * action.w_spec.m
+    return Character(action, ratfn=RatFn(action.det_poly.ring_one(), action.det_poly ** power))
 
 
 # ---------------------------------------------------------------------------

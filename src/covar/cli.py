@@ -23,6 +23,7 @@ from .action import (
     Character,
     FiniteGroupAction,
     GroupAction,
+    SpaceSizeError,
     make_finite_group,
     symbolic_general_linear,
 )
@@ -234,6 +235,8 @@ def parse_problem(source: str | dict, path: str = "") -> ProblemFile:
                 x_copies=_positive(group_block.get("x_copies", 1), "group.x_copies"),
                 w_copies=_positive(group_block.get("w_copies", 1), "group.w_copies"),
                 field=field)
+        except SpaceSizeError as exc:
+            raise ProblemError(f"group.{exc}") from None
         except (ActionError, DimensionError) as exc:
             raise ProblemError(f"group: {exc}") from None
         for key, names, declared in (("x_vars", x_vars, group.x_vars),

@@ -348,7 +348,10 @@ class Poly:
 
     @classmethod
     def gens(cls, vars: Sequence[str], field: PrimeField | None = None) -> list["Poly"]:
-        return [cls.var(v, vars, field) for v in vars]
+        """The variables of the ring, taken by position."""
+        vars, one = tuple(vars), field_one(field)
+        return [cls(vars, {tuple(int(i == k) for i in range(len(vars))): one}, field)
+                for k in range(len(vars))]
 
     @classmethod
     def parse(cls, text: str, vars: Sequence[str], field: PrimeField | None = None) -> "Poly":

@@ -334,9 +334,7 @@ class MatrixWords:
     def __init__(self, action: SymbolicGroupAction):
         self.action = action
         self.n = n = action.n
-        one, nv = field_one(action.field), len(action.x_vars)
-        x = [Poly(action.x_vars, {tuple(int(i == k) for i in range(nv)): one}, action.field)
-             for k in range(2 * n * n)]
+        x = Poly.gens(action.x_vars, action.field)
         # _powers[copy][k - 1] is A^k (copy 0) or B^k (copy 1)
         self._powers = [[Matrix([x[copy * n * n + r * n:copy * n * n + (r + 1) * n]
                                  for r in range(n)])] for copy in (0, 1)]
@@ -478,14 +476,12 @@ def projection_family(n: int, m: int, group: GroupAction | None = None
     if m < n:
         raise ForgeError("need at least n copies to project onto n of them")
     action = _generic_action(n, "natural", m, group)
-    out = []
-    for j in range(n):
-        # _generic_action checked that X and W carry the natural template, W
-        # one copy, and SymbolicGroupAction builds both from one block g with
-        # one det power: v_j(g v) = g v_j = g_W v_j
-        out.append(Covariant(action, [Poly.var(f"x{i + 1}{j + 1}", action.x_vars, action.field)
-                                      for i in range(n)], EQUIVARIANT))
-    return out, action
+    # copy j is X-variables j n .. j n + n - 1, as the natural template lists
+    # them.  _generic_action checked that X and W carry the natural template,
+    # W one copy, and SymbolicGroupAction builds both from one block g with
+    # one det power: v_j(g v) = g v_j = g_W v_j
+    xs = Poly.gens(action.x_vars, action.field)
+    return [Covariant(action, xs[j * n:(j + 1) * n], EQUIVARIANT) for j in range(n)], action
 
 
 def _symmetric_group_action(n: int) -> FiniteGroupAction:

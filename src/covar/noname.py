@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
-from .action import GroupAction, det_w_inverse_character
+from .action import GroupAction, det_w_inverse_character, vector_names
 from .covariant import (
     Covariant,
     DependentCovariantsError,
@@ -71,7 +71,7 @@ def _taken_names(action: GroupAction) -> set[str]:
 
 def _pick_out_vars(action: GroupAction, d: int) -> tuple[str, ...]:
     for prefix in ("a", "t", "u", "aa"):
-        names = tuple(f"{prefix}{i}" for i in range(1, d + 1))
+        names = vector_names(prefix, d)
         if not (set(names) & _taken_names(action)):
             return names
     raise IsomorphismError("could not pick fresh output coordinate names")

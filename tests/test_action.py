@@ -10,10 +10,12 @@ from covar.action import (
     Character,
     ClosureCapError,
     TemplateSpec,
+    _block_diagonal,
     det_w_inverse_character,
     extend_finite_action,
     generic_matrix,
     make_finite_group,
+    matrix_names,
     symbolic_general_linear,
 )
 from covar import action as action_module
@@ -148,17 +150,17 @@ def test_scalar_template_needs_n_equal_one():
     ("scalar", 1, 2), ("trivial", 2, 2),
 ])
 def test_template_operator_is_multiplicative(kind, n, copies):
+    """The action numerator, one block per copy down the diagonal as the
+    symbolic action builds it, is multiplicative."""
     spec = TemplateSpec(kind, copies)
-    g_vars = tuple(f"g{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
-    h_vars = tuple(f"h{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
-    ring = g_vars + h_vars
+    ring = matrix_names("g", n) + matrix_names("h", n)
     g = generic_matrix(n, ring, "g")
     h = generic_matrix(n, ring, "h")
-    Ng = spec.operator(g, g.adjugate())
-    Nh = spec.operator(h, h.adjugate())
-    gh = g * h
-    Ngh = spec.operator(gh, gh.adjugate())
-    assert Ng * Nh == Ngh
+
+    def operator(m):
+        return _block_diagonal(spec.block(m, m.adjugate()), copies)
+
+    assert operator(g) * operator(h) == operator(g * h)
 
 
 def test_wrong_adjugate_or_identity_block_is_rejected(monkeypatch):
@@ -239,7 +241,8 @@ def _reference_images(G, side: str, ring: tuple, element) -> dict:
             rows, den = (G.x_mats if s == "x" else G.w_mats)[element], Poly.one(ring, G.field)
             rows = [[Poly.const(c, ring, G.field) for c in row] for row in rows]
         else:
-            num, h = (G.x_num, G.x_detpow) if s == "x" else (G.w_num, G.w_detpow)
+            num, spec = (G.x_num, G.x_spec) if s == "x" else (G.w_num, G.w_spec)
+            h = spec.det_power()
             rows, den = num.embed(ring).entries, G.det_poly.embed(ring) ** h
         column = Matrix([[Poly.var(v, ring, G.field)] for v in space])
         for v, (img,) in zip(space, (Matrix(rows) * column).entries):
@@ -354,6 +357,107 @@ def test_character_multiplicative_symbolic():
     theta_n = det_w_inverse_character(N)
     assert not theta_n.is_trivial()
     assert theta_n.check_multiplicative()
+
+
+# (template, n) of every kind; scalar needs n = 1, trivial takes any n
+WEIGHT_TEMPLATES = [("gl_conjugation", 1), ("gl_conjugation", 2), ("gl_natural", 1),
+                    ("gl_natural", 2), ("gl_natural", 3), ("scalar", 1), ("trivial", 1),
+                    ("trivial", 2)]
+
+
+@pytest.mark.parametrize("template,n", WEIGHT_TEMPLATES)
+@pytest.mark.parametrize("copies", [1, 2, 3])
+@pytest.mark.parametrize("prime", [None, 5])
+def test_template_weight_equals_the_eliminated_determinant(template, n, copies, prime,
+                                                          monkeypatch):
+    """det(g_W)^-1 read off the template is the reference
+    det(g)^(h dim W) / det(w_num), in value and in print, and takes no
+    determinant."""
+    field = PrimeField(prime) if prime else None
+    G = symbolic_general_linear(n, template, template, w_copies=copies, field=field)
+    reference = RatFn(G.det_poly ** (G.w_spec.det_power() * G.w_dim), G.w_num.det())
+
+    def no_det(self):
+        raise AssertionError("the weight took a determinant")
+
+    monkeypatch.setattr(Matrix, "det", no_det)
+    theta = det_w_inverse_character(G).ratfn
+    assert theta == reference
+    assert str(theta) == str(reference)
+
+
+def test_weight_prints_as_before():
+    conj = symbolic_general_linear(2, "gl_conjugation", "gl_conjugation", x_copies=2)
+    natural = symbolic_general_linear(2, "gl_natural", "gl_natural")
+    assert str(det_w_inverse_character(conj)) == "1"
+    assert str(det_w_inverse_character(natural)) == "(1)/(-g12*g21 + g11*g22)"
+
+
+@pytest.mark.parametrize("x_template,w_template,kinds", [
+    ("gl_conjugation", "gl_conjugation", ["conjugation"]),
+    ("gl_natural", "gl_natural", ["natural"]),
+    ("gl_natural", "trivial", ["natural", "trivial"]),
+    ("trivial", "gl_conjugation", ["trivial", "conjugation"]),
+])
+def test_one_block_per_distinct_kind(x_template, w_template, kinds, monkeypatch):
+    built = []
+    block = TemplateSpec.block
+    monkeypatch.setattr(TemplateSpec, "block",
+                        lambda self, g, adj: built.append(self.kind) or block(self, g, adj))
+    symbolic_general_linear(2, x_template, w_template, x_copies=2)
+    assert sorted(built) == sorted(kinds)
+
+
+def _names_before(kind, m, n, role):
+    """The names every template gave before indices could reach 10; a
+    conjugation W of several copies had names for one copy only."""
+    if kind == "conjugation":
+        if role == "w":
+            return tuple(f"w{i}{j}" for i in range(1, n + 1)
+                         for j in range(1, n + 1)) if m == 1 else None
+        return tuple(f"{'abc'[c]}{i}{j}" for c in range(m)
+                     for i in range(1, n + 1) for j in range(1, n + 1))
+    if kind == "natural" and not (role == "w" and m == 1):
+        return tuple(f"{role}{i}{j}" for j in range(1, m + 1) for i in range(1, n + 1))
+    return tuple(f"{role}{i}" for i in range(1, (n if kind == "natural" else m) + 1))
+
+
+@pytest.mark.parametrize("kind", ["conjugation", "natural", "scalar", "trivial"])
+def test_names_are_distinct_and_unchanged_below_ten(kind):
+    """Every template and role, and the g- and h-names, stay distinct up to
+    n = 12 (only names are made: no action is built), and are as before
+    while every index is at most 9."""
+    for n in range(1, 13):
+        g_names, h_names = matrix_names("g", n), matrix_names("h", n)
+        assert len(set(g_names + h_names)) == 2 * n * n
+        if n <= 9:
+            assert g_names == tuple(f"g{i}{j}" for i in range(1, n + 1)
+                                    for j in range(1, n + 1))
+        # the conjugation copies are lettered a, b, ... and the seventh is g
+        for m in (1, 2, 3) + ((10, 11) if kind != "conjugation" else ()):
+            x, w = (TemplateSpec(kind, m).var_names(n, role) for role in ("x", "w"))
+            size = m * {"conjugation": n * n, "natural": n}.get(kind, 1)
+            assert len(set(x)) == len(x) == size and len(set(w)) == len(w) == size
+            assert not set(x) & set(w) and not set(x + w) & set(g_names)
+            for role, names in (("x", x), ("w", w)):
+                before = _names_before(kind, m, n, role)
+                if n <= 9 and m <= 9 and before:
+                    assert names == before
+    assert TemplateSpec("conjugation", 2).var_names(11, "x")[10] == "a1_11"
+    assert TemplateSpec("conjugation", 2).var_names(11, "x")[110] == "a11_1"
+
+
+def test_the_word_family_at_n_12_fits_a_symbolic_space():
+    assert len(TemplateSpec("conjugation", 2).var_names(12, "x")) == 288
+    assert 288 <= action_module.MAX_SPACE_VARS
+
+
+@pytest.mark.parametrize("copies", ["x_copies", "w_copies"])
+def test_a_space_past_the_bound_is_refused_before_any_block(copies, monkeypatch):
+    monkeypatch.setattr(TemplateSpec, "block", None)
+    with pytest.raises(action_module.SpaceSizeError, match=f"^{copies}: 40000 copies "
+                       "give 40000 [XW]-variables"):
+        symbolic_general_linear(1, "trivial", "trivial", **{copies: 40000})
 
 
 def test_symbolic_character_must_avoid_space_variables():

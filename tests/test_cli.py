@@ -245,6 +245,33 @@ def test_symbolic_certificate_roundtrip(tmp_path):
     assert code2 == 0
 
 
+def test_a_words_certificate_with_the_natural_weight_fails(tmp_path):
+    """det(g_W) of the conjugation block is 1: the weight of the natural
+    template, det(g)^-1, is refused."""
+    cert_path = tmp_path / "words.json"
+    assert run_cli(["noname-build", "matrix_words_gl2", "--out", str(cert_path)])[0] == 0
+    cert = json.loads(cert_path.read_text())
+    assert cert["weight"] == {"type": "symbolic", "value": "1"}
+    cert["weight"]["value"] = "(1)/(-g12*g21 + g11*g22)"
+    code, report, _ = _machine(["noname-verify", _write_problem(tmp_path, cert)])
+    assert code == 1
+    assert "weight_is_det_w_inverse" in [c["name"] for c in report["checks"]
+                                         if not c["passed"]]
+
+
+@pytest.mark.parametrize("copies", ["x_copies", "w_copies"])
+def test_a_symbolic_space_past_the_bound_exits_two(tmp_path, copies):
+    """40000 copies of the trivial template are refused before any action
+    matrix is allocated, in one line naming the copy count."""
+    problem = _symbolic_group(n=1, x_template="trivial", w_template="trivial",
+                              **{copies: 40000})
+    code, out, err = run_cli(["verify", _write_problem(tmp_path, problem)])
+    assert (code, out) == (2, "")
+    role = copies[0].upper()
+    assert err == (f"error: group.{copies}: 40000 copies give 40000 {role}-variables, "
+                   "more than the 1000 a symbolic action takes\n")
+
+
 def test_generate_command():
     code, out, _ = run_cli(["generate", "s3_permutation", "--degree-bound", "3"])
     assert code == 0 and "3 generically independent covariants" in out
