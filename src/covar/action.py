@@ -66,7 +66,8 @@ class ClosureCapError(ActionError):
 
 
 class SpaceSizeError(ActionError):
-    """Over ``MAX_SPACE_VARS``; the message starts with ``x_copies:`` or ``w_copies:``."""
+    """Over ``MAX_SPACE_VARS`` or ``COPY_LETTERS``; the message starts with
+    ``x_copies:`` or ``w_copies:``."""
 
 
 def indexed_name(prefix: str, *indices: int) -> str:
@@ -412,10 +413,11 @@ class TemplateSpec:
     def var_names(self, n: int, role: str) -> tuple[str, ...]:
         rows, copies = range(1, n + 1), range(1, self.m + 1)
         if self.kind == "conjugation" and role == "x":
-            labels = "abcdefghijklmnopqrstuvwxyz"
-            if self.m > len(labels):
-                raise ActionError("too many matrix copies for letter labels")
-            return tuple(name for c in range(self.m) for name in matrix_names(labels[c], n))
+            if self.m > len(COPY_LETTERS):
+                raise SpaceSizeError(f"x_copies: {self.m} matrix copies, more than the "
+                                     f"{len(COPY_LETTERS)} letters that name them")
+            return tuple(name for c in range(self.m)
+                         for name in matrix_names(COPY_LETTERS[c], n))
         if self.m == 1 and role == "w" and self.kind in ("conjugation", "natural"):
             return matrix_names("w", n) if self.kind == "conjugation" else vector_names("w", n)
         if self.kind == "conjugation":
@@ -466,6 +468,10 @@ def _block_diagonal(block: Matrix, copies: int) -> Matrix:
             out[c * size + i][c * size:(c + 1) * size] = block.entries[i]
     return Matrix(out)
 
+
+# the letters of the conjugation copies of X: all but those that start the
+# g-, h-, w- and x-variables
+COPY_LETTERS = "abcdefijklmnopqrstuvyz"
 
 # the check element of a symbolic action
 GENERIC = "generic"

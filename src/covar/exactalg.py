@@ -31,6 +31,7 @@ import math
 import operator
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Sequence, Union
 
 
@@ -537,24 +538,35 @@ class Poly:
             c = divisor.constant_value()
             return Poly(self.vars, {e: coeff_div(v, c) for e, v in self.terms.items()},
                         self.field)
+        # the leading remainder term comes off a max-heap on grlex, deleted
+        # lazily: every key the remainder gains is below the one just taken,
+        # so a key that has left the remainder never returns
         rem = dict(self.terms)
+        heap = [(-sum(k), tuple(map(operator.neg, k)), k) for k in rem]
+        heapify(heap)
         quot: dict[tuple[int, ...], Coeff] = {}
         dk, dc = divisor.leading()
         while rem:
-            rk = max(rem, key=_grlex_key)
-            qk = tuple(a - b for a, b in zip(rk, dk))
-            if any(e < 0 for e in qk):
+            rk = heappop(heap)[2]
+            if rk not in rem:
+                continue
+            qk = tuple(map(operator.sub, rk, dk))
+            if min(qk) < 0:
                 raise ExactDivisionError("division leaves a remainder")
             qc = coeff_div(rem[rk], dc)
             quot[qk] = qc
             for e2, c2 in divisor.terms.items():
-                key = tuple(a + b for a, b in zip(qk, e2))
-                acc = rem.get(key, None)
-                val = -qc * c2 if acc is None else acc - qc * c2
-                if val:
-                    rem[key] = val
-                elif acc is not None:
-                    del rem[key]
+                key = tuple(map(operator.add, qk, e2))
+                acc = rem.get(key)
+                if acc is None:
+                    rem[key] = -qc * c2
+                    heappush(heap, (-sum(key), tuple(map(operator.neg, key)), key))
+                else:
+                    val = acc - qc * c2
+                    if val:
+                        rem[key] = val
+                    else:
+                        del rem[key]
         return Poly(self.vars, quot, self.field)
 
     def divides(self, other: "Poly") -> bool:
@@ -1310,100 +1322,93 @@ def int_rank_det(a: Sequence[Sequence[int]], p: int | None = None) -> tuple[int,
 # canonical-grammar parser
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^]))")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-    return tokens
+# one signed term: its sign, then all up to the next sign, which
+# _read_factor checks factor by factor
+_TERM = re.compile(r"\s*([-+]?)([^-+]*)")
 
 
 def _parse_poly(text: str, vars: tuple[str, ...], field: PrimeField | None) -> Poly:
-    """One pass over the tokens: each term's coefficient and exponent vector
-    are accumulated in place and added into one term dict, so parsing is
-    linear in the length of the text."""
-    tokens = _tokenize(text)
-    if not tokens:
+    """One match of ``_TERM`` per signed term, whose factors string methods
+    split and check, each distinct factor text once; each term is added into
+    one term dict, so parsing is linear in the length of the text.  A term
+    that does not parse goes to :func:`_parse_error`."""
+    end = len(text.rstrip())
+    if not end:
         raise ParseError("empty polynomial text")
-    pos = 0
     index = {v: i for i, v in enumerate(vars)}
     one = field_one(field)
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None, len(text))
-
-    def parse_factor(coeff: Coeff, exps: list[int]) -> Coeff:
-        """Multiply one factor into the term (coeff, exps); returns coeff."""
-        nonlocal pos
-        kind, value, at = peek()
-        if kind == "int":
-            pos += 1
-            num = int(value)
-            kind2, value2, _ = peek()
-            if kind2 == "op" and value2 == "/":
-                pos += 1
-                kind3, value3, at3 = peek()
-                if kind3 != "int":
-                    raise ParseError("expected an integer denominator", at3)
-                pos += 1
-                return coeff * lift_coeff(Fraction(num, int(value3)), field)
-            return coeff * lift_coeff(num, field)
-        if kind == "name":
-            pos += 1
-            if value not in index:
-                raise ParseError(f"undeclared variable {value!r}", at)
-            power = 1
-            kind2, value2, _ = peek()
-            if kind2 == "op" and value2 == "^":
-                pos += 1
-                kind3, value3, at3 = peek()
-                if kind3 != "int":
-                    raise ParseError("expected an integer exponent", at3)
-                pos += 1
-                power = int(value3)
-            exps[index[value]] += power
-            return coeff
-        raise ParseError("expected a coefficient or variable", at)
-
-    def parse_term() -> tuple[Coeff, tuple[int, ...]]:
-        nonlocal pos
-        exps = [0] * len(vars)
-        coeff = parse_factor(one, exps)
-        while True:
-            kind, value, _ = peek()
-            if kind == "op" and value == "*":
-                pos += 1
-                coeff = parse_factor(coeff, exps)
-            else:
-                return coeff, tuple(exps)
-
     terms: dict[tuple[int, ...], Coeff] = {}
-
-    def add_term(negate: bool):
-        coeff, exps = parse_term()
-        if negate:
+    factors: dict[str, tuple[int | None, int | Coeff]] = {}
+    pos = 0
+    while pos < end:
+        m = _TERM.match(text, pos, end)
+        coeff, exps = one, [0] * len(vars)
+        try:
+            for factor in m.group(2).split("*"):
+                got = factors.get(factor)
+                if got is None:
+                    got = factors[factor] = _read_factor(factor, index, field)
+                i, value = got
+                if i is None:
+                    coeff = coeff * value
+                else:
+                    exps[i] += value
+        except (KeyError, ArithmeticError, ValueError):
+            raise _parse_error(text, pos, index, field) from None
+        if m.group(1) == "-":
             coeff = -coeff
-        terms[exps] = terms[exps] + coeff if exps in terms else coeff
-
-    kind, value, _ = peek()
-    negate = kind == "op" and value == "-"
-    if kind == "op" and value in "+-":
-        pos += 1
-    add_term(negate)
-    while pos < len(tokens):
-        kind, value, at = peek()
-        if kind != "op" or value not in "+-":
-            raise ParseError(f"expected '+' or '-', found {value!r}", at)
-        pos += 1
-        add_term(value == "-")
+        key = tuple(exps)
+        terms[key] = terms[key] + coeff if key in terms else coeff
+        pos = m.end()
     return Poly(vars, terms, field)
+
+
+def _read_factor(factor: str, index: dict[str, int],
+                 field: PrimeField | None) -> tuple[int | None, int | Coeff]:
+    """(variable index, exponent) or (None, coefficient) of a factor text,
+    a name with an optional ``^`` exponent or an integer with an optional
+    ``/`` denominator, spaces around each part; ValueError or KeyError
+    for any other text."""
+    base, hat, power = factor.partition("^")
+    base, power = base.strip(), power.strip()
+    if base[:1].isalpha() and base.isascii() and base.replace("_", "").isalnum():
+        if hat and not power.isdecimal():
+            raise ValueError(power)
+        return index[base], int(power) if hat else 1
+    num, slash, den = base.partition("/")
+    num, den = num.strip(), den.strip()
+    if hat or not num.isdecimal() or slash and not den.isdecimal():
+        raise ValueError(factor)
+    return None, lift_coeff(Fraction(int(num), int(den)) if slash else int(num), field)
+
+
+def _parse_error(text: str, pos: int, index: dict[str, int],
+                 field: PrimeField | None) -> ParseError:
+    """The error for the term at ``pos`` that :func:`_parse_poly` could not
+    take, found on its tokens: a character no token starts with, anywhere
+    after ``pos``; else, in token order, an undeclared variable, a
+    coefficient that fails, or the first token no term continues with."""
+    tokens = []
+    for m in re.compile(r"\s*(?:(?P<d>\d+)|(?P<n>[A-Za-z][A-Za-z0-9_]*)|(?P<o>[-+*/^])|\S)"
+                        ).finditer(text, pos):
+        if m.lastgroup is None:
+            return ParseError(f"unexpected character {text[m.start()]!r}", m.start())
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+    kinds = "".join(value if kind == "o" else kind for kind, value, _ in tokens)
+    # the longest prefix of the tokens that some term extends
+    n = re.match(r"[-+]?(?:(?:d/d|d|n\^d|n)\*)*(?:d/d?|d|n\^d?|n)?", kinds).end()
+    # read that prefix as the parse does: it raises on an undeclared name, an
+    # integer past the int digit limit, or a denominator that is 0 (mod p)
+    for i, (kind, value, at) in enumerate(tokens[:n]):
+        if kind == "n" and value not in index:
+            return ParseError(f"undeclared variable {value!r}", at)
+        if kind == "d":
+            int(value)
+        elif value == "/" and i + 1 < n:
+            lift_coeff(Fraction(int(tokens[i - 1][1]), int(tokens[i + 1][1])), field)
+    at = tokens[n][2] if n < len(tokens) else len(text)
+    last = kinds[n - 1] if n else "+"
+    if last in "dn":
+        return ParseError(f"expected '+' or '-', found {tokens[n][1]!r}", at)
+    wanted = {"/": "an integer denominator", "^": "an integer exponent"}
+    return ParseError(f"expected {wanted.get(last, 'a coefficient or variable')}", at)

@@ -433,7 +433,6 @@ def test_names_are_distinct_and_unchanged_below_ten(kind):
         if n <= 9:
             assert g_names == tuple(f"g{i}{j}" for i in range(1, n + 1)
                                     for j in range(1, n + 1))
-        # the conjugation copies are lettered a, b, ... and the seventh is g
         for m in (1, 2, 3) + ((10, 11) if kind != "conjugation" else ()):
             x, w = (TemplateSpec(kind, m).var_names(n, role) for role in ("x", "w"))
             size = m * {"conjugation": n * n, "natural": n}.get(kind, 1)
@@ -445,6 +444,19 @@ def test_names_are_distinct_and_unchanged_below_ten(kind):
                     assert names == before
     assert TemplateSpec("conjugation", 2).var_names(11, "x")[10] == "a1_11"
     assert TemplateSpec("conjugation", 2).var_names(11, "x")[110] == "a11_1"
+
+
+def test_conjugation_copies_skip_the_letters_of_other_variables():
+    """Copies 1-6 keep the letters a-f; from the seventh on no copy takes
+    g, h, w or x, so 22 copies build and the 23rd is refused by name."""
+    names = TemplateSpec("conjugation", 22).var_names(1, "x")
+    assert names[:6] == ("a11", "b11", "c11", "d11", "e11", "f11")
+    assert names[6] == "i11" and not {name[0] for name in names} & set("ghwx")
+    G = symbolic_general_linear(1, "gl_conjugation", "gl_conjugation", x_copies=22)
+    assert G.x_vars == names
+    with pytest.raises(action_module.SpaceSizeError,
+                       match="^x_copies: 23 matrix copies, more than the 22 letters"):
+        symbolic_general_linear(1, "gl_conjugation", "gl_conjugation", x_copies=23)
 
 
 def test_the_word_family_at_n_12_fits_a_symbolic_space():

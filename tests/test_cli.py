@@ -272,6 +272,20 @@ def test_a_symbolic_space_past_the_bound_exits_two(tmp_path, copies):
                    "more than the 1000 a symbolic action takes\n")
 
 
+@pytest.mark.parametrize("copies,code", [(7, 0), (22, 0), (23, 2)])
+def test_conjugation_copies_run_out_of_letters_only_past_22(tmp_path, copies, code):
+    """A seventh copy of X is lettered i, not g; past the 22 free letters
+    the run exits 2 in one line naming group.x_copies and the limit."""
+    problem = _symbolic_group(n=1, x_template="gl_conjugation",
+                              w_template="gl_conjugation", x_copies=copies)
+    problem["covariants"] = [["a11"]]
+    got, out, err = run_cli(["verify", _write_problem(tmp_path, problem)])
+    assert got == code
+    if code:
+        assert (out, err) == ("", "error: group.x_copies: 23 matrix copies, more than "
+                                  "the 22 letters that name them\n")
+
+
 def test_generate_command():
     code, out, _ = run_cli(["generate", "s3_permutation", "--degree-bound", "3"])
     assert code == 0 and "3 generically independent covariants" in out

@@ -1,5 +1,6 @@
 """Exact arithmetic layer: polynomials, rational functions, matrices."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from covar.exactalg import (
     Poly,
     PrimeField,
     RatFn,
+    _parse_poly,
     coeff_div,
     int_rank_det,
     lift_coeff,
@@ -132,6 +134,13 @@ def test_parse_rejects_garbage():
     ("2^3", "expected '+' or '-', found '^' (at position 1)"),
     ("x1 * ", "expected a coefficient or variable (at position 5)"),
     ("-", "expected a coefficient or variable (at position 1)"),
+    ("x1^2^3", "expected '+' or '-', found '^' (at position 4)"),
+    ("2x1", "expected '+' or '-', found 'x1' (at position 1)"),
+    ("x1 +", "expected a coefficient or variable (at position 4)"),
+    ("x1**2", "expected a coefficient or variable (at position 3)"),
+    # int() reads "1_0" as 10; no token has an underscore after a digit
+    ("x1^1_0", "unexpected character '_' (at position 4)"),
+    ("1/1_0", "unexpected character '_' (at position 3)"),
 ])
 def test_parse_errors_name_the_position(text, message):
     with pytest.raises(ParseError) as err:
@@ -148,14 +157,182 @@ def test_parse_folds_repeated_factors_and_terms():
         Poly.parse("1/5*x1", V2, F5)
 
 
-def test_parse_round_trips_a_2000_term_polynomial():
+def test_parse_round_trips_a_2000_term_polynomial(monkeypatch):
+    """The scanner reads a whole signed term per match of its one compiled
+    pattern; a token-at-a-time scan of the same text makes about five."""
+    from covar import exactalg
+
+    class Spy:
+        def __init__(self, pattern):
+            self.pattern, self.calls = pattern, 0
+
+        def match(self, *args):
+            self.calls += 1
+            return self.pattern.match(*args)
+
     terms = {(i, j, k): Fraction((-1) ** (i + j) * (7 * i + 3 * j + k + 1), 1 + k % 4)
              for i in range(13) for j in range(13) for k in range(13)}
     p = Poly(V3, dict(list(terms.items())[:2000]))
     text = str(p)
     assert len(p.terms) == 2000
+    spy = Spy(exactalg._TERM)
+    monkeypatch.setattr(exactalg, "_TERM", spy)
     q = p3(text)
     assert q == p and str(q) == text
+    assert spy.calls <= len(p.terms) + 1
+
+
+# -- the term scanner against the token parser it replaced ---------------------
+
+_REF_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^]))")
+
+
+def _token_parse(text, vars, field=None):
+    """The token-by-token recursive descent the term scanner replaced, kept
+    here only as the reference for its results and its error messages."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN.match(text, pos)
+        if m is None:
+            if text[pos:].strip() == "":
+                break
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup is not None:
+            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+        pos = m.end()
+    if not tokens:
+        raise ParseError("empty polynomial text")
+    pos = 0
+    index = {v: i for i, v in enumerate(vars)}
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else (None, None, len(text))
+
+    def parse_factor(coeff, exps):
+        nonlocal pos
+        kind, value, at = peek()
+        if kind == "int":
+            pos += 1
+            num = int(value)
+            kind2, value2, _ = peek()
+            if kind2 == "op" and value2 == "/":
+                pos += 1
+                kind3, value3, at3 = peek()
+                if kind3 != "int":
+                    raise ParseError("expected an integer denominator", at3)
+                pos += 1
+                return coeff * lift_coeff(Fraction(num, int(value3)), field)
+            return coeff * lift_coeff(num, field)
+        if kind == "name":
+            pos += 1
+            if value not in index:
+                raise ParseError(f"undeclared variable {value!r}", at)
+            power = 1
+            kind2, value2, _ = peek()
+            if kind2 == "op" and value2 == "^":
+                pos += 1
+                kind3, value3, at3 = peek()
+                if kind3 != "int":
+                    raise ParseError("expected an integer exponent", at3)
+                pos += 1
+                power = int(value3)
+            exps[index[value]] += power
+            return coeff
+        raise ParseError("expected a coefficient or variable", at)
+
+    def parse_term():
+        nonlocal pos
+        exps = [0] * len(vars)
+        coeff = parse_factor(lift_coeff(1, field), exps)
+        while True:
+            kind, value, _ = peek()
+            if kind == "op" and value == "*":
+                pos += 1
+                coeff = parse_factor(coeff, exps)
+            else:
+                return coeff, tuple(exps)
+
+    terms = {}
+
+    def add_term(negate):
+        coeff, exps = parse_term()
+        if negate:
+            coeff = -coeff
+        terms[exps] = terms[exps] + coeff if exps in terms else coeff
+
+    kind, value, _ = peek()
+    negate = kind == "op" and value == "-"
+    if kind == "op" and value in "+-":
+        pos += 1
+    add_term(negate)
+    while pos < len(tokens):
+        kind, value, at = peek()
+        if kind != "op" or value not in "+-":
+            raise ParseError(f"expected '+' or '-', found {value!r}", at)
+        pos += 1
+        add_term(value == "-")
+    return Poly(vars, terms, field)
+
+
+_GAP = st.sampled_from(["", "", "", " ", "  ", "\t"])
+
+
+@st.composite
+def _term_texts(draw):
+    """A signed term in the grammar with any spacing: repeated factors, ^0,
+    denominators (0 among them, and 5, which GF(5) refuses)."""
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        gap, gap2 = draw(_GAP), draw(_GAP)
+        if draw(st.booleans()):
+            name, power = draw(st.sampled_from(V2)), draw(st.sampled_from([None, 0, 1, 2, 3]))
+            factors.append(name if power is None else f"{name}{gap}^{gap2}{power}")
+        else:
+            num = draw(st.integers(0, 12))
+            den = draw(st.sampled_from([None, None, 1, 2, 3, 5, 0]))
+            factors.append(str(num) if den is None else f"{num}{gap}/{gap2}{den}")
+    joined = "".join(f"{draw(_GAP)}*{draw(_GAP)}{f}" for f in factors[1:])
+    return draw(st.sampled_from(["", "+", "-"])) + draw(_GAP) + factors[0] + joined
+
+
+_polynomial_texts = st.builds(
+    lambda first, rest, lead, tail: lead + first + "".join(rest) + tail,
+    _term_texts(),
+    st.lists(st.builds(lambda g, s, g2, t: f"{g}{s}{g2}{t.lstrip('+-')}", _GAP,
+                       st.sampled_from("+-"), _GAP, _term_texts()), max_size=4),
+    _GAP, _GAP)
+
+# token soup: characters no token starts with, undeclared names, stray operators
+_noise = st.lists(st.sampled_from(
+    ["x1", "x2", "x9", "y", "2", "0", "13", "+", "-", "*", "/", "^", " ", "$", "_",
+     "x1_", "٣", "\t"]), max_size=8).map("".join)
+
+
+@st.composite
+def _mutated_texts(draw):
+    """A valid text with one stretch replaced by token soup."""
+    text = draw(_polynomial_texts)
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, len(text)))
+    return text[:i] + draw(_noise) + text[j:]
+
+
+def _parse_outcome(parse, text, field):
+    try:
+        p = parse(text, V2, field)
+    except (ParseError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return [(e, c, type(c)) for e, c in p.terms.items()], str(p)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_polynomial_texts, _noise, _mutated_texts()),
+       st.sampled_from([None, PrimeField(5)]))
+def test_term_scanner_matches_the_token_parser(text, field):
+    """Same polynomial, or the same error and message, on texts in and out
+    of the grammar, over Q and over GF(5)."""
+    assert _parse_outcome(_parse_poly, text, field) == _parse_outcome(_token_parse, text, field)
 
 
 def test_ratfn_parse_forms():
@@ -219,6 +396,99 @@ def test_exact_division_and_failure():
     assert prod.exact_div(p2("x1 + x2")) == p2("x1 - x2")
     with pytest.raises(ExactDivisionError):
         p2("x1^2 + x2").exact_div(p2("x1 + x2"))
+
+
+F5 = PrimeField(5)
+_SX = sympy.symbols("x1 x2")
+
+
+def _to_sympy(p):
+    """p as a sympy Poly over QQ, or over GF(5) when p is."""
+    if p.field is None:
+        return sympy.Poly.from_dict({e: sympy.Rational(c.numerator, c.denominator)
+                                     for e, c in _ref(p).items()}, *_SX, domain="QQ")
+    return sympy.Poly.from_dict({e: c.val for e, c in p.terms.items()}, *_SX, modulus=5)
+
+
+def _over(field):
+    """Polynomials with small unit-heavy coefficients, so that products
+    cancel and remainder keys vanish and come back during a division."""
+    coeff = st.sampled_from([1, -1, 1, -1, 2, Fraction(1, 2)])
+    if field is None:
+        return polys(max_terms=5, max_exp=3, coeff=coeff)
+    return polys(max_terms=5, max_exp=3, coeff=coeff).map(
+        lambda p: Poly(V2, {e: lift_coeff(c, field) for e, c in p.terms.items()}, field))
+
+
+@pytest.mark.parametrize("field", [None, F5], ids=["Q", "GF5"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_exact_division_matches_sympy(field, data):
+    """(a*b)/b == a and equals sympy's exquo; a remainder r either leaves
+    one in sympy's div too and raises, or the quotient is sympy's."""
+    a, b, r = (data.draw(_over(field)) for _ in range(3))
+    if not b:
+        return
+    assert (a * b).exact_div(b) == a
+    if a:
+        assert _to_sympy(a) == _to_sympy(a * b).exquo(_to_sympy(b))
+    c = a * b + r
+    quot, rem = _to_sympy(c).div(_to_sympy(b))
+    if rem.is_zero:
+        assert _to_sympy(c.exact_div(b)) == quot
+    else:
+        with pytest.raises(ExactDivisionError):
+            c.exact_div(b)
+
+
+def test_a_remainder_key_that_vanishes_and_returns_is_taken_once(monkeypatch):
+    """Dividing (1 + x1*x2 + x1^2*x2)(2 - x1 + x1^2*x2) by its second factor:
+    the first step cancels the dividend's x1^2*x2 and the second gains it
+    again, so the heap holds a stale entry for it and one it pushed."""
+    from covar import exactalg
+
+    pushed = []
+    push = exactalg.heappush
+    monkeypatch.setattr(exactalg, "heappush",
+                        lambda heap, item: pushed.append(item[2]) or push(heap, item))
+    a, b = p2("1 + x1*x2 + x1^2*x2"), p2("2 - x1 + x1^2*x2")
+    prod = a * b
+    assert (2, 1) in prod.terms
+    assert prod.exact_div(b) == a
+    assert (2, 1) in pushed
+
+
+def test_exact_division_is_linear_in_the_unreduced_product(monkeypatch):
+    """A division takes each leading remainder term off a heap: the grlex
+    key is evaluated only to find the divisor's leading term, and a heap
+    entry is pushed only when the remainder gains a key.  A scan of the
+    remainder at every step would evaluate the key about 700 times per
+    quotient term here."""
+    from covar import exactalg
+
+    V4 = ("x1", "x2", "x3", "x4")
+    a = Poly(V4, {(i, j, k, l): (-1) ** (i + k) * (1 + (i * j + k * l) % 5)
+                  for i in range(9) for j in range(9) for k in range(9) for l in range(9)
+                  if i + j + k + l <= 8})
+    b = Poly.parse("x1 - x2 + 2*x3 - x4 + 3", V4)
+    prod = a * b
+    assert len(prod.terms) >= 500
+    calls = {"key": 0, "push": 0}
+    key, push = exactalg._grlex_key, exactalg.heappush
+
+    def counted_key(exps):
+        calls["key"] += 1
+        return key(exps)
+
+    def counted_push(heap, item):
+        calls["push"] += 1
+        push(heap, item)
+
+    monkeypatch.setattr(exactalg, "_grlex_key", counted_key)
+    monkeypatch.setattr(exactalg, "heappush", counted_push)
+    assert prod.exact_div(b) == a
+    assert calls["key"] <= len(b.terms)
+    assert calls["push"] <= len(a.terms) * len(b.terms)
 
 
 # -- rational functions -------------------------------------------------------------
