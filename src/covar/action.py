@@ -34,7 +34,6 @@ Conventions (fixed throughout the package):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .exactalg import (
     Coeff,
@@ -397,7 +396,6 @@ def _int_mul(a: tuple[int, tuple[int, ...]], b: tuple, n: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class TemplateSpec:
     """How a space carries the generic GL_n element.
 
@@ -407,8 +405,14 @@ class TemplateSpec:
     (dim-m space with no action).
     """
 
-    kind: str
-    m: int = 1
+    def __init__(self, kind: str, m: int = 1):
+        self.kind = kind
+        self.m = m
+
+    def __eq__(self, other):
+        if not isinstance(other, TemplateSpec):
+            return NotImplemented
+        return (self.kind, self.m) == (other.kind, other.m)
 
     def var_names(self, n: int, role: str) -> tuple[str, ...]:
         rows, copies = range(1, n + 1), range(1, self.m + 1)

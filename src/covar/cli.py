@@ -11,12 +11,11 @@ missing or malformed files, dimension or reference errors).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
 from importlib import resources
+from types import SimpleNamespace
 
 from .action import (
     ActionError,
@@ -80,14 +79,15 @@ class ProblemError(ExactAlgError):
     """A problem file is malformed; message carries the offending field."""
 
 
-@dataclass
 class ProblemFile:
     """Validated problem description."""
 
-    group: GroupAction
-    covariants: list[Covariant] = dc_field(default_factory=list)
-    raw: dict = dc_field(default_factory=dict)
-    path: str = ""
+    def __init__(self, group: GroupAction, covariants: list[Covariant] | None = None,
+                 raw: dict | None = None, path: str = ""):
+        self.group = group
+        self.covariants = [] if covariants is None else covariants
+        self.raw = {} if raw is None else raw
+        self.path = path
 
     @property
     def hypotheses(self) -> dict:
@@ -735,17 +735,17 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or, given ``command``, one whose only
-    subparser is that command's, built exactly as in the full parser."""
+def build_parser():
+    """The argparse parser of every command: the reference for
+    :func:`_read_args`, and the reader of every line that it declines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="covar",
         description="construct and verify explicit localized isomorphisms "
                     "from generically independent covariants")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in COMMANDS.items():
-        if command is not None and name != command:
-            continue
         p = sub.add_parser(name, help=fn.__doc__)
         if name == "example":
             p.add_argument("problem", nargs="?", default=None,
@@ -769,16 +769,53 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse a command line, building only the named command's subparser
-    when the line starts with a command.  Its errors and help are those of
-    the full parser, as that subparser is built the same way; anything left
-    over goes to the full parser, whose usage lists every command."""
-    if argv and argv[0] in COMMANDS:
-        args, extra = build_parser(argv[0]).parse_known_args(argv)
-        if not extra:
-            return args
-    return build_parser().parse_args(argv)
+# each long option of build_parser and the attribute it sets
+_FLAGS = {"--seed": "seed", "--degree-bound": "degree_bound", "--out": "out",
+          "--format": "format"}
+
+
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """Read ``<command> <problem> [--flag value]...`` without argparse: the
+    command first, then the problem (optional for ``example`` only), then
+    exact long options of that command, each with a separate value that
+    does not start with ``-``.  The attributes are those the full parser
+    gives.  Any other line, or a value the full parser refuses, gives None."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command, rest = argv[0], argv[1:]
+    args = {"command": command, "problem": None, "seed": 0, "format": "text",
+            "fn": COMMANDS[command]}
+    if command == "generate":
+        args["degree_bound"] = 3
+    if command in ("noname-build", "generate"):
+        args["out"] = None
+    if rest and not rest[0].startswith("-"):
+        args["problem"], rest = rest[0], rest[1:]
+    elif command != "example":
+        return None
+    if len(rest) % 2:
+        return None
+    for flag, value in zip(rest[::2], rest[1::2]):
+        key = _FLAGS.get(flag)
+        if key not in args or value.startswith("-"):
+            return None
+        if key in ("seed", "degree_bound"):
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif key == "format" and value not in ("text", "machine"):
+            return None
+        args[key] = value
+    return SimpleNamespace(**args)
+
+
+def _parse_args(argv: list[str]):
+    """The arguments of a command line: read directly when
+    :func:`_read_args` takes it, else by the full parser, whose usage,
+    help and errors are argparse's own."""
+    args = _read_args(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

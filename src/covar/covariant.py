@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field as dc_field
 
 from .action import Character, GroupAction, det_w_inverse_character
 from .exactalg import (
@@ -335,22 +334,21 @@ def covariant_matrix(Fs: list[Covariant]) -> Matrix:
     return coordinate_matrix(Fs)
 
 
-@dataclass
 class RelativeInvariant:
     """A polynomial f with g.f = weight(g) f, exactly."""
 
-    f: Poly | RatFn
-    weight: Character
-    action: GroupAction = dc_field(repr=False, default=None)
-    # Set where f is made as the determinant of certified columns, so later
-    # checks reuse them: the frame matrix F, its cleared rows (N, D) with
-    # det N, and the verdict of the weight identity, which those columns
-    # imply.  They are not init fields, so a dataclasses.replace copy
-    # re-derives them.
-    frame: Matrix | None = dc_field(default=None, init=False, repr=False, compare=False)
-    cleared: tuple[Matrix, list[Poly], Poly] | None = dc_field(
-        default=None, init=False, repr=False, compare=False)
-    verdict: bool | None = dc_field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, f: Poly | RatFn, weight: Character, action: GroupAction = None):
+        self.f = f
+        self.weight = weight
+        self.action = action
+        # Set where f is made as the determinant of certified columns, so
+        # later checks reuse them: the frame matrix F, its cleared rows
+        # (N, D) with det N, and the verdict of the weight identity, which
+        # those columns imply.  The constructor does not take them, so an
+        # invariant built from the same f, weight and action re-derives them.
+        self.frame = None
+        self.cleared = None
+        self.verdict = None
 
     @property
     def is_zero(self) -> bool:

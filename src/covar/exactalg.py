@@ -850,10 +850,10 @@ class RatFn:
         """Read ``(num)/(den)`` or a polynomial; ``reduce=False`` keeps the
         written denominator instead of removing the gcd."""
         text = text.strip()
-        m = re.fullmatch(r"\(([^()]*)\)\s*/\s*\(([^()]*)\)", text)
-        if m:
-            return cls(Poly.parse(m.group(1), vars, field),
-                       Poly.parse(m.group(2), vars, field), reduce=reduce)
+        parts = _split_fraction(text)
+        if parts:
+            return cls(Poly.parse(parts[0], vars, field),
+                       Poly.parse(parts[1], vars, field), reduce=reduce)
         return cls(Poly.parse(text, vars, field), reduce=reduce)
 
     # -- queries ---------------------------------------------------------------
@@ -1321,6 +1321,24 @@ def int_rank_det(a: Sequence[Sequence[int]], p: int | None = None) -> tuple[int,
 # ---------------------------------------------------------------------------
 # canonical-grammar parser
 # ---------------------------------------------------------------------------
+
+
+def _split_fraction(text: str) -> tuple[str, str] | None:
+    """(num, den) when ``text`` is ``(num)/(den)``, with any whitespace
+    around the slash and no parenthesis inside either part; None otherwise.
+    String methods, so that no pattern is compiled in each process."""
+    if not (text.startswith("(") and text.endswith(")")):
+        return None
+    close = text.find(")")
+    num, rest = text[1:close], text[close + 1:].lstrip()
+    if "(" in num or not rest.startswith("/"):
+        return None
+    rest = rest[1:].lstrip()
+    den = rest[1:-1]
+    if not rest.startswith("(") or "(" in den or ")" in den:
+        return None
+    return num, den
+
 
 # one signed term: its sign, then all up to the next sign, which
 # _read_factor checks factor by factor

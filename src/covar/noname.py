@@ -31,7 +31,6 @@ the hot verification loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .action import GroupAction, det_w_inverse_character, vector_names
@@ -100,7 +99,6 @@ def _dot(row: list[Poly], vec: list[Poly]) -> Poly:
     return acc
 
 
-@dataclass
 class NoNameMap:
     """The pair of mutually inverse equivariant maps over X_f.
 
@@ -115,13 +113,16 @@ class NoNameMap:
     reassigned.
     """
 
-    action: GroupAction
-    invariant: RelativeInvariant
-    phi: Matrix
-    phi_inv: Matrix
-    covariants: list[Covariant] = dc_field(default_factory=list)
-    # the verify_isomorphism report that accepted the map at build time
-    report: Report | None = dc_field(default=None, compare=False, repr=False)
+    def __init__(self, action: GroupAction, invariant: RelativeInvariant, phi: Matrix,
+                 phi_inv: Matrix, covariants: list[Covariant] | None = None,
+                 report: Report | None = None):
+        self.action = action
+        self.invariant = invariant
+        self.phi = phi
+        self.phi_inv = phi_inv
+        self.covariants = [] if covariants is None else covariants
+        # the verify_isomorphism report that accepted the map at build time
+        self.report = report
 
     @property
     def f(self):
@@ -221,6 +222,15 @@ def _frame_columns(m: NoNameMap) -> list[Covariant]:
             for j in range(m.phi_inv.cols)]
 
 
+def _over_x(entries: list[list[Poly | RatFn]], x_vars: tuple[str, ...]) -> bool:
+    """Whether every entry uses the X-variables alone.  An entry over a
+    subset of them cannot use another variable, so only an entry over a
+    larger ring has its terms scanned."""
+    x_vars = set(x_vars)
+    return all(set(e.vars) <= x_vars or not (e.support_vars() - x_vars)
+               for row in entries for e in row)
+
+
 def verify_isomorphism(m: NoNameMap) -> Report:
     """Re-derive and check every structural property of the map, each as a
     named check.
@@ -240,9 +250,7 @@ def verify_isomorphism(m: NoNameMap) -> Report:
         if not (m.phi.cols == d and m.phi_inv.rows == m.phi_inv.cols == d):
             raise DimensionError(f"phi and phi_inv must both be {d} x {d}")
 
-        linear = all(
-            not (m.phi.entries[i][j].support_vars() - set(action.x_vars))
-            for i in range(d) for j in range(d))
+        linear = _over_x(m.phi.entries, action.x_vars)
         report.add("phi_linear_in_w", linear,
                    "phi entries depend only on the X-variables")
 

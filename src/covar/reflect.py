@@ -11,8 +11,6 @@ invariant); only for a symbolic group does the caller assert it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .action import FiniteGroupAction
 from .covariant import (
     Covariant,
@@ -43,14 +41,14 @@ class NoDependenceError(ReflectError):
     """The family is generically independent; no relation exists."""
 
 
-@dataclass
 class Relation:
     """Coefficients h_1..h_e with sum_i h_i F_i = 0 as a vector of
     polynomials (or rational functions)."""
 
-    coeffs: list
-    covariants: list[Covariant]
-    verified: bool = False
+    def __init__(self, coeffs: list, covariants: list[Covariant], verified: bool = False):
+        self.coeffs = coeffs
+        self.covariants = covariants
+        self.verified = verified
 
     @property
     def is_zero(self) -> bool:
@@ -80,13 +78,13 @@ class Relation:
         return self
 
 
-@dataclass
 class IndependenceCertificate:
     """A nonvanishing maximal minor certifying full column rank."""
 
-    rows: list[int]
-    cols: list[int]
-    minor: Poly
+    def __init__(self, rows: list[int], cols: list[int], minor: Poly):
+        self.rows = rows
+        self.cols = cols
+        self.minor = minor
 
     def __str__(self):
         return (f"minor on rows {self.rows}, columns {self.cols}: {self.minor}")
@@ -162,14 +160,15 @@ def _relative_invariant_coefficients(rel: Relation) -> Relation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Reflection:
     """A group element fixing a hyperplane pointwise, with a linear form l
     cutting out that hyperplane."""
 
-    element: int
-    hyperplane_form: Poly
-    action: FiniteGroupAction = dc_field(repr=False, default=None)
+    def __init__(self, element: int, hyperplane_form: Poly,
+                 action: FiniteGroupAction = None):
+        self.element = element
+        self.hyperplane_form = hyperplane_form
+        self.action = action
 
     def validate(self) -> bool:
         """Whether the element is a pseudo-reflection and the form is a

@@ -8,15 +8,21 @@ to text or JSON and maps them onto exit codes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 
-@dataclass
 class Check:
-    name: str
-    passed: bool
-    detail: str = ""
-    witness: dict | None = None
+    def __init__(self, name: str, passed: bool, detail: str = "",
+                 witness: dict | None = None):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+        self.witness = witness
+
+    def __eq__(self, other):
+        if not isinstance(other, Check):
+            return NotImplemented
+        return ((self.name, self.passed, self.detail, self.witness)
+                == (other.name, other.passed, other.detail, other.witness))
 
     def to_dict(self) -> dict:
         d = {"name": self.name, "passed": self.passed}
@@ -27,12 +33,13 @@ class Check:
         return d
 
 
-@dataclass
 class Report:
-    title: str
-    checks: list[Check] = field(default_factory=list)
-    data: dict = field(default_factory=dict)
-    seconds: float = 0.0
+    def __init__(self, title: str, checks: list[Check] | None = None,
+                 data: dict | None = None, seconds: float = 0.0):
+        self.title = title
+        self.checks = [] if checks is None else checks
+        self.data = {} if data is None else data
+        self.seconds = seconds
 
     def add(self, name: str, passed: bool, detail: str = "",
             witness: dict | None = None) -> Check:

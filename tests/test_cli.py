@@ -8,10 +8,14 @@ import os
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covar.cli import (
+    COMMANDS,
     ProblemError,
     ProblemFile,
+    _read_args,
+    build_parser,
     list_presets,
     load_certificate,
     main,
@@ -994,13 +998,18 @@ PARSER_CASES = [
     ["generate", "s3_permutation", "--degree-bound", "two"],
     ["verify"], ["noname-verify"],
     ["verify", "no_such_problem"],
+    ["verify", "vandermonde_s2", "--seed=3"],
+    ["verify", "vandermonde_s2", "--se", "3"],
+    ["verify", "vandermonde_s2", "--seed", "-1"],
+    ["verify", "--seed", "3", "vandermonde_s2"],
+    ["example", "--format", "machine"],
 ]
 
 
 def test_command_parser_matches_the_full_parser(tmp_path, monkeypatch):
-    """A command line that names its command first is parsed by that
-    command's subparser alone; the full parser gives the same stdout,
-    stderr and exit code on every line."""
+    """A line that _read_args takes is read without argparse, and every
+    other line goes to the full parser; the full parser alone gives the
+    same stdout, stderr and exit code on every line."""
     from covar import cli
 
     monkeypatch.chdir(tmp_path)
@@ -1015,6 +1024,133 @@ def test_command_parser_matches_the_full_parser(tmp_path, monkeypatch):
     # the usage of a misplaced option lists every command
     assert "{verify,independence,noname-build," in lazy[PARSER_CASES.index(
         ["verify", "vandermonde_s2", "--degree-bound", "3"])][2]
+
+
+_ARG_TOKENS = ["verify", "independence", "noname-build", "noname-verify", "generate",
+               "clear", "relation", "lower", "module-verdict", "example", "bogus",
+               "vandermonde_s2", "s3_permutation", "cert.json", "--seed", "--format",
+               "--out", "--degree-bound", "--degree_bound", "-h", "--help", "--se",
+               "--seed=3", "-1", "--", "-", "", "xml", "text", "machine", "0", "3",
+               " 7", "+2", "1_0", "٣"]
+
+
+_FULL_PARSER = build_parser()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(_ARG_TOKENS), max_size=8),
+    st.lists(st.one_of(st.sampled_from(_ARG_TOKENS), st.integers(-5, 99).map(str),
+                       st.text(max_size=4)), max_size=8),
+    st.builds(lambda command, problem, flags: [command, problem] + flags,
+              st.sampled_from(list(COMMANDS)), st.sampled_from(_ARG_TOKENS),
+              st.lists(st.sampled_from(_ARG_TOKENS), max_size=6)),
+    # mostly well formed: a command, perhaps a problem, flag-value pairs
+    st.builds(lambda command, problem, pairs: [command, *problem, *sum(pairs, ())],
+              st.sampled_from(list(COMMANDS)),
+              st.lists(st.sampled_from(["vandermonde_s2", "", " x"]), max_size=1),
+              st.lists(st.tuples(st.sampled_from(["--seed", "--format", "--out",
+                                                  "--degree-bound"]),
+                                 st.sampled_from(["0", "3", " 7", "+2", "1_0", "٣", "text",
+                                                  "machine", "xml", "-1", "", "c.json"])),
+                       max_size=4))))
+def test_read_args_agrees_with_the_full_parser(argv):
+    """Whenever _read_args takes a line, the full parser reads the same
+    attributes from it."""
+    args = _read_args(argv)
+    if args is not None:
+        assert vars(args) == vars(_FULL_PARSER.parse_args(argv)), argv
+
+
+# values the full parser takes for each long option
+_GOOD_VALUES = {"--seed": ["0", "3", "12", " 7", "+2", "1_0", "٣"],
+                "--format": ["text", "machine"], "--out": ["c.json", "", "x y"],
+                "--degree-bound": ["0", "4"]}
+
+
+@st.composite
+def _well_formed_lines(draw):
+    command = draw(st.sampled_from(list(COMMANDS)))
+    flags = ["--seed", "--format"]
+    if command == "generate":
+        flags.append("--degree-bound")
+    if command in ("noname-build", "generate"):
+        flags.append("--out")
+    problem = draw(st.sampled_from(["vandermonde_s2", "", "cert.json", "verify"]))
+    line = [command] + ([] if command == "example" and draw(st.booleans()) else [problem])
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=5)):
+        line += [flag, draw(st.sampled_from(_GOOD_VALUES[flag]))]
+    return line
+
+
+@settings(max_examples=200, deadline=None)
+@given(_well_formed_lines())
+def test_read_args_takes_each_well_formed_line(argv):
+    """A line of the form <command> <problem> [--flag value]... is read
+    without argparse, with the attributes the full parser reads."""
+    args = _read_args(argv)
+    assert args is not None, argv
+    assert vars(args) == vars(_FULL_PARSER.parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["verify", "--help"], ["bogus", "p"], ["verify"], ["noname-verify"],
+    ["verify", "p", "--seed=3"], ["verify", "p", "--se", "3"],
+    ["verify", "p", "--seed", "-1"], ["noname-build", "p", "--out", "-x"],
+    ["verify", "--seed", "3", "p"], ["example", "--format", "machine", "p"],
+    ["generate", "p", "--degree_bound", "2"], ["verify", "p", "--problem", "q"],
+    ["verify", "p", "--fn", "f"], ["verify", "p", "--out", "c.json"],
+    ["independence", "p", "--degree-bound", "2"], ["verify", "p", "--seed", "x"],
+    ["verify", "p", "--format", "xml"], ["verify", "p", "--seed"], ["verify", "p", "q"],
+    ["verify", "p", "--", "--seed"], ["verify", "-", "--seed", "3"],
+])
+def test_read_args_declines_every_other_line(argv):
+    """Help, an unknown or missing command or problem, an option that is
+    not an exact long option of the command, a value starting with '-'
+    and a value the full parser refuses all go to the full parser."""
+    assert _read_args(argv) is None
+
+
+@pytest.mark.parametrize("workload", ["gl_words", "perm_groups", "preset_sweep"])
+def test_read_args_takes_every_benchmark_operation(workload, tmp_path):
+    """Every command line the benchmark runs is read without argparse,
+    with the attributes the full parser reads."""
+    from test_bench_oracle_agreement import workloads
+
+    for op in workloads.WORKLOADS[workload](1, str(tmp_path)).ops:
+        args = _read_args(op.args)
+        assert args is not None, op.args
+        assert vars(args) == vars(_FULL_PARSER.parse_args(op.args))
+
+
+def test_a_well_formed_line_imports_no_argparse_or_dataclasses():
+    """A fresh process runs one command: it imports neither argparse nor
+    dataclasses nor inspect, while a malformed line still gets argparse's
+    usage and exit code 2."""
+    import subprocess
+    import sys
+
+    import covar
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(covar.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "from covar import cli\n"
+              "code = cli.main(['verify', 'vandermonde_s2'])\n"
+              "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stderr.split())
+    assert "covar.cli" in added
+    assert not added & {"argparse", "dataclasses", "inspect"}
+    proc = subprocess.run([sys.executable, "-m", "covar", "verify", "vandermonde_s2",
+                           "--seed=x"], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: covar verify")
+    assert "argument --seed: invalid int value: 'x'" in proc.stderr
 
 
 # -- refuted covariants and recorded assumptions -----------------------------------

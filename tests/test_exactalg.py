@@ -18,6 +18,7 @@ from covar.exactalg import (
     PrimeField,
     RatFn,
     _parse_poly,
+    _split_fraction,
     coeff_div,
     int_rank_det,
     lift_coeff,
@@ -340,6 +341,68 @@ def test_ratfn_parse_forms():
     assert f == RatFn(p2("x1"), p2("x1 + x2"))
     g = RatFn.parse("x1^2", V2)
     assert g.is_poly() and g.as_poly() == p2("x1^2")
+
+
+# the pattern RatFn.parse matched before it split with string methods
+_FRACTION = re.compile(r"\(([^()]*)\)\s*/\s*\(([^()]*)\)")
+
+
+def _regex_ratfn_parse(text, vars, field, reduce):
+    text = text.strip()
+    m = _FRACTION.fullmatch(text)
+    if m:
+        return RatFn(Poly.parse(m.group(1), vars, field),
+                     Poly.parse(m.group(2), vars, field), reduce=reduce)
+    return RatFn(Poly.parse(text, vars, field), reduce=reduce)
+
+
+# parentheses, slashes and whitespace (with a no-break space and a line
+# separator, which str.strip and \s both take) among polynomial pieces
+_fraction_soup = st.lists(st.sampled_from(
+    ["(", ")", "/", "()", " ", "\t", "\xa0", "\u2028", "x1", "x2", "+", "-", "2", "*",
+     "^"]), max_size=12).map("".join)
+
+_fraction_texts = st.builds(
+    lambda g1, num, g2, g3, den, g4: f"{g1}({num}){g2}/{g3}({den}){g4}",
+    _GAP, st.one_of(_polynomial_texts, _fraction_soup), st.sampled_from(["", " ", "\xa0"]),
+    _GAP, st.one_of(_polynomial_texts, _fraction_soup), _GAP)
+
+
+def _ratfn_outcome(parse, text, field, reduce):
+    try:
+        f = parse(text, V2, field, reduce)
+    except (ParseError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return sorted(f.num.terms.items()), sorted(f.den.terms.items()), str(f)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_fraction_texts, _fraction_soup, _polynomial_texts),
+       st.sampled_from([None, PrimeField(5)]), st.booleans())
+def test_ratfn_parse_splits_as_the_fraction_pattern(text, field, reduce):
+    """The string split reads the parts the old pattern read, and RatFn.parse
+    gives the same value, or the same error, on fractions with spaces,
+    nested or unbalanced parentheses, a missing slash, ``()/()`` and plain
+    polynomials."""
+    m = _FRACTION.fullmatch(text.strip())
+    assert _split_fraction(text.strip()) == (m.groups() if m else None)
+    new = _ratfn_outcome(lambda t, v, f, r: RatFn.parse(t, v, f, reduce=r), text, field, reduce)
+    assert new == _ratfn_outcome(_regex_ratfn_parse, text, field, reduce)
+
+
+@pytest.mark.parametrize("text,parts", [
+    ("(x1)/(x2)", ("x1", "x2")),
+    ("( x1 ) \t/\xa0( x2 )", (" x1 ", " x2 ")),
+    ("()/()", ("", "")),
+    ("((x1))/(x2)", None),
+    ("(x1)/((x2))", None),
+    ("(x1)/(x2", None),
+    ("(x1)(x2)", None),
+    ("(x1)/(x2)/(x1)", None),
+    ("x1 + x2", None),
+])
+def test_split_fraction_table(text, parts):
+    assert _split_fraction(text) == parts
 
 
 # -- gcd and exact division ------------------------------------------------------

@@ -250,14 +250,58 @@ def test_build_isomorphism_names_failed_checks(vandermonde_pair, monkeypatch):
         build_isomorphism(vandermonde_pair)
 
 
-def test_non_square_phi_inv_is_a_dimension_error(vandermonde_pair):
-    import dataclasses
+def _phi_scans(m, monkeypatch):
+    """The phi entries of ``m`` whose terms verify_isomorphism scans."""
+    entries = {id(e) for row in m.phi.entries for e in row}
+    scanned = []
+    for cls in (Poly, RatFn):
+        monkeypatch.setattr(cls, "support_vars", lambda self, support=cls.support_vars:
+                            scanned.append(id(self)) or support(self))
+    assert verify_isomorphism(m).ok
+    monkeypatch.undo()
+    return entries & set(scanned)
 
+
+def test_phi_entries_over_x_are_not_scanned(vandermonde_pair, tmp_path, monkeypatch):
+    """build_isomorphism and load_certificate make every entry of phi over
+    the X-variables, so phi_linear_in_w passes them without a scan."""
+    import contextlib
+    import io
+
+    from covar.cli import load_certificate, main
+
+    assert not _phi_scans(build_isomorphism(vandermonde_pair), monkeypatch)
+    cert = str(tmp_path / "cert.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["noname-build", "projections_v3_m4", "--out", cert]) == 0
+    m, _ = load_certificate(cert)
+    assert not _phi_scans(m, monkeypatch)
+
+
+def test_phi_entry_over_the_xw_ring_is_scanned(vandermonde_pair):
+    """An entry over a ring larger than X is scanned: a w-term fails
+    phi_linear_in_w, and the same entry without it passes."""
+    from covar.noname import _over_x
+
+    m = build_isomorphism(vandermonde_pair)
+    x_vars = m.action.x_vars
+    ring = x_vars + m.action.w_vars
+    e = m.phi.entries[0][0]
+    num, den = e.num.embed(ring), e.den.embed(ring)
+    for extra, linear in ((Poly.var("w1", ring), False), (Poly.zero(ring), True)):
+        rows = [row[:] for row in m.phi.entries]
+        rows[0][0] = RatFn(num + extra * den, den, reduce=False)
+        assert _over_x(rows, x_vars) is linear
+    assert _over_x(m.phi.entries, x_vars)
+
+
+def test_non_square_phi_inv_is_a_dimension_error(vandermonde_pair):
     from covar.exactalg import DimensionError
 
     m = build_isomorphism(vandermonde_pair)
     x1, x2 = Poly.gens(m.action.x_vars)
-    wide = dataclasses.replace(m, phi_inv=Matrix([[x1, x1**2, x1], [x2, x2**2, x2]]))
+    wide = NoNameMap(m.action, m.invariant, m.phi,
+                     Matrix([[x1, x1**2, x1], [x2, x2**2, x2]]), m.covariants)
     with pytest.raises(DimensionError, match="phi and phi_inv must both be 2 x 2"):
         verify_isomorphism(wide)
 
@@ -541,8 +585,6 @@ def test_weight_verdict_substitutes_only_when_a_premise_fails(name, tmp_path, mo
 def test_frame_rows_with_different_denominators(s2):
     """F1 = (1/x1, 1/x2) and F2 = (1, 1): the frame's two rows have the
     denominators x1 and x2, so the frame is cleared over their product."""
-    import dataclasses
-
     x1, x2 = Poly.gens(s2.x_vars)
     one = Poly.one(s2.x_vars)
     Fs = [verified(s2, [RatFn(one, x1), RatFn(one, x2)]), verified(s2, [one, one])]
@@ -552,7 +594,7 @@ def test_frame_rows_with_different_denominators(s2):
 
     rows = [row[:] for row in m.phi_inv.entries]
     rows[1] = [2 * e for e in rows[1]]
-    bad = dataclasses.replace(m, phi_inv=Matrix(rows), report=None)
+    bad = NoNameMap(m.action, m.invariant, m.phi, Matrix(rows), m.covariants)
     failed = {c.name for c in verify_isomorphism(bad).failed_checks()}
     assert {"f_equals_det_of_frame", "phi_times_frame_is_identity",
             "frame_times_phi_is_identity", "round_trips"} <= failed
