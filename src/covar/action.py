@@ -65,8 +65,8 @@ class ClosureCapError(ActionError):
 
 
 class SpaceSizeError(ActionError):
-    """Over ``MAX_SPACE_VARS`` or ``COPY_LETTERS``; the message starts with
-    ``x_copies:`` or ``w_copies:``."""
+    """Over ``MAX_SPACE_VARS``, ``COPY_LETTERS`` or ``MAX_GENERIC_N``; the
+    message starts with ``x_copies:``, ``w_copies:`` or ``n:``."""
 
 
 def indexed_name(prefix: str, *indices: int) -> str:
@@ -447,18 +447,12 @@ class TemplateSpec:
         n = g.rows
         if self.kind == "trivial":
             return Matrix.identity(1, g.entries[0][0])
-        if self.kind == "scalar":
-            if n != 1:
-                raise ActionError("scalar template requires a 1x1 generic element")
+        if self.kind in ("scalar", "natural"):
             return g
-        if self.kind == "natural":
-            return g
-        if self.kind == "conjugation":
-            # coordinates a_{ij} row-major: (g A adj_g)_{ij} = sum g_{ik} a_{kl} adj_{lj}
-            return Matrix([[g.entries[i][k] * adj_g.entries[l][j]
-                            for k in range(n) for l in range(n)]
-                           for i in range(n) for j in range(n)])
-        raise ActionError(f"unknown action template {self.kind!r}")
+        # conjugation, coordinates a_{ij} row-major: (g A adj_g)_{ij} = sum g_{ik} a_{kl} adj_{lj}
+        return Matrix([[g.entries[i][k] * adj_g.entries[l][j]
+                        for k in range(n) for l in range(n)]
+                       for i in range(n) for j in range(n)])
 
 
 def _block_diagonal(block: Matrix, copies: int) -> Matrix:
@@ -483,6 +477,14 @@ GENERIC = "generic"
 # the most variables of X or W in a symbolic action, whose matrices are dense
 MAX_SPACE_VARS = 1000
 
+# the largest n whose generic element is built.  det(g) has n! terms: on a
+# shared 2-CPU machine, `verify` of explicit gl_natural covariants took 51 s
+# and 649 MB at n = 7, and was killed at 90 s and 1 GB at n = 8
+MAX_GENERIC_N = 7
+
+# the parts of the generic element, built together on the first read of any
+_GENERIC_PARTS = ("g_mat", "det_poly", "adj_mat", "x_num", "w_num")
+
 
 def generic_matrix(n: int, vars: tuple[str, ...], prefix: str = "g",
                    field: PrimeField | None = None) -> Matrix:
@@ -497,6 +499,14 @@ class SymbolicGroupAction(_Spaces):
     of polynomials in the g-variables together with the power of ``det(g)``
     it is implicitly divided by.  All identity checks compare cleared
     polynomials, never rational functions.
+
+    Construction checks only what needs no algebra: the template kinds,
+    scalar needs n = 1, the names and sizes of the spaces.  The generic
+    element (``g_mat``, ``det_poly``, ``adj_mat`` and the numerators
+    ``x_num`` and ``w_num``) is built on the first read of any of them,
+    once, and checked there (:meth:`_check_construction`).  A family that
+    is a covariant by construction, such as the matrix words, reads none of
+    it: certifying and ranking it expands nothing about g.
     """
 
     is_finite = False
@@ -507,6 +517,11 @@ class SymbolicGroupAction(_Spaces):
         self.x_spec = x_spec
         self.w_spec = w_spec
         self.field = field
+        for spec in (x_spec, w_spec):
+            if spec.kind not in _TEMPLATES.values():
+                raise ActionError(f"unknown action template {spec.kind!r}")
+            if spec.kind == "scalar" and n != 1:
+                raise ActionError("scalar template requires a 1x1 generic element")
         self.g_vars = matrix_names("g", n)
         self.x_vars = x_spec.var_names(n, "x")
         self.w_vars = w_spec.var_names(n, "w")
@@ -521,24 +536,39 @@ class SymbolicGroupAction(_Spaces):
             raise ActionError("space variables collide with g-variables")
         # g = id: the diagonal of the row-major g is every (n + 1)-th entry
         self.g_identity = {v: int(k % (n + 1) == 0) for k, v in enumerate(self.g_vars)}
-
-        self.g_mat = g = generic_matrix(n, self.g_vars, "g", field)
-        self.det_poly = g.det()
-        self.adj_mat = g.adjugate()
-        # one block per distinct template kind, shared when X and W match
-        specs = {spec.kind: spec for spec in (x_spec, w_spec)}
-        blocks = {kind: spec.block(g, self.adj_mat) for kind, spec in specs.items()}
-        self._check_construction(blocks)
-
-        # action = num / det^det_power
-        self.x_num = _block_diagonal(blocks[x_spec.kind], x_spec.m)
-        self.w_num = _block_diagonal(blocks[w_spec.kind], w_spec.m)
         # substitution tables of act_cleared, per (side, element, out_vars)
         self._tables: dict[tuple, dict[str, Poly]] = {}
 
-    # -- sanity at construction ------------------------------------------------
+    def __getattr__(self, name: str):
+        # only a part of the generic element is missing until it is built
+        if name not in _GENERIC_PARTS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._build_generic()
+        return self.__dict__[name]
 
-    def _check_construction(self, blocks: dict[str, Matrix]):
+    def _build_generic(self):
+        """g, det(g), adj(g) and the cleared action numerators, checked."""
+        n = self.n
+        if n > MAX_GENERIC_N:
+            raise SpaceSizeError(
+                f"n: the generic element of GL_{n} is not built: its det(g) has "
+                f"{n}! = {math.factorial(n)} terms, more than the "
+                f"{math.factorial(MAX_GENERIC_N)} of n = {MAX_GENERIC_N}")
+        g = generic_matrix(n, self.g_vars, "g", self.field)
+        det, adj = g.det(), g.adjugate()
+        # one block per distinct template kind, shared when X and W match
+        specs = {spec.kind: spec for spec in (self.x_spec, self.w_spec)}
+        blocks = {kind: spec.block(g, adj) for kind, spec in specs.items()}
+        self._check_construction(g, det, adj, blocks)
+        self.g_mat, self.det_poly, self.adj_mat = g, det, adj
+        # action = num / det^det_power
+        self.x_num = _block_diagonal(blocks[self.x_spec.kind], self.x_spec.m)
+        self.w_num = _block_diagonal(blocks[self.w_spec.kind], self.w_spec.m)
+
+    # -- sanity of the generic element -------------------------------------------
+
+    def _check_construction(self, g: Matrix, det: Poly, adj: Matrix,
+                            blocks: dict[str, Matrix]):
         """block(id) == I for every template kind, and adj(g) g == det(g) I ==
         g adj(g).  These make adj(g)/det(g) the two-sided inverse of g, so
         the conjugation block M -> g M adj(g)/det(g) is an action by algebra
@@ -549,10 +579,10 @@ class SymbolicGroupAction(_Spaces):
             if any(e.eval(self.g_identity) != (one if i == j else 0)
                    for i, row in enumerate(num.entries) for j, e in enumerate(row)):
                 raise ActionError("template does not specialize to the identity at g = id")
-        det_i = Matrix.identity(self.n, self.det_poly).scale(self.det_poly)
-        if self.adj_mat * self.g_mat != det_i:
+        det_i = Matrix.identity(self.n, det).scale(det)
+        if adj * g != det_i:
             raise ActionError("adjugate check failed: adj(g) g != det(g) I")
-        if self.g_mat * self.adj_mat != det_i:
+        if g * adj != det_i:
             raise ActionError("adjugate check failed: g adj(g) != det(g) I")
 
     # -- cleared actions -----------------------------------------------------------
@@ -760,6 +790,8 @@ def det_w_inverse_character(action: GroupAction) -> Character:
             for g in action.check_elements()])
     # g_W is m copies of one W block: det(g_W) = det(g)^(e m), with no elimination
     power = action.w_spec.det_exponent() * action.w_spec.m
+    if not power:
+        return Character.trivial(action)
     return Character(action, ratfn=RatFn(action.det_poly.ring_one(), action.det_poly ** power))
 
 

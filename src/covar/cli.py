@@ -830,6 +830,10 @@ def main(argv: list[str] | None = None) -> int:
         # exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return PIPE_EXIT
+    except SpaceSizeError as exc:
+        # a generic element too large to build, refused where a command reads it
+        print(f"error: group.{exc}", file=sys.stderr)
+        return USAGE_EXIT
     except (ProblemError, ParseError, DimensionError, ActionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

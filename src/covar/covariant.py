@@ -444,12 +444,6 @@ def det_relative_invariant(Fs: list[Covariant]) -> RelativeInvariant:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_matrix(Fs: list[Covariant], point: dict) -> list[list]:
-    """Evaluate the coordinate matrix at a point (rows = W basis)."""
-    cols = [F.evaluate(point) for F in Fs]
-    return [[cols[j][i] for j in range(len(Fs))] for i in range(len(cols[0]))]
-
-
 def _symbolic_rank(Fs: list[Covariant]) -> int:
     return cleared_rows(Fs)[0].rank()
 

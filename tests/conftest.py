@@ -46,6 +46,13 @@ def conj2():
                                    x_copies=2, w_copies=1)
 
 
+def evaluate_matrix(Fs, point):
+    """The reference route to the coordinate matrix at a point (rows = W
+    basis): each covariant evaluated coordinate by coordinate."""
+    cols = [F.evaluate(point) for F in Fs]
+    return [[cols[j][i] for j in range(len(Fs))] for i in range(len(cols[0]))]
+
+
 def word_covariants(action, words):
     """Covariants (A, B) -> A^i B^j built directly on the given action."""
     v = {name: Poly.var(name, action.x_vars) for name in action.x_vars}

@@ -17,7 +17,6 @@ from covar.action import make_finite_group
 from covar.cli import load_certificate, main, parse_problem
 from covar.covariant import (
     det_relative_invariant,
-    evaluate_matrix,
     generic_independence,
     verified,
     verify_equivariance,
@@ -40,6 +39,8 @@ from covar.reflect import (
     relation_over_function_field,
     relative_invariant_relation,
 )
+
+from conftest import evaluate_matrix
 
 
 @contextlib.contextmanager

@@ -174,8 +174,9 @@ def test_wrong_adjugate_or_identity_block_is_rejected(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(Matrix, "adjugate", one_wrong_entry)
+        G = symbolic_general_linear(3, "gl_conjugation", "gl_conjugation", x_copies=2)
         with pytest.raises(ActionError, match="adjugate check"):
-            symbolic_general_linear(3, "gl_conjugation", "gl_conjugation", x_copies=2)
+            G.x_num
 
     def wrong_at_identity(self, g, adj_g):
         out = block(self, g, adj_g)
@@ -184,8 +185,9 @@ def test_wrong_adjugate_or_identity_block_is_rejected(monkeypatch):
         return out
 
     monkeypatch.setattr(TemplateSpec, "block", wrong_at_identity)
+    G = symbolic_general_linear(3, "gl_conjugation", "gl_conjugation", x_copies=2)
     with pytest.raises(ActionError, match="identity at g = id"):
-        symbolic_general_linear(3, "gl_conjugation", "gl_conjugation", x_copies=2)
+        G.x_num
 
 
 def test_conjugation_fixes_trace_and_det():
@@ -404,7 +406,7 @@ def test_one_block_per_distinct_kind(x_template, w_template, kinds, monkeypatch)
     block = TemplateSpec.block
     monkeypatch.setattr(TemplateSpec, "block",
                         lambda self, g, adj: built.append(self.kind) or block(self, g, adj))
-    symbolic_general_linear(2, x_template, w_template, x_copies=2)
+    symbolic_general_linear(2, x_template, w_template, x_copies=2).x_num
     assert sorted(built) == sorted(kinds)
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,9 +22,9 @@ from covar.cli import (
     main,
     parse_problem,
 )
-from covar.action import FiniteGroupAction
+from covar.action import FiniteGroupAction, SymbolicGroupAction, TemplateSpec
 from covar.covariant import Covariant, verify_equivariance
-from covar.exactalg import RatFn
+from covar.exactalg import Matrix, RatFn
 from test_noname import _power_map_problem
 
 HERE = os.path.dirname(__file__)
@@ -288,6 +289,64 @@ def test_conjugation_copies_run_out_of_letters_only_past_22(tmp_path, copies, co
     if code:
         assert (out, err) == ("", "error: group.x_copies: 23 matrix copies, more than "
                                   "the 22 letters that name them\n")
+
+
+def test_a_generic_element_past_the_bound_exits_two(tmp_path):
+    """Explicit covariants on GL_8 need the generic element, whose det(g)
+    has 8! terms: the first read refuses it at once, naming n."""
+    problem = _symbolic_group(n=8, x_copies=8)
+    problem["covariants"] = [[f"x{i}{j}" for i in range(1, 9)] for j in range(1, 9)]
+    path = _write_problem(tmp_path, problem)
+    start = time.perf_counter()
+    code, out, err = run_cli(["verify", path])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: group.n: the generic element of GL_8 is not built: its det(g) "
+                   "has 8! = 40320 terms, more than the 5040 of n = 7\n")
+
+
+@pytest.fixture
+def generic_calls(monkeypatch):
+    """By name, every call of det, adjugate, a template block or the build
+    of a generic element."""
+    calls = []
+    for owner, name in ((Matrix, "det"), (Matrix, "adjugate"), (TemplateSpec, "block"),
+                        (SymbolicGroupAction, "_build_generic")):
+        def spy(*args, _fn=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("preset", ["matrix_words_gl2", "matrix_words_gl3"])
+def test_parsing_a_symbolic_problem_builds_no_generic_element(preset, generic_calls):
+    parse_problem(preset)
+    assert generic_calls == []
+
+
+@pytest.mark.parametrize("command", ["verify", "independence", "module-verdict"])
+def test_the_words_at_n_8_read_no_generic_element(tmp_path, command, generic_calls):
+    """The words are covariants by construction and ranked at a point, so
+    each command exits 0 in under a second on GL_8, whose det(g) would
+    have 8! terms."""
+    group = {"type": "symbolic", "n": 8, "x_template": "gl_conjugation",
+             "w_template": "gl_conjugation", "x_copies": 2}
+    path = _write_problem(tmp_path, {"group": group,
+                                     "family": {"name": "matrix_words", "n": 8}})
+    start = time.perf_counter()
+    assert run_cli([command, path])[0] == 0
+    assert time.perf_counter() - start < 1.0
+    assert generic_calls == []
+
+
+def test_noname_build_builds_no_generic_element_and_verify_builds_one(tmp_path,
+                                                                      generic_calls):
+    cert = str(tmp_path / "cert.json")
+    assert run_cli(["noname-build", "matrix_words_gl2", "--out", cert])[0] == 0
+    assert "_build_generic" not in generic_calls
+    assert run_cli(["noname-verify", cert])[0] == 0
+    assert generic_calls.count("_build_generic") == 1
 
 
 def test_generate_command():

@@ -22,7 +22,6 @@ from covar.covariant import (
     coordinate_matrix,
     det_relative_invariant,
     ensure_equivariant,
-    evaluate_matrix,
     generic_independence,
     verified,
     verify_equivariance,
@@ -47,7 +46,7 @@ from covar.action import (
 )
 from covar.forge import _symmetric_group_action
 
-from conftest import CYCLE3, SWAP, SWAP3, word_covariants
+from conftest import CYCLE3, SWAP, SWAP3, evaluate_matrix, word_covariants
 
 
 def test_identity_map_is_equivariant(s3):

@@ -20,7 +20,6 @@ from covar.covariant import (
     UnverifiedCovariantError,
     coordinate_matrix,
     det_relative_invariant,
-    evaluate_matrix,
     generic_independence,
     verified,
     verify_equivariance,
@@ -40,7 +39,7 @@ from covar.forge import (
     _symmetric_group_action,
 )
 
-from conftest import CYCLE3, SWAP, SWAP3
+from conftest import CYCLE3, SWAP, SWAP3, evaluate_matrix
 
 
 def test_average_of_non_equivariant_seed(s2):
