@@ -11,17 +11,18 @@ Two group models share one forward interface:
 
 Both check an identity as one forward cleared identity per element of
 ``check_elements``: ``act_cleared`` gives p(g x) as a numerator over a power
-of ``check_det``, and ``w_cleared`` gives g_W the same way.  A finite element
-clears nothing (power 0, det 1).  As g -> g^{-1} permutes the group, an
-identity holds for every g . f exactly when it holds for every f(g x).
-A finite group is checked on its distinct generators, and a finite
-character is read off them (``Character.from_generators``).  The function
-action ``act_on_poly`` stays as a reference; no library routine calls it.
+of det(g), ``w_cleared`` gives g_W the same way, and ``det_to`` gives a
+power of det(g).  A finite element clears nothing (power 0, det 1).  As
+g -> g^{-1} permutes the group, an identity holds for every g . f exactly
+when it holds for every f(g x).  A finite group is checked on its distinct
+generators, and a finite character is read off them
+(``Character.from_generators``).  The function action ``act_on_poly``
+stays as a reference; no library routine calls it.
 
 Both ``act_cleared`` methods are thin wrappers over one substitution: a check
 element moves each space by numerator rows over det^h, and its substitution
 tables are cached per (side, element, ring).  A new check element needs only
-its rows and its det power.
+its rows and its det power, and det(g) is read only where some h is nonzero.
 
 Conventions (fixed throughout the package):
 
@@ -34,6 +35,7 @@ Conventions (fixed throughout the package):
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 from .exactalg import (
     Coeff,
@@ -118,16 +120,17 @@ def _table(action: "GroupAction", side: str, element, out_vars: tuple[str, ...],
 
 
 def _cleared_substitution(action: "GroupAction", p: Poly, side: str,
-                          out_vars: tuple[str, ...], element, moves: dict,
-                          det: Poly | None) -> tuple[Poly, int]:
+                          out_vars: tuple[str, ...], element,
+                          moves) -> tuple[Poly, int]:
     """(num, k) with p(g x) = num / det^k (with side ``xw``, p(g x, g_W w)),
-    g an element that moves side s by ``moves[s]`` = (rows, h), that is
+    g an element that moves side s by ``moves(s)`` = (rows, h), that is
     v_k -> sum_l rows[k][l] v_l / det^h.
 
     A term of degree e_s on side s lands over det^(sum_s h_s e_s), its
     weight.  Each class of terms of equal weight is substituted at once and
     padded by det^(k - weight), k = sum_s h_s (p's largest degree on side
-    s).  When every h is 0 (a finite element), k = 0 and ``det`` is unread.
+    s).  When every h is 0 (a finite element, a natural or scalar block),
+    k = 0 and det(g) is not read.
     """
     if side not in ("x", "w", "xw"):
         raise ActionError(f"unknown side {side!r}")
@@ -135,7 +138,7 @@ def _cleared_substitution(action: "GroupAction", p: Poly, side: str,
     # per space clearing a denominator: (positions of its variables in p, h)
     spans = []
     for name in side:  # "xw" moves both spaces
-        rows, h = moves[name]
+        rows, h = moves(name)
         images = _table(action, name, element, out_vars, rows)
         table.update(images)
         if h:
@@ -153,7 +156,7 @@ def _cleared_substitution(action: "GroupAction", p: Poly, side: str,
         weight = sum(h * e for (_, h), e in zip(spans, degrees))
         classes.setdefault(weight, {})[exps] = coeff
     k = sum(h * t for (_, h), t in zip(spans, tops))
-    det = det.embed(out_vars)
+    det = action.det_to(1, out_vars)
     num = Poly.zero(out_vars, action.field)
     for weight, terms in classes.items():
         num = num + Poly(p.vars, terms, p.field).subs(table, out_vars) * det ** (k - weight)
@@ -238,17 +241,19 @@ class FiniteGroupAction(_Spaces):
                     element: int) -> tuple[Poly, int]:
         """(p(g x), 0) for the element g, over ``out_vars`` (with side ``xw``,
         p(g x, g_W w)): a finite element clears no denominator."""
-        return _cleared_substitution(self, p, side, out_vars, element,
-                                     {"x": (self.x_mats[element], 0),
-                                      "w": (self.w_mats[element], 0)}, None)
+        return _cleared_substitution(
+            self, p, side, out_vars, element,
+            lambda s: ((self.x_mats if s == "x" else self.w_mats)[element], 0))
 
-    def check_det(self, ring: tuple[str, ...]) -> None:
-        """det(g) of a check element, None standing for 1."""
+    def det_to(self, k: int, ring: tuple[str, ...]) -> None:
+        """det(g)^k of a check element, None standing for 1: a finite
+        element clears no denominator."""
         return None
 
-    def w_cleared(self, element: int, ring: tuple[str, ...]) -> tuple[QMat, int]:
-        """g_W of the element as (numerator rows, det power): scalar rows."""
-        return self.w_mats[element], 0
+    def w_cleared(self, element: int, ring: tuple[str, ...]) -> tuple[QMat, None, int]:
+        """g_W as (numerator rows, denominator, det power): scalar rows, with
+        the denominator None standing for 1."""
+        return self.w_mats[element], None, 0
 
     def act_on_poly(self, i: int, p: Poly | RatFn) -> Poly | RatFn:
         """Function action (g . p)(x) = p(g^{-1} x) on the X-space."""
@@ -441,9 +446,10 @@ class TemplateSpec:
         B), and h = 1 divides each of its n^2 rows by det(g), so e = 0."""
         return 1 if self.kind in ("natural", "scalar") else 0
 
-    def block(self, g: Matrix, adj_g: Matrix) -> Matrix:
+    def block(self, g: Matrix, adj_g: Matrix | None) -> Matrix:
         """Numerator of the action on one copy: ``[1]`` (trivial), ``[s]``
-        (scalar), ``g`` (natural) or the n^2 x n^2 conjugation block."""
+        (scalar), ``g`` (natural) or the n^2 x n^2 conjugation block, the
+        only one that reads ``adj_g``."""
         n = g.rows
         if self.kind == "trivial":
             return Matrix.identity(1, g.entries[0][0])
@@ -477,13 +483,10 @@ GENERIC = "generic"
 # the most variables of X or W in a symbolic action, whose matrices are dense
 MAX_SPACE_VARS = 1000
 
-# the largest n whose generic element is built.  det(g) has n! terms: on a
-# shared 2-CPU machine, `verify` of explicit gl_natural covariants took 51 s
+# the largest n whose det(g) is formed.  det(g) has n! terms: on a shared
+# 2-CPU machine, forming det(g), adj(g) and Cramer's two products took 51 s
 # and 649 MB at n = 7, and was killed at 90 s and 1 GB at n = 8
 MAX_GENERIC_N = 7
-
-# the parts of the generic element, built together on the first read of any
-_GENERIC_PARTS = ("g_mat", "det_poly", "adj_mat", "x_num", "w_num")
 
 
 def generic_matrix(n: int, vars: tuple[str, ...], prefix: str = "g",
@@ -501,12 +504,13 @@ class SymbolicGroupAction(_Spaces):
     polynomials, never rational functions.
 
     Construction checks only what needs no algebra: the template kinds,
-    scalar needs n = 1, the names and sizes of the spaces.  The generic
-    element (``g_mat``, ``det_poly``, ``adj_mat`` and the numerators
-    ``x_num`` and ``w_num``) is built on the first read of any of them,
-    once, and checked there (:meth:`_check_construction`).  A family that
-    is a covariant by construction, such as the matrix words, reads none of
-    it: certifying and ranking it expands nothing about g.
+    scalar needs n = 1, the names and sizes of the spaces.  Each part of
+    the generic element is built on its first read, once, from the parts it
+    reads: ``g_mat``; ``det_poly``; ``adj_mat``; one block per template
+    kind, of which only the conjugation block reads ``adj_mat``; and the
+    numerators ``x_num`` and ``w_num`` over det^h.  The matrix words read
+    none of it, and a natural or scalar action, which has no denominator,
+    forms det(g) only for a weight or an identity left with a power of it.
     """
 
     is_finite = False
@@ -538,52 +542,59 @@ class SymbolicGroupAction(_Spaces):
         self.g_identity = {v: int(k % (n + 1) == 0) for k, v in enumerate(self.g_vars)}
         # substitution tables of act_cleared, per (side, element, out_vars)
         self._tables: dict[tuple, dict[str, Poly]] = {}
+        self._blocks: dict[str, Matrix] = {}
 
-    def __getattr__(self, name: str):
-        # only a part of the generic element is missing until it is built
-        if name not in _GENERIC_PARTS:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self._build_generic()
-        return self.__dict__[name]
+    # -- the generic element, part by part ------------------------------------------
 
-    def _build_generic(self):
-        """g, det(g), adj(g) and the cleared action numerators, checked."""
+    @cached_property
+    def g_mat(self) -> Matrix:
+        return generic_matrix(self.n, self.g_vars, "g", self.field)
+
+    @cached_property
+    def det_poly(self) -> Poly:
         n = self.n
         if n > MAX_GENERIC_N:
             raise SpaceSizeError(
                 f"n: the generic element of GL_{n} is not built: its det(g) has "
                 f"{n}! = {math.factorial(n)} terms, more than the "
                 f"{math.factorial(MAX_GENERIC_N)} of n = {MAX_GENERIC_N}")
-        g = generic_matrix(n, self.g_vars, "g", self.field)
-        det, adj = g.det(), g.adjugate()
-        # one block per distinct template kind, shared when X and W match
-        specs = {spec.kind: spec for spec in (self.x_spec, self.w_spec)}
-        blocks = {kind: spec.block(g, adj) for kind, spec in specs.items()}
-        self._check_construction(g, det, adj, blocks)
-        self.g_mat, self.det_poly, self.adj_mat = g, det, adj
-        # action = num / det^det_power
-        self.x_num = _block_diagonal(blocks[self.x_spec.kind], self.x_spec.m)
-        self.w_num = _block_diagonal(blocks[self.w_spec.kind], self.w_spec.m)
+        return self.g_mat.det()
 
-    # -- sanity of the generic element -------------------------------------------
-
-    def _check_construction(self, g: Matrix, det: Poly, adj: Matrix,
-                            blocks: dict[str, Matrix]):
-        """block(id) == I for every template kind, and adj(g) g == det(g) I ==
-        g adj(g).  These make adj(g)/det(g) the two-sided inverse of g, so
-        the conjugation block M -> g M adj(g)/det(g) is an action by algebra
-        automorphisms that fixes I: the facts the template families'
-        certificates by construction rest on."""
-        one = field_one(self.field)
-        for num in blocks.values():
-            if any(e.eval(self.g_identity) != (one if i == j else 0)
-                   for i, row in enumerate(num.entries) for j, e in enumerate(row)):
-                raise ActionError("template does not specialize to the identity at g = id")
+    @cached_property
+    def adj_mat(self) -> Matrix:
+        """adj(g), checked by adj(g) g == det(g) I == g adj(g): adj(g)/det(g)
+        is then the two-sided inverse of g, so the conjugation block
+        M -> g M adj(g)/det(g) is an action by algebra automorphisms that
+        fixes I, the fact the word family's certificate rests on."""
+        g, det = self.g_mat, self.det_poly
+        adj = g.adjugate()
         det_i = Matrix.identity(self.n, det).scale(det)
         if adj * g != det_i:
             raise ActionError("adjugate check failed: adj(g) g != det(g) I")
         if g * adj != det_i:
             raise ActionError("adjugate check failed: g adj(g) != det(g) I")
+        return adj
+
+    def _block(self, spec: TemplateSpec) -> Matrix:
+        """The block of ``spec``'s kind, built once and checked to be I at g = id."""
+        block = self._blocks.get(spec.kind)
+        if block is None:
+            adj = self.adj_mat if spec.kind == "conjugation" else None
+            block = spec.block(self.g_mat, adj)
+            one = field_one(self.field)
+            if any(e.eval(self.g_identity) != (one if i == j else 0)
+                   for i, row in enumerate(block.entries) for j, e in enumerate(row)):
+                raise ActionError("template does not specialize to the identity at g = id")
+            self._blocks[spec.kind] = block
+        return block
+
+    @cached_property
+    def x_num(self) -> Matrix:
+        return _block_diagonal(self._block(self.x_spec), self.x_spec.m)
+
+    @cached_property
+    def w_num(self) -> Matrix:
+        return _block_diagonal(self._block(self.w_spec), self.w_spec.m)
 
     # -- cleared actions -----------------------------------------------------------
 
@@ -597,14 +608,16 @@ class SymbolicGroupAction(_Spaces):
     def element_label(self, element: str) -> str:
         return "the generic element"
 
-    def check_det(self, ring: tuple[str, ...]) -> Poly:
-        """det(g) over ``ring``, the denominator every cleared image is over."""
-        return self.det_poly.embed(ring)
+    def det_to(self, k: int, ring: tuple[str, ...]) -> Poly | None:
+        """det(g)^k over ``ring``; det(g)^0 is None, standing for 1."""
+        return self.det_poly.embed(ring) ** k if k else None
 
-    def w_cleared(self, element: str, ring: tuple[str, ...]) -> tuple[list[list[Poly]], int]:
-        """g_W as (numerator rows over ``ring``, det power)."""
+    def w_cleared(self, element: str, ring: tuple[str, ...]
+                  ) -> tuple[list[list[Poly]], None, int]:
+        """g_W as (numerator rows over ``ring``, denominator, det power): the
+        rows are over det^h alone, and the denominator None stands for 1."""
         return [[e.embed(ring) if e else e for e in row]
-                for row in self.w_num.entries], self.w_spec.det_power()
+                for row in self.w_num.entries], None, self.w_spec.det_power()
 
     def act_cleared(self, p: Poly, side: str = "x",
                     out_vars: tuple[str, ...] | None = None,
@@ -618,10 +631,10 @@ class SymbolicGroupAction(_Spaces):
         exactly when it holds for every p(g x).
         """
         out_vars = out_vars or tuple(dict.fromkeys(p.vars + self.g_vars))
-        return _cleared_substitution(self, p, side, out_vars, element,
-                                     {"x": (self.x_num.entries, self.x_spec.det_power()),
-                                      "w": (self.w_num.entries, self.w_spec.det_power())},
-                                     self.det_poly)
+        return _cleared_substitution(
+            self, p, side, out_vars, element,
+            lambda s: ((self.x_num.entries, self.x_spec.det_power()) if s == "x"
+                       else (self.w_num.entries, self.w_spec.det_power())))
 
     def act_on_poly(self, p: Poly | RatFn, side: str = "x") -> RatFn:
         """Function action p(g^{-1} x) by the generic element, as a rational
@@ -721,14 +734,14 @@ class Character:
     def value(self, i: int):
         return self.table[i]
 
-    def cleared(self, element, ring: tuple[str, ...]) -> tuple:
-        """theta at a check element as (numerator, denominator), None
-        standing for 1: the table value over 1 for a finite element, the
-        rational function's two polynomials over ``ring`` for the generic
-        one."""
+    def inverse_cleared(self, element, ring: tuple[str, ...]) -> tuple:
+        """theta^-1 at a check element as (rows, denominator, det power), the
+        1 x 1 M(g) of f(gx) = M(g) f(x) for f of weight theta: 1 over the
+        table value for a finite element, den over num of the rational
+        function, both over ``ring``, for the generic one."""
         if self.table is not None:
-            return self.table[element], None
-        return self.ratfn.num.embed(ring), self.ratfn.den.embed(ring)
+            return [[1]], self.table[element], 0
+        return [[self.ratfn.den.embed(ring)]], self.ratfn.num.embed(ring), 0
 
     def is_trivial(self) -> bool:
         if self.table is not None:

@@ -202,51 +202,56 @@ def _product(*factors):
     return out
 
 
-def _det_power(det, k: int):
-    return det ** k if k else None
+def _first_failure(action: GroupAction, coords, side: str, ring: tuple[str, ...],
+                   target) -> tuple | None:
+    """The first (element, coordinate, difference, nonzero) where F(gx) =
+    M(g) F(x) fails on a check element (the elements where it holds form a
+    subgroup), or None.  F is ``coords``, moved on ``side``, and
+    ``target(e, ring)`` gives M = rows / (den det^h) as (rows, den, h): g_W
+    for a covariant, theta^-1 for a relative invariant of weight theta, I
+    for invariants.  With F = nums/D, N_c(gx) = N'/det^a and D(gx) =
+    D'/det^b, coordinate c is N' den det^(b+h) D = (rows nums)_c D' det^a,
+    divided by det^min(b+h, a), so det(g) is formed only when the powers
+    differ.  Where ``difference`` and each of ``nonzero`` (None standing
+    for 1) are nonzero, the two sides of the identity differ."""
+    nums, den = common_denominator(coords)
+    nums_emb = [p.embed(ring) for p in nums]
+    den_emb = den.embed(ring) if den != 1 else None
+    for e in action.check_elements():
+        den_moved, b = (None, 0) if den_emb is None else action.act_cleared(den, side, ring, e)
+        rows, m_den, h = target(e, ring)
+        for c, p in enumerate(nums):
+            num_moved, a = action.act_cleared(p, side, ring, e)
+            rhs = Poly.zero(ring, action.field)
+            for entry, q in zip(rows[c], nums_emb):
+                if entry:
+                    rhs = rhs + (q if entry == 1 else q * entry)
+            low = min(b + h, a)
+            lhs = _product(num_moved, m_den, action.det_to(b + h - low, ring), den_emb)
+            rhs = _product(rhs, den_moved, action.det_to(a - low, ring))
+            if lhs != rhs:
+                return e, c, lhs - rhs, (den_emb, den_moved, m_den, action.det_to(1, ring))
+    return None
 
 
 def _equivariance_witness(F: Covariant) -> dict | None:
-    """None if F(gx) = g_W F(x) holds for every check element of F's action
-    (the stabilizer of F being a subgroup, for every element); else a witness.
-
-    With F = nums/den, N(gx) = N'/det^a, den(gx) = D'/det^b and
-    g_W = W/det^p, coordinate c is the cleared identity
-    N'_c det^(b+p) den = (W nums)_c D' det^a.
-    """
+    """None if F(gx) = g_W F(x) holds for every element, else a witness: the
+    element, the coordinate, and the first candidate point of the check's
+    ring (x, and g for the generic element) where the cleared difference and
+    each of its ``nonzero`` factors are nonzero, so that the sides differ."""
     action = F.action
-    nums, den = common_denominator(F.coords)
     ring = action.x_vars + action.g_vars
-    det = action.check_det(ring)
-    nums_emb = [p.embed(ring) for p in nums]
-    den_emb = den.embed(ring)
-    for e in action.check_elements():
-        moved = [action.act_cleared(p, "x", ring, e) for p in nums]
-        den_moved, b = action.act_cleared(den, "x", ring, e)
-        w, pw = action.w_cleared(e, ring)
-        for c, (num_moved, a) in enumerate(moved):
-            rhs = Poly.zero(ring, action.field)
-            for l, entry in enumerate(w[c]):
-                if entry:
-                    rhs = rhs + nums_emb[l] * entry
-            lhs = _product(num_moved, _det_power(det, b + pw), den_emb)
-            rhs = _product(rhs, den_moved, _det_power(det, a))
-            if lhs != rhs:
-                point = _separating_point(lhs - rhs, (den_emb, den_moved, det), ring,
-                                          action.field)
-                return {"element": e, "coordinate": c, "point": point}
-    return None
-
-
-def _separating_point(diff: Poly, nonzero, ring, field) -> str | None:
-    """The first candidate point over the check's ring where the cleared
-    difference is nonzero and each of ``nonzero`` (den, den(gx) and det;
-    None stands for 1) is too: there F(gx) and g_W F(x) differ."""
+    failure = _first_failure(action, F.coords, "x", ring, action.w_cleared)
+    if failure is None:
+        return None
+    e, c, diff, nonzero = failure
+    witness = {"element": e, "coordinate": c, "point": None}
     for point in candidate_points(len(ring), random.Random(17)):
-        vals = _point_dict(ring, point, field)
+        vals = _point_dict(ring, point, action.field)
         if all(p is None or p.eval(vals) for p in nonzero) and diff.eval(vals):
-            return str(dict(zip(ring, point)))
-    return None
+            witness["point"] = str(dict(zip(ring, point)))
+            break
+    return witness
 
 
 def verify_equivariance(F: Covariant) -> Report:
@@ -362,29 +367,17 @@ class RelativeInvariant:
 
 def _is_relative_invariant(action: GroupAction, f: Poly | RatFn,
                            weight: Character) -> bool:
-    """g.f = theta(g) f for every g exactly when f(gx) theta(g) = f(x) for
-    every g (put gx for x).  With f = N/D, N(gx) = N'/det^a, D(gx) = D'/det^b
-    and theta(g) = tn/td, that is N' tn det^b D = N td det^a D' on each check
-    element; a polynomial f has no D.  A nonzero f determines its weight,
-    which is a character, so a finite weight table that is not one is
-    refused without a substitution."""
+    """g.f = theta(g) f for every g exactly when f(gx) = theta(g)^-1 f(x)
+    for every g (put gx for x): the covariant identity of f into the line
+    of weight theta^-1, decided on each check element.  A nonzero f
+    determines its weight, which is a character, so a finite weight table
+    that is not one is refused without a substitution."""
     if f.is_zero():
         return True
     if weight.table is not None and not weight.check_multiplicative():
         return False
-    num, den = (f.num, f.den) if isinstance(f, RatFn) else (f, None)
     ring = tuple(dict.fromkeys(f.vars + action.g_vars))
-    det = action.check_det(ring)
-    num_emb = num.embed(ring)
-    den_emb = den.embed(ring) if den is not None else None
-    for e in action.check_elements():
-        theta_num, theta_den = weight.cleared(e, ring)
-        num_moved, a = action.act_cleared(num, "x", ring, e)
-        den_moved, b = action.act_cleared(den, "x", ring, e) if den is not None else (None, 0)
-        if (_product(num_moved, theta_num, _det_power(det, b), den_emb)
-                != _product(num_emb, theta_den, _det_power(det, a), den_moved)):
-            return False
-    return True
+    return _first_failure(action, [f], "x", ring, weight.inverse_cleared) is None
 
 
 def weight_of(action: GroupAction, f: Poly) -> Character | None:
@@ -410,7 +403,7 @@ def weight_of(action: GroupAction, f: Poly) -> Character | None:
     # g.f = theta(g) f with theta(g) = f(x) / f(gx) = f det^k / num
     num, k = action.act_cleared(f, "x")
     ring = num.vars
-    theta = RatFn(f.embed(ring) * action.det_poly.embed(ring) ** k, num)
+    theta = RatFn(_product(f.embed(ring), action.det_to(k, ring)), num)
     if set(theta.support_vars()) - set(action.g_vars):
         return None
     return Character(action, ratfn=_restrict(theta, action.g_vars))

@@ -1134,13 +1134,6 @@ class Matrix:
             return 0
         return len(self._echelon_ff()[1])
 
-    def kernel_vector(self) -> list[RatFn] | None:
-        """One kernel vector over the fraction field, or None if full column
-        rank; see :func:`echelon_kernel`."""
-        if self.rows == 0 or self.cols == 0:
-            return None
-        return echelon_kernel(*self._echelon_ff()[:2])
-
     def __str__(self):
         return "[" + "; ".join(", ".join(str(x) for x in row) for row in self.entries) + "]"
 

@@ -438,8 +438,10 @@ def matrix_word_family(n: int, words: list[tuple[int, int]] | None = None,
     projections onto one copy.  The word I is, as g I adj(g) = det(g) I.
     A longer word is by the product argument: the block is multiplicative,
     as adj(g) g = det(g) I, so the images of A and B multiply to the image
-    of A^i B^j.  The action checked both adjugate identities when it was
-    built.  The family lives on ``group`` when given (which must be that
+    of A^i B^j.  Both adjugate identities are theorems over any
+    commutative ring; the action checks them on the one adj(g) it forms,
+    when a conjugation block is first built, and the family reads neither.
+    The family lives on ``group`` when given (which must be that
     conjugation action), else on a new action.
 
     The words are kept as programs (i, j) over one shared

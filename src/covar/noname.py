@@ -38,8 +38,7 @@ from .covariant import (
     Covariant,
     DependentCovariantsError,
     RelativeInvariant,
-    _det_power,
-    _product,
+    _first_failure,
     det_relative_invariant,
     ensure_equivariant,
     require_certified,
@@ -393,17 +392,13 @@ def linearize_isomorphism(coords: list[Poly], action: GroupAction,
 
 
 def _map_invariance_failure(coords: list[Poly], action: GroupAction, ring):
-    """The first (coordinate, element) with p(gx, g_W w) != p(x, w) over the
-    check elements, the elements fixing a coordinate forming a subgroup; with
-    p(gx, g_W w) = N/det^k that is N == p det^k."""
-    ring = tuple(ring) + action.g_vars
-    det = action.check_det(ring)
-    for e in action.check_elements():
-        for i, p in enumerate(coords):
-            moved, k = action.act_cleared(p, "xw", ring, e)
-            if moved != _product(p.embed(ring), _det_power(det, k)):
-                return i, action.element_label(e)
-    return None
+    """The first (coordinate, element label) with p(gx, g_W w) != p(x, w)
+    over the check elements: the covariant identity of the map into the
+    trivial module, whose M(g) is I."""
+    identity = [[int(i == j) for j in range(len(coords))] for i in range(len(coords))]
+    failure = _first_failure(action, coords, "xw", tuple(ring) + action.g_vars,
+                             lambda e, ring: (identity, None, 0))
+    return None if failure is None else (failure[1], action.element_label(failure[0]))
 
 
 def _unit_inverse(det: Poly, f: Poly | None, action: GroupAction) -> RatFn | None:

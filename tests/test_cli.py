@@ -292,10 +292,11 @@ def test_conjugation_copies_run_out_of_letters_only_past_22(tmp_path, copies, co
 
 
 def test_a_generic_element_past_the_bound_exits_two(tmp_path):
-    """Explicit covariants on GL_8 need the generic element, whose det(g)
-    has 8! terms: the first read refuses it at once, naming n."""
-    problem = _symbolic_group(n=8, x_copies=8)
-    problem["covariants"] = [[f"x{i}{j}" for i in range(1, 9)] for j in range(1, 9)]
+    """Explicit covariants on GL_8 conjugation need det(g), which has 8!
+    terms: the first read refuses it at once, naming n."""
+    problem = _symbolic_group(n=8, x_template="gl_conjugation",
+                              w_template="gl_conjugation")
+    problem["covariants"] = [[f"a{i}{j}" for i in range(1, 9) for j in range(1, 9)]]
     path = _write_problem(tmp_path, problem)
     start = time.perf_counter()
     code, out, err = run_cli(["verify", path])
@@ -308,15 +309,31 @@ def test_a_generic_element_past_the_bound_exits_two(tmp_path):
 @pytest.fixture
 def generic_calls(monkeypatch):
     """By name, every call of det, adjugate, a template block or the build
-    of a generic element."""
+    of an action's generic g (not the g and h that
+    ``Character.check_multiplicative`` makes)."""
     calls = []
-    for owner, name in ((Matrix, "det"), (Matrix, "adjugate"), (TemplateSpec, "block"),
-                        (SymbolicGroupAction, "_build_generic")):
-        def spy(*args, _fn=getattr(owner, name), _name=name):
-            calls.append(_name)
+    for owner, name, label in ((Matrix, "det", "det"), (Matrix, "adjugate", "adjugate"),
+                               (TemplateSpec, "block", "block"),
+                               (SymbolicGroupAction.__dict__["g_mat"], "func", "g_mat")):
+        def spy(*args, _fn=getattr(owner, name), _label=label):
+            calls.append(_label)
             return _fn(*args)
         monkeypatch.setattr(owner, name, spy)
     return calls
+
+
+@pytest.mark.parametrize("command", ["verify", "independence", "module-verdict"])
+def test_natural_coordinates_at_n_8_form_no_determinant(tmp_path, command, generic_calls):
+    """x -> g x has no denominator, so the coordinate covariants of eight
+    copies of k^8 are certified on GL_8 with no det(g), whose 8! terms
+    are refused, and no adj(g)."""
+    problem = _symbolic_group(n=8, x_copies=8)
+    problem["covariants"] = [[f"x{i}{j}" for i in range(1, 9)] for j in range(1, 9)]
+    path = _write_problem(tmp_path, problem)
+    start = time.perf_counter()
+    assert run_cli([command, path])[0] == 0
+    assert time.perf_counter() - start < 1.0
+    assert "det" not in generic_calls and "adjugate" not in generic_calls
 
 
 @pytest.mark.parametrize("preset", ["matrix_words_gl2", "matrix_words_gl3"])
@@ -344,9 +361,9 @@ def test_noname_build_builds_no_generic_element_and_verify_builds_one(tmp_path,
                                                                       generic_calls):
     cert = str(tmp_path / "cert.json")
     assert run_cli(["noname-build", "matrix_words_gl2", "--out", cert])[0] == 0
-    assert "_build_generic" not in generic_calls
+    assert "g_mat" not in generic_calls
     assert run_cli(["noname-verify", cert])[0] == 0
-    assert generic_calls.count("_build_generic") == 1
+    assert generic_calls.count("g_mat") == 1
 
 
 def test_generate_command():

@@ -101,7 +101,7 @@ def test_transpose_is_refuted(conj2):
     ("gl_conjugation", ["a11", "a21", "a12", "a22"], None),
     ("gl_natural", ["x21", "x11"], None),
     ("gl_natural", ["x21", "x11"], 5),
-    # the first candidate where the two sides differ as polynomials has det(g) = 0
+    # the two sides differ by g12 (x21 - x11) in the first coordinate
     ("gl_natural", ["x11", "x11"], None),
 ], ids=["gl2-transpose", "swapped-natural", "gf5-swapped-natural", "first-coordinate-twice"])
 def test_symbolic_refutation_point_is_a_genuine_refutation(template, coords, prime):
@@ -148,6 +148,25 @@ def test_refutation_witness_avoids_poles_of_the_moved_map(s2):
     F = Covariant(s2, [RatFn(x1, x1 + 1), RatFn(x2, x2 + 2)])
     witness = verify_equivariance(F).failed_checks()[0].witness
     assert witness == {"element": 1, "coordinate": 0, "point": "{'x1': 0, 'x2': 1}"}
+
+
+@pytest.mark.parametrize("n,template,coords,point", [
+    (2, "gl_natural", ["x11^2", "x21"],
+     "{'x11': -3, 'x21': -2, 'g11': -1, 'g12': 0, 'g21': 1, 'g22': 2}"),
+    # coordinate 1 clears det^2 on the left and det^1 on the right
+    (2, "gl_conjugation", ["a11^2", "a12", "a21", "a22"],
+     "{'a11': 7, 'a12': 4, 'a21': 0, 'a22': 2, 'g11': 0, 'g12': -4, 'g21': 8, 'g22': -1}"),
+    # the first candidate where the sides differ has g11 = det(g) = 0
+    (1, "scalar", ["x1 + 1"], "{'x1': -2, 'g11': -1}"),
+], ids=["gl2-natural", "gl2-conjugation", "scalar"])
+def test_symbolic_refutation_witness_is_pinned(n, template, coords, point):
+    """The whole witness of a refuted covariant on each symbolic template.
+    Dividing the cleared difference by a common power of det(g) leaves the
+    points where it is nonzero, and so the first of them, unchanged."""
+    G = symbolic_general_linear(n, template, template)
+    F = Covariant(G, [Poly.parse(c, G.x_vars) for c in coords])
+    witness = verify_equivariance(F).failed_checks()[0].witness
+    assert witness == {"element": "generic", "coordinate": 0, "point": point}
 
 
 def test_covariant_matrix_examples(vandermonde_pair):
@@ -412,6 +431,19 @@ def test_non_character_weight_is_refused_without_a_substitution(monkeypatch):
     monkeypatch.setattr(FiniteGroupAction, "act_cleared",
                         lambda *args: pytest.fail("substituted into f"))
     assert not _is_relative_invariant(G, f, Character(G, table=table))
+
+
+def test_relative_invariance_reads_the_inverse_of_the_weight():
+    """x -> 2x over GF(5) has order 4, so x1 has a weight theta with
+    theta(g) = 1/2 = 3 that is not its own inverse: theta passes, and
+    theta^-1 is refused."""
+    F5 = PrimeField(5)
+    G = make_finite_group([([["2"]], [["2"]])], field=F5)
+    f = Poly.var("x1", G.x_vars, F5)
+    theta = weight_of(G, f)
+    assert theta.value(G.generators[0]) == 3
+    assert _is_relative_invariant(G, f, theta)
+    assert not _is_relative_invariant(G, f, Character(G, table=[1 / v for v in theta.table]))
 
 
 def test_weight_of_symbolic_scalar(scalar_action):
