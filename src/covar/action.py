@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from operator import add, itemgetter, mul
 
 from .exactalg import (
     Coeff,
@@ -50,11 +51,9 @@ from .exactalg import (
     coeff_div,
     field_one,
     field_zero,
-    qmat,
+    int_rank_det,
+    lift_coeff,
     qmat_det,
-    qmat_identity,
-    qmat_inv,
-    qmat_mul,
 )
 
 
@@ -269,24 +268,36 @@ def make_finite_group(generators: list[tuple], x_vars: tuple[str, ...] | None = 
 
     The w-images must define a homomorphism from the generated matrix group;
     a collision (same x-matrix reached with two different w-matrices) is
-    reported as an error.  Closure past ``max_order`` pairs aborts.  The
-    products computed on the way are kept as the Cayley table ``right``, and
-    the inverses are read off the breadth-first tree.
+    reported as an error.  Closure past ``max_order`` pairs aborts.
+
+    All of it is integer work.  Each generator entry is read straight to an
+    integer form (:func:`_int_form`), invertibility is decided by
+    ``int_rank_det`` on the numerators (the representatives mod p), and each
+    generator is compiled into gather layers (:func:`_layers`), so a product
+    is one gather per layer plus one gcd.  The products fill the Cayley
+    table ``right``; the inverses are read off it, with no inverse formed.
     """
     if not generators:
         raise ActionError("at least one generator pair is required")
-    gen_pairs = [(qmat(x, field), qmat(w, field)) for x, w in generators]
+    gen_pairs = [([[lift_coeff(e, field) for e in row] for row in x],
+                  [[lift_coeff(e, field) for e in row] for row in w]) for x, w in generators]
     nx = len(gen_pairs[0][0])
     nw = len(gen_pairs[0][1])
+    p = field.p if field is not None else None
+    gens = []
     for gx, gw in gen_pairs:
         if len(gx) != nx or any(len(r) != nx for r in gx):
             raise DimensionError("x-generators must be square and of equal size")
         if len(gw) != nw or any(len(r) != nw for r in gw):
             raise DimensionError("w-generators must be square and of equal size")
-        if not qmat_det(gx, field):
-            raise ActionError("x-generator is not invertible")
-        if not qmat_det(gw, field):
-            raise ActionError("w-generator is not invertible")
+        pair = []
+        for side, m, n in (("x", gx, nx), ("w", gw, nw)):
+            form = _int_form(m, p)
+            nums = form[1]
+            if not int_rank_det([nums[r:r + n] for r in range(0, n * n, n)], p)[1]:
+                raise ActionError(f"{side}-generator is not invertible")
+            pair.append(_layers(form, n))
+        gens.append(pair)
     x_vars = tuple(x_vars) if x_vars else vector_names("x", nx)
     w_vars = tuple(w_vars) if w_vars else vector_names("w", nw)
     if len(x_vars) != nx or len(w_vars) != nw:
@@ -297,11 +308,8 @@ def make_finite_group(generators: list[tuple], x_vars: tuple[str, ...] | None = 
     # breadth first over integer forms: the loop walks the element lists
     # while they grow, and each product with a generator fills one
     # Cayley-table entry
-    p = field.p if field is not None else None
-    gens = [(_sparse_rows(_int_form(gx, p), nx), _sparse_rows(_int_form(gw, p), nw))
-            for gx, gw in gen_pairs]
-    x_forms = [_int_form(qmat_identity(nx, field), p)]
-    w_forms = [_int_form(qmat_identity(nw, field), p)]
+    x_forms = [(1, _identity_nums(nx))]
+    w_forms = [(1, _identity_nums(nw))]
     index = {x_forms[0]: 0}
     # element j > 0 was first reached as parent[j] times generator via[j]
     parent, via = [0], [0]
@@ -309,7 +317,7 @@ def make_finite_group(generators: list[tuple], x_vars: tuple[str, ...] | None = 
     for i, (cur_x, cur_w) in enumerate(zip(x_forms, w_forms)):
         row = []
         for k, (gx, gw) in enumerate(gens):
-            nxt_x = _int_mul(cur_x, gx, nx, p)
+            nxt_x = _int_mul(cur_x, gx, p)
             j = index.get(nxt_x)
             if j is None:
                 if len(x_forms) >= max_order:
@@ -317,22 +325,17 @@ def make_finite_group(generators: list[tuple], x_vars: tuple[str, ...] | None = 
                         f"closure exceeded the cap of {max_order} elements")
                 j = index[nxt_x] = len(x_forms)
                 x_forms.append(nxt_x)
-                w_forms.append(_int_mul(cur_w, gw, nw, p))
+                w_forms.append(_int_mul(cur_w, gw, p))
                 parent.append(i)
                 via.append(k)
-            elif w_forms[j] != _int_mul(cur_w, gw, nw, p):
+            elif w_forms[j] != _int_mul(cur_w, gw, p):
                 raise ActionError(
                     "w-images do not define a homomorphism: one x-matrix "
                     "carries two distinct w-matrices")
             row.append(j)
         right.append(row)
+    inv = _inverses(right, parent, via)
 
-    # (parent g_k)^-1 = g_k^-1 parent^-1, and the parent is found first
-    gen_invs = [_int_form(qmat_inv(gx, field), p) for gx, _ in gen_pairs]
-    inv = [0]
-    for j in range(1, len(x_forms)):
-        inv.append(index[_int_mul(gen_invs[via[j]],
-                                  _sparse_rows(x_forms[inv[parent[j]]], nx), nx, p)])
     # rows repeat across elements, so each distinct (den, numerators) row is
     # lifted to field elements once
     rows: dict[tuple, tuple[Coeff, ...]] = {}
@@ -355,7 +358,35 @@ def make_finite_group(generators: list[tuple], x_vars: tuple[str, ...] | None = 
                              w_vars, right[0], right, inv, field)
 
 
-def _int_form(m: QMat, p: int | None) -> tuple[int, tuple[int, ...]]:
+def _inverses(right: list[list[int]], parent: list[int], via: list[int]) -> list[int]:
+    """inv[j], read off the Cayley table of a breadth-first closure.
+
+    Left multiplication L_k by generator k commutes with every right
+    multiplication, so L_k[0] = right[0][k] and, for j = parent[j] g_via[j],
+    L_k[j] = right[L_k[parent[j]]][via[j]].  Then j^-1 = g_via[j]^-1
+    parent[j]^-1 is L_via[j]^-1 at inv[parent[j]], and the parent comes
+    first in the closure order.
+    """
+    order = len(right)
+    left_inv = {}
+    for k in dict.fromkeys(via[1:]):
+        left = [right[0][k]]
+        for j in range(1, order):
+            left.append(right[left[parent[j]]][via[j]])
+        # the inverse permutation: position t holds the j with left[j] = t
+        left_inv[k] = sorted(range(order), key=left.__getitem__)
+    inv = [0]
+    for j in range(1, order):
+        inv.append(left_inv[via[j]][inv[parent[j]]])
+    return inv
+
+
+def _identity_nums(n: int) -> tuple[int, ...]:
+    """The flattened n x n identity."""
+    return tuple(int(k % (n + 1) == 0) for k in range(n * n))
+
+
+def _int_form(m, p: int | None) -> tuple[int, tuple[int, ...]]:
     """The canonical integer form of a scalar matrix: over Q, (den, flattened
     integer numerators) with den > 0 coprime to their content; over GF(p),
     (1, the representatives in [0, p)).  Equal matrices have equal forms."""
@@ -365,35 +396,51 @@ def _int_form(m: QMat, p: int | None) -> tuple[int, tuple[int, ...]]:
     return den, tuple(e.numerator * (den // e.denominator) for row in m for e in row)
 
 
-def _sparse_rows(form: tuple[int, tuple[int, ...]], n: int) -> tuple:
-    """(den, rows of (column, numerator) pairs for the nonzero entries)."""
+def _layers(form: tuple[int, tuple[int, ...]], n: int) -> tuple[int, list]:
+    """(den, layers) of a generator b: b = sum_t B_t, where B_t takes the
+    t-th nonzero of each column, so (a B_t)[i][c] = a[i][s] B_t[s][c] for
+    the one row s of that nonzero.  A layer is (gather, scales): the gather
+    takes a's flat numerators to the a[i][s] at each flat (i, c), and the
+    scales are the B_t[s][c] at each (i, c), 0 where column c has no t-th
+    nonzero, or None when every one is 1.  A permutation or monomial
+    generator has one layer."""
     den, nums = form
-    return den, tuple(tuple((c, v) for c, v in enumerate(nums[r * n:(r + 1) * n]) if v)
-                      for r in range(n))
+    cols = [[(s, nums[s * n + c]) for s in range(n) if nums[s * n + c]] for c in range(n)]
+    layers = []
+    # one layer at least: a zero matrix (a Y-matrix need not be invertible) gathers zeros
+    for t in range(max([1, *map(len, cols)])):
+        picks = [col[t] if t < len(col) else (0, 0) for col in cols]
+        idx = [r + s for r in range(0, n * n, n) for s, _ in picks]
+        scales = tuple(v for _ in range(n) for _, v in picks)
+        # with n = 1, itemgetter of one index returns the entry, not a tuple
+        gather = itemgetter(*idx) if n > 1 else lambda nums: nums
+        layers.append((gather, None if scales.count(1) == len(scales) else scales))
+    return den, layers
 
 
-def _int_mul(a: tuple[int, tuple[int, ...]], b: tuple, n: int,
+def _int_mul(a: tuple[int, tuple[int, ...]], b: tuple,
              p: int | None) -> tuple[int, tuple[int, ...]]:
-    """The canonical form of a b, with b given by :func:`_sparse_rows`: one
-    integer product that skips zeros (mod p over GF(p)), then one gcd."""
+    """The canonical form of a b, with b given by :func:`_layers`: one
+    gather per layer, scaled and summed, then reduced mod p over GF(p) or
+    by one gcd over Q."""
     den_a, nums = a
-    den_b, rows = b
-    acc = [0] * (n * n)
-    for k, x in enumerate(nums):
-        if x:
-            r, s = divmod(k, n)
-            r *= n
-            for c, y in rows[s]:
-                acc[r + c] += x * y
+    den_b, layers = b
+    acc = None
+    for gather, scales in layers:
+        part = gather(nums)
+        if scales is not None:
+            part = map(mul, part, scales)
+        acc = part if acc is None else map(add, acc, part)
     if p is not None:
-        return 1, tuple(v % p for v in acc)
+        return 1, tuple(map(p.__rmod__, acc))
+    acc = tuple(acc)
     den = den_a * den_b
     if den != 1:
         g = math.gcd(den, *acc)
         if g != 1:
             den //= g
-            acc = [v // g for v in acc]
-    return den, tuple(acc)
+            acc = tuple(map(g.__rfloordiv__, acc))
+    return den, acc
 
 
 # ---------------------------------------------------------------------------
@@ -825,14 +872,19 @@ def extend_finite_action(action: FiniteGroupAction, y_vars: tuple[str, ...],
     if set(y_vars) & (set(action.x_vars) | set(action.w_vars)):
         raise ActionError("variable-name collision between X and Y")
     ny = len(y_vars)
-    zero = field_zero(action.field)
-    ys = [qmat(y, action.field) for y in y_mats]
+    field = action.field
+    zero = field_zero(field)
+    ys = [[[lift_coeff(e, field) for e in row] for row in y] for y in y_mats]
     if any(len(y) != ny or any(len(r) != ny for r in y) for y in ys):
         raise DimensionError("Y-matrix size does not match y_vars")
-    # the product action keeps the Cayley table only if Y is a homomorphism
-    if ys[action.identity] != qmat_identity(ny, action.field) or any(
-            qmat_mul(ys[i], ys[g]) != ys[j]
-            for i, row in enumerate(action.right) for j, g in zip(row, action.generators)):
+    # the product action keeps the Cayley table only if Y is a homomorphism,
+    # checked on integer forms with the closure's product
+    p = field.p if field is not None else None
+    forms = [_int_form(y, p) for y in ys]
+    gens = [_layers(forms[g], ny) for g in action.generators]
+    if forms[action.identity] != (1, _identity_nums(ny)) or any(
+            _int_mul(forms[i], b, p) != forms[j]
+            for i, row in enumerate(action.right) for j, b in zip(row, gens)):
         raise ActionError("Y-matrices do not define a homomorphism")
     new_mats = []
     for m, y in zip(action.x_mats, ys):

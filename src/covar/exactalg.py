@@ -243,6 +243,16 @@ def coeff_div(a: Coeff, b: Coeff) -> Coeff:
     return _rational(q) if type(q) is Fraction else q
 
 
+def _read_rational(text: str) -> int | Fraction:
+    """A rational string as an int when ``int`` reads it, which agrees with
+    ``Fraction`` wherever it succeeds, else as ``_rational(Fraction(text))``;
+    a string neither reads raises ``ValueError``."""
+    try:
+        return int(text)
+    except ValueError:
+        return _rational(Fraction(text))
+
+
 def lift_coeff(value, field: PrimeField | None) -> Coeff:
     """Lift an int, Fraction, string, or field element into the coefficient
     field; over Q an integral value becomes an int."""
@@ -252,7 +262,7 @@ def lift_coeff(value, field: PrimeField | None) -> Coeff:
         if isinstance(value, Fraction):
             return _rational(value)
         if isinstance(value, str):
-            return _rational(Fraction(value))
+            return _read_rational(value)
         raise ExactAlgError(f"cannot use {value!r} as a rational coefficient")
     if isinstance(value, FpElem):
         if value.field.p != field.p:
@@ -263,7 +273,8 @@ def lift_coeff(value, field: PrimeField | None) -> Coeff:
     if isinstance(value, Fraction):
         return field.from_fraction(value)
     if isinstance(value, str):
-        return field.from_fraction(Fraction(value))
+        value = _read_rational(value)
+        return field(value) if type(value) is int else field.from_fraction(value)
     raise ExactAlgError(f"cannot use {value!r} as a GF({field.p}) coefficient")
 
 
@@ -1223,10 +1234,10 @@ def qmat_identity(n: int, field: PrimeField | None = None) -> QMat:
 
 
 def qmat_mul(a: QMat, b: QMat) -> QMat:
-    """Product of scalar matrices, skipping zero entries.  Group closure
-    does not use it: ``make_finite_group`` multiplies integer forms.  It
-    serves checks on a closed group, such as the Y-homomorphism check of
-    ``extend_finite_action``, and the matrix words at integer points."""
+    """Product of scalar matrices, skipping zero entries.  Finite groups do
+    not use it: ``make_finite_group`` and the Y-homomorphism check of
+    ``extend_finite_action`` multiply integer forms by gathers.  It serves
+    the matrix words at integer points."""
     if len(a[0]) != len(b):
         raise DimensionError("scalar matrix shapes do not match")
     zero = b[0][0] - b[0][0]
@@ -1246,28 +1257,6 @@ def qmat_det(a: QMat, field: PrimeField | None = None) -> Coeff:
     if any(len(row) != len(a) for row in a):
         raise DimensionError("determinant of a non-square scalar matrix")
     return qmat_rank_det(a, field)[1]
-
-
-def qmat_inv(a: QMat, field: PrimeField | None = None) -> QMat:
-    n = len(a)
-    ident = qmat_identity(n, field)
-    m = [list(row) + list(ident_row) for row, ident_row in zip(a, ident)]
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if m[i][k]:
-                pivot = i
-                break
-        if pivot is None:
-            raise ExactAlgError("scalar matrix is singular")
-        m[k], m[pivot] = m[pivot], m[k]
-        pv = m[k][k]
-        m[k] = [coeff_div(x, pv) for x in m[k]]
-        for i in range(n):
-            if i != k and m[i][k]:
-                f = m[i][k]
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return tuple(tuple(row[n:]) for row in m)
 
 
 def qmat_rank(a: Sequence[Sequence[Coeff]]) -> int:

@@ -7,11 +7,35 @@ from covar import (
     symbolic_general_linear,
     verified,
 )
-from covar.exactalg import qmat_mul
+from covar.exactalg import ExactAlgError, coeff_div, qmat_identity, qmat_mul
 
 SWAP = [["0", "1"], ["1", "0"]]
 CYCLE3 = [["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]]
 SWAP3 = [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]]
+
+
+def qmat_inv(a, field=None):
+    """Gauss-Jordan inverse of a scalar matrix: the reference inverse of the
+    closure tests, which the library never forms."""
+    n = len(a)
+    ident = qmat_identity(n, field)
+    m = [list(row) + list(ident_row) for row, ident_row in zip(a, ident)]
+    for k in range(n):
+        pivot = None
+        for i in range(k, n):
+            if m[i][k]:
+                pivot = i
+                break
+        if pivot is None:
+            raise ExactAlgError("scalar matrix is singular")
+        m[k], m[pivot] = m[pivot], m[k]
+        pv = m[k][k]
+        m[k] = [coeff_div(x, pv) for x in m[k]]
+        for i in range(n):
+            if i != k and m[i][k]:
+                f = m[i][k]
+                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return tuple(tuple(row[n:]) for row in m)
 
 
 def group_mul(G, g, h):

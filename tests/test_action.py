@@ -19,19 +19,20 @@ from covar.action import (
     symbolic_general_linear,
 )
 from covar import action as action_module
+from covar import exactalg as exactalg_module
 from covar.exactalg import (
     DimensionError,
+    ExactAlgError,
     Matrix,
     Poly,
     PrimeField,
     RatFn,
     qmat,
     qmat_identity,
-    qmat_inv,
     qmat_mul,
 )
 
-from conftest import CYCLE3, SWAP, SWAP3, group_mul
+from conftest import CYCLE3, SWAP, SWAP3, group_mul, qmat_inv
 
 
 def test_swap_closure_order_two():
@@ -538,19 +539,45 @@ def _naive_closure(generators, field=None):
     return xs, ws, right, inv, right[0]
 
 
+def test_reference_inverse():
+    m = qmat([["0", "1"], ["1", "0"]])
+    assert qmat_inv(m) == m
+    m = qmat([["1/2", "-3/2"], ["1/2", "1/2"]])
+    assert qmat_mul(m, qmat_inv(m)) == qmat_identity(2)
+    F7 = PrimeField(7)
+    m = qmat([["0", "-1"], ["1", "-1"]], F7)
+    assert qmat_mul(qmat_inv(m, F7), m) == qmat_identity(2, F7)
+    with pytest.raises(ExactAlgError, match="singular"):
+        qmat_inv(qmat([["1", "2"], ["2", "4"]]))
+
+
 IDENTITY3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+# the signed permutations of two coordinates, B2: the quarter turn and the swap
+QUARTER_TURN = [["0", "-1"], ["1", "0"]]
+# order 3, with two nonzeros in its second column
+ROTATION3 = [["0", "-1"], ["1", "-1"]]
 
 
 @pytest.mark.parametrize("generators,field,order", [
     (_symmetric_generators(3), None, 6),
     (_symmetric_generators(4), None, 24),
     (_symmetric_generators(5), None, 120),
+    (_symmetric_generators(6), None, 720),
     # the 3-cycle conjugated by diag(1, 2, 3), acting on W as the 3-cycle
     ([([["0", "0", "1/3"], ["2", "0", "0"], ["0", "3/2", "0"]], CYCLE3)], None, 3),
     ([([["0", "1"], ["4", "0"]], [["2"]])], PrimeField(5), 4),
     ([(IDENTITY3, IDENTITY3), (SWAP3, SWAP3), (CYCLE3, CYCLE3), (SWAP3, SWAP3)],
      None, 6),
-], ids=["s3", "s4", "s5", "rational-entries", "gf5", "identity-and-repeat"])
+    ([([["-1"]], [["-1"]])], None, 2),
+    ([([["3"]], [["1"]])], PrimeField(7), 6),
+    ([(QUARTER_TURN, QUARTER_TURN), (SWAP, SWAP)], None, 8),
+    ([(ROTATION3, ROTATION3)], None, 3),
+    ([(ROTATION3, ROTATION3)], PrimeField(7), 3),
+    ([(ROTATION3, [["1"]]), (SWAP, [["-1"]])], None, 6),
+    ([(CYCLE3, ROTATION3), (SWAP3, [["0", "1"], ["1", "0"]])], None, 6),
+], ids=["s3", "s4", "s5", "s6", "rational-entries", "gf5", "identity-and-repeat",
+        "one-by-one", "one-by-one-gf7", "b2", "two-nonzeros-in-a-column",
+        "two-nonzeros-in-a-column-gf7", "w-of-size-one", "x-three-w-two"])
 def test_closure_matches_a_naive_reference(generators, field, order):
     G = make_finite_group(generators, field=field)
     x_mats, w_mats, right, inv, gens = _naive_closure(generators, field)
@@ -559,22 +586,24 @@ def test_closure_matches_a_naive_reference(generators, field, order):
     assert G.right == right and G.inv == inv and G.generators == gens
 
 
-def test_closure_inverts_each_generator_once_and_multiplies_no_matrix(monkeypatch):
-    calls = {"qmat_inv": 0, "qmat_mul": 0}
+def test_closure_forms_no_matrix_product_inverse_or_determinant(monkeypatch):
+    calls = dict.fromkeys(("qmat_det", "qmat_mul", "qmat_inv", "_int_mul"), 0)
 
-    def counted(name):
-        original = getattr(action_module, name)
-
+    def counted(name, original):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(action_module, name, counted(name))
+    for module in (action_module, exactalg_module):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     G = make_finite_group(_symmetric_generators(5))
     assert G.order == 120
-    assert calls == {"qmat_inv": 2, "qmat_mul": 0}
+    # one product on each side per Cayley-table entry, and none for an inverse
+    assert calls == {"qmat_det": 0, "qmat_mul": 0, "qmat_inv": 0,
+                     "_int_mul": 2 * G.order * len(G.generators)}
 
 
 def test_cayley_table_agrees_with_products():
@@ -601,3 +630,15 @@ def test_extend_finite_action_rejects_non_homomorphic_y():
     G = make_finite_group([(SWAP, SWAP)])
     with pytest.raises(ActionError, match="homomorphism"):
         extend_finite_action(G, ("y1", "y2"), [SWAP, SWAP])
+    identity = [["1", "0"], ["0", "1"]]
+    # the swap scaled to square to I, and one that squares to 2/3 I
+    ext = extend_finite_action(G, ("y1", "y2"), [identity, [["0", "2"], ["1/2", "0"]]])
+    assert ext.x_mats[1][2:] == ((0, 0, 0, 2), (0, 0, Fraction(1, 2), 0))
+    with pytest.raises(ActionError, match="homomorphism"):
+        extend_finite_action(G, ("y1", "y2"), [identity, [["0", "2"], ["1/3", "0"]]])
+    # over GF(5), 2 * 3 = 1 is a homomorphism and 2 * 2 = 4 is not
+    F5 = PrimeField(5)
+    G5 = make_finite_group([(SWAP, SWAP)], field=F5)
+    assert extend_finite_action(G5, ("y1", "y2"), [identity, [["0", "2"], ["3", "0"]]])
+    with pytest.raises(ActionError, match="homomorphism"):
+        extend_finite_action(G5, ("y1", "y2"), [identity, [["0", "2"], ["2", "0"]]])

@@ -11,8 +11,10 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from covar import cli as cli_module
 from covar.cli import (
     COMMANDS,
+    MAX_ORDER_CEILING,
     ProblemError,
     ProblemFile,
     _read_args,
@@ -656,6 +658,48 @@ def test_malformed_input_exits_two_naming_the_field(tmp_path, command, make_payl
     assert code == 2
     assert f"error: {field}:" in err
     assert "Traceback" not in err
+
+
+UNIPOTENT_PAIR = {"x": [["1", "1"], ["0", "1"]], "w": [["1", "0"], ["0", "1"]]}
+
+
+@pytest.mark.parametrize("max_order,message", [
+    (0, "expected a positive integer, got 0"),
+    (-5, "expected a positive integer, got -5"),
+    (MAX_ORDER_CEILING + 1,
+     f"expected an integer from 1 to {MAX_ORDER_CEILING}, got {MAX_ORDER_CEILING + 1}"),
+], ids=["zero", "negative", "ceiling-plus-one"])
+def test_max_order_out_of_range_exits_two_before_the_closure(tmp_path, monkeypatch,
+                                                             max_order, message):
+    closures = []
+    monkeypatch.setattr(cli_module, "make_finite_group",
+                        lambda *args, **kwargs: closures.append(kwargs))
+    path = tmp_path / "max_order.json"
+    path.write_text(json.dumps(_finite_problem(UNIPOTENT_PAIR, max_order=max_order)))
+    code, _, err = run_cli(["verify", str(path)])
+    assert code == 2
+    assert f"error: group.max_order: {message}" in err
+    assert closures == []
+
+
+def test_max_order_at_the_ceiling_runs_the_closure_to_its_cap(tmp_path):
+    assert MAX_ORDER_CEILING >= 40320  # S8 closes under the ceiling
+    path = tmp_path / "max_order.json"
+    path.write_text(json.dumps(_finite_problem(UNIPOTENT_PAIR, max_order=MAX_ORDER_CEILING)))
+    code, _, err = run_cli(["verify", str(path)])
+    assert code == 2
+    assert f"error: group: closure exceeded the cap of {MAX_ORDER_CEILING} elements" in err
+    assert parse_problem(_finite_problem(SWAP_PAIR, max_order=MAX_ORDER_CEILING)).group.order == 2
+
+
+@pytest.mark.parametrize("entry", ["abc", "0x10"])
+def test_a_generator_entry_that_is_no_rational_names_the_generators(tmp_path, entry):
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(_finite_problem({"x": [[entry, "1"], ["1", "0"]],
+                                                "w": SWAP_PAIR["w"]})))
+    code, _, err = run_cli(["verify", str(path)])
+    assert code == 2
+    assert "error: group.generators: " in err and "Traceback" not in err
 
 
 def test_a_coordinate_or_coefficient_of_another_type_expects_a_string(tmp_path):

@@ -18,6 +18,7 @@ from covar.exactalg import (
     PrimeField,
     RatFn,
     _parse_poly,
+    _rational,
     _split_fraction,
     coeff_div,
     echelon_kernel,
@@ -27,7 +28,6 @@ from covar.exactalg import (
     poly_lcm,
     qmat,
     qmat_det,
-    qmat_inv,
     qmat_rank,
     qmat_rank_det,
 )
@@ -743,7 +743,6 @@ def test_kernel_vector_normalization():
 def test_qmat_helpers():
     m = qmat([["0", "1"], ["1", "0"]])
     assert qmat_det(m) == Fraction(-1)
-    assert qmat_inv(m) == m
     assert qmat_rank(m) == 2
     singular = qmat([["1", "2"], ["2", "4"]])
     assert qmat_rank(singular) == 1
@@ -855,6 +854,46 @@ def test_prime_field_ratfn_and_det():
     assert m.det() == y1 * y2**2 - y1**2 * y2
     f = RatFn(y1**2 - y2**2, y1 - y2)
     assert f.is_poly() and f.as_poly() == y1 + y2
+
+
+LIFTED_STRINGS = ["0", "7", "+4", "-0", "-12", "1_0", " 5 ", "\u0663", "1e3", "1.5",
+                  "3/4", "-2/4", "14/7", " -3/6 "]
+
+
+def _lifted_by_fraction(text, field):
+    """The reference route: every string through ``Fraction``."""
+    q = _rational(Fraction(text))
+    return q if field is None else field.from_fraction(Fraction(q))
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("text", LIFTED_STRINGS)
+def test_lift_coeff_of_a_string_matches_the_fraction_route(text, field):
+    got, expected = lift_coeff(text, field), _lifted_by_fraction(text, field)
+    assert got == expected and type(got) is type(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**30, 10**30), st.integers(1, 50), st.booleans(),
+       st.sampled_from([None, PrimeField(7)]))
+def test_lift_coeff_of_integer_and_fraction_strings_matches_the_fraction_route(
+        num, den, as_fraction, field):
+    text = f"{num}/{den}" if as_fraction else str(num)
+    try:
+        expected = _lifted_by_fraction(text, field)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            lift_coeff(text, field)
+        return
+    got = lift_coeff(text, field)
+    assert got == expected and type(got) is type(expected)
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("text", ["abc", "0x10", "", "1/", "2 3"])
+def test_lift_coeff_refuses_a_string_that_is_no_rational(text, field):
+    with pytest.raises(ValueError):
+        lift_coeff(text, field)
 
 
 def test_lcm():
