@@ -51,6 +51,7 @@ from .exactalg import (
     coeff_div,
     field_one,
     field_zero,
+    int_form,
     int_rank_det,
     lift_coeff,
     qmat_det,
@@ -188,13 +189,12 @@ class FiniteGroupAction(_Spaces):
 
     def __init__(self, x_mats: list[QMat], w_mats: list[QMat],
                  x_vars: tuple[str, ...], w_vars: tuple[str, ...],
-                 generators: list[int], right: list[list[int]], inv: list[int],
+                 right: list[list[int]], inv: list[int],
                  field: PrimeField | None = None):
         self.x_mats = x_mats
         self.w_mats = w_mats
         self.x_vars = x_vars
         self.w_vars = w_vars
-        self.generators = generators
         # Cayley table: right[i][k] is the index of element i times generator k
         self.right = right
         self.field = field
@@ -209,6 +209,11 @@ class FiniteGroupAction(_Spaces):
     @property
     def order(self) -> int:
         return len(self.x_mats)
+
+    @property
+    def generators(self) -> list[int]:
+        """The element index of each generator: the identity times it."""
+        return self.right[0]
 
     def elements(self) -> range:
         return range(self.order)
@@ -271,7 +276,7 @@ def make_finite_group(generators: list[tuple], x_vars: tuple[str, ...] | None = 
     reported as an error.  Closure past ``max_order`` pairs aborts.
 
     All of it is integer work.  Each generator entry is read straight to an
-    integer form (:func:`_int_form`), invertibility is decided by
+    integer form (:func:`int_form`), invertibility is decided by
     ``int_rank_det`` on the numerators (the representatives mod p), and each
     generator is compiled into gather layers (:func:`_layers`), so a product
     is one gather per layer plus one gcd.  The products fill the Cayley
@@ -292,7 +297,7 @@ def make_finite_group(generators: list[tuple], x_vars: tuple[str, ...] | None = 
             raise DimensionError("w-generators must be square and of equal size")
         pair = []
         for side, m, n in (("x", gx, nx), ("w", gw, nw)):
-            form = _int_form(m, p)
+            form = int_form([e for row in m for e in row], field)
             nums = form[1]
             if not int_rank_det([nums[r:r + n] for r in range(0, n * n, n)], p)[1]:
                 raise ActionError(f"{side}-generator is not invertible")
@@ -355,7 +360,7 @@ def make_finite_group(generators: list[tuple], x_vars: tuple[str, ...] | None = 
         return out
 
     return FiniteGroupAction(matrices(x_forms, nx), matrices(w_forms, nw), x_vars,
-                             w_vars, right[0], right, inv, field)
+                             w_vars, right, inv, field)
 
 
 def _inverses(right: list[list[int]], parent: list[int], via: list[int]) -> list[int]:
@@ -386,29 +391,19 @@ def _identity_nums(n: int) -> tuple[int, ...]:
     return tuple(int(k % (n + 1) == 0) for k in range(n * n))
 
 
-def _int_form(m, p: int | None) -> tuple[int, tuple[int, ...]]:
-    """The canonical integer form of a scalar matrix: over Q, (den, flattened
-    integer numerators) with den > 0 coprime to their content; over GF(p),
-    (1, the representatives in [0, p)).  Equal matrices have equal forms."""
-    if p is not None:
-        return 1, tuple(e.val for row in m for e in row)
-    den = math.lcm(*(e.denominator for row in m for e in row))
-    return den, tuple(e.numerator * (den // e.denominator) for row in m for e in row)
-
-
 def _layers(form: tuple[int, tuple[int, ...]], n: int) -> tuple[int, list]:
     """(den, layers) of a generator b: b = sum_t B_t, where B_t takes the
     t-th nonzero of each column, so (a B_t)[i][c] = a[i][s] B_t[s][c] for
     the one row s of that nonzero.  A layer is (gather, scales): the gather
     takes a's flat numerators to the a[i][s] at each flat (i, c), and the
     scales are the B_t[s][c] at each (i, c), 0 where column c has no t-th
-    nonzero, or None when every one is 1.  A permutation or monomial
-    generator has one layer."""
+    nonzero, or None when every one is 1.  A generator is invertible, so
+    every column has a nonzero; a permutation or monomial generator has one
+    layer."""
     den, nums = form
     cols = [[(s, nums[s * n + c]) for s in range(n) if nums[s * n + c]] for c in range(n)]
     layers = []
-    # one layer at least: a zero matrix (a Y-matrix need not be invertible) gathers zeros
-    for t in range(max([1, *map(len, cols)])):
+    for t in range(max(map(len, cols))):
         picks = [col[t] if t < len(col) else (0, 0) for col in cols]
         idx = [r + s for r in range(0, n * n, n) for s, _ in picks]
         scales = tuple(v for _ in range(n) for _, v in picks)
@@ -527,7 +522,7 @@ COPY_LETTERS = "abcdefijklmnopqrstuvyz"
 # the check element of a symbolic action
 GENERIC = "generic"
 
-# the most variables of X or W in a symbolic action, whose matrices are dense
+# the most variables of X, W or g in a symbolic action, whose matrices are dense
 MAX_SPACE_VARS = 1000
 
 # the largest n whose det(g) is formed.  det(g) has n! terms: on a shared
@@ -551,7 +546,8 @@ class SymbolicGroupAction(_Spaces):
     polynomials, never rational functions.
 
     Construction checks only what needs no algebra: the template kinds,
-    scalar needs n = 1, the names and sizes of the spaces.  Each part of
+    scalar needs n = 1, the sizes of X, W and g, counted before any name is
+    built, and the names.  Each part of
     the generic element is built on its first read, once, from the parts it
     reads: ``g_mat``; ``det_poly``; ``adj_mat``; one block per template
     kind, of which only the conjugation block reads ``adj_mat``; and the
@@ -573,14 +569,20 @@ class SymbolicGroupAction(_Spaces):
                 raise ActionError(f"unknown action template {spec.kind!r}")
             if spec.kind == "scalar" and n != 1:
                 raise ActionError("scalar template requires a 1x1 generic element")
+        # sizes are counted before any name is built
+        for role, spec in (("x", x_spec), ("w", w_spec)):
+            size = spec.m * {"conjugation": n * n, "natural": n}.get(spec.kind, 1)
+            if size > MAX_SPACE_VARS:
+                raise SpaceSizeError(
+                    f"{role}_copies: {spec.m} copies give {size} {role.upper()}-"
+                    f"variables, more than the {MAX_SPACE_VARS} a symbolic action takes")
+        if n * n > MAX_SPACE_VARS:
+            raise SpaceSizeError(
+                f"n: the generic element of GL_{n} has {n * n} g-variables, more than "
+                f"the {MAX_SPACE_VARS} a symbolic action takes")
         self.g_vars = matrix_names("g", n)
         self.x_vars = x_spec.var_names(n, "x")
         self.w_vars = w_spec.var_names(n, "w")
-        for role, spec, names in (("x", x_spec, self.x_vars), ("w", w_spec, self.w_vars)):
-            if len(names) > MAX_SPACE_VARS:
-                raise SpaceSizeError(
-                    f"{role}_copies: {spec.m} copies give {len(names)} {role.upper()}-"
-                    f"variables, more than the {MAX_SPACE_VARS} a symbolic action takes")
         if set(self.x_vars) & set(self.w_vars):
             raise ActionError("X and W variable names overlap")
         if (set(self.x_vars) | set(self.w_vars)) & set(self.g_vars):
@@ -864,35 +866,32 @@ def extend_finite_action(action: FiniteGroupAction, y_vars: tuple[str, ...],
                          y_mats: list[QMat]) -> FiniteGroupAction:
     """Product action on X x Y: same elements, block-diagonal x-matrices.
 
-    ``y_mats`` must be aligned with the element indices of ``action``.
+    ``y_mats`` must be aligned with the element indices of ``action``.  The
+    block-diagonal generators are closed, capped at |G|.  The closure maps
+    onto G, so it stays within the cap exactly when that map is a
+    bijection; the closure then walks the Cayley graph of G, element i is
+    element i of ``action``, and Y is a homomorphism exactly when element i
+    carries ``y_mats[i]``.  A singular Y at a generator, or a closure past
+    the cap, is no homomorphism.
     """
     if len(y_mats) != action.order:
         raise DimensionError("need one Y-matrix per group element")
     y_vars = tuple(y_vars)
     if set(y_vars) & (set(action.x_vars) | set(action.w_vars)):
         raise ActionError("variable-name collision between X and Y")
-    ny = len(y_vars)
-    field = action.field
-    zero = field_zero(field)
-    ys = [[[lift_coeff(e, field) for e in row] for row in y] for y in y_mats]
+    nx, ny, field = action.x_dim, len(y_vars), action.field
+    ys = [tuple(tuple(lift_coeff(e, field) for e in row) for row in y) for y in y_mats]
     if any(len(y) != ny or any(len(r) != ny for r in y) for y in ys):
         raise DimensionError("Y-matrix size does not match y_vars")
-    # the product action keeps the Cayley table only if Y is a homomorphism,
-    # checked on integer forms with the closure's product
-    p = field.p if field is not None else None
-    forms = [_int_form(y, p) for y in ys]
-    gens = [_layers(forms[g], ny) for g in action.generators]
-    if forms[action.identity] != (1, _identity_nums(ny)) or any(
-            _int_mul(forms[i], b, p) != forms[j]
-            for i, row in enumerate(action.right) for j, b in zip(row, gens)):
-        raise ActionError("Y-matrices do not define a homomorphism")
-    new_mats = []
-    for m, y in zip(action.x_mats, ys):
-        nx = len(m)
-        top = [tuple(row) + (zero,) * ny for row in m]
-        bottom = [(zero,) * nx + tuple(row) for row in y]
-        new_mats.append(tuple(top + bottom))
-    # same elements in the same order, so the inverse index carries over
-    return FiniteGroupAction(new_mats, action.w_mats, action.x_vars + y_vars,
-                             action.w_vars, action.generators, action.right,
-                             action.inv, action.field)
+    zero = field_zero(field)
+    gens = [([list(row) + [zero] * ny for row in action.x_mats[g]]
+             + [[zero] * nx + list(row) for row in ys[g]], action.w_mats[g])
+            for g in action.generators]
+    try:
+        product = make_finite_group(gens, action.x_vars + y_vars, action.w_vars,
+                                    action.order, field)
+        if all(tuple(row[nx:] for row in m[nx:]) == y for m, y in zip(product.x_mats, ys)):
+            return product
+    except ActionError:
+        pass
+    raise ActionError("Y-matrices do not define a homomorphism")

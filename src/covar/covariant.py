@@ -19,6 +19,7 @@ from .exactalg import (
     RatFn,
     coeff_div,
     common_denominator,
+    int_form,
     int_rank_det,
     lift_coeff,
 )
@@ -502,23 +503,26 @@ def generic_independence(Fs: list[Covariant], seed: int = 0) -> Report:
 class _IntegerColumns:
     """The coordinate matrix compiled once for exact evaluation over ints.
 
-    Column j is written over one denominator and scaled to integer
-    coefficients, so at a point it equals ``nums[j](pt) * scales[j] /
-    dens[j](pt)`` with ``scales[j]`` an exact rational.  Each polynomial is
-    a tuple of ``(int coeff, ((var index, exp), ...))`` terms.  Over GF(p)
-    the coefficients are the representatives in [0, p) and every scale is 1.
+    Column j is written over one denominator, and its numerators and that
+    denominator are scaled by one multiplier to integer coefficients
+    (:func:`int_form`), so at a point it equals ``nums[j](pt) /
+    dens[j](pt)``.  Each polynomial is a tuple of ``(int coeff, ((var index,
+    exp), ...))`` terms.  Over GF(p) the coefficients are the
+    representatives in [0, p).
     """
 
     def __init__(self, Fs: list[Covariant]):
         field = Fs[0].action.field
         self.p = None if field is None else field.p
-        self.nums, self.dens, self.scales = [], [], []
+        self.nums, self.dens = [], []
         for F in Fs:
             nums, den = common_denominator(F.coords)
-            num_mult, den_mult = _coeff_lcm(nums), _coeff_lcm([den])
-            self.nums.append([_int_terms(p, num_mult) for p in nums])
-            self.dens.append(_int_terms(den, den_mult))
-            self.scales.append(coeff_div(den_mult, num_mult))
+            polys = nums + [den]
+            ints = iter(int_form([c for q in polys for c in q.terms.values()], field)[1])
+            compiled = [tuple((next(ints), tuple((i, k) for i, k in enumerate(exps) if k))
+                              for exps in q.terms) for q in polys]
+            self.nums.append(compiled[:-1])
+            self.dens.append(compiled[-1])
         self.max_exp = [0] * len(Fs[0].action.x_vars)
         for terms in self.dens + [t for col in self.nums for t in col]:
             for _, mono in terms:
@@ -527,8 +531,8 @@ class _IntegerColumns:
 
     def at(self, point):
         """The numerators of each column at the point, and each column's
-        (scale, denominator value); None where a denominator vanishes.
-        Over GF(p) the values are taken mod p."""
+        denominator value; None where a denominator vanishes.  Over GF(p)
+        the values are taken mod p."""
         p = self.p
         powers = []
         for x, top in zip(point, self.max_exp):
@@ -541,24 +545,7 @@ class _IntegerColumns:
             dens = [v % p for v in dens]
         if not all(dens):
             return None
-        return ([[_eval_int(num, powers) for num in col] for col in self.nums],
-                list(zip(self.scales, dens)))
-
-
-def _coeff_lcm(polys: list[Poly]) -> int:
-    """The lcm of the coefficient denominators (1 over GF(p))."""
-    if polys[0].field is not None:
-        return 1
-    return math.lcm(1, *(c.denominator for poly in polys for c in poly.terms.values()))
-
-
-def _int_terms(poly: Poly, mult: int) -> tuple:
-    rational = poly.field is None
-    out = []
-    for exps, c in poly.terms.items():
-        coeff = c.numerator * (mult // c.denominator) if rational else c.val
-        out.append((coeff, tuple((i, k) for i, k in enumerate(exps) if k)))
-    return tuple(out)
+        return [[_eval_int(num, powers) for num in col] for col in self.nums], dens
 
 
 def _eval_int(terms: tuple, powers: list[list[int]]) -> int:
@@ -588,8 +575,8 @@ def _independence_witness(Fs: list[Covariant], points):
     Points where a column's denominator vanishes are skipped: it is the lcm
     of the entry denominators, so these are exactly the points where an
     entry is undefined.  The rank and the minor come from one integer
-    Bareiss elimination of the column numerators at the point, over Z or
-    over GF(p), the minor being det(N) * prod(scale_j / D_j)."""
+    Bareiss elimination of the column numerators N at the point, over Z or
+    over GF(p), the minor being det(N) / prod(D_j)."""
     action = Fs[0].action
     values = _point_values(Fs)
     p = None if action.field is None else action.field.p
@@ -598,13 +585,11 @@ def _independence_witness(Fs: list[Covariant], points):
         at = values.at(point)
         if at is None:
             continue
-        cols, factors = at
+        cols, dens = at
         rank, minor = int_rank_det(list(zip(*cols)), p)
         if rank < full:
             continue
         if minor is not None:
-            minor = lift_coeff(minor, action.field)
-            for scale, den in factors:
-                minor = coeff_div(minor * scale, den)
+            minor = coeff_div(lift_coeff(minor, action.field), math.prod(dens))
         return _point_dict(action.x_vars, point, action.field), minor
     return None

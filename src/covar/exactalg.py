@@ -1040,9 +1040,6 @@ class Matrix:
         one, zero = like.ring_one(), like.ring_zero()
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    def __getitem__(self, key: tuple[int, int]) -> Entry:
-        return self.entries[key[0]][key[1]]
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -1059,18 +1056,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix([[self.entries[i][j] for i in range(self.rows)]
                        for j in range(self.cols)])
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("matrix shapes differ")
-        return Matrix([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("matrix shapes differ")
-        return Matrix([[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -1224,6 +1209,18 @@ def echelon_kernel(echelon: list[list[Poly]], pivots: list[int]) -> list[RatFn] 
 QMat = tuple  # tuple of tuples of coefficients
 
 
+def int_form(values: Iterable[Coeff], field: PrimeField | None) -> tuple[int, tuple[int, ...]]:
+    """Exact scalars written as integers: over Q, (den, numerators) with den
+    the lcm of the denominators, so each value is its numerator / den, and
+    den is coprime to the numerators' content; over GF(p), (1, the
+    representatives in [0, p)).  Equal value tuples have equal forms."""
+    if field is not None:
+        return 1, tuple(lift_coeff(v, field).val for v in values)
+    values = tuple(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return den, tuple(v.numerator * (den // v.denominator) for v in values)
+
+
 def qmat(rows: Iterable[Iterable], field: PrimeField | None = None) -> QMat:
     return tuple(tuple(lift_coeff(x, field) for x in row) for row in rows)
 
@@ -1234,10 +1231,9 @@ def qmat_identity(n: int, field: PrimeField | None = None) -> QMat:
 
 
 def qmat_mul(a: QMat, b: QMat) -> QMat:
-    """Product of scalar matrices, skipping zero entries.  Finite groups do
-    not use it: ``make_finite_group`` and the Y-homomorphism check of
-    ``extend_finite_action`` multiply integer forms by gathers.  It serves
-    the matrix words at integer points."""
+    """Product of scalar matrices, skipping zero entries.  It serves the
+    matrix words at integer points; finite groups do not use it, as
+    ``make_finite_group`` multiplies integer forms by gathers."""
     if len(a[0]) != len(b):
         raise DimensionError("scalar matrix shapes do not match")
     zero = b[0][0] - b[0][0]
@@ -1266,18 +1262,15 @@ def qmat_rank(a: Sequence[Sequence[Coeff]]) -> int:
 def qmat_rank_det(a: Sequence[Sequence[Coeff]], field: PrimeField | None = None
                   ) -> tuple[int, Coeff | None]:
     """Rank of a scalar matrix and, when it is square, its determinant (None
-    otherwise), by :func:`int_rank_det`.  Over GF(p), given or read off the
-    entries, it eliminates the representatives; over Q each row is scaled
-    to integers by the lcm of its denominators, which the determinant
-    divides back out."""
+    otherwise), by :func:`int_rank_det` on the numerators of its integer
+    form (the representatives over GF(p), given or read off the entries):
+    the matrix is N / den, so its determinant is det(N) / den^rows."""
     field = field or next((x.field for row in a for x in row if isinstance(x, FpElem)), None)
-    if field is not None:
-        rank, det = int_rank_det([[lift_coeff(x, field).val for x in row] for row in a], field.p)
-        return rank, None if det is None else field(det)
-    scales = [math.lcm(*(x.denominator for x in row)) for row in a]
-    rank, det = int_rank_det([[x.numerator * (s // x.denominator) for x in row]
-                              for row, s in zip(a, scales)])
-    return rank, None if det is None else coeff_div(det, math.prod(scales))
+    den, nums = int_form([x for row in a for x in row], field)
+    n = len(a[0]) if a else 0
+    rank, det = int_rank_det([nums[r * n:(r + 1) * n] for r in range(len(a))],
+                             None if field is None else field.p)
+    return rank, None if det is None else coeff_div(lift_coeff(det, field), den ** len(a))
 
 
 def int_rank_det(a: Sequence[Sequence[int]], p: int | None = None) -> tuple[int, int | None]:

@@ -32,7 +32,6 @@ from .exactalg import (
     ExactAlgError,
     Matrix,
     Poly,
-    QMat,
     coeff_div,
     common_denominator,
     field_one,
@@ -319,43 +318,63 @@ def lift_through_projection(Fs: list[Covariant], extended: GroupAction
 # ---------------------------------------------------------------------------
 
 
+class _Words:
+    """The word program over one ring, given its product ``mul`` and its
+    ``one``: A^i B^j is the product of a power of A and one of B.  Each
+    power is formed once, as the largest power already formed below it
+    times A or B to the gap, by repeated squaring."""
+
+    def __init__(self, A, B, mul, one):
+        self.mul, self.one = mul, one
+        # _powers[copy][k] is A^k (copy 0) or B^k (copy 1)
+        self._powers = ({1: A}, {1: B})
+
+    def power(self, copy: int, k: int):
+        """A^k or B^k for k >= 1."""
+        powers = self._powers[copy]
+        if k not in powers:
+            below = max(e for e in powers if e < k)
+            gap, step, base = k - below, None, powers[1]
+            while gap:
+                if gap & 1:
+                    step = base if step is None else self.mul(step, base)
+                gap >>= 1
+                if gap:
+                    base = self.mul(base, base)
+            powers[k] = self.mul(powers[below], step)
+        return powers[k]
+
+    def word(self, i: int, j: int):
+        if i and j:
+            return self.mul(self.power(0, i), self.power(1, j))
+        if i or j:
+            return self.power(0, i) if i else self.power(1, j)
+        return self.one
+
+
 class MatrixWords:
     """The shared record of one word family: the generic n x n matrices A
     and B of the conjugation action on pairs, and the words A^i B^j kept as
     programs (i, j).
 
     Entry (r, c) of copy k is X-variable k n^2 + r n + c, as the
-    conjugation template lists them.  :meth:`expand` forms a word's
-    coordinates from powers of A and B that are built once and reused
-    across words; :meth:`point_values` evaluates words at integer points by
-    products of scalar matrices, expanding nothing.
+    conjugation template lists them.  :meth:`expand` runs the word program
+    (:class:`_Words`) on the generic matrices, so each power is formed once
+    across words; :meth:`point_values` runs it on scalar matrices at
+    integer points, expanding nothing.
     """
 
     def __init__(self, action: SymbolicGroupAction):
         self.action = action
         self.n = n = action.n
         x = Poly.gens(action.x_vars, action.field)
-        # _powers[copy][k - 1] is A^k (copy 0) or B^k (copy 1)
-        self._powers = [[Matrix([x[copy * n * n + r * n:copy * n * n + (r + 1) * n]
-                                 for r in range(n)])] for copy in (0, 1)]
-
-    def _power(self, copy: int, k: int) -> Matrix:
-        """A^k or B^k for k >= 1, each power formed once."""
-        powers = self._powers[copy]
-        while len(powers) < k:
-            powers.append(powers[-1] * powers[0])
-        return powers[k - 1]
+        A, B = (Matrix([x[copy * n * n + r * n:copy * n * n + (r + 1) * n] for r in range(n)])
+                for copy in (0, 1))
+        self.words = _Words(A, B, Matrix.__mul__, Matrix.identity(n, x[0]))
 
     def expand(self, word: tuple[int, int]) -> list[Poly]:
         """The n^2 entries of A^i B^j, row by row."""
-        i, j = word
-        if i and j:
-            M = self._power(0, i) * self._power(1, j)
-        elif i or j:
-            M = self._power(0, i) if i else self._power(1, j)
-        else:
-            M = Matrix.identity(self.n, self._powers[0][0].entries[0][0])
-        return [e for row in M.entries for e in row]
+        return [e for row in self.words.word(*word).entries for e in row]
 
     def point_values(self, words: list[tuple[int, int]]) -> "_WordValues":
         return _WordValues(self.n, words, self.action.field)
@@ -363,55 +382,23 @@ class MatrixWords:
 
 class _WordValues:
     """Words evaluated at integer points: A and B are read off the point,
-    each needed power is formed once per point, and word (i, j) is the
-    product A^i B^j, all over Z, or mod p over GF(p)."""
+    and the word program forms each needed power once per point, all over
+    Z, or mod p over GF(p)."""
 
     def __init__(self, n: int, words: list[tuple[int, int]], field):
         self.n, self.words = n, words
-        self.p = None if field is None else field.p
-        self.exps = [sorted({w[k] for w in words} - {0}) for k in (0, 1)]
+        p = None if field is None else field.p
+        self.mul = qmat_mul if p is None else (
+            lambda a, b: tuple(tuple(x % p for x in row) for row in qmat_mul(a, b)))
 
     def at(self, point):
         """One column per word, its entries row by row, and no denominator
-        factors, as every word is a polynomial with integer coefficients."""
-        n, p = self.n, self.p
-        powers = []
-        for copy, exps in enumerate(self.exps):
-            flat = point[copy * n * n:(copy + 1) * n * n]
-            powers.append(_int_powers(tuple(tuple(flat[r * n:(r + 1) * n]) for r in range(n)),
-                                      exps, p))
-        cols = []
-        for i, j in self.words:
-            if i and j:
-                M = _int_mat_mul(powers[0][i], powers[1][j], p)
-            elif i or j:
-                M = powers[0][i] if i else powers[1][j]
-            else:
-                M = qmat_identity(n)
-            cols.append([x for row in M for x in row])
-        return cols, ()
-
-
-def _int_mat_mul(a: QMat, b: QMat, p: int | None) -> QMat:
-    out = qmat_mul(a, b)
-    return out if p is None else tuple(tuple(x % p for x in row) for row in out)
-
-
-def _int_powers(m: QMat, exps: list[int], p: int | None) -> dict:
-    """m^e for each e of the increasing ``exps``: each from the one before,
-    times m to the gap by repeated squaring."""
-    out, prev = {}, 0
-    for e in exps:
-        gap, step, base = e - prev, None, m
-        while gap:
-            if gap & 1:
-                step = base if step is None else _int_mat_mul(step, base, p)
-            gap >>= 1
-            if gap:
-                base = _int_mat_mul(base, base, p)
-        out[e] = step if not prev else _int_mat_mul(out[prev], step, p)
-        prev = e
-    return out
+        values, as every word is a polynomial with integer coefficients."""
+        n = self.n
+        A, B = (tuple(tuple(point[copy * n * n + r * n:copy * n * n + (r + 1) * n])
+                      for r in range(n)) for copy in (0, 1))
+        words = _Words(A, B, self.mul, qmat_identity(n))
+        return [[x for row in words.word(i, j) for x in row] for i, j in self.words], ()
 
 
 def _generic_action(n: int, kind: str, x_copies: int,

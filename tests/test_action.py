@@ -9,6 +9,7 @@ from covar.action import (
     ActionError,
     Character,
     ClosureCapError,
+    SymbolicGroupAction,
     TemplateSpec,
     _block_diagonal,
     det_w_inverse_character,
@@ -17,6 +18,7 @@ from covar.action import (
     make_finite_group,
     matrix_names,
     symbolic_general_linear,
+    vector_names,
 )
 from covar import action as action_module
 from covar import exactalg as exactalg_module
@@ -27,6 +29,7 @@ from covar.exactalg import (
     Poly,
     PrimeField,
     RatFn,
+    field_zero,
     qmat,
     qmat_identity,
     qmat_mul,
@@ -642,3 +645,60 @@ def test_extend_finite_action_rejects_non_homomorphic_y():
     assert extend_finite_action(G5, ("y1", "y2"), [identity, [["0", "2"], ["3", "0"]]])
     with pytest.raises(ActionError, match="homomorphism"):
         extend_finite_action(G5, ("y1", "y2"), [identity, [["0", "2"], ["2", "0"]]])
+
+
+@pytest.mark.parametrize("generators,field", [
+    (_symmetric_generators(3), None),
+    (_symmetric_generators(3), PrimeField(5)),
+    ([([["0", "0", "1/3"], ["2", "0", "0"], ["0", "3/2", "0"]], CYCLE3)], None),
+    ([([["0", "1"], ["4", "0"]], [["2"]])], PrimeField(5)),
+    ([(IDENTITY3, IDENTITY3), (SWAP3, SWAP3), (CYCLE3, CYCLE3), (SWAP3, SWAP3)], None),
+    ([(QUARTER_TURN, QUARTER_TURN), (SWAP, SWAP)], PrimeField(5)),
+    ([(CYCLE3, ROTATION3), (SWAP3, [["0", "1"], ["1", "0"]])], None),
+], ids=["s3", "s3-gf5", "rational-entries", "gf5", "identity-and-repeat", "b2-gf5",
+        "x-three-w-two"])
+def test_extended_action_is_the_block_product(generators, field):
+    """Y = X and Y = W are homomorphisms: the product action keeps the
+    elements, their order, the Cayley table and the inverses, and element i
+    acts on X x Y by the blocks of element i."""
+    G = make_finite_group(generators, field=field)
+    zero = field_zero(field)
+    for y_mats in (G.x_mats, G.w_mats):
+        ny = len(y_mats[0])
+        ext = extend_finite_action(G, vector_names("y", ny), y_mats)
+        assert ext.x_vars == G.x_vars + vector_names("y", ny)
+        assert ext.x_mats == [tuple(row + (zero,) * ny for row in x)
+                              + tuple((zero,) * len(x) + row for row in y)
+                              for x, y in zip(G.x_mats, y_mats)]
+        assert (ext.w_mats, ext.right, ext.inv, ext.generators) == (
+            G.w_mats, G.right, G.inv, G.generators)
+
+
+@pytest.mark.parametrize("y", [
+    [["1", "0"], ["0", "0"]],  # singular at the generator
+    [["1", "1"], ["0", "1"]],  # of infinite order: the closure outgrows |G| = 2
+    ROTATION3,  # of order 3: the closure has order 6
+], ids=["singular", "unipotent", "order-three"])
+def test_extend_refuses_a_y_whose_closure_is_not_g(y):
+    G = make_finite_group([(SWAP, SWAP)])
+    with pytest.raises(ActionError, match="^Y-matrices do not define a homomorphism$"):
+        extend_finite_action(G, ("y1", "y2"), [[["1", "0"], ["0", "1"]], y])
+
+
+def test_unknown_template_kind_is_refused():
+    with pytest.raises(ActionError, match="^unknown action template 'bogus'$"):
+        SymbolicGroupAction(2, TemplateSpec("bogus"), TemplateSpec("natural"))
+
+
+def test_generic_element_past_the_bound_is_refused_before_any_name(monkeypatch):
+    """n^2 > MAX_SPACE_VARS is refused, naming n, before a g-, X- or
+    W-name is made; n = 31 has 961 g-variables and builds."""
+    assert symbolic_general_linear(31, "trivial", "trivial").g_vars[-1] == "g31_31"
+    monkeypatch.setattr(action_module, "indexed_name", None)
+    with pytest.raises(action_module.SpaceSizeError,
+                       match="^n: the generic element of GL_32 has 1024 g-variables, "
+                             "more than the 1000 a symbolic action takes$"):
+        symbolic_general_linear(32, "trivial", "trivial")
+    with pytest.raises(action_module.SpaceSizeError,
+                       match="^x_copies: 1 copies give 9000000 X-variables"):
+        symbolic_general_linear(3000, "gl_conjugation", "gl_conjugation")

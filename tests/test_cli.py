@@ -308,6 +308,25 @@ def test_a_generic_element_past_the_bound_exits_two(tmp_path):
                    "has 8! = 40320 terms, more than the 5040 of n = 7\n")
 
 
+@pytest.mark.parametrize("n,templates,message", [
+    (3000, "gl_conjugation", "x_copies: 1 copies give 9000000 X-variables, more than "
+                             "the 1000 a symbolic action takes"),
+    (300, "trivial", "n: the generic element of GL_300 has 90000 g-variables, more "
+                     "than the 1000 a symbolic action takes"),
+], ids=["conjugation-3000", "trivial-300"])
+def test_a_symbolic_group_is_counted_before_it_is_named(tmp_path, n, templates, message):
+    """The sizes of X, W and g come from n and the templates, so an action
+    too large to name is refused at once; n = 31 (961 g-variables) builds."""
+    problem = _symbolic_group(n=n, x_template=templates, w_template=templates)
+    start = time.perf_counter()
+    code, out, err = run_cli(["verify", _write_problem(tmp_path, problem)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", f"error: group.{message}\n")
+    problem = _symbolic_group(n=31, x_template="trivial", w_template="trivial")
+    problem["covariants"] = [["x1"]]
+    assert run_cli(["verify", _write_problem(tmp_path, problem)])[0] == 0
+
+
 @pytest.fixture
 def generic_calls(monkeypatch):
     """By name, every call of det, adjugate, a template block or the build
@@ -505,6 +524,7 @@ def _swap_problem_over(prime):
 
 
 SWAP_PAIR = {"x": [["0", "1"], ["1", "0"]], "w": [["0", "1"], ["1", "0"]]}
+IDENTITY3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 
 
 def _finite_problem(*generators, **group) -> dict:
@@ -700,6 +720,38 @@ def test_a_generator_entry_that_is_no_rational_names_the_generators(tmp_path, en
     code, _, err = run_cli(["verify", str(path)])
     assert code == 2
     assert "error: group.generators: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("reflection,message", [
+    (None, "lower needs a 'reflection' object in the problem file"),
+    ({"element": 0}, "reflection.element: element 0 does not fix a hyperplane pointwise"),
+    ({"x": [["1", "0"], ["0", "1"]]}, "reflection.x: matrix is not a reflection of the group"),
+    ({}, "reflection: expected 'element' or 'x'"),
+], ids=["no-reflection", "element-not-a-reflection", "x-not-a-reflection", "neither-key"])
+def test_lower_refuses_a_reflection_block_it_cannot_read(tmp_path, reflection, message):
+    code, out, err = run_cli(["lower", _write_problem(tmp_path,
+                                                      _cubic_with(reflection=reflection))])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_lower_takes_the_reflection_by_its_element(tmp_path):
+    """The swap is element 1 of S2: naming it gives the step of the preset,
+    which names it by its matrix."""
+    code, out, _ = run_cli(["lower", _write_problem(tmp_path,
+                                                    _cubic_with(reflection={"element": 1}))])
+    assert code == 0
+    assert out == run_cli(["lower", "powers_s2_cubic"])[1]
+
+
+@pytest.mark.parametrize("problem,message", [
+    (_finite_problem(SWAP_PAIR, {"x": IDENTITY3, "w": SWAP_PAIR["w"]}),
+     "x-generators must be square and of equal size"),
+    (dict(_finite_problem(SWAP_PAIR), space={"x_vars": ["a"]}),
+     "variable names do not match matrix sizes"),
+], ids=["generators-of-unequal-sizes", "x-vars-of-the-wrong-length"])
+def test_finite_group_of_mismatched_sizes_exits_two_naming_group(tmp_path, problem, message):
+    code, out, err = run_cli(["verify", _write_problem(tmp_path, problem)])
+    assert (code, out, err) == (2, "", f"error: group: {message}\n")
 
 
 def test_a_coordinate_or_coefficient_of_another_type_expects_a_string(tmp_path):

@@ -552,20 +552,29 @@ def _conjugation_pairs(n, field=None):
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(5)], ids=["Q", "GF5"])
-@pytest.mark.parametrize("n,words", [
-    (2, [(i, j) for i in range(4) for j in range(4)]),
-    (2, [(3, 0), (1, 2), (3, 0), (0, 0)]),
-    (3, None),
+@pytest.mark.parametrize("n,words,products", [
+    # A^2, A^3, B^2, B^3 one product each, and the nine A^i B^j with i, j > 0
+    (2, [(i, j) for i in range(4) for j in range(4)], 4 + 9),
+    # A^3 = A (A A), B^2 and A B^2; the second (3, 0) forms nothing
+    (2, [(3, 0), (1, 2), (3, 0), (0, 0)], 2 + 1 + 1),
+    # A^2, B^2 and the four A^i B^j with i, j > 0
+    (3, None, 2 + 4),
 ], ids=["gl2-to-cubes", "gl2-repeated", "gl3"])
-def test_word_expansion_reuses_powers_and_matches_the_identity_loop(n, words, field):
+def test_word_expansion_reuses_powers_and_matches_the_identity_loop(n, words, products,
+                                                                    field):
     fam = matrix_word_family(n, words, _conjugation_pairs(n, field))
     words = words or [(i, j) for i in range(n) for j in range(n)]
+    program = fam[0].source[0].words
+    made = []
+    program.mul = lambda a, b, _mul=program.mul: made.append(1) or _mul(a, b)
     assert all(F._coords is None for F in fam)
     assert [F.coords for F in fam] == _words_from_identity(fam[0].action, words)
-    # each power of A and B was formed once, up to the largest exponent
-    record = fam[0].source[0]
-    assert [len(p) for p in record._powers] == [
-        max(1, max(w[k] for w in words)) for k in (0, 1)]
+    # each requested power of A and B was formed once: the count above, and
+    # expanding every word again multiplies only A^i by B^j
+    assert len(made) == products
+    for word in words:
+        fam[0].source[0].expand(word)
+    assert len(made) == products + sum(1 for i, j in words if i and j)
 
 
 def _explicit(Fs):
@@ -623,14 +632,13 @@ def test_word_point_route_takes_far_powers_by_squaring():
     """A^1000000 over GF(5) at a point, against the matrix powers taken by
     Fermat: GL_2(F_5) has order 480, so A^1000000 = A^(1000000 mod 480) when
     A is invertible."""
-    from covar.forge import _int_powers
+    from covar.forge import _WordValues
 
-    A = ((2, 1), (1, 1))
-    far = _int_powers(A, [1000000], 5)[1000000]
-    near = _int_powers(A, [1000000 % 480], 5)[1000000 % 480]
+    point = (2, 1, 1, 1) + (0, 0, 0, 0)  # A = ((2, 1), (1, 1)), B = 0
+    far, near = _WordValues(2, [(1000000, 0), (1000000 % 480, 0)], PrimeField(5)).at(point)[0]
     assert far == near
-    assert _int_powers(A, [1, 2, 5], None) == {1: A, 2: ((5, 3), (3, 2)),
-                                               5: ((89, 55), (55, 34))}
+    assert _WordValues(2, [(1, 0), (2, 0), (5, 0)], None).at(point) == (
+        [[2, 1, 1, 1], [5, 3, 3, 2], [89, 55, 55, 34]], ())
 
 
 # the words whose direct generic-element check takes well under a second;

@@ -231,6 +231,40 @@ def test_lower_rejects_non_reflection(s3, cubic_family):
         lower_relation(rel, fake)
 
 
+def _multiplied_relation(family, first=lambda h: h):
+    """x1 times the minimal relation of the S2 cubic powers, with ``first``
+    applied to its first coefficient."""
+    x1, x2 = Poly.gens(family[0].action.x_vars)
+    return Relation([first(x1 * x1 * x2), -x1 * (x1 + x2), x1], family).verify()
+
+
+def test_lower_refuses_a_reflection_of_another_action(cubic_family):
+    [s] = find_reflections(make_finite_group([(SWAP, SWAP)]))
+    with pytest.raises(ReflectError, match="^reflection belongs to a different action$"):
+        lower_relation(_multiplied_relation(cubic_family), s)
+
+
+def test_lower_refuses_a_difference_the_form_does_not_divide(cubic_family, monkeypatch):
+    """A form that validates divides every difference h - s.h, which
+    vanishes on the fixed hyperplane; so the refusal is reached only with
+    validation bypassed and x1 + x2 for the swap's x1 - x2."""
+    G = cubic_family[0].action
+    [s] = find_reflections(G)
+    monkeypatch.setattr(Reflection, "validate", lambda self: True)
+    x1, x2 = Poly.gens(G.x_vars)
+    with pytest.raises(ReflectError, match="^difference is not divisible by the hyperplane "
+                                           "form; the element is not a reflection"):
+        lower_relation(_multiplied_relation(cubic_family), Reflection(s.element, x1 + x2, G))
+
+
+def test_lower_reads_a_polynomial_ratfn_coefficient(cubic_family):
+    [s] = find_reflections(cubic_family[0].action)
+    as_poly = lower_relation(_multiplied_relation(cubic_family), s)
+    as_ratfn = lower_relation(_multiplied_relation(cubic_family, RatFn), s)
+    x1, x2 = Poly.gens(cubic_family[0].action.x_vars)
+    assert as_ratfn.coeffs == as_poly.coeffs == [x1 * x2, -x1 - x2, Poly.one(x1.vars)]
+
+
 @pytest.mark.parametrize("field", [None, PrimeField(5)], ids=["Q", "GF5"])
 def test_reflection_validate_accepts_any_nonzero_multiple_of_the_form(field):
     G = make_finite_group([(SWAP, SWAP)], field=field)
