@@ -28,6 +28,7 @@ from .covariant import (
     verify_equivariance,
 )
 from .exactalg import (
+    DegreeOverflowError,
     DimensionError,
     ExactAlgError,
     ExactDivisionError,

@@ -35,6 +35,7 @@ Conventions (fixed throughout the package):
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import cached_property
 from operator import add, itemgetter, mul
 
@@ -95,14 +96,27 @@ def _linear_images(rows, space_vars: tuple[str, ...], out_vars: tuple[str, ...],
                    field: PrimeField | None) -> list[Poly]:
     """The images sum_l rows[k][l] v_l of the space variables v_k over
     ``out_vars``; an entry is a scalar or a polynomial in the g-variables."""
+    gens = {name: Poly.var(name, out_vars, field) for name in space_vars}
     images = []
     for row in rows:
-        acc = Poly.zero(out_vars, field)
+        # the sum goes into one term dict, not a new sum per entry
+        out: dict[int, Coeff] = {}
         for name, c in zip(space_vars, row):
-            if c:
-                acc = acc + Poly.var(name, out_vars, field) * (
-                    c.embed(out_vars) if isinstance(c, Poly) else c)
-        images.append(acc)
+            if not c:
+                continue
+            x = gens[name]
+            if isinstance(c, Poly):
+                items = (x * c.embed(out_vars)).terms.items()
+            else:
+                items = ((key, v * c) for key, v in x.terms.items())
+            for key, v in items:
+                acc = out.get(key)
+                val = v if acc is None else acc + v
+                if val:
+                    out[key] = val
+                elif acc is not None:
+                    del out[key]
+        images.append(Poly.packed(out_vars, out, field))
     return images
 
 
@@ -143,23 +157,23 @@ def _cleared_substitution(action: "GroupAction", p: Poly, side: str,
         table.update(images)
         if h:
             spans.append(([i for i, v in enumerate(p.vars) if v in images], h))
-    outside = [i for i, v in enumerate(p.vars) if v not in table]
-    if any(exps[i] for exps in p.terms for i in outside):
+    if p.support_vars() - table.keys():
         raise DimensionError("polynomial does not live on the declared space")
     if not spans:
         return p.subs(table, out_vars), 0
     classes: dict[int, dict] = {}
     tops = [0] * len(spans)
-    for exps, coeff in p.terms.items():
+    for key, coeff in p.terms.items():
+        exps = p.exponents(key)
         degrees = [sum(exps[i] for i in pos) for pos, _ in spans]
         tops = [max(t, e) for t, e in zip(tops, degrees)]
         weight = sum(h * e for (_, h), e in zip(spans, degrees))
-        classes.setdefault(weight, {})[exps] = coeff
+        classes.setdefault(weight, {})[key] = coeff
     k = sum(h * t for (_, h), t in zip(spans, tops))
     det = action.det_to(1, out_vars)
     num = Poly.zero(out_vars, action.field)
     for weight, terms in classes.items():
-        num = num + Poly(p.vars, terms, p.field).subs(table, out_vars) * det ** (k - weight)
+        num = num + Poly.packed(p.vars, terms, p.field).subs(table, out_vars) * det ** (k - weight)
     return num, k
 
 
@@ -187,7 +201,7 @@ class FiniteGroupAction(_Spaces):
     # a finite element moves no g-variables: a check runs over the space ring
     g_vars: tuple[str, ...] = ()
 
-    def __init__(self, x_mats: list[QMat], w_mats: list[QMat],
+    def __init__(self, x_mats: Sequence[QMat], w_mats: Sequence[QMat],
                  x_vars: tuple[str, ...], w_vars: tuple[str, ...],
                  right: list[list[int]], inv: list[int],
                  field: PrimeField | None = None):
@@ -208,7 +222,7 @@ class FiniteGroupAction(_Spaces):
 
     @property
     def order(self) -> int:
-        return len(self.x_mats)
+        return len(self.right)
 
     @property
     def generators(self) -> list[int]:
@@ -281,6 +295,7 @@ def make_finite_group(generators: list[tuple], x_vars: tuple[str, ...] | None = 
     generator is compiled into gather layers (:func:`_layers`), so a product
     is one gather per layer plus one gcd.  The products fill the Cayley
     table ``right``; the inverses are read off it, with no inverse formed.
+    The element matrices stay integer forms until something reads them.
     """
     if not generators:
         raise ActionError("at least one generator pair is required")
@@ -340,27 +355,48 @@ def make_finite_group(generators: list[tuple], x_vars: tuple[str, ...] | None = 
             row.append(j)
         right.append(row)
     inv = _inverses(right, parent, via)
-
-    # rows repeat across elements, so each distinct (den, numerators) row is
-    # lifted to field elements once
+    # rows repeat across elements and sides, so each distinct (den,
+    # numerators) row is lifted once
     rows: dict[tuple, tuple[Coeff, ...]] = {}
+    return FiniteGroupAction(_ElementMatrices(x_forms, nx, field, rows),
+                             _ElementMatrices(w_forms, nw, field, rows),
+                             x_vars, w_vars, right, inv, field)
 
-    def matrices(forms: list, n: int) -> list[QMat]:
-        out = []
-        for den, nums in forms:
-            mat = []
+
+class _ElementMatrices(Sequence):
+    """The matrices of a closure's elements, kept as the closure's integer
+    forms (den, flat numerators) and each lifted to rows of field elements
+    on its first read: most commands read only the generators."""
+
+    def __init__(self, forms: list, n: int, field: PrimeField | None, rows: dict):
+        self._forms, self._n, self._field, self._rows = forms, n, field, rows
+        self._lifted: list[QMat | None] = [None] * len(forms)
+
+    def __len__(self) -> int:
+        return len(self._forms)
+
+    def __getitem__(self, i: int) -> QMat:
+        mat = self._lifted[i]
+        if mat is None:
+            den, nums = self._forms[i]
+            n, field, rows = self._n, self._field, self._rows
+            out = []
             for r in range(0, n * n, n):
                 key = den, nums[r:r + n]
                 row = rows.get(key)
                 if row is None:
-                    row = rows[key] = tuple(coeff_div(v, den) if p is None
+                    row = rows[key] = tuple(coeff_div(v, den) if field is None
                                             else FpElem(field, v) for v in key[1])
-                mat.append(row)
-            out.append(tuple(mat))
-        return out
+                out.append(row)
+            mat = self._lifted[i] = tuple(out)
+        return mat
 
-    return FiniteGroupAction(matrices(x_forms, nx), matrices(w_forms, nw), x_vars,
-                             w_vars, right, inv, field)
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
 
 
 def _inverses(right: list[list[int]], parent: list[int], via: list[int]) -> list[int]:

@@ -34,6 +34,7 @@ from .covariant import (
     generic_independence,
 )
 from .exactalg import (
+    DegreeOverflowError,
     DimensionError,
     ExactAlgError,
     Matrix,
@@ -42,6 +43,7 @@ from .exactalg import (
     PrimeField,
     RatFn,
     lift_coeff,
+    parse_entry,
     qmat,
 )
 from .forge import (
@@ -161,12 +163,13 @@ def _text(value, where: str) -> str:
     return str(value)
 
 
-def _parsed(cls, text, where: str, group: GroupAction, **options):
-    """``cls.parse`` over the X-variables of a string or an integer; any
-    other value, a malformed text or a zero denominator names the field."""
+def _parsed(parse, text, where: str, group: GroupAction, **options):
+    """``parse`` over the X-variables of a string or an integer; any other
+    value, a malformed text, a degree past the packed width or a zero
+    denominator names the field."""
     try:
-        return cls.parse(_text(text, where), group.x_vars, group.field, **options)
-    except (ParseError, ZeroDivisionError) as exc:
+        return parse(_text(text, where), group.x_vars, group.field, **options)
+    except (ParseError, DegreeOverflowError, ZeroDivisionError) as exc:
         raise ProblemError(f"{where}: {exc}") from None
 
 
@@ -259,10 +262,9 @@ def parse_problem(source: str | dict, path: str = "") -> ProblemFile:
     for k, coords in enumerate(cov_block):
         _expect(isinstance(coords, list) and len(coords) == group.w_dim,
                 f"covariants[{k}]: expected {group.w_dim} coordinate strings")
-        parsed = [_parsed(RatFn, text, f"covariants[{k}][{c_idx}]", group)
-                  for c_idx, text in enumerate(coords)]
-        covariants.append(Covariant(group, [p.as_poly() if p.is_poly() else p
-                                            for p in parsed]))
+        covariants.append(Covariant(group, [
+            _parsed(parse_entry, text, f"covariants[{k}][{c_idx}]", group)
+            for c_idx, text in enumerate(coords)]))
 
     family = raw.get("family")
     if family is not None:
@@ -377,11 +379,13 @@ def _parse_weight(block, group: GroupAction) -> Character:
 
 def _certificate_entry(text, where: str, group: GroupAction,
                        reduce: bool = True) -> Poly | RatFn:
-    """One certificate string parsed over the X-variables, as a Poly when
-    it is one; the error names the field."""
+    """One certificate string parsed over the X-variables: with ``reduce``
+    a Poly when it is one, else the RatFn as written; the error names the
+    field."""
     _expect(isinstance(text, str), f"{where}: expected a string")
-    e = _parsed(RatFn, text, where, group, reduce=reduce)
-    return e.as_poly() if reduce and e.is_poly() else e
+    if reduce:
+        return _parsed(parse_entry, text, where, group)
+    return _parsed(RatFn.parse, text, where, group, reduce=False)
 
 
 def _square(raw: dict, key: str, group: GroupAction) -> list[list]:
@@ -682,7 +686,7 @@ def cmd_lower(args) -> int:
     rel_block = problem.raw.get("relation")
     if not isinstance(rel_block, list) or len(rel_block) != len(Fs):
         raise ProblemError("relation: expected one coefficient string per covariant")
-    coeffs = [_parsed(Poly, text, f"relation[{k}]", problem.group)
+    coeffs = [_parsed(Poly.parse, text, f"relation[{k}]", problem.group)
               for k, text in enumerate(rel_block)]
     rel = Relation(coeffs, Fs).verify()
     s = _reflection_from_block(problem.raw.get("reflection"), problem.group)
@@ -841,7 +845,8 @@ def main(argv: list[str] | None = None) -> int:
         # a generic element too large to build, refused where a command reads it
         print(f"error: group.{exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (ProblemError, ParseError, DimensionError, ActionError) as exc:
+    except (ProblemError, ParseError, DimensionError, ActionError,
+            DegreeOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except ExactAlgError as exc:

@@ -73,12 +73,9 @@ class Covariant:
             # a coordinate over a subset of the X-variables needs no scan of
             # its terms
             if tuple(c.vars) != x_vars:
-                if set(c.vars) <= set(x_vars):
-                    c = c.embed(x_vars)
-                elif set(c.support_vars()) - set(x_vars):
+                if not set(c.vars) <= set(x_vars) and set(c.support_vars()) - set(x_vars):
                     raise DimensionError("coordinate uses variables outside the X-space")
-                else:
-                    c = _restrict(c, x_vars)
+                c = c.embed(x_vars)
             fixed.append(c)
         if len(fixed) != action.w_dim:
             raise DimensionError(
@@ -128,18 +125,6 @@ class Covariant:
 
     def __repr__(self):
         return f"Covariant({self})"
-
-
-def _restrict(value, target_vars):
-    """Project a Poly/RatFn whose extra variables are unused onto target_vars."""
-    if isinstance(value, RatFn):
-        return RatFn(_restrict(value.num, target_vars),
-                     _restrict(value.den, target_vars), reduce=False)
-    terms = {}
-    pos = [value.vars.index(v) for v in target_vars]
-    for exps, coeff in value.terms.items():
-        terms[tuple(exps[p] for p in pos)] = coeff
-    return Poly(target_vars, terms, value.field)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +392,7 @@ def weight_of(action: GroupAction, f: Poly) -> Character | None:
     theta = RatFn(_product(f.embed(ring), action.det_to(k, ring)), num)
     if set(theta.support_vars()) - set(action.g_vars):
         return None
-    return Character(action, ratfn=_restrict(theta, action.g_vars))
+    return Character(action, ratfn=theta.embed(action.g_vars))
 
 
 def det_relative_invariant(Fs: list[Covariant]) -> RelativeInvariant:
@@ -520,7 +505,7 @@ class _IntegerColumns:
             polys = nums + [den]
             ints = iter(int_form([c for q in polys for c in q.terms.values()], field)[1])
             compiled = [tuple((next(ints), tuple((i, k) for i, k in enumerate(exps) if k))
-                              for exps in q.terms) for q in polys]
+                              for exps, _ in q.exponent_items()) for q in polys]
             self.nums.append(compiled[:-1])
             self.dens.append(compiled[-1])
         self.max_exp = [0] * len(Fs[0].action.x_vars)

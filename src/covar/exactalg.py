@@ -1,8 +1,15 @@
 """Exact arithmetic foundation: sparse multivariate polynomials, rational
 functions, and fraction-free matrix algebra.
 
-A polynomial is a finite map from exponent vectors to nonzero coefficients,
-over a fixed ordered tuple of named variables.  Coefficients are exact:
+A polynomial is a finite map from monomials to nonzero coefficients, over a
+fixed ordered tuple of named variables.  Each monomial is stored as one
+packed int key: its total degree in the top field, then the exponents of
+x1, ..., xn in fields of ``EXP_BITS`` = 16 bits, so int order is the
+monomial order, a product of monomials is one int add and a quotient one
+int subtract.  A total degree past ``MAX_DEGREE`` = 32767 is refused with
+:class:`DegreeOverflowError`, checked once per product, power and parsed
+polynomial; :meth:`Poly.exponent_items` reads the keys back as exponent
+tuples, and the constructor takes either form.  Coefficients are exact:
 rationals by default, or elements of a prime field ``GF(p)`` when a
 :class:`PrimeField` is attached.  A rational is a Python ``int`` unless a
 division made it a non-integer, and then a ``fractions.Fraction``:
@@ -15,8 +22,9 @@ result depends on which of the two holds a value.  Zero coefficients are
 never stored, so dict equality is semantic equality.
 
 The monomial order is graded lexicographic with the declared variable order
-(total degree first, then the exponent tuple compared left to right).  The
-canonical text form lists terms in ascending order under it, e.g.
+(total degree first, then the exponent tuple compared left to right), the
+int order of the keys.  The canonical text form lists terms in ascending
+order under it, e.g.
 ``x1*x2^2 - x1^2*x2``, with coefficients printed as ``p/q`` integers.
 Parsing accepts exactly that grammar.
 
@@ -287,21 +295,92 @@ def field_zero(field: PrimeField | None) -> Coeff:
 
 
 # ---------------------------------------------------------------------------
-# polynomials
+# packed exponents
 # ---------------------------------------------------------------------------
+
+# A monomial x1^e1 ... xn^en of a ring of n variables is stored as one int,
+# its key: the total degree in the top field, then e1, ..., en in fields of
+# EXP_BITS bits each, x1 the most significant.  The int order of keys is
+# then the graded lex order, the key of a product of monomials is the sum
+# of their keys, and the key of a quotient their difference.  The top bit of
+# each exponent field is a guard that no stored key sets: a difference of
+# keys sets it exactly when some exponent went negative, and no sum of keys
+# carries out of a field while the total degree is at most MAX_DEGREE.
+EXP_BITS = 16
+MAX_DEGREE = (1 << (EXP_BITS - 1)) - 1
+EXP_MASK = (1 << EXP_BITS) - 1
+
+
+class DegreeOverflowError(ExactAlgError):
+    """A total degree past ``MAX_DEGREE``, the most a packed key holds."""
+
+
+def _degree_error(what: str) -> DegreeOverflowError:
+    return DegreeOverflowError(f"{what} is past total degree {MAX_DEGREE}, the most "
+                               "a packed exponent holds")
+
+
+# the layout of each ring size met so far; a pure function of the size
+_KEY_LAYOUTS: dict[int, tuple[tuple[int, ...], int, int]] = {}
+
+
+def key_layout(n: int) -> tuple[tuple[int, ...], int, int]:
+    """(shifts, top, guard) of a ring of n variables: the shift of each
+    exponent field, the shift of the degree field, and the guard bits."""
+    layout = _KEY_LAYOUTS.get(n)
+    if layout is None:
+        shifts = tuple(EXP_BITS * (n - 1 - i) for i in range(n))
+        guard = sum(1 << (s + EXP_BITS - 1) for s in shifts)
+        layout = _KEY_LAYOUTS[n] = shifts, EXP_BITS * n, guard
+    return layout
 
 
 def _grlex_key(exps: tuple[int, ...]) -> tuple:
+    """The graded lex order on exponent tuples: total degree first, then
+    the tuple.  The int order of packed keys is this order."""
     return (sum(exps), exps)
+
+
+def pack_exponents(exps: Sequence[int]) -> int:
+    """The packed key of an exponent tuple; a negative exponent or a total
+    degree past ``MAX_DEGREE`` is refused."""
+    shifts, top, _ = key_layout(len(exps))
+    degree = key = 0
+    for e, s in zip(exps, shifts):
+        if e < 0:
+            raise ExactAlgError(f"negative exponent in {tuple(exps)}")
+        degree += e
+        key += e << s
+    if degree > MAX_DEGREE:
+        raise _degree_error("a term")
+    return key + (degree << top)
+
+
+def unpack_exponents(key: int, n: int) -> tuple[int, ...]:
+    """The exponent tuple of a packed key of a ring of n variables."""
+    return tuple((key >> s) & EXP_MASK for s in key_layout(n)[0])
+
+
+def unit_keys(n: int) -> list[int]:
+    """The packed key of each variable of a ring of n variables: a monomial
+    times x_i has its key plus the i-th."""
+    shifts, top, _ = key_layout(n)
+    return [(1 << top) + (1 << s) for s in shifts]
+
+
+# ---------------------------------------------------------------------------
+# polynomials
+# ---------------------------------------------------------------------------
 
 
 class Poly:
     """Sparse multivariate polynomial over an exact coefficient field.
 
-    ``vars`` is the ordered tuple of variable names; ``terms`` maps exponent
-    tuples (one entry per variable) to nonzero coefficients.  Instances are
-    treated as immutable: every operation returns a new polynomial, so shared
-    values are safe under concurrent use.
+    ``vars`` is the ordered tuple of variable names; ``terms`` maps the
+    packed key of each monomial (see :func:`pack_exponents`) to its nonzero
+    coefficient, and :meth:`exponent_items` reads them back as exponent
+    tuples.  Instances are treated as immutable: every operation returns a
+    new polynomial, so shared values are safe under concurrent use.
 
     Over Q a coefficient is an ``int`` unless a division made it a
     non-integer ``Fraction`` (see the module docstring): products and sums of
@@ -315,33 +394,54 @@ class Poly:
 
     __slots__ = ("vars", "terms", "field")
 
-    def __init__(self, vars: Sequence[str], terms: Mapping[tuple[int, ...], Coeff] | None = None,
+    def __init__(self, vars: Sequence[str],
+                 terms: Mapping[tuple[int, ...] | int, Coeff] | None = None,
                  field: PrimeField | None = None):
+        """``terms`` is keyed by exponent tuples, one entry per variable, or
+        by packed keys of this ring; zero coefficients are dropped."""
         self.vars = tuple(vars)
         self.field = field
-        cleaned: dict[tuple[int, ...], Coeff] = {}
+        cleaned: dict[int, Coeff] = {}
         if terms:
             nv = len(self.vars)
+            _, top, guard = key_layout(nv)
             for exps, coeff in terms.items():
-                if len(exps) != nv:
+                if type(exps) is int:
+                    key = exps
+                    if (key < 0 or key & guard
+                            or key >> top != sum(unpack_exponents(key, nv))):
+                        raise DimensionError(f"{key} is not a packed key of {nv} variables")
+                    if key >> top > MAX_DEGREE:
+                        raise _degree_error("a term")
+                elif len(exps) != nv:
                     raise DimensionError(
                         f"exponent vector {exps} has length {len(exps)}, expected {nv}")
+                else:
+                    key = pack_exponents(exps)
                 if coeff:
-                    cleaned[tuple(exps)] = coeff
+                    cleaned[key] = coeff
         self.terms = cleaned
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def packed(cls, vars: tuple[str, ...], terms: dict[int, Coeff],
+               field: PrimeField | None = None) -> "Poly":
+        """The polynomial on ``terms``, already keyed by packed keys of the
+        ring ``vars`` and free of zero coefficients; the dict is taken as
+        it is, neither copied nor checked."""
+        p = cls.__new__(cls)
+        p.vars, p.terms, p.field = vars, terms, field
+        return p
+
+    @classmethod
     def zero(cls, vars: Sequence[str], field: PrimeField | None = None) -> "Poly":
-        return cls(vars, {}, field)
+        return cls.packed(tuple(vars), {}, field)
 
     @classmethod
     def const(cls, value, vars: Sequence[str], field: PrimeField | None = None) -> "Poly":
         c = lift_coeff(value, field)
-        if not c:
-            return cls(vars, {}, field)
-        return cls(vars, {(0,) * len(vars): c}, field)
+        return cls.packed(tuple(vars), {0: c} if c else {}, field)
 
     @classmethod
     def one(cls, vars: Sequence[str], field: PrimeField | None = None) -> "Poly":
@@ -354,16 +454,13 @@ class Poly:
             idx = vars.index(name)
         except ValueError:
             raise ParseError(f"undeclared variable {name!r}") from None
-        exps = [0] * len(vars)
-        exps[idx] = 1
-        return cls(vars, {tuple(exps): field_one(field)}, field)
+        return cls.packed(vars, {unit_keys(len(vars))[idx]: field_one(field)}, field)
 
     @classmethod
     def gens(cls, vars: Sequence[str], field: PrimeField | None = None) -> list["Poly"]:
         """The variables of the ring, taken by position."""
         vars, one = tuple(vars), field_one(field)
-        return [cls(vars, {tuple(int(i == k) for i in range(len(vars))): one}, field)
-                for k in range(len(vars))]
+        return [cls.packed(vars, {key: one}, field) for key in unit_keys(len(vars))]
 
     @classmethod
     def parse(cls, text: str, vars: Sequence[str], field: PrimeField | None = None) -> "Poly":
@@ -378,42 +475,52 @@ class Poly:
         return bool(self.terms)
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(self.terms)
 
     def constant_value(self) -> Coeff:
         if self.is_zero():
             return field_zero(self.field)
         if not self.is_constant():
             raise ExactAlgError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return self.terms[0]
 
     def total_degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> (EXP_BITS * len(self.vars))
 
-    def support_vars(self) -> set[str]:
-        used: set[str] = set()
-        for exps in self.terms:
-            for name, e in zip(self.vars, exps):
-                if e:
-                    used.add(name)
+    def exponents(self, key: int) -> tuple[int, ...]:
+        """The exponent tuple of a packed key of this ring."""
+        return unpack_exponents(key, len(self.vars))
+
+    def exponent_items(self) -> list[tuple[tuple[int, ...], Coeff]]:
+        """(exponent tuple, coefficient) of each term, in stored order."""
+        n = len(self.vars)
+        return [(unpack_exponents(k, n), c) for k, c in self.terms.items()]
+
+    def _used(self) -> int:
+        """The OR of the keys: its field of a variable is nonzero exactly
+        when some term has that variable."""
+        used = 0
+        for key in self.terms:
+            used |= key
         return used
 
-    def leading(self) -> tuple[tuple[int, ...], Coeff]:
-        """Leading (exponent, coefficient) under graded lex; error on zero."""
+    def support_vars(self) -> set[str]:
+        used = self._used()
+        return {name for name, s in zip(self.vars, key_layout(len(self.vars))[0])
+                if (used >> s) & EXP_MASK}
+
+    def leading(self) -> tuple[int, Coeff]:
+        """Leading (packed key, coefficient) under graded lex; error on zero."""
         if not self.terms:
             raise ExactAlgError("zero polynomial has no leading term")
-        key = max(self.terms, key=_grlex_key)
+        key = max(self.terms)
         return key, self.terms[key]
 
     def lc(self) -> Coeff:
         return self.leading()[1]
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Coeff]]:
-        """Terms in ascending graded-lex order (the canonical text order)."""
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]))
 
     # -- ring plumbing -----------------------------------------------------
 
@@ -438,22 +545,28 @@ class Poly:
         return Poly.zero(self.vars, self.field)
 
     def embed(self, new_vars: Sequence[str]) -> "Poly":
-        """Reindex into a larger ring; own variables must all be present."""
+        """Reindex into another ring, which must hold every variable that
+        occurs; the degree field of each key moves with its exponents."""
         new_vars = tuple(new_vars)
         if new_vars == self.vars:
             return self
-        try:
-            pos = [new_vars.index(v) for v in self.vars]
-        except ValueError as exc:
-            raise DimensionError(f"target ring is missing a variable: {exc}") from None
-        n = len(new_vars)
-        terms: dict[tuple[int, ...], Coeff] = {}
-        for exps, coeff in self.terms.items():
-            out = [0] * n
-            for p, e in zip(pos, exps):
-                out[p] = e
-            terms[tuple(out)] = coeff
-        return Poly(new_vars, terms, self.field)
+        shifts, top, _ = key_layout(len(self.vars))
+        new_shifts, new_top, _ = key_layout(len(new_vars))
+        moves, missing = [], 0
+        for name, s in zip(self.vars, shifts):
+            if name in new_vars:
+                moves.append((s, new_shifts[new_vars.index(name)]))
+            else:
+                missing |= EXP_MASK << s
+        if self._used() & missing:
+            raise DimensionError("target ring is missing a variable that occurs")
+        terms = {}
+        for key, coeff in self.terms.items():
+            out = (key >> top) << new_top
+            for s, t in moves:
+                out += ((key >> s) & EXP_MASK) << t
+            terms[out] = coeff
+        return Poly.packed(new_vars, terms, self.field)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -463,24 +576,19 @@ class Poly:
             return NotImplemented
         self._check_ring(other)
         out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = out.get(exps)
+        for key, coeff in other.terms.items():
+            acc = out.get(key)
             val = coeff if acc is None else acc + coeff
             if val:
-                out[exps] = val
+                out[key] = val
             elif acc is not None:
-                del out[exps]
-        p = Poly.__new__(Poly)
-        p.vars, p.terms, p.field = self.vars, out, self.field
-        return p
+                del out[key]
+        return Poly.packed(self.vars, out, self.field)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Poly.__new__(Poly)
-        p.vars, p.field = self.vars, self.field
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return Poly.packed(self.vars, {e: -c for e, c in self.terms.items()}, self.field)
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -503,25 +611,32 @@ class Poly:
         self._check_ring(other)
         if not self.terms or not other.terms:
             return Poly.zero(self.vars, self.field)
-        out: dict[tuple[int, ...], Coeff] = {}
+        # the leading keys add to the product's leading key, whose degree
+        # field is exact, as two stored keys add with no carry
+        degree = (max(self.terms) + max(other.terms)) >> (EXP_BITS * len(self.vars))
+        if degree > MAX_DEGREE:
+            raise _degree_error(f"a product of total degree {degree}")
+        out: dict[int, Coeff] = {}
+        terms = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+            for e2, c2 in terms:
+                key = e1 + e2
                 acc = out.get(key)
                 val = c1 * c2 if acc is None else acc + c1 * c2
                 if val:
                     out[key] = val
                 elif acc is not None:
                     del out[key]
-        p = Poly.__new__(Poly)
-        p.vars, p.terms, p.field = self.vars, out, self.field
-        return p
+        return Poly.packed(self.vars, out, self.field)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ExactAlgError("polynomial powers must be nonnegative integers")
+        degree = n * max(self.total_degree(), 0)
+        if degree > MAX_DEGREE:
+            raise _degree_error(f"a power of total degree {degree}")
         result = Poly.one(self.vars, self.field)
         base = self
         while n:
@@ -547,38 +662,40 @@ class Poly:
             return self
         if divisor.is_constant():
             c = divisor.constant_value()
-            return Poly(self.vars, {e: coeff_div(v, c) for e, v in self.terms.items()},
-                        self.field)
-        # the leading remainder term comes off a max-heap on grlex, deleted
-        # lazily: every key the remainder gains is below the one just taken,
-        # so a key that has left the remainder never returns
+            return Poly.packed(self.vars, {e: coeff_div(v, c) for e, v in self.terms.items()},
+                               self.field)
+        # the leading remainder term comes off a max-heap of negated keys,
+        # deleted lazily: every key the remainder gains is below the one
+        # just taken, so a key that has left the remainder never returns
         rem = dict(self.terms)
-        heap = [(-sum(k), tuple(map(operator.neg, k)), k) for k in rem]
+        heap = [-k for k in rem]
         heapify(heap)
-        quot: dict[tuple[int, ...], Coeff] = {}
+        quot: dict[int, Coeff] = {}
         dk, dc = divisor.leading()
+        guard = key_layout(len(self.vars))[2]
+        terms = divisor.terms.items()
         while rem:
-            rk = heappop(heap)[2]
+            rk = -heappop(heap)
             if rk not in rem:
                 continue
-            qk = tuple(map(operator.sub, rk, dk))
-            if min(qk) < 0:
+            qk = rk - dk
+            if qk & guard:
                 raise ExactDivisionError("division leaves a remainder")
             qc = coeff_div(rem[rk], dc)
             quot[qk] = qc
-            for e2, c2 in divisor.terms.items():
-                key = tuple(map(operator.add, qk, e2))
+            for e2, c2 in terms:
+                key = qk + e2
                 acc = rem.get(key)
                 if acc is None:
                     rem[key] = -qc * c2
-                    heappush(heap, (-sum(key), tuple(map(operator.neg, key)), key))
+                    heappush(heap, -key)
                 else:
                     val = acc - qc * c2
                     if val:
                         rem[key] = val
                     else:
                         del rem[key]
-        return Poly(self.vars, quot, self.field)
+        return Poly.packed(self.vars, quot, self.field)
 
     def divides(self, other: "Poly") -> bool:
         try:
@@ -593,7 +710,8 @@ class Poly:
         c = self.lc()
         if c == field_one(self.field):
             return self
-        return Poly(self.vars, {e: coeff_div(v, c) for e, v in self.terms.items()}, self.field)
+        return Poly.packed(self.vars, {e: coeff_div(v, c) for e, v in self.terms.items()},
+                           self.field)
 
     # -- substitution and evaluation ----------------------------------------
 
@@ -609,10 +727,13 @@ class Poly:
             sample = next(iter(images.values()), None)
             out_vars = sample.vars if sample is not None else self.vars
         out_vars = tuple(out_vars)
-        support = self.support_vars()
-        table: dict[str, Poly | RatFn] = {}
+        used = self._used()
+        # (shift, image) of each variable that occurs
+        table = []
         rational = False
-        for name in support:
+        for name, s in zip(self.vars, key_layout(len(self.vars))[0]):
+            if not (used >> s) & EXP_MASK:
+                continue
             img = images.get(name)
             if img is None:
                 img = Poly.var(name, out_vars, self.field)
@@ -620,28 +741,35 @@ class Poly:
                 img = img.embed(out_vars)
             if isinstance(img, RatFn):
                 rational = True
-            table[name] = img
+            table.append((s, img))
         if rational:
-            table = {k: (v if isinstance(v, RatFn) else RatFn(v, reduce=False))
-                     for k, v in table.items()}
-            zero = RatFn(Poly.zero(out_vars, self.field))
-            one = RatFn(Poly.one(out_vars, self.field))
-        else:
-            zero = Poly.zero(out_vars, self.field)
-            one = Poly.one(out_vars, self.field)
-        powers: dict[str, dict[int, object]] = {name: {} for name in table}
-        total = zero
-        for exps, coeff in self.terms.items():
-            term = one * coeff
-            for name, e in zip(self.vars, exps):
-                if not e:
-                    continue
-                cache = powers[name]
-                if e not in cache:
-                    cache[e] = table[name] ** e
-                term = term * cache[e]
-            total = total + term
-        return total
+            table = [(s, v if isinstance(v, RatFn) else RatFn(v, reduce=False))
+                     for s, v in table]
+        powers: dict[tuple[int, int], object] = {}
+        out: dict[int, Coeff] = {}
+        total = RatFn(Poly.zero(out_vars, self.field)) if rational else None
+        for key, coeff in self.terms.items():
+            term = None
+            for s, img in table:
+                e = (key >> s) & EXP_MASK
+                if e:
+                    power = powers.get((s, e))
+                    if power is None:
+                        power = powers[s, e] = img ** e
+                    term = power if term is None else term * power
+            if rational:
+                total = total + (RatFn(Poly.const(coeff, out_vars, self.field))
+                                 if term is None else term * coeff)
+                continue
+            # a Poly sum goes into one term dict, not a new sum per term
+            for k, c in (term.terms.items() if term is not None else ((0, 1),)):
+                acc = out.get(k)
+                val = coeff * c if acc is None else acc + coeff * c
+                if val:
+                    out[k] = val
+                elif acc is not None:
+                    del out[k]
+        return total if rational else Poly.packed(out_vars, out, self.field)
 
     def eval(self, point: Mapping[str, object] | Sequence[object]) -> Coeff:
         """Exact evaluation at a point; the point must cover all variables."""
@@ -651,10 +779,12 @@ class Poly:
             vals = [lift_coeff(v, self.field) for v in point]
             if len(vals) != len(self.vars):
                 raise DimensionError("point length does not match variable count")
+        pairs = list(zip(vals, key_layout(len(self.vars))[0]))
         total = field_zero(self.field)
-        for exps, coeff in self.terms.items():
+        for key, coeff in self.terms.items():
             term = coeff
-            for v, e in zip(vals, exps):
+            for v, s in pairs:
+                e = (key >> s) & EXP_MASK
                 if e:
                     term = term * v**e
             total = total + term
@@ -678,15 +808,22 @@ class Poly:
     def __str__(self):
         if not self.terms:
             return "0"
+        terms = self.terms
+        # per variable: its shift and the text of each power met so far
+        fields = [(s, {1: name}, name)
+                  for name, s in zip(self.vars, key_layout(len(self.vars))[0])]
         pieces: list[str] = []
-        for exps, coeff in self.sorted_terms():
+        # ascending graded lex, the canonical text order, is the key order
+        for key in sorted(terms):
             factors = []
-            for name, e in zip(self.vars, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            c_str = str(coeff)
+            for s, texts, name in fields:
+                e = (key >> s) & EXP_MASK
+                if e:
+                    text = texts.get(e)
+                    if text is None:
+                        text = texts[e] = f"{name}^{e}"
+                    factors.append(text)
+            c_str = str(terms[key])
             negative = c_str.startswith("-")
             if negative:
                 c_str = c_str[1:]
@@ -714,12 +851,13 @@ class Poly:
 
 def _coeffs_in_var(p: Poly, idx: int) -> dict[int, Poly]:
     """View p as univariate in variable idx; coefficients keep the full ring."""
-    buckets: dict[int, dict[tuple[int, ...], Coeff]] = {}
-    for exps, coeff in p.terms.items():
-        d = exps[idx]
-        rest = exps[:idx] + (0,) + exps[idx + 1:]
-        buckets.setdefault(d, {})[rest] = coeff
-    return {d: Poly(p.vars, t, p.field) for d, t in buckets.items()}
+    shifts, top, _ = key_layout(len(p.vars))
+    s = shifts[idx]
+    buckets: dict[int, dict[int, Coeff]] = {}
+    for key, coeff in p.terms.items():
+        d = (key >> s) & EXP_MASK
+        buckets.setdefault(d, {})[key - (d << s) - (d << top)] = coeff
+    return {d: Poly.packed(p.vars, t, p.field) for d, t in buckets.items()}
 
 
 def _content(p: Poly, idx: int) -> Poly:
@@ -758,15 +896,14 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return a.monic()
     if a.is_constant() or b.is_constant():
         return Poly.one(a.vars, a.field)
-    idx = None
-    for i in range(len(a.vars)):
-        if any(e[i] for e in a.terms) or any(e[i] for e in b.terms):
-            idx = i
-            break
+    shifts = key_layout(len(a.vars))[0]
+    used = a._used() | b._used()
+    idx = next((i for i, s in enumerate(shifts) if (used >> s) & EXP_MASK), None)
     if idx is None:
         return Poly.one(a.vars, a.field)
-    da = max(e[idx] for e in a.terms) if a.terms else 0
-    db = max(e[idx] for e in b.terms) if b.terms else 0
+    s = shifts[idx]
+    da = max((k >> s) & EXP_MASK for k in a.terms)
+    db = max((k >> s) & EXP_MASK for k in b.terms)
     if da == 0:
         return poly_gcd(a, _content(b, idx))
     if db == 0:
@@ -1004,6 +1141,17 @@ class RatFn:
 
     def __repr__(self):
         return f"RatFn({str(self)!r})"
+
+
+def parse_entry(text: str, vars: Sequence[str], field: PrimeField | None = None) -> Poly | RatFn:
+    """Read a polynomial or ``(num)/(den)`` text as a Poly when its value is
+    one, else as a reduced RatFn.  A text with no fraction is read straight
+    to a Poly, with no gcd and no division."""
+    text = text.strip()
+    if _split_fraction(text) is None:
+        return Poly.parse(text, vars, field)
+    f = RatFn.parse(text, vars, field)
+    return f.as_poly() if f.is_poly() else f
 
 
 # ---------------------------------------------------------------------------
@@ -1322,57 +1470,60 @@ _TERM = re.compile(r"\s*([-+]?)([^-+]*)")
 
 def _parse_poly(text: str, vars: tuple[str, ...], field: PrimeField | None) -> Poly:
     """One match of ``_TERM`` per signed term, whose factors string methods
-    split and check, each distinct factor text once; each term is added into
-    one term dict, so parsing is linear in the length of the text.  A term
-    that does not parse goes to :func:`_parse_error`."""
+    split and check, each distinct factor text once; a term's key is the
+    sum of its factors' packed keys, and each term is added into one term
+    dict, so parsing is linear in the length of the text.  A term that does
+    not parse goes to :func:`_parse_error`; a term past ``MAX_DEGREE`` is
+    refused once the whole text has parsed."""
     end = len(text.rstrip())
     if not end:
         raise ParseError("empty polynomial text")
-    index = {v: i for i, v in enumerate(vars)}
+    top = key_layout(len(vars))[1]
+    units = dict(zip(vars, unit_keys(len(vars))))
     one = field_one(field)
-    terms: dict[tuple[int, ...], Coeff] = {}
-    factors: dict[str, tuple[int | None, int | Coeff]] = {}
+    terms: dict[int, Coeff] = {}
+    factors: dict[str, tuple[int, Coeff | None]] = {}
     pos = 0
     while pos < end:
         m = _TERM.match(text, pos, end)
-        coeff, exps = one, [0] * len(vars)
+        coeff, key = one, 0
         try:
             for factor in m.group(2).split("*"):
                 got = factors.get(factor)
                 if got is None:
-                    got = factors[factor] = _read_factor(factor, index, field)
-                i, value = got
-                if i is None:
-                    coeff = coeff * value
-                else:
-                    exps[i] += value
+                    got = factors[factor] = _read_factor(factor, units, field)
+                key += got[0]
+                if got[1] is not None:
+                    coeff = coeff * got[1]
         except (KeyError, ArithmeticError, ValueError):
-            raise _parse_error(text, pos, index, field) from None
+            raise _parse_error(text, pos, units, field) from None
         if m.group(1) == "-":
             coeff = -coeff
-        key = tuple(exps)
         terms[key] = terms[key] + coeff if key in terms else coeff
         pos = m.end()
-    return Poly(vars, terms, field)
+    # a field that carried only raised the degree field it carried into
+    if max(terms) >> top > MAX_DEGREE:
+        raise _degree_error("a term")
+    return Poly.packed(vars, {k: c for k, c in terms.items() if c}, field)
 
 
-def _read_factor(factor: str, index: dict[str, int],
-                 field: PrimeField | None) -> tuple[int | None, int | Coeff]:
-    """(variable index, exponent) or (None, coefficient) of a factor text,
-    a name with an optional ``^`` exponent or an integer with an optional
-    ``/`` denominator, spaces around each part; ValueError or KeyError
-    for any other text."""
+def _read_factor(factor: str, units: dict[str, int],
+                 field: PrimeField | None) -> tuple[int, Coeff | None]:
+    """(packed key, None) of a factor text that is a name with an optional
+    ``^`` exponent, or (0, coefficient) of one that is an integer with an
+    optional ``/`` denominator, spaces around each part; ValueError or
+    KeyError for any other text."""
     base, hat, power = factor.partition("^")
     base, power = base.strip(), power.strip()
     if base[:1].isalpha() and base.isascii() and base.replace("_", "").isalnum():
         if hat and not power.isdecimal():
             raise ValueError(power)
-        return index[base], int(power) if hat else 1
+        return units[base] * int(power) if hat else units[base], None
     num, slash, den = base.partition("/")
     num, den = num.strip(), den.strip()
     if hat or not num.isdecimal() or slash and not den.isdecimal():
         raise ValueError(factor)
-    return None, lift_coeff(Fraction(int(num), int(den)) if slash else int(num), field)
+    return 0, lift_coeff(Fraction(int(num), int(den)) if slash else int(num), field)
 
 
 def _parse_error(text: str, pos: int, index: dict[str, int],

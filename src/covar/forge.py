@@ -28,6 +28,8 @@ from .covariant import (
     verify_equivariance,
 )
 from .exactalg import (
+    MAX_DEGREE,
+    DegreeOverflowError,
     DimensionError,
     ExactAlgError,
     Matrix,
@@ -38,6 +40,8 @@ from .exactalg import (
     lift_coeff,
     qmat_identity,
     qmat_mul,
+    unit_keys,
+    unpack_exponents,
 )
 
 
@@ -66,10 +70,12 @@ def _group_order_inverse(G: FiniteGroupAction):
     return coeff_div(field_one(G.field), lift_coeff(order, G.field))
 
 
-def _monomial_step(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """(alpha - e_k, k) with k the last variable that occurs in x^alpha."""
-    k = max(i for i, e in enumerate(alpha) if e)
-    return alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:], k
+def _monomial_step(alpha: int, units: list[int]) -> tuple[int, int]:
+    """(alpha - e_k, k) for the packed key alpha, with k the last variable
+    that occurs in x^alpha."""
+    exps = unpack_exponents(alpha, len(units))
+    k = max(i for i, e in enumerate(exps) if e)
+    return alpha - units[k], k
 
 
 class _Orbit:
@@ -77,8 +83,9 @@ class _Orbit:
 
     ``images`` yields, level by level in degree, the image of each wanted
     monomial x^alpha under every g^{-1}: the image of x^(alpha - e_k) times
-    the image of x_k.  Only the previous level is kept.  ``average`` sums a
-    seed map against those images with the W-matrices, accumulating
+    the image of x_k, all on packed keys, so a monomial times x_j is its
+    key plus the key of x_j.  Only the previous level is kept.  ``average``
+    sums a seed map against those images with the W-matrices, accumulating
     coefficients directly, and scales by 1/|G| once at the end.
     """
 
@@ -88,39 +95,39 @@ class _Orbit:
         self.one = field_one(G.field)
         d = G.w_dim
         # per element: the nonzero (c, w[c][l]) of each W-column l, and the
-        # image of each x_k under g^{-1} as (variable index, coefficient) pairs
+        # image of each x_k under g^{-1} as (key of x_l, coefficient) pairs
         self.w_cols = [[[(c, w[c][l]) for c in range(d) if w[c][l]]
                         for l in range(d)] for w in G.w_mats]
-        self.linear = [[[(l, c) for l, c in enumerate(row) if c]
+        self.units = unit_keys(G.x_dim)
+        self.linear = [[[(self.units[l], c) for l, c in enumerate(row) if c]
                         for row in G.x_mats[G.inv[g]]] for g in G.elements()]
 
     def images(self, wanted):
-        """Yield (alpha, images) for each wanted exponent tuple in increasing
+        """Yield (alpha, images) for each wanted packed key in increasing
         degree, then sorted order; images[g] is the term dict of x^alpha
         evaluated at g^{-1} x."""
-        wanted = set(wanted)
-        top = max((sum(a) for a in wanted), default=-1)
+        degree = {a: sum(unpack_exponents(a, self.G.x_dim)) for a in wanted}
+        top = max(degree.values(), default=-1)
         levels = [set() for _ in range(top + 1)]
-        for a in wanted:
-            levels[sum(a)].add(a)
+        for a, t in degree.items():
+            levels[t].add(a)
         for t in range(top, 0, -1):
-            levels[t - 1].update(_monomial_step(a)[0] for a in levels[t])
-        zero = (0,) * self.G.x_dim
-        prev = {zero: [{zero: self.one}] * self.G.order}
+            levels[t - 1].update(_monomial_step(a, self.units)[0] for a in levels[t])
+        prev = {0: [{0: self.one}] * self.G.order}
         for t, level in enumerate(levels):
             if t:
                 prev = {a: self._step(prev, a) for a in level}
-            for a in sorted(level & wanted):
+            for a in sorted(level.intersection(degree)):
                 yield a, prev[a]
 
     def _step(self, prev, alpha):
-        base, k = _monomial_step(alpha)
+        base, k = _monomial_step(alpha, self.units)
         out = []
         for img, lin in zip(prev[base], self.linear):
-            acc: dict[tuple[int, ...], object] = {}
+            acc: dict[int, object] = {}
             for exps, c in img.items():
-                for j, a in lin[k]:
-                    key = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
+                for unit, a in lin[k]:
+                    key = exps + unit
                     v = acc.get(key)
                     acc[key] = c * a if v is None else v + c * a
             out.append({e: c for e, c in acc.items() if c})
@@ -138,8 +145,8 @@ class _Orbit:
                         for exps, v in img.items():
                             old = target.get(exps)
                             target[exps] = f * v if old is None else old + f * v
-        return [Poly(self.G.x_vars, {e: v * self.scale for e, v in a.items()}, self.G.field)
-                for a in acc]
+        return [Poly.packed(self.G.x_vars, {e: v * self.scale for e, v in a.items() if v},
+                            self.G.field) for a in acc]
 
 
 def reynolds_project(H: list[Poly], G: FiniteGroupAction) -> Covariant:
@@ -155,7 +162,7 @@ def reynolds_project(H: list[Poly], G: FiniteGroupAction) -> Covariant:
     if len(H) != G.w_dim:
         raise DimensionError("seed map has the wrong number of coordinates")
     orbit = _Orbit(G)
-    coeffs: dict[tuple[int, ...], list] = {}
+    coeffs: dict[int, list] = {}
     for l, h in enumerate(Covariant(G, H).poly_coords()):
         for exps, c in h.terms.items():
             coeffs.setdefault(exps, []).append((l, c))
@@ -163,16 +170,15 @@ def reynolds_project(H: list[Poly], G: FiniteGroupAction) -> Covariant:
                                       for a, images in orbit.images(coeffs)), EQUIVARIANT)
 
 
-def _monomials(nx: int, degree_bound: int) -> list[tuple[int, ...]]:
-    """Exponent tuples in nx variables of total degree at most degree_bound."""
-    out = []
-    for degree in range(degree_bound + 1):
-        for combo in combinations_with_replacement(range(nx), degree):
-            e = [0] * nx
-            for idx in combo:
-                e[idx] += 1
-            out.append(tuple(e))
-    return out
+def _monomials(nx: int, degree_bound: int) -> list[int]:
+    """Packed keys of the monomials in nx variables of total degree at most
+    degree_bound; a bound past ``MAX_DEGREE`` is refused."""
+    if degree_bound > MAX_DEGREE:
+        raise DegreeOverflowError(f"degree bound {degree_bound} is past total degree "
+                                  f"{MAX_DEGREE}, the most a packed exponent holds")
+    units = unit_keys(nx)
+    return [sum(units[i] for i in combo) for degree in range(degree_bound + 1)
+            for combo in combinations_with_replacement(range(nx), degree)]
 
 
 def _ray_key(coords: list[Poly]):

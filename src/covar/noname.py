@@ -54,6 +54,7 @@ from .exactalg import (
     coeff_div,
     common_denominator,
     field_one,
+    unit_keys,
 )
 from .report import Report, Stopwatch
 
@@ -371,17 +372,20 @@ def linearize_isomorphism(coords: list[Poly], action: GroupAction,
         raise IsomorphismError(
             f"coordinate {bad[0] + 1} is not invariant (witness: {bad[1]})")
 
-    x_positions = [ring.index(v) for v in action.x_vars]
+    # L_ij collects the terms of coordinate i that are w_j times a monomial
+    # in x, whose packed key is the term's key less the key of w_j
+    units = unit_keys(len(ring))
     w_positions = [ring.index(v) for v in action.w_vars]
-    L_entries = [[Poly.zero(action.x_vars, field) for _ in range(d)] for _ in range(d)]
-    for i, p in enumerate(fixed):
-        for exps, coeff in p.terms.items():
-            w_deg = sum(exps[pos] for pos in w_positions)
-            if w_deg != 1:
-                continue
-            j = next(k for k, pos in enumerate(w_positions) if exps[pos] == 1)
-            x_exps = tuple(exps[pos] for pos in x_positions)
-            L_entries[i][j] = L_entries[i][j] + Poly(action.x_vars, {x_exps: coeff}, field)
+    L_entries = []
+    for p in fixed:
+        parts: list[dict] = [{} for _ in range(d)]
+        for key, coeff in p.terms.items():
+            exps = p.exponents(key)
+            degrees = [exps[pos] for pos in w_positions]
+            if sum(degrees) == 1:
+                j = degrees.index(1)
+                parts[j][key - units[w_positions[j]]] = coeff
+        L_entries.append([Poly.packed(ring, t, field).embed(action.x_vars) for t in parts])
     L = Matrix(L_entries)
     det = L.det()
     inv_scale = _unit_inverse(det, unit_denominator, action)

@@ -327,7 +327,7 @@ def test_two_generic_elements_compose():
                 **{v: Poly.var(v, C.x_vars) for v in C.x_vars}}
         det_val = C.det_poly.eval(point)
         out = Poly.zero(C.x_vars)
-        for exps, coeff in num.terms.items():
+        for exps, coeff in num.exponent_items():
             term = Poly.const(coeff, C.x_vars)
             for name, e in zip(num.vars, exps):
                 if not e:
@@ -702,3 +702,27 @@ def test_generic_element_past_the_bound_is_refused_before_any_name(monkeypatch):
     with pytest.raises(action_module.SpaceSizeError,
                        match="^x_copies: 1 copies give 9000000 X-variables"):
         symbolic_general_linear(3000, "gl_conjugation", "gl_conjugation")
+
+
+def test_linear_images_write_each_sum_into_one_term_dict(monkeypatch):
+    """The images sum_l rows[k][l] v_l of a conjugation block over k[g] are
+    built with no Poly sum, and equal the sum of the products."""
+    C = symbolic_general_linear(2, "gl_conjugation", "gl_conjugation")
+    rows = C.x_num.entries
+    out_vars = C.x_vars + C.g_vars
+    expected = []
+    for row in rows:
+        acc = Poly.zero(out_vars)
+        for name, c in zip(C.x_vars, row):
+            acc = acc + Poly.var(name, out_vars) * c.embed(out_vars)
+        expected.append(acc)
+    calls = []
+    add = Poly.__add__
+    monkeypatch.setattr(Poly, "__add__", lambda a, b: calls.append(1) or add(a, b))
+    images = action_module._linear_images(rows, C.x_vars, out_vars, None)
+    assert not calls
+    assert images == expected
+    # scalar rows: a finite element's images over the X-ring
+    G = make_finite_group([(CYCLE3, [[1]])])
+    assert action_module._linear_images(G.x_mats[1], G.x_vars, G.x_vars, None) == [
+        Poly.parse(t, G.x_vars) for t in ("x3", "x1", "x2")]

@@ -972,6 +972,90 @@ def test_golden_outputs(golden_name, argv):
     assert strip_volatile(json.loads(out)) == golden
 
 
+def _s4_power_maps(tmp_path) -> str:
+    """The benchmark's S4 power-map problem at seed 0, written to a file."""
+    import random
+
+    from test_bench_oracle_agreement import workloads
+
+    path = tmp_path / "s4_power_maps.json"
+    path.write_text(json.dumps(workloads.symmetric_group_problem(4, random.Random(0)), indent=2))
+    return str(path)
+
+
+@pytest.mark.parametrize("golden_name,argv", [
+    ("s4_power_maps_noname.json", ["noname-build"]),
+    ("s4_power_maps_generate.json", ["generate", "--degree-bound", "4"]),
+])
+def test_s4_power_map_payloads_are_pinned_byte_for_byte(tmp_path, golden_name, argv):
+    """The certificate and the generate payload as written: any change in
+    the order or spelling of the printed terms fails here."""
+    out = tmp_path / golden_name
+    code, _, _ = run_cli([argv[0], _s4_power_maps(tmp_path), *argv[1:], "--out", str(out)])
+    assert code == 0
+    with open(os.path.join(GOLDEN, golden_name), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+def test_a_degree_past_the_packed_width_exits_2_naming_the_field(tmp_path):
+    from covar.exactalg import MAX_DEGREE
+
+    raw = json.loads(json.dumps(_power_map_problem(2)))
+    raw["covariants"][1] = ["x1^2", f"3*x2^{MAX_DEGREE + 1}"]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(raw))
+    for command in ("verify", "noname-build"):
+        code, out, err = run_cli([command, str(path)])
+        assert code == 2 and not out
+        assert err == (f"error: covariants[1][1]: a term is past total degree {MAX_DEGREE}, "
+                       "the most a packed exponent holds\n")
+    # at the bound the problem is read, and a product past it exits 2
+    raw["covariants"][1] = [f"x1^{MAX_DEGREE}", f"x2^{MAX_DEGREE}"]
+    path.write_text(json.dumps(raw))
+    code, _, err = run_cli(["noname-build", str(path)])
+    assert code == 2
+    assert err.startswith(f"error: a product of total degree {MAX_DEGREE + 1} is past")
+
+
+def test_generator_commands_lift_only_the_generators(tmp_path, monkeypatch):
+    """A closure keeps its element matrices as integer forms; the commands
+    that check on generators lift only those, and reading the order lifts
+    none."""
+    import random
+
+    from covar import action as action_module
+    from test_bench_oracle_agreement import workloads
+
+    path = tmp_path / "s5.json"
+    path.write_text(json.dumps(workloads.symmetric_group_problem(5, random.Random(0))))
+    lifted = []
+    read = action_module._ElementMatrices.__getitem__
+    monkeypatch.setattr(action_module._ElementMatrices, "__getitem__",
+                        lambda self, i: lifted.append(i) or read(self, i))
+    problem = parse_problem(str(path))
+    assert problem.group.order == 120 and not lifted
+    generators = set(problem.group.generators)
+    cert = tmp_path / "cert.json"
+    for argv in (["verify"], ["independence"], ["module-verdict"], ["relation"],
+                 ["noname-build", "--out", str(cert)]):
+        code, _, _ = run_cli([argv[0], str(path), *argv[1:]])
+        assert code == 0, argv
+    code, _, _ = run_cli(["noname-verify", str(cert)])
+    assert code == 0
+    assert lifted and set(lifted) <= generators
+
+
+def test_polynomial_coordinates_are_read_without_a_rational_function(monkeypatch):
+    made = []
+    init = RatFn.__init__
+    monkeypatch.setattr(RatFn, "__init__",
+                        lambda self, *a, **k: made.append(1) or init(self, *a, **k))
+    problem = parse_problem(_power_map_problem(5))
+    assert len(problem.covariants) == 5 and not made
+    parse_problem("rational_swap")
+    assert made
+
+
 # -- rational frames and padded symbolic checks ------------------------------------
 
 _SWAP_GROUP = {"type": "finite", "generators": [{"x": _SWAP, "w": _SWAP}]}

@@ -9,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from covar.exactalg import (
+    EXP_BITS,
+    MAX_DEGREE,
+    DegreeOverflowError,
     DimensionError,
     ExactAlgError,
     ExactDivisionError,
@@ -17,19 +20,24 @@ from covar.exactalg import (
     Poly,
     PrimeField,
     RatFn,
+    _grlex_key,
     _parse_poly,
     _rational,
     _split_fraction,
     coeff_div,
     echelon_kernel,
     int_rank_det,
+    key_layout,
     lift_coeff,
+    pack_exponents,
+    parse_entry,
     poly_gcd,
     poly_lcm,
     qmat,
     qmat_det,
     qmat_rank,
     qmat_rank_det,
+    unpack_exponents,
 )
 
 V2 = ("x1", "x2")
@@ -323,9 +331,9 @@ def _mutated_texts(draw):
 def _parse_outcome(parse, text, field):
     try:
         p = parse(text, V2, field)
-    except (ParseError, ZeroDivisionError) as exc:
+    except (ParseError, DegreeOverflowError, ZeroDivisionError) as exc:
         return type(exc), str(exc)
-    return [(e, c, type(c)) for e, c in p.terms.items()], str(p)
+    return [(e, c, type(c)) for e, c in p.exponent_items()], str(p)
 
 
 @settings(max_examples=400, deadline=None)
@@ -374,7 +382,7 @@ def _ratfn_outcome(parse, text, field, reduce):
         f = parse(text, V2, field, reduce)
     except (ParseError, ZeroDivisionError) as exc:
         return type(exc), str(exc)
-    return sorted(f.num.terms.items()), sorted(f.den.terms.items()), str(f)
+    return sorted(f.num.exponent_items()), sorted(f.den.exponent_items()), str(f)
 
 
 @settings(max_examples=400, deadline=None)
@@ -447,7 +455,7 @@ def test_gcd_divides_both_and_matches_sympy(a, b, g):
 
     def to_sympy(p):
         return sympy.Add(*[sympy.Rational(c) * sx1**e[0] * sx2**e[1]
-                           for e, c in p.terms.items()])
+                           for e, c in p.exponent_items()])
 
     expected = sympy.gcd(to_sympy(a), to_sympy(b))
     got = to_sympy(d)
@@ -471,7 +479,7 @@ def _to_sympy(p):
     if p.field is None:
         return sympy.Poly.from_dict({e: sympy.Rational(c.numerator, c.denominator)
                                      for e, c in _ref(p).items()}, *_SX, domain="QQ")
-    return sympy.Poly.from_dict({e: c.val for e, c in p.terms.items()}, *_SX, modulus=5)
+    return sympy.Poly.from_dict({e: c.val for e, c in p.exponent_items()}, *_SX, modulus=5)
 
 
 def _over(field):
@@ -481,7 +489,7 @@ def _over(field):
     if field is None:
         return polys(max_terms=5, max_exp=3, coeff=coeff)
     return polys(max_terms=5, max_exp=3, coeff=coeff).map(
-        lambda p: Poly(V2, {e: lift_coeff(c, field) for e, c in p.terms.items()}, field))
+        lambda p: Poly(V2, {e: lift_coeff(c, field) for e, c in p.exponent_items()}, field))
 
 
 @pytest.mark.parametrize("field", [None, F5], ids=["Q", "GF5"])
@@ -513,11 +521,11 @@ def test_a_remainder_key_that_vanishes_and_returns_is_taken_once(monkeypatch):
 
     pushed = []
     push = exactalg.heappush
-    monkeypatch.setattr(exactalg, "heappush",
-                        lambda heap, item: pushed.append(item[2]) or push(heap, item))
+    monkeypatch.setattr(exactalg, "heappush", lambda heap, item:
+                        pushed.append(prod.exponents(-item)) or push(heap, item))
     a, b = p2("1 + x1*x2 + x1^2*x2"), p2("2 - x1 + x1^2*x2")
     prod = a * b
-    assert (2, 1) in prod.terms
+    assert (2, 1) in dict(prod.exponent_items())
     assert prod.exact_div(b) == a
     assert (2, 1) in pushed
 
@@ -553,6 +561,137 @@ def test_exact_division_is_linear_in_the_unreduced_product(monkeypatch):
     assert prod.exact_div(b) == a
     assert calls["key"] <= len(b.terms)
     assert calls["push"] <= len(a.terms) * len(b.terms)
+
+
+# -- packed exponent keys -------------------------------------------------------------
+
+
+@st.composite
+def _exponent_tuples(draw, n):
+    """n exponents of total degree at most MAX_DEGREE, often at the bound:
+    each takes all that is left, nothing, or a draw in between."""
+    left, out = MAX_DEGREE, []
+    for _ in range(n):
+        e = draw(st.one_of(st.just(left), st.just(0), st.integers(0, left)))
+        out.append(e)
+        left -= e
+    return tuple(draw(st.permutations(out)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 6))
+def test_packed_keys_order_as_grlex_and_round_trip(data, n):
+    """Int order of keys is the grlex order of the tuples; a key unpacks to
+    its tuple; a sum of keys within the degree bound is the key of the sum;
+    a difference sets a guard bit exactly when some exponent goes
+    negative, which is how exact_div tests divisibility."""
+    a, b = data.draw(_exponent_tuples(n)), data.draw(_exponent_tuples(n))
+    ka, kb = pack_exponents(a), pack_exponents(b)
+    assert (ka < kb) == (_grlex_key(a) < _grlex_key(b))
+    assert (ka == kb) == (a == b)
+    assert unpack_exponents(ka, n) == a and unpack_exponents(kb, n) == b
+    if sum(a) + sum(b) <= MAX_DEGREE:
+        assert ka + kb == pack_exponents(tuple(x + y for x, y in zip(a, b)))
+    guard = key_layout(n)[2]
+    assert bool((ka - kb) & guard) == any(x < y for x, y in zip(a, b))
+    if not (ka - kb) & guard:
+        assert ka - kb == pack_exponents(tuple(x - y for x, y in zip(a, b)))
+
+
+def test_packed_keys_at_the_width_boundary():
+    V = ("x1", "x2", "x3")
+    for exps in [(MAX_DEGREE, 0, 0), (0, 0, MAX_DEGREE), (1, MAX_DEGREE - 2, 1)]:
+        p = Poly(V, {exps: 3})
+        assert p.exponent_items() == [(exps, 3)] and p.total_degree() == MAX_DEGREE
+        assert Poly.parse(str(p), V) == p
+    half = MAX_DEGREE // 2
+    top = Poly.parse(f"x1^{half}", V) * Poly.parse(f"x1^{MAX_DEGREE - half}", V)
+    assert str(top) == f"x1^{MAX_DEGREE}"
+    assert top.exact_div(Poly.parse("x1", V)).total_degree() == MAX_DEGREE - 1
+    with pytest.raises(ExactDivisionError):
+        top.exact_div(Poly.parse("x2", V))
+    # a key of another layout, or one with a guard bit set, is refused
+    for key in (-1, 1 << (EXP_BITS - 1), pack_exponents((1, 0, 0)) + 1):
+        with pytest.raises(DimensionError):
+            Poly(V, {key: 1})
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda x: x ** (MAX_DEGREE // 2) * x ** (MAX_DEGREE // 2 + 2),
+     f"a product of total degree {MAX_DEGREE + 1} is past"),
+    (lambda x: x ** (MAX_DEGREE + 1), f"a power of total degree {MAX_DEGREE + 1} is past"),
+    (lambda x: (x + 1) ** (MAX_DEGREE + 1), f"a power of total degree {MAX_DEGREE + 1} is past"),
+    (lambda x: Poly.parse(f"x1^{MAX_DEGREE + 1}", V2), "a term is past"),
+    (lambda x: Poly.parse(f"3 + x1^{MAX_DEGREE}*x2", V2), "a term is past"),
+    (lambda x: Poly.parse(f"x2^{MAX_DEGREE} - x2^{MAX_DEGREE}*x1^5 + x2^{MAX_DEGREE}*x1^5", V2),
+     "a term is past"),
+    (lambda x: Poly.parse(f"x1^{2 ** EXP_BITS}", V2), "a term is past"),
+    (lambda x: Poly(V2, {(MAX_DEGREE, 1): 1}), "a term is past"),
+], ids=["product", "power", "power-of-a-sum", "parsed", "parsed-product-term",
+        "parsed-cancelling", "parsed-full-field", "tuple"])
+def test_a_degree_past_the_packed_width_is_refused(make, message):
+    """A product, a power or a parsed term past MAX_DEGREE raises, and a
+    power is refused before any product is formed; a parsed term that
+    cancels is refused too, as its key was formed."""
+    with pytest.raises(DegreeOverflowError, match=f"^{message} total degree {MAX_DEGREE}, "):
+        make(Poly.var("x1", V2))
+
+
+def test_exact_division_pushes_only_int_keys(monkeypatch):
+    from covar import exactalg
+
+    heaped, pushed = [], []
+    heapify, push = exactalg.heapify, exactalg.heappush
+    monkeypatch.setattr(exactalg, "heapify", lambda heap: heaped.extend(heap) or heapify(heap))
+    monkeypatch.setattr(exactalg, "heappush",
+                        lambda heap, item: pushed.append(item) or push(heap, item))
+    # the product cancels x1^2*x2, which the division gains back and pushes
+    a, b = p2("1 + x1*x2 + x1^2*x2"), p2("2 - x1 + x1^2*x2")
+    assert (a * b).exact_div(b) == a
+    assert heaped and pushed
+    assert {type(item) for item in heaped + pushed} == {int}
+
+
+def test_subs_writes_its_sum_into_one_term_dict(monkeypatch):
+    """A polynomial substitution makes no Poly sum: each term's image is
+    added into one dict, so the work is linear in the output."""
+    p = p3("1 + x1*x2 - 2*x3^2 + x1^2*x2 + 5*x2*x3")
+    images = {"x1": p3("x2 + x3"), "x2": p3("x1 - 1"), "x3": p3("2*x1*x2")}
+    expected = p.subs(images)
+    calls = []
+    add = Poly.__add__
+    monkeypatch.setattr(Poly, "__add__", lambda a, b: calls.append(1) or add(a, b))
+    assert p.subs(images) == expected
+    assert not calls
+    ref = Poly.zero(V3)
+    for exps, c in p.exponent_items():
+        term = Poly.const(c, V3)
+        for name, e in zip(V3, exps):
+            term = term * images[name] ** e
+        ref = add(ref, term)
+    assert expected == ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_fraction_texts, _fraction_soup, _polynomial_texts),
+       st.sampled_from([None, PrimeField(5)]))
+def test_parse_entry_matches_the_ratfn_route(text, field):
+    """A coordinate read by parse_entry equals RatFn.parse then as_poly when
+    it is polynomial: the same value, type and text, or the same error."""
+    def outcome(read):
+        try:
+            e = read()
+        except (ParseError, DegreeOverflowError, ZeroDivisionError) as exc:
+            return type(exc), str(exc)
+        terms = e.exponent_items() if isinstance(e, Poly) else (
+            e.num.exponent_items(), e.den.exponent_items())
+        return type(e), terms, str(e)
+
+    def old():
+        f = RatFn.parse(text, V2, field)
+        return f.as_poly() if f.is_poly() else f
+
+    assert outcome(lambda: parse_entry(text, V2, field)) == outcome(old)
 
 
 # -- rational functions -------------------------------------------------------------
@@ -915,7 +1054,7 @@ def q_polys(coeff=rationals, max_terms=3):
 
 def _ref(p):
     """The terms of p as an all-Fraction dict, the reference's representation."""
-    return {e: Fraction(c) for e, c in p.terms.items()}
+    return {e: Fraction(c) for e, c in p.exponent_items()}
 
 
 def _checked(p):

@@ -16,7 +16,7 @@ from covar.noname import build_isomorphism
 
 def to_sympy(p: Poly, table):
     expr = sympy.Integer(0)
-    for exps, coeff in p.terms.items():
+    for exps, coeff in p.exponent_items():
         term = sympy.Rational(coeff)
         for name, e in zip(p.vars, exps):
             if e:
