@@ -43,15 +43,12 @@ from .exactalg import (
     Coeff,
     DimensionError,
     ExactAlgError,
-    FpElem,
     Matrix,
     Poly,
     PrimeField,
     QMat,
     RatFn,
     coeff_div,
-    field_one,
-    field_zero,
     int_form,
     int_rank_det,
     lift_coeff,
@@ -358,18 +355,19 @@ def make_finite_group(generators: list[tuple], x_vars: tuple[str, ...] | None = 
     # rows repeat across elements and sides, so each distinct (den,
     # numerators) row is lifted once
     rows: dict[tuple, tuple[Coeff, ...]] = {}
-    return FiniteGroupAction(_ElementMatrices(x_forms, nx, field, rows),
-                             _ElementMatrices(w_forms, nw, field, rows),
+    return FiniteGroupAction(_ElementMatrices(x_forms, nx, rows),
+                             _ElementMatrices(w_forms, nw, rows),
                              x_vars, w_vars, right, inv, field)
 
 
 class _ElementMatrices(Sequence):
     """The matrices of a closure's elements, kept as the closure's integer
     forms (den, flat numerators) and each lifted to rows of field elements
-    on its first read: most commands read only the generators."""
+    on its first read: most commands read only the generators.  Over GF(p)
+    den is 1, so one division serves both fields."""
 
-    def __init__(self, forms: list, n: int, field: PrimeField | None, rows: dict):
-        self._forms, self._n, self._field, self._rows = forms, n, field, rows
+    def __init__(self, forms: list, n: int, rows: dict):
+        self._forms, self._n, self._rows = forms, n, rows
         self._lifted: list[QMat | None] = [None] * len(forms)
 
     def __len__(self) -> int:
@@ -379,14 +377,13 @@ class _ElementMatrices(Sequence):
         mat = self._lifted[i]
         if mat is None:
             den, nums = self._forms[i]
-            n, field, rows = self._n, self._field, self._rows
+            n, rows = self._n, self._rows
             out = []
             for r in range(0, n * n, n):
                 key = den, nums[r:r + n]
                 row = rows.get(key)
                 if row is None:
-                    row = rows[key] = tuple(coeff_div(v, den) if field is None
-                                            else FpElem(field, v) for v in key[1])
+                    row = rows[key] = tuple(coeff_div(v, den) for v in key[1])
                 out.append(row)
             mat = self._lifted[i] = tuple(out)
         return mat
@@ -666,8 +663,7 @@ class SymbolicGroupAction(_Spaces):
         if block is None:
             adj = self.adj_mat if spec.kind == "conjugation" else None
             block = spec.block(self.g_mat, adj)
-            one = field_one(self.field)
-            if any(e.eval(self.g_identity) != (one if i == j else 0)
+            if any(e.eval(self.g_identity) != (1 if i == j else 0)
                    for i, row in enumerate(block.entries) for j, e in enumerate(row)):
                 raise ActionError("template does not specialize to the identity at g = id")
             self._blocks[spec.kind] = block
@@ -798,7 +794,7 @@ class Character:
     @classmethod
     def trivial(cls, action: GroupAction) -> "Character":
         if action.is_finite:
-            return cls(action, table=[field_one(action.field)] * action.order)
+            return cls(action, table=[1] * action.order)
         return cls(action, ratfn=RatFn.one(action.g_vars, action.field))
 
     @classmethod
@@ -809,11 +805,12 @@ class Character:
         of the generator it was first reached by."""
         at = dict(zip(action.check_elements(), values))
         gen_values = [at[g] for g in action.generators]
-        table = [field_one(action.field)] + [None] * (action.order - 1)
+        field = action.field
+        table = [1] + [None] * (action.order - 1)
         for i, row in enumerate(action.right):
             for j, v in zip(row, gen_values):
                 if table[j] is None:
-                    table[j] = table[i] * v
+                    table[j] = lift_coeff(table[i] * v, field)
         return cls(action, table=table)
 
     def value(self, i: int):
@@ -830,8 +827,7 @@ class Character:
 
     def is_trivial(self) -> bool:
         if self.table is not None:
-            one = field_one(self.action.field)
-            return all(v == one for v in self.table)
+            return all(v == 1 for v in self.table)
         return self.ratfn == 1
 
     def __eq__(self, other):
@@ -852,10 +848,10 @@ class Character:
         element is a word in the generators, so that is the whole identity."""
         action = self.action
         if action.is_finite:
-            t = self.table
+            t, field = self.table, action.field
             gen_values = [t[g] for g in action.generators]
-            return t[action.identity] == field_one(action.field) and all(
-                t[j] == t[i] * v
+            return t[action.identity] == 1 and all(
+                t[j] == lift_coeff(t[i] * v, field)
                 for i, row in enumerate(action.right) for j, v in zip(row, gen_values))
         n = action.n
         ring = action.g_vars + matrix_names("h", n)
@@ -868,7 +864,7 @@ class Character:
             return theta.subs(dict(zip(action.g_vars, entries)), ring)
 
         at_identity = self.ratfn.eval(action.g_identity)
-        return at(g * h) == theta * at(h) and at_identity == field_one(action.field)
+        return at(g * h) == theta * at(h) and at_identity == 1
 
     def __str__(self):
         if self.table is not None:
@@ -882,9 +878,8 @@ class Character:
 def det_w_inverse_character(action: GroupAction) -> Character:
     """The character g -> det(g_W)^{-1} attached to determinant invariants."""
     if action.is_finite:
-        one = field_one(action.field)
         return Character.from_generators(action, [
-            coeff_div(one, qmat_det(action.w_mats[g], action.field))
+            coeff_div(1, qmat_det(action.w_mats[g], action.field), action.field)
             for g in action.check_elements()])
     # g_W is m copies of one W block: det(g_W) = det(g)^(e m), with no elimination
     power = action.w_spec.det_exponent() * action.w_spec.m
@@ -919,9 +914,8 @@ def extend_finite_action(action: FiniteGroupAction, y_vars: tuple[str, ...],
     ys = [tuple(tuple(lift_coeff(e, field) for e in row) for row in y) for y in y_mats]
     if any(len(y) != ny or any(len(r) != ny for r in y) for y in ys):
         raise DimensionError("Y-matrix size does not match y_vars")
-    zero = field_zero(field)
-    gens = [([list(row) + [zero] * ny for row in action.x_mats[g]]
-             + [[zero] * nx + list(row) for row in ys[g]], action.w_mats[g])
+    gens = [([list(row) + [0] * ny for row in action.x_mats[g]]
+             + [[0] * nx + list(row) for row in ys[g]], action.w_mats[g])
             for g in action.generators]
     try:
         product = make_finite_group(gens, action.x_vars + y_vars, action.w_vars,

@@ -381,7 +381,7 @@ def weight_of(action: GroupAction, f: Poly) -> Character | None:
             moved, _ = action.act_cleared(f, "x", f.vars, g)
             if moved.terms.keys() != f.terms.keys():
                 return None
-            theta = coeff_div(coeff, moved.terms[exps])
+            theta = coeff_div(coeff, moved.terms[exps], action.field)
             if moved * theta != f:
                 return None
             values.append(theta)
@@ -575,6 +575,6 @@ def _independence_witness(Fs: list[Covariant], points):
         if rank < full:
             continue
         if minor is not None:
-            minor = coeff_div(lift_coeff(minor, action.field), math.prod(dens))
+            minor = coeff_div(minor, math.prod(dens), action.field)
         return _point_dict(action.x_vars, point, action.field), minor
     return None

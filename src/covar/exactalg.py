@@ -11,15 +11,24 @@ int subtract.  A total degree past ``MAX_DEGREE`` = 32767 is refused with
 polynomial; :meth:`Poly.exponent_items` reads the keys back as exponent
 tuples, and the constructor takes either form.  Coefficients are exact:
 rationals by default, or elements of a prime field ``GF(p)`` when a
-:class:`PrimeField` is attached.  A rational is a Python ``int`` unless a
-division made it a non-integer, and then a ``fractions.Fraction``:
-:func:`lift_coeff`, the parser and :func:`field_one` give ints, ``+ - *``
-keep ints as ints, and :func:`coeff_div`, the one true division of
-coefficients, returns an int whenever the quotient is integral.  A sum or
-product of Fractions may still be a Fraction of denominator 1; since
-``int`` and ``Fraction`` compare, hash and print alike on equal values, no
-result depends on which of the two holds a value.  Zero coefficients are
-never stored, so dict equality is semantic equality.
+:class:`PrimeField` is attached.
+
+* Over Q a coefficient is a Python ``int`` unless a division made it a
+  non-integer, and then a ``fractions.Fraction``: :func:`lift_coeff` and
+  the parser give ints, ``+ - *`` keep ints as ints, and
+  :func:`coeff_div`, the one true division of coefficients, returns an
+  int whenever the quotient is integral.  A sum or product of Fractions
+  may still be a Fraction of denominator 1; since ``int`` and ``Fraction``
+  compare, hash and print alike on equal values, no result depends on
+  which of the two holds a value.
+* Over GF(p) a coefficient is an ``int`` in [0, p), and the field is known
+  only to this module.  :func:`lift_coeff` gives the representative of a
+  value, :func:`coeff_div` divides by the inverse ``pow(b, -1, p)``, and
+  each operation sums plain int products and reduces its result once per
+  key in one post-pass, :func:`reduce_terms`.  The Q loops are the same
+  loops, with no branch per term.
+
+Zero coefficients are never stored, so dict equality is semantic equality.
 
 The monomial order is graded lexicographic with the declared variable order
 (total degree first, then the exponent tuple compared left to right), the
@@ -70,100 +79,6 @@ class ParseError(ExactAlgError):
 # ---------------------------------------------------------------------------
 
 
-class FpElem:
-    """Element of a prime field; supports the same operator set as Fraction."""
-
-    __slots__ = ("field", "val")
-
-    def __init__(self, field: "PrimeField", val: int):
-        self.field = field
-        self.val = val % field.p
-
-    def _lift(self, other):
-        if isinstance(other, FpElem):
-            if other.field.p != self.field.p:
-                raise ExactAlgError("mixed prime fields")
-            return other
-        if isinstance(other, int):
-            return FpElem(self.field, other)
-        if isinstance(other, Fraction):
-            return self.field.from_fraction(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElem(self.field, self.val + other.val)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElem(self.field, self.val - other.val)
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElem(self.field, other.val - self.val)
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElem(self.field, self.val * other.val)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.val == 0:
-            raise ZeroDivisionError("division by zero in prime field")
-        return FpElem(self.field, self.val * pow(other.val, self.field.p - 2, self.field.p))
-
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return (FpElem(self.field, 1) / self) ** -n
-        return FpElem(self.field, pow(self.val, n, self.field.p))
-
-    def __neg__(self):
-        return FpElem(self.field, -self.val)
-
-    def __abs__(self):
-        return self
-
-    def __eq__(self, other):
-        if isinstance(other, FpElem):
-            return self.field.p == other.field.p and self.val == other.val
-        if isinstance(other, (int, Fraction)):
-            lifted = self._lift(other)
-            return lifted is not NotImplemented and self.val == lifted.val
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.p, self.val))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __str__(self):
-        return str(self.val)
-
-    def __repr__(self):
-        return f"FpElem({self.val} mod {self.field.p})"
-
-
 # Miller-Rabin on these bases decides primality for every p below the bound
 # (Sorenson & Webster 2015); larger moduli are refused, not guessed at.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -196,7 +111,9 @@ def _is_prime(p: int) -> bool:
 
 
 class PrimeField:
-    """GF(p) for a prime p; calling the field lifts an int into it."""
+    """GF(p) for a prime p: the tag of a ring whose coefficients are the
+    ints in [0, p); :func:`lift_coeff` and :func:`reduce_terms` reduce
+    into it."""
 
     __slots__ = ("p",)
 
@@ -204,22 +121,6 @@ class PrimeField:
         if not _is_prime(p):
             raise ExactAlgError(f"{p} is not prime")
         self.p = p
-
-    def __call__(self, n: int) -> FpElem:
-        return FpElem(self, n)
-
-    @property
-    def zero(self) -> FpElem:
-        return FpElem(self, 0)
-
-    @property
-    def one(self) -> FpElem:
-        return FpElem(self, 1)
-
-    def from_fraction(self, q: Fraction) -> FpElem:
-        if q.denominator % self.p == 0:
-            raise ZeroDivisionError(f"denominator {q.denominator} vanishes mod {self.p}")
-        return FpElem(self, q.numerator) / FpElem(self, q.denominator)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and self.p == other.p
@@ -231,7 +132,7 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-Coeff = Union[int, Fraction, FpElem]
+Coeff = Union[int, Fraction]
 
 
 def _rational(q: Fraction) -> int | Fraction:
@@ -239,16 +140,21 @@ def _rational(q: Fraction) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
-def coeff_div(a: Coeff, b: Coeff) -> Coeff:
+def coeff_div(a: Coeff, b: Coeff, field: PrimeField | None = None) -> Coeff:
     """a / b for coefficients, the one true division of the exact layer.
 
     Over Q the quotient is an int when it is integral and a Fraction
-    otherwise; GF(p) elements divide as field elements."""
+    otherwise; over GF(p), a times the inverse of b, in [0, p).  A b that
+    is 0 in the field raises ``ZeroDivisionError``."""
+    if field is not None:
+        p = field.p
+        if not b % p:
+            raise ZeroDivisionError("division by zero in prime field")
+        return a * pow(b, -1, p) % p
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
-    q = a / b
-    return _rational(q) if type(q) is Fraction else q
+    return _rational(a / b)
 
 
 def _read_rational(text: str) -> int | Fraction:
@@ -262,36 +168,33 @@ def _read_rational(text: str) -> int | Fraction:
 
 
 def lift_coeff(value, field: PrimeField | None) -> Coeff:
-    """Lift an int, Fraction, string, or field element into the coefficient
-    field; over Q an integral value becomes an int."""
-    if field is None:
-        if isinstance(value, int):
-            return int(value)
-        if isinstance(value, Fraction):
-            return _rational(value)
-        if isinstance(value, str):
-            return _read_rational(value)
-        raise ExactAlgError(f"cannot use {value!r} as a rational coefficient")
-    if isinstance(value, FpElem):
-        if value.field.p != field.p:
-            raise ExactAlgError("mixed prime fields")
-        return value
-    if isinstance(value, int):
-        return field(value)
-    if isinstance(value, Fraction):
-        return field.from_fraction(value)
+    """Lift an int, Fraction or string into the coefficient field: over Q
+    an integral value becomes an int, and over GF(p) every value becomes
+    its representative in [0, p)."""
     if isinstance(value, str):
         value = _read_rational(value)
-        return field(value) if type(value) is int else field.from_fraction(value)
-    raise ExactAlgError(f"cannot use {value!r} as a GF({field.p}) coefficient")
+    elif not isinstance(value, (int, Fraction)):
+        raise ExactAlgError(f"cannot use {value!r} as a "
+                            f"{'rational' if field is None else f'GF({field.p})'} coefficient")
+    if field is None:
+        return value if type(value) is int else _rational(value)
+    p = field.p
+    if type(value) is int:
+        return value % p
+    if not value.denominator % p:
+        raise ZeroDivisionError(f"denominator {value.denominator} vanishes mod {p}")
+    return value.numerator * pow(value.denominator, -1, p) % p
 
 
-def field_one(field: PrimeField | None) -> Coeff:
-    return 1 if field is None else field.one
-
-
-def field_zero(field: PrimeField | None) -> Coeff:
-    return 0 if field is None else field.zero
+def reduce_terms(terms: dict[int, Coeff], field: PrimeField | None) -> dict[int, Coeff]:
+    """The term dict of one operation's result.  Over GF(p) its int sums
+    of products are reduced here, once per key, into [0, p), and the keys
+    that reduce to 0 are dropped; over Q ``terms`` is returned as it is,
+    as the loops that build it drop zeros as they go."""
+    if field is None:
+        return terms
+    p = field.p
+    return {k: r for k, c in terms.items() if (r := c % p)}
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +301,8 @@ class Poly:
                  terms: Mapping[tuple[int, ...] | int, Coeff] | None = None,
                  field: PrimeField | None = None):
         """``terms`` is keyed by exponent tuples, one entry per variable, or
-        by packed keys of this ring; zero coefficients are dropped."""
+        by packed keys of this ring; over GF(p) each coefficient is lifted
+        into the field, and zero coefficients are dropped."""
         self.vars = tuple(vars)
         self.field = field
         cleaned: dict[int, Coeff] = {}
@@ -418,6 +322,8 @@ class Poly:
                         f"exponent vector {exps} has length {len(exps)}, expected {nv}")
                 else:
                     key = pack_exponents(exps)
+                if field is not None:
+                    coeff = lift_coeff(coeff, field)
                 if coeff:
                     cleaned[key] = coeff
         self.terms = cleaned
@@ -454,13 +360,13 @@ class Poly:
             idx = vars.index(name)
         except ValueError:
             raise ParseError(f"undeclared variable {name!r}") from None
-        return cls.packed(vars, {unit_keys(len(vars))[idx]: field_one(field)}, field)
+        return cls.packed(vars, {unit_keys(len(vars))[idx]: 1}, field)
 
     @classmethod
     def gens(cls, vars: Sequence[str], field: PrimeField | None = None) -> list["Poly"]:
         """The variables of the ring, taken by position."""
-        vars, one = tuple(vars), field_one(field)
-        return [cls.packed(vars, {key: one}, field) for key in unit_keys(len(vars))]
+        vars = tuple(vars)
+        return [cls.packed(vars, {key: 1}, field) for key in unit_keys(len(vars))]
 
     @classmethod
     def parse(cls, text: str, vars: Sequence[str], field: PrimeField | None = None) -> "Poly":
@@ -479,7 +385,7 @@ class Poly:
 
     def constant_value(self) -> Coeff:
         if self.is_zero():
-            return field_zero(self.field)
+            return 0
         if not self.is_constant():
             raise ExactAlgError("polynomial is not constant")
         return self.terms[0]
@@ -534,7 +440,7 @@ class Poly:
     def _lift(self, other):
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, Fraction, FpElem)):
+        if isinstance(other, (int, Fraction)):
             return Poly.const(other, self.vars, self.field)
         return None
 
@@ -583,12 +489,13 @@ class Poly:
                 out[key] = val
             elif acc is not None:
                 del out[key]
-        return Poly.packed(self.vars, out, self.field)
+        return Poly.packed(self.vars, reduce_terms(out, self.field), self.field)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly.packed(self.vars, {e: -c for e, c in self.terms.items()}, self.field)
+        return Poly.packed(self.vars, reduce_terms({e: -c for e, c in self.terms.items()},
+                                                   self.field), self.field)
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -627,7 +534,7 @@ class Poly:
                     out[key] = val
                 elif acc is not None:
                     del out[key]
-        return Poly.packed(self.vars, out, self.field)
+        return Poly.packed(self.vars, reduce_terms(out, self.field), self.field)
 
     __rmul__ = __mul__
 
@@ -660,28 +567,36 @@ class Poly:
             raise ZeroDivisionError("exact division by the zero polynomial")
         if self.is_zero():
             return self
+        field = self.field
         if divisor.is_constant():
             c = divisor.constant_value()
-            return Poly.packed(self.vars, {e: coeff_div(v, c) for e, v in self.terms.items()},
-                               self.field)
+            return Poly.packed(self.vars, {e: coeff_div(v, c, field)
+                                           for e, v in self.terms.items()}, field)
         # the leading remainder term comes off a max-heap of negated keys,
         # deleted lazily: every key the remainder gains is below the one
-        # just taken, so a key that has left the remainder never returns
+        # just taken, so a key that has left the remainder never returns.
+        # Each step takes its key off the remainder and skips the divisor's
+        # leading term, which cancels it: over GF(p) the remainder holds
+        # unreduced int sums, so that term would leave a multiple of p, not
+        # 0, and a popped key that is 0 mod p is dropped.
         rem = dict(self.terms)
         heap = [-k for k in rem]
         heapify(heap)
         quot: dict[int, Coeff] = {}
         dk, dc = divisor.leading()
         guard = key_layout(len(self.vars))[2]
-        terms = divisor.terms.items()
+        terms = [(e, c) for e, c in divisor.terms.items() if e != dk]
         while rem:
             rk = -heappop(heap)
-            if rk not in rem:
+            rc = rem.pop(rk, None)
+            if rc is None:
+                continue
+            qc = coeff_div(rc, dc, field)
+            if not qc:
                 continue
             qk = rk - dk
             if qk & guard:
                 raise ExactDivisionError("division leaves a remainder")
-            qc = coeff_div(rem[rk], dc)
             quot[qk] = qc
             for e2, c2 in terms:
                 key = qk + e2
@@ -708,10 +623,10 @@ class Poly:
         if self.is_zero():
             return self
         c = self.lc()
-        if c == field_one(self.field):
+        if c == 1:
             return self
-        return Poly.packed(self.vars, {e: coeff_div(v, c) for e, v in self.terms.items()},
-                           self.field)
+        return Poly.packed(self.vars, {e: coeff_div(v, c, self.field)
+                                       for e, v in self.terms.items()}, self.field)
 
     # -- substitution and evaluation ----------------------------------------
 
@@ -769,7 +684,8 @@ class Poly:
                     out[k] = val
                 elif acc is not None:
                     del out[k]
-        return total if rational else Poly.packed(out_vars, out, self.field)
+        return total if rational else Poly.packed(out_vars, reduce_terms(out, self.field),
+                                                  self.field)
 
     def eval(self, point: Mapping[str, object] | Sequence[object]) -> Coeff:
         """Exact evaluation at a point; the point must cover all variables."""
@@ -780,7 +696,7 @@ class Poly:
             if len(vals) != len(self.vars):
                 raise DimensionError("point length does not match variable count")
         pairs = list(zip(vals, key_layout(len(self.vars))[0]))
-        total = field_zero(self.field)
+        total = 0
         for key, coeff in self.terms.items():
             term = coeff
             for v, s in pairs:
@@ -788,7 +704,7 @@ class Poly:
                 if e:
                     term = term * v**e
             total = total + term
-        return total
+        return lift_coeff(total, self.field)
 
     # -- comparison and text -------------------------------------------------
 
@@ -796,7 +712,7 @@ class Poly:
         if isinstance(other, Poly):
             return (self.vars == other.vars and self.field == other.field
                     and self.terms == other.terms)
-        if isinstance(other, (int, Fraction, FpElem)):
+        if isinstance(other, (int, Fraction)):
             lifted = self._lift(other)
             return lifted is not None and self.terms == lifted.terms
         if isinstance(other, RatFn):
@@ -977,7 +893,7 @@ class RatFn:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
             c = den.lc()
-            if c != field_one(num.field):
+            if c != 1:
                 num, den = num.exact_div(c), den.exact_div(c)
         self.num = num
         self.den = den
@@ -1052,7 +968,7 @@ class RatFn:
             return other
         if isinstance(other, Poly):
             return RatFn(other, reduce=False)
-        if isinstance(other, (int, Fraction, FpElem)):
+        if isinstance(other, (int, Fraction)):
             return RatFn(Poly.const(other, self.vars, self.field), reduce=False)
         return None
 
@@ -1132,10 +1048,10 @@ class RatFn:
         d = self.den.eval(point)
         if not d:
             raise ZeroDivisionError("denominator vanishes at the point")
-        return coeff_div(self.num.eval(point), d)
+        return coeff_div(self.num.eval(point), d, self.field)
 
     def __str__(self):
-        if self.den.is_constant() and self.den.constant_value() == field_one(self.field):
+        if self.den.is_constant() and self.den.constant_value() == 1:
             return str(self.num)
         return f"({self.num})/({self.den})"
 
@@ -1363,7 +1279,7 @@ def int_form(values: Iterable[Coeff], field: PrimeField | None) -> tuple[int, tu
     den is coprime to the numerators' content; over GF(p), (1, the
     representatives in [0, p)).  Equal value tuples have equal forms."""
     if field is not None:
-        return 1, tuple(lift_coeff(v, field).val for v in values)
+        return 1, tuple(lift_coeff(v, field) for v in values)
     values = tuple(values)
     den = math.lcm(*(v.denominator for v in values))
     return den, tuple(v.numerator * (den // v.denominator) for v in values)
@@ -1373,15 +1289,14 @@ def qmat(rows: Iterable[Iterable], field: PrimeField | None = None) -> QMat:
     return tuple(tuple(lift_coeff(x, field) for x in row) for row in rows)
 
 
-def qmat_identity(n: int, field: PrimeField | None = None) -> QMat:
-    one, zero = field_one(field), field_zero(field)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+def qmat_identity(n: int) -> QMat:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def qmat_mul(a: QMat, b: QMat) -> QMat:
-    """Product of scalar matrices, skipping zero entries.  It serves the
-    matrix words at integer points; finite groups do not use it, as
-    ``make_finite_group`` multiplies integer forms by gathers."""
+def qmat_mul(a: QMat, b: QMat, field: PrimeField | None = None) -> QMat:
+    """Product of scalar matrices over ``field``, skipping zero entries.  It
+    serves the matrix words at integer points; finite groups do not use
+    it, as ``make_finite_group`` multiplies integer forms by gathers."""
     if len(a[0]) != len(b):
         raise DimensionError("scalar matrix shapes do not match")
     zero = b[0][0] - b[0][0]
@@ -1393,7 +1308,7 @@ def qmat_mul(a: QMat, b: QMat) -> QMat:
                 for j, y in enumerate(b_row):
                     if y:
                         acc[j] += x * y
-        out.append(tuple(acc))
+        out.append(tuple(acc) if field is None else tuple(x % field.p for x in acc))
     return tuple(out)
 
 
@@ -1403,22 +1318,21 @@ def qmat_det(a: QMat, field: PrimeField | None = None) -> Coeff:
     return qmat_rank_det(a, field)[1]
 
 
-def qmat_rank(a: Sequence[Sequence[Coeff]]) -> int:
-    return qmat_rank_det(a)[0]
+def qmat_rank(a: Sequence[Sequence[Coeff]], field: PrimeField | None = None) -> int:
+    return qmat_rank_det(a, field)[0]
 
 
 def qmat_rank_det(a: Sequence[Sequence[Coeff]], field: PrimeField | None = None
                   ) -> tuple[int, Coeff | None]:
-    """Rank of a scalar matrix and, when it is square, its determinant (None
-    otherwise), by :func:`int_rank_det` on the numerators of its integer
-    form (the representatives over GF(p), given or read off the entries):
-    the matrix is N / den, so its determinant is det(N) / den^rows."""
-    field = field or next((x.field for row in a for x in row if isinstance(x, FpElem)), None)
+    """Rank of a scalar matrix over ``field`` and, when it is square, its
+    determinant (None otherwise), by :func:`int_rank_det` on the numerators
+    of its integer form (the representatives over GF(p)): the matrix is
+    N / den, so its determinant is det(N) / den^rows."""
     den, nums = int_form([x for row in a for x in row], field)
     n = len(a[0]) if a else 0
     rank, det = int_rank_det([nums[r * n:(r + 1) * n] for r in range(len(a))],
                              None if field is None else field.p)
-    return rank, None if det is None else coeff_div(lift_coeff(det, field), den ** len(a))
+    return rank, None if det is None else coeff_div(det, den ** len(a), field)
 
 
 def int_rank_det(a: Sequence[Sequence[int]], p: int | None = None) -> tuple[int, int | None]:
@@ -1480,13 +1394,12 @@ def _parse_poly(text: str, vars: tuple[str, ...], field: PrimeField | None) -> P
         raise ParseError("empty polynomial text")
     top = key_layout(len(vars))[1]
     units = dict(zip(vars, unit_keys(len(vars))))
-    one = field_one(field)
     terms: dict[int, Coeff] = {}
     factors: dict[str, tuple[int, Coeff | None]] = {}
     pos = 0
     while pos < end:
         m = _TERM.match(text, pos, end)
-        coeff, key = one, 0
+        coeff, key = 1, 0
         try:
             for factor in m.group(2).split("*"):
                 got = factors.get(factor)
@@ -1504,7 +1417,7 @@ def _parse_poly(text: str, vars: tuple[str, ...], field: PrimeField | None) -> P
     # a field that carried only raised the degree field it carried into
     if max(terms) >> top > MAX_DEGREE:
         raise _degree_error("a term")
-    return Poly.packed(vars, {k: c for k, c in terms.items() if c}, field)
+    return Poly.packed(vars, reduce_terms({k: c for k, c in terms.items() if c}, field), field)
 
 
 def _read_factor(factor: str, units: dict[str, int],

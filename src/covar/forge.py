@@ -36,10 +36,9 @@ from .exactalg import (
     Poly,
     coeff_div,
     common_denominator,
-    field_one,
-    lift_coeff,
     qmat_identity,
     qmat_mul,
+    reduce_terms,
     unit_keys,
     unpack_exponents,
 )
@@ -67,7 +66,7 @@ def _group_order_inverse(G: FiniteGroupAction):
     if G.field is not None and order % G.field.p == 0:
         raise ModularObstructionError(
             f"group order {order} vanishes in GF({G.field.p})")
-    return coeff_div(field_one(G.field), lift_coeff(order, G.field))
+    return coeff_div(1, order, G.field)
 
 
 def _monomial_step(alpha: int, units: list[int]) -> tuple[int, int]:
@@ -86,13 +85,13 @@ class _Orbit:
     the image of x_k, all on packed keys, so a monomial times x_j is its
     key plus the key of x_j.  Only the previous level is kept.  ``average``
     sums a seed map against those images with the W-matrices, accumulating
-    coefficients directly, and scales by 1/|G| once at the end.
+    coefficients directly, and scales by 1/|G| once at the end.  Over GF(p)
+    the images and sums are unreduced ints, reduced once there too.
     """
 
     def __init__(self, G: FiniteGroupAction):
         self.G = G
         self.scale = _group_order_inverse(G)
-        self.one = field_one(G.field)
         d = G.w_dim
         # per element: the nonzero (c, w[c][l]) of each W-column l, and the
         # image of each x_k under g^{-1} as (key of x_l, coefficient) pairs
@@ -113,7 +112,7 @@ class _Orbit:
             levels[t].add(a)
         for t in range(top, 0, -1):
             levels[t - 1].update(_monomial_step(a, self.units)[0] for a in levels[t])
-        prev = {0: [{0: self.one}] * self.G.order}
+        prev = {0: [{0: 1}] * self.G.order}
         for t, level in enumerate(levels):
             if t:
                 prev = {a: self._step(prev, a) for a in level}
@@ -145,8 +144,10 @@ class _Orbit:
                         for exps, v in img.items():
                             old = target.get(exps)
                             target[exps] = f * v if old is None else old + f * v
-        return [Poly.packed(self.G.x_vars, {e: v * self.scale for e, v in a.items() if v},
-                            self.G.field) for a in acc]
+        field = self.G.field
+        return [Poly.packed(self.G.x_vars,
+                            reduce_terms({e: v * self.scale for e, v in a.items() if v}, field),
+                            field) for a in acc]
 
 
 def reynolds_project(H: list[Poly], G: FiniteGroupAction) -> Covariant:
@@ -184,7 +185,8 @@ def _monomials(nx: int, degree_bound: int) -> list[int]:
 def _ray_key(coords: list[Poly]):
     """A key shared exactly by the nonzero scalar multiples of a nonzero map."""
     lead = next(c for c in coords if c).lc()
-    return tuple(frozenset((e, coeff_div(v, lead)) for e, v in c.terms.items()) for c in coords)
+    return tuple(frozenset((e, coeff_div(v, lead, c.field)) for e, v in c.terms.items())
+                 for c in coords)
 
 
 def generate_covariants(G: FiniteGroupAction, degree_bound: int) -> list[Covariant]:
@@ -212,7 +214,7 @@ def generate_covariants(G: FiniteGroupAction, degree_bound: int) -> list[Covaria
     seen = set()
     for _alpha, images in orbit.images(_monomials(G.x_dim, degree_bound)):
         for i in range(d):
-            coords = orbit.average([(images, [(i, orbit.one)])])
+            coords = orbit.average([(images, [(i, 1)])])
             if not any(coords):
                 continue
             key = _ray_key(coords)
@@ -393,9 +395,7 @@ class _WordValues:
 
     def __init__(self, n: int, words: list[tuple[int, int]], field):
         self.n, self.words = n, words
-        p = None if field is None else field.p
-        self.mul = qmat_mul if p is None else (
-            lambda a, b: tuple(tuple(x % p for x in row) for row in qmat_mul(a, b)))
+        self.mul = lambda a, b: qmat_mul(a, b, field)
 
     def at(self, point):
         """One column per word, its entries row by row, and no denominator

@@ -53,7 +53,6 @@ from .exactalg import (
     RatFn,
     coeff_div,
     common_denominator,
-    field_one,
     unit_keys,
 )
 from .report import Report, Stopwatch
@@ -412,8 +411,7 @@ def _unit_inverse(det: Poly, f: Poly | None, action: GroupAction) -> RatFn | Non
         return None
     one = Poly.one(action.x_vars, action.field)
     if det.is_constant():
-        return RatFn(one, reduce=False) * coeff_div(field_one(action.field),
-                                                    det.constant_value())
+        return RatFn(one, reduce=False) * coeff_div(1, det.constant_value(), action.field)
     if f is None or f.is_zero() or f.is_constant():
         return None
     f = f if f.vars == det.vars else f.embed(det.vars)

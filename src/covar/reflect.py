@@ -27,7 +27,6 @@ from .exactalg import (
     RatFn,
     common_denominator,
     echelon_kernel,
-    field_one,
     qmat_rank,
 )
 from .report import Report, Stopwatch
@@ -180,10 +179,9 @@ class Reflection:
 def _hyperplane_form(action: FiniteGroupAction, g: int) -> Poly | None:
     """The monic first nonzero row of M - I, as a linear form on X, when
     M - I has rank 1 (g fixes a hyperplane pointwise); None otherwise."""
-    one = field_one(action.field)
-    diff = [[e - one if i == j else e for j, e in enumerate(row)]
+    diff = [[e - 1 if i == j else e for j, e in enumerate(row)]
             for i, row in enumerate(action.x_mats[g])]
-    if qmat_rank(diff) != 1:
+    if qmat_rank(diff, action.field) != 1:
         return None
     row = next(r for r in diff if any(r))
     units = [tuple(int(i == j) for j in range(len(row))) for i in range(len(row))]

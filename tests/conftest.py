@@ -7,7 +7,7 @@ from covar import (
     symbolic_general_linear,
     verified,
 )
-from covar.exactalg import ExactAlgError, coeff_div, qmat_identity, qmat_mul
+from covar.exactalg import ExactAlgError, coeff_div, lift_coeff, qmat_identity, qmat_mul
 
 SWAP = [["0", "1"], ["1", "0"]]
 CYCLE3 = [["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]]
@@ -18,7 +18,7 @@ def qmat_inv(a, field=None):
     """Gauss-Jordan inverse of a scalar matrix: the reference inverse of the
     closure tests, which the library never forms."""
     n = len(a)
-    ident = qmat_identity(n, field)
+    ident = qmat_identity(n)
     m = [list(row) + list(ident_row) for row, ident_row in zip(a, ident)]
     for k in range(n):
         pivot = None
@@ -30,17 +30,17 @@ def qmat_inv(a, field=None):
             raise ExactAlgError("scalar matrix is singular")
         m[k], m[pivot] = m[pivot], m[k]
         pv = m[k][k]
-        m[k] = [coeff_div(x, pv) for x in m[k]]
+        m[k] = [coeff_div(x, pv, field) for x in m[k]]
         for i in range(n):
             if i != k and m[i][k]:
                 f = m[i][k]
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+                m[i] = [lift_coeff(x - f * y, field) for x, y in zip(m[i], m[k])]
     return tuple(tuple(row[n:]) for row in m)
 
 
 def group_mul(G, g, h):
     """Index of the product of elements g and h of a finite group."""
-    return G.x_mats.index(qmat_mul(G.x_mats[g], G.x_mats[h]))
+    return G.x_mats.index(qmat_mul(G.x_mats[g], G.x_mats[h], G.field))
 
 
 @pytest.fixture

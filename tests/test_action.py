@@ -29,7 +29,6 @@ from covar.exactalg import (
     Poly,
     PrimeField,
     RatFn,
-    field_zero,
     qmat,
     qmat_identity,
     qmat_mul,
@@ -523,19 +522,19 @@ def test_inverses_read_off_the_closure_tree(n, order):
 
 
 def _naive_closure(generators, field=None):
-    """Breadth-first closure by Fraction/FpElem matrix products, a list
+    """Breadth-first closure by matrix products over Q or GF(p), a list
     search per product and one Gauss-Jordan inverse per element."""
     gens = [(qmat(x, field), qmat(w, field)) for x, w in generators]
-    xs = [qmat_identity(len(gens[0][0]), field)]
-    ws = [qmat_identity(len(gens[0][1]), field)]
+    xs = [qmat_identity(len(gens[0][0]))]
+    ws = [qmat_identity(len(gens[0][1]))]
     right = []
     for cur_x, cur_w in zip(xs, ws):
         row = []
         for gx, gw in gens:
-            nxt = qmat_mul(cur_x, gx)
+            nxt = qmat_mul(cur_x, gx, field)
             if nxt not in xs:
                 xs.append(nxt)
-                ws.append(qmat_mul(cur_w, gw))
+                ws.append(qmat_mul(cur_w, gw, field))
             row.append(xs.index(nxt))
         right.append(row)
     inv = [xs.index(qmat_inv(m, field)) for m in xs]
@@ -549,7 +548,7 @@ def test_reference_inverse():
     assert qmat_mul(m, qmat_inv(m)) == qmat_identity(2)
     F7 = PrimeField(7)
     m = qmat([["0", "-1"], ["1", "-1"]], F7)
-    assert qmat_mul(qmat_inv(m, F7), m) == qmat_identity(2, F7)
+    assert qmat_mul(qmat_inv(m, F7), m, F7) == qmat_identity(2)
     with pytest.raises(ExactAlgError, match="singular"):
         qmat_inv(qmat([["1", "2"], ["2", "4"]]))
 
@@ -662,13 +661,12 @@ def test_extended_action_is_the_block_product(generators, field):
     elements, their order, the Cayley table and the inverses, and element i
     acts on X x Y by the blocks of element i."""
     G = make_finite_group(generators, field=field)
-    zero = field_zero(field)
     for y_mats in (G.x_mats, G.w_mats):
         ny = len(y_mats[0])
         ext = extend_finite_action(G, vector_names("y", ny), y_mats)
         assert ext.x_vars == G.x_vars + vector_names("y", ny)
-        assert ext.x_mats == [tuple(row + (zero,) * ny for row in x)
-                              + tuple((zero,) * len(x) + row for row in y)
+        assert ext.x_mats == [tuple(row + (0,) * ny for row in x)
+                              + tuple((0,) * len(x) + row for row in y)
                               for x, y in zip(G.x_mats, y_mats)]
         assert (ext.w_mats, ext.right, ext.inv, ext.generators) == (
             G.w_mats, G.right, G.inv, G.generators)

@@ -972,26 +972,38 @@ def test_golden_outputs(golden_name, argv):
     assert strip_volatile(json.loads(out)) == golden
 
 
-def _s4_power_maps(tmp_path) -> str:
-    """The benchmark's S4 power-map problem at seed 0, written to a file."""
+def _s4_power_maps(tmp_path, field: dict | None = None) -> str:
+    """The benchmark's S4 power-map problem at seed 0, over ``field`` when
+    one is given, written to a file."""
     import random
 
     from test_bench_oracle_agreement import workloads
 
+    raw = workloads.symmetric_group_problem(4, random.Random(0))
+    if field is not None:
+        raw["field"] = field
     path = tmp_path / "s4_power_maps.json"
-    path.write_text(json.dumps(workloads.symmetric_group_problem(4, random.Random(0)), indent=2))
+    path.write_text(json.dumps(raw, indent=2))
     return str(path)
 
 
-@pytest.mark.parametrize("golden_name,argv", [
-    ("s4_power_maps_noname.json", ["noname-build"]),
-    ("s4_power_maps_generate.json", ["generate", "--degree-bound", "4"]),
+@pytest.mark.parametrize("golden_name,argv,field", [
+    pytest.param("s4_power_maps_noname.json", ["noname-build"], None,
+                 id="s4_power_maps_noname.json-argv0"),
+    pytest.param("s4_power_maps_generate.json", ["generate", "--degree-bound", "4"], None,
+                 id="s4_power_maps_generate.json-argv1"),
+    pytest.param("s4_power_maps_mod32003_noname.json", ["noname-build"], {"prime": 32003},
+                 id="s4_power_maps_mod32003_noname.json"),
+    pytest.param("s4_power_maps_mod32003_generate.json",
+                 ["generate", "--degree-bound", "4"], {"prime": 32003},
+                 id="s4_power_maps_mod32003_generate.json"),
 ])
-def test_s4_power_map_payloads_are_pinned_byte_for_byte(tmp_path, golden_name, argv):
+def test_s4_power_map_payloads_are_pinned_byte_for_byte(tmp_path, golden_name, argv, field):
     """The certificate and the generate payload as written: any change in
     the order or spelling of the printed terms fails here."""
     out = tmp_path / golden_name
-    code, _, _ = run_cli([argv[0], _s4_power_maps(tmp_path), *argv[1:], "--out", str(out)])
+    code, _, _ = run_cli([argv[0], _s4_power_maps(tmp_path, field), *argv[1:],
+                          "--out", str(out)])
     assert code == 0
     with open(os.path.join(GOLDEN, golden_name), "rb") as fh:
         assert out.read_bytes() == fh.read()

@@ -32,6 +32,7 @@ from covar.exactalg import (
     Poly,
     PrimeField,
     RatFn,
+    coeff_div,
     lift_coeff,
     qmat_det,
     qmat_rank,
@@ -112,13 +113,13 @@ def test_symbolic_refutation_point_is_a_genuine_refutation(template, coords, pri
     assert witness["element"] == "generic"
     point = ast.literal_eval(witness["point"])
     g = [[lift_coeff(point[f"g{i}{j}"], field) for j in (1, 2)] for i in (1, 2)]
-    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    det = lift_coeff(g[0][0] * g[1][1] - g[0][1] * g[1][0], field)
     assert det
 
     def act(vec):
         """The point map of g on X = W, multiplied out by hand."""
         if template == "gl_natural":
-            return [g[i][0] * vec[0] + g[i][1] * vec[1] for i in range(2)]
+            return [lift_coeff(g[i][0] * vec[0] + g[i][1] * vec[1], field) for i in range(2)]
         d = Fraction(det)  # the conjugation case is over Q
         inv = [[g[1][1] / d, -g[0][1] / d], [-g[1][0] / d, g[0][0] / d]]
         A = [vec[0:2], vec[2:4]]
@@ -383,11 +384,10 @@ WEIGHT_CASES = {"s3": _s3_weight_case, "s4": _s4_weight_case,
 def _weight_reference(G, f):
     """theta with g.f = theta(g) f on every element, by the function
     action; None when some element moves f off its line."""
-    one = Fraction(1) if G.field is None else G.field.one
     values = []
     for i in G.elements():
         moved = G.act_on_poly(i, f)
-        theta = one * moved.lc() / f.lc()
+        theta = coeff_div(moved.lc(), f.lc(), G.field)
         if moved != f * theta:
             return None
         values.append(theta)
@@ -400,9 +400,8 @@ def test_finite_weights_match_an_every_element_reference(case, monkeypatch):
     act_cleared per distinct generator, and agree with the tables built on
     every element."""
     G, polys = WEIGHT_CASES[case]()
-    one = Fraction(1) if G.field is None else G.field.one
     assert det_w_inverse_character(G).table == [
-        one / qmat_det(G.w_mats[i], G.field) for i in G.elements()]
+        coeff_div(1, qmat_det(G.w_mats[i], G.field), G.field) for i in G.elements()]
     moved = []
     real = FiniteGroupAction.act_cleared
     monkeypatch.setattr(FiniteGroupAction, "act_cleared",
@@ -443,7 +442,8 @@ def test_relative_invariance_reads_the_inverse_of_the_weight():
     theta = weight_of(G, f)
     assert theta.value(G.generators[0]) == 3
     assert _is_relative_invariant(G, f, theta)
-    assert not _is_relative_invariant(G, f, Character(G, table=[1 / v for v in theta.table]))
+    assert not _is_relative_invariant(G, f, Character(G, table=[coeff_div(1, v, F5)
+                                                                for v in theta.table]))
 
 
 def test_weight_of_symbolic_scalar(scalar_action):

@@ -471,20 +471,26 @@ def test_exact_division_and_failure():
 
 
 F5 = PrimeField(5)
+F32003 = PrimeField(32003)
 _SX = sympy.symbols("x1 x2")
 
 
 def _to_sympy(p):
-    """p as a sympy Poly over QQ, or over GF(5) when p is."""
+    """p as a sympy Poly over QQ, or over GF(p) when p is."""
     if p.field is None:
         return sympy.Poly.from_dict({e: sympy.Rational(c.numerator, c.denominator)
                                      for e, c in _ref(p).items()}, *_SX, domain="QQ")
-    return sympy.Poly.from_dict({e: c.val for e, c in p.exponent_items()}, *_SX, modulus=5)
+    return sympy.Poly.from_dict(dict(p.exponent_items()), *_SX, modulus=p.field.p)
 
 
 def _over(field):
-    """Polynomials with small unit-heavy coefficients, so that products
-    cancel and remainder keys vanish and come back during a division."""
+    """Polynomials over ``field``.  Over Q and GF(5) the coefficients are
+    small and unit-heavy, so that products cancel and remainder keys
+    vanish and come back during a division; over a word-sized prime they
+    are drawn from [0, p), so that sums and products pass p."""
+    if field is not None and field.p > 5:
+        return polys(max_terms=5, max_exp=3, coeff=st.integers(0, field.p - 1)).map(
+            lambda p: Poly(V2, dict(p.exponent_items()), field))
     coeff = st.sampled_from([1, -1, 1, -1, 2, Fraction(1, 2)])
     if field is None:
         return polys(max_terms=5, max_exp=3, coeff=coeff)
@@ -492,13 +498,28 @@ def _over(field):
         lambda p: Poly(V2, {e: lift_coeff(c, field) for e, c in p.exponent_items()}, field))
 
 
-@pytest.mark.parametrize("field", [None, F5], ids=["Q", "GF5"])
+def _assert_reduced(p):
+    """Every coefficient of p over GF(p) is a plain int in [1, p)."""
+    assert all(type(c) is int and 0 < c < p.field.p for c in p.terms.values()), p.terms
+
+
+@pytest.mark.parametrize("field", [None, F5, F32003], ids=["Q", "GF5", "GF32003"])
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_exact_division_matches_sympy(field, data):
-    """(a*b)/b == a and equals sympy's exquo; a remainder r either leaves
-    one in sympy's div too and raises, or the quotient is sympy's."""
+    """a*b is sympy's product, and gcd(a*b, a*r) is sympy's gcd up to a
+    constant; (a*b)/b == a and equals sympy's exquo; a remainder r either
+    leaves one in sympy's div too and raises, or the quotient is sympy's.
+    Over GF(p) every result holds ints in [1, p)."""
     a, b, r = (data.draw(_over(field)) for _ in range(3))
+    assert _to_sympy(a * b) == _to_sympy(a) * _to_sympy(b)
+    g = poly_gcd(a * b, a * r)
+    if g:
+        # monic in sympy's lex order, as poly_gcd is monic in grlex
+        assert _to_sympy(g).monic() == _to_sympy(a * b).gcd(_to_sympy(a * r)).monic()
+    if field is not None:
+        for result in (a * b, a + b, a - b, -a, g):
+            _assert_reduced(result)
     if not b:
         return
     assert (a * b).exact_div(b) == a
@@ -507,7 +528,10 @@ def test_exact_division_matches_sympy(field, data):
     c = a * b + r
     quot, rem = _to_sympy(c).div(_to_sympy(b))
     if rem.is_zero:
-        assert _to_sympy(c.exact_div(b)) == quot
+        got = c.exact_div(b)
+        assert _to_sympy(got) == quot
+        if field is not None:
+            _assert_reduced(got)
     else:
         with pytest.raises(ExactDivisionError):
             c.exact_div(b)
@@ -892,8 +916,8 @@ def test_qmat_helpers():
     assert qmat_rank_det(qmat([["1", "2", "3"], ["2", "4", "6"]])) == (1, None)
     assert qmat_rank_det(qmat([["0", "0", "1"], ["1", "0", "0"]])) == (2, None)
     F7 = PrimeField(7)
-    assert qmat_rank_det(qmat([["3", "1"], ["1", "5"]], F7), F7) == (1, F7(0))
-    assert qmat_rank_det(qmat([["3", "1"], ["1", "4"]], F7), F7) == (2, F7(4))
+    assert qmat_rank_det(qmat([["3", "1"], ["1", "5"]], F7), F7) == (1, 0)
+    assert qmat_rank_det(qmat([["3", "1"], ["1", "4"]], F7), F7) == (2, 4)
 
 
 @st.composite
@@ -935,15 +959,14 @@ def test_int_rank_det_matches_sympy(rows, p):
     assert det == (int(mod_p.det()) % p if square else None)
 
 
-def test_scalar_rank_reads_the_field_off_prime_field_entries():
-    F5 = PrimeField(5)
+def test_scalar_rank_and_det_over_a_prime_field_take_the_field():
     swap_minus_one = qmat([["-1", "1"], ["1", "-1"]], F5)
-    assert qmat_rank(swap_minus_one) == 1
+    assert qmat_rank(swap_minus_one, F5) == 1
     # 2 and 3 are dependent mod 5 only: 2*4 - 3*1 = 5
     rows = qmat([["2", "3"], ["1", "4"]], F5)
-    assert qmat_rank(rows) == 1 and qmat_rank_det(rows) == (1, F5(0))
+    assert qmat_rank(rows, F5) == 1 and qmat_rank_det(rows, F5) == (1, 0)
     assert qmat_rank(qmat([["2", "3"], ["1", "4"]])) == 2
-    assert qmat_rank_det(qmat([["1", "2"], ["3", "4"]], F5)) == (2, F5(3))
+    assert qmat_rank_det(qmat([["1", "2"], ["3", "4"]], F5), F5) == (2, 3)
 
 
 def test_int_rank_det_examples():
@@ -964,8 +987,16 @@ def test_prime_field_arithmetic():
     F7 = PrimeField(7)
     y1, y2 = Poly.gens(V2, F7)
     assert (y1 + y2) ** 7 == y1**7 + y2**7
-    half = F7(1) / F7(2)
-    assert half * F7(2) == F7(1)
+    half = coeff_div(1, 2, F7)
+    assert half == 4 and lift_coeff(half * 2, F7) == 1
+    assert (4 * y1 + 3).eval([2, 0]) == 4
+    # pow(0, -1, p) raises ValueError; the field division keeps ZeroDivisionError
+    for zero in (0, 7, -14):
+        with pytest.raises(ZeroDivisionError):
+            coeff_div(3, zero, F7)
+    # the constructor lifts each coefficient into the field
+    assert Poly(("x",), {(1,): 5}, F5).is_zero()
+    assert str(Poly(("x",), {(1,): 7}, F5)) == "2*x"
     with pytest.raises(Exception):
         PrimeField(6)
 
@@ -1000,9 +1031,15 @@ LIFTED_STRINGS = ["0", "7", "+4", "-0", "-12", "1_0", " 5 ", "\u0663", "1e3", "1
 
 
 def _lifted_by_fraction(text, field):
-    """The reference route: every string through ``Fraction``."""
+    """The reference route: every string through ``Fraction``, and over
+    GF(p) the x in [0, p) with x * den = num mod p, found by search."""
     q = _rational(Fraction(text))
-    return q if field is None else field.from_fraction(Fraction(q))
+    if field is None:
+        return q
+    q, p = Fraction(q), field.p
+    if not q.denominator % p:
+        raise ZeroDivisionError(text)
+    return next(x for x in range(p) if (x * q.denominator - q.numerator) % p == 0)
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(7)], ids=["Q", "GF7"])
