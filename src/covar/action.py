@@ -92,27 +92,19 @@ def matrix_names(prefix: str, n: int) -> tuple[str, ...]:
 def _linear_images(rows, space_vars: tuple[str, ...], out_vars: tuple[str, ...],
                    field: PrimeField | None) -> list[Poly]:
     """The images sum_l rows[k][l] v_l of the space variables v_k over
-    ``out_vars``; an entry is a scalar or a polynomial in the g-variables."""
+    ``out_vars``; an entry is a scalar or a polynomial in the g-variables.
+    Every term of row k carries exactly one space variable, v_l, so no two
+    entries share a key and each image is the concatenation of their term
+    dicts."""
     gens = {name: Poly.var(name, out_vars, field) for name in space_vars}
     images = []
     for row in rows:
-        # the sum goes into one term dict, not a new sum per entry
         out: dict[int, Coeff] = {}
         for name, c in zip(space_vars, row):
-            if not c:
-                continue
-            x = gens[name]
-            if isinstance(c, Poly):
-                items = (x * c.embed(out_vars)).terms.items()
-            else:
-                items = ((key, v * c) for key, v in x.terms.items())
-            for key, v in items:
-                acc = out.get(key)
-                val = v if acc is None else acc + v
-                if val:
-                    out[key] = val
-                elif acc is not None:
-                    del out[key]
+            if c:
+                x = gens[name]
+                out.update((x * c.embed(out_vars)).terms if isinstance(c, Poly)
+                           else {key: c for key in x.terms})
         images.append(Poly.packed(out_vars, out, field))
     return images
 

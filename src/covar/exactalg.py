@@ -568,10 +568,17 @@ class Poly:
         if self.is_zero():
             return self
         field = self.field
+        # over GF(p) each quotient coefficient is a product by the one
+        # inverse of the divisor's leading coefficient
+        p = None if field is None else field.p
+        dk, dc = divisor.leading()
+        inv = None if p is None else pow(dc, -1, p)
         if divisor.is_constant():
-            c = divisor.constant_value()
-            return Poly.packed(self.vars, {e: coeff_div(v, c, field)
-                                           for e, v in self.terms.items()}, field)
+            if p is None:
+                quot = {e: coeff_div(v, dc) for e, v in self.terms.items()}
+            else:
+                quot = {e: v * inv % p for e, v in self.terms.items()}
+            return Poly.packed(self.vars, quot, field)
         # the leading remainder term comes off a max-heap of negated keys,
         # deleted lazily: every key the remainder gains is below the one
         # just taken, so a key that has left the remainder never returns.
@@ -582,8 +589,7 @@ class Poly:
         rem = dict(self.terms)
         heap = [-k for k in rem]
         heapify(heap)
-        quot: dict[int, Coeff] = {}
-        dk, dc = divisor.leading()
+        quot = {}
         guard = key_layout(len(self.vars))[2]
         terms = [(e, c) for e, c in divisor.terms.items() if e != dk]
         while rem:
@@ -591,7 +597,7 @@ class Poly:
             rc = rem.pop(rk, None)
             if rc is None:
                 continue
-            qc = coeff_div(rc, dc, field)
+            qc = coeff_div(rc, dc) if p is None else rc * inv % p
             if not qc:
                 continue
             qk = rk - dk

@@ -7,7 +7,9 @@ projections, coordinate power maps under permutations).
 
 from __future__ import annotations
 
+import math
 import random
+from functools import cached_property
 from itertools import combinations_with_replacement, islice
 
 from .action import (
@@ -21,9 +23,7 @@ from .covariant import (
     Covariant,
     EQUIVARIANT,
     WITNESS_FIRST_CANDIDATES,
-    _independence_witness,
     candidate_points,
-    cleared_rows,
     require_certified,
     verify_equivariance,
 )
@@ -36,6 +36,8 @@ from .exactalg import (
     Poly,
     coeff_div,
     common_denominator,
+    int_form,
+    int_rank_det,
     qmat_identity,
     qmat_mul,
     reduce_terms,
@@ -78,15 +80,23 @@ def _monomial_step(alpha: int, units: list[int]) -> tuple[int, int]:
 
 
 class _Orbit:
-    """Reynolds averaging over one finite group, local to one call.
+    """Orbit sums over one finite group, local to one call.
 
-    ``images`` yields, level by level in degree, the image of each wanted
-    monomial x^alpha under every g^{-1}: the image of x^(alpha - e_k) times
-    the image of x_k, all on packed keys, so a monomial times x_j is its
-    key plus the key of x_j.  Only the previous level is kept.  ``average``
-    sums a seed map against those images with the W-matrices, accumulating
-    coefficients directly, and scales by 1/|G| once at the end.  Over GF(p)
-    the images and sums are unreduced ints, reduced once there too.
+    ``images`` yields the image of each wanted monomial x^alpha under every
+    g^{-1}, by one of two routes.  When every X-matrix is monomial, with one
+    nonzero per row (a permutation group, a signed or a diagonal one), the
+    image is one term c x^beta: beta moves the exponent of each x_k into the
+    field of the variable that x_k goes to, and c is the product of their
+    scalars to those exponents.  These images are a :class:`_MonomialImages`,
+    one key and one scalar per element, formed on first read.  Otherwise
+    they are term dicts, built level by level in degree as the image of
+    x^(alpha - e_k) times the image of x_k, keeping only the previous level.
+
+    ``transfer`` sums a seed map against the images with the W-matrices,
+    accumulating coefficients directly, into the orbit sum
+    sum_g g_W H(g^{-1} x); ``scaled`` multiplies one by 1/|G| into the
+    Reynolds average.  Over GF(p) the sums are unreduced ints, reduced once
+    per result.
     """
 
     def __init__(self, G: FiniteGroupAction):
@@ -100,11 +110,24 @@ class _Orbit:
         self.units = unit_keys(G.x_dim)
         self.linear = [[[(self.units[l], c) for l, c in enumerate(row) if c]
                         for row in G.x_mats[G.inv[g]]] for g in G.elements()]
+        self.monomial = all(len(row) == 1 for rows in self.linear for row in rows)
+        if self.monomial:
+            # per variable x_k, over G: the key of the variable that x_k goes
+            # to under g^{-1}, and its scalars, None when every one is 1
+            images = [[rows[k][0] for rows in self.linear] for k in range(G.x_dim)]
+            self.targets = [[unit for unit, _ in col] for col in images]
+            self.scalars = [None if all(c == 1 for _, c in col) else [c for _, c in col]
+                            for col in images]
 
     def images(self, wanted):
         """Yield (alpha, images) for each wanted packed key in increasing
-        degree, then sorted order; images[g] is the term dict of x^alpha
+        degree, then sorted order: a :class:`_MonomialImages` on a monomial
+        group, else the list whose entry g is the term dict of x^alpha
         evaluated at g^{-1} x."""
+        if self.monomial:
+            for a in sorted(set(wanted)):
+                yield a, _MonomialImages(self, a)
+            return
         degree = {a: sum(unpack_exponents(a, self.G.x_dim)) for a in wanted}
         top = max(degree.values(), default=-1)
         levels = [set() for _ in range(top + 1)]
@@ -132,22 +155,71 @@ class _Orbit:
             out.append({e: c for e, c in acc.items() if c})
         return out
 
-    def average(self, seeds) -> list[Poly]:
-        """(1/|G|) sum_g g_W H(g^{-1} x) for H = sum x^alpha sum_l h_l e_l,
-        given as (images of x^alpha, [(l, h_l), ...]) pairs."""
+    def transfer(self, seeds) -> list[Poly]:
+        """sum_g g_W H(g^{-1} x) for H = sum x^alpha sum_l h_l e_l, given as
+        (images of x^alpha, [(l, h_l), ...]) pairs."""
         acc = [{} for _ in range(self.G.w_dim)]
         for images, coeffs in seeds:
-            for img, cols in zip(images, self.w_cols):
+            if not self.monomial:
+                for img, cols in zip(images, self.w_cols):
+                    for l, h in coeffs:
+                        for c, w in cols[l]:
+                            f, target = w * h, acc[c]
+                            for exps, v in img.items():
+                                old = target.get(exps)
+                                target[exps] = f * v if old is None else old + f * v
+                continue
+            keys, scalars = images.terms
+            for key, s, cols in zip(keys, scalars, self.w_cols):
                 for l, h in coeffs:
                     for c, w in cols[l]:
-                        f, target = w * h, acc[c]
-                        for exps, v in img.items():
-                            old = target.get(exps)
-                            target[exps] = f * v if old is None else old + f * v
+                        f, target = w * h * s, acc[c]
+                        old = target.get(key)
+                        target[key] = f if old is None else old + f
         field = self.G.field
-        return [Poly.packed(self.G.x_vars,
-                            reduce_terms({e: v * self.scale for e, v in a.items() if v}, field),
+        return [Poly.packed(self.G.x_vars, reduce_terms({e: v for e, v in a.items() if v}, field),
                             field) for a in acc]
+
+    def scaled(self, transfer: list[Poly]) -> list[Poly]:
+        """(1/|G|) times an orbit sum: the Reynolds average."""
+        field = self.G.field
+        return [Poly.packed(t.vars, reduce_terms({e: v * self.scale for e, v in t.terms.items()},
+                                                 field), field) for t in transfer]
+
+    def seed_orbit(self, images, i: int):
+        """Seeds (beta, j) whose orbit sum is a nonzero multiple of that of
+        x^alpha e_i, for the images of x^alpha: for each g with one nonzero
+        w in column i of g_W, g_W (c x^beta e_i) = w c x^beta e_j.  Only a
+        monomial group names them."""
+        if not self.monomial:
+            return ()
+        return ((key, cols[i][0][0]) for key, cols in zip(images.terms[0], self.w_cols)
+                if len(cols[i]) == 1)
+
+
+class _MonomialImages:
+    """The images c_g x^beta_g of one monomial x^alpha under every g^{-1} of
+    a monomial group, formed on first read of ``terms``: the list of keys
+    beta_g and the list of scalars c_g, both indexed by element."""
+
+    def __init__(self, orbit: _Orbit, alpha: int):
+        self.orbit, self.alpha = orbit, alpha
+
+    @cached_property
+    def terms(self) -> tuple[list[int], list]:
+        orbit, G = self.orbit, self.orbit.G
+        keys, scalars = [0] * G.order, [1] * G.order
+        for k, e in enumerate(unpack_exponents(self.alpha, G.x_dim)):
+            if not e:
+                continue
+            # x_k goes to c x_l under g^{-1}: e times the key of x_l, which
+            # carries its degree, and a factor c^e
+            keys = [a + e * unit for a, unit in zip(keys, orbit.targets[k])]
+            if orbit.scalars[k] is not None:
+                scalars = [s * c ** e for s, c in zip(scalars, orbit.scalars[k])]
+        if G.field is not None:
+            scalars = [s % G.field.p for s in scalars]
+        return keys, scalars
 
 
 def reynolds_project(H: list[Poly], G: FiniteGroupAction) -> Covariant:
@@ -167,8 +239,9 @@ def reynolds_project(H: list[Poly], G: FiniteGroupAction) -> Covariant:
     for l, h in enumerate(Covariant(G, H).poly_coords()):
         for exps, c in h.terms.items():
             coeffs.setdefault(exps, []).append((l, c))
-    return Covariant(G, orbit.average((images, coeffs[a])
-                                      for a, images in orbit.images(coeffs)), EQUIVARIANT)
+    return Covariant(G, orbit.scaled(orbit.transfer((images, coeffs[a])
+                                                    for a, images in orbit.images(coeffs))),
+                     EQUIVARIANT)
 
 
 def _monomials(nx: int, degree_bound: int) -> list[int]:
@@ -182,64 +255,197 @@ def _monomials(nx: int, degree_bound: int) -> list[int]:
             for combo in combinations_with_replacement(range(nx), degree)]
 
 
-def _ray_key(coords: list[Poly]):
-    """A key shared exactly by the nonzero scalar multiples of a nonzero map."""
-    lead = next(c for c in coords if c).lc()
-    return tuple(frozenset((e, coeff_div(v, lead, c.field)) for e, v in c.terms.items())
-                 for c in coords)
+class _Transfer:
+    """One nonzero orbit sum in integer form.
+
+    ``keys`` holds each coordinate's packed keys in sorted order and
+    ``ints`` their coefficients as integers: over Q the integer form
+    (:func:`int_form`) divided by its content, with the first one
+    positive; over GF(p) the representatives times the inverse of the
+    first one.  So ``ray`` = (keys, ints) is shared exactly by the nonzero
+    scalar multiples of the map, and ``ints`` is itself one of them, with
+    integer coefficients.  ``values`` caches its values at the candidate
+    points by index, and ``residual`` its reduced echelon row once formed.
+    """
+
+    def __init__(self, coords: list[Poly], field):
+        self.keys = tuple(tuple(sorted(c.terms)) for c in coords)
+        _, ints = int_form([c.terms[k] for c, keys in zip(coords, self.keys) for k in keys],
+                           field)
+        if field is None:
+            content = math.gcd(*ints)
+            content = content if ints[0] > 0 else -content
+            ints = [v // content for v in ints]
+        else:
+            inv = pow(ints[0], -1, field.p)
+            ints = [v * inv % field.p for v in ints]
+        it = iter(ints)
+        self.ints = tuple(tuple(islice(it, len(keys))) for keys in self.keys)
+        self.values: dict[int, list[int]] = {}
+        self.residual = None
+
+    @property
+    def ray(self):
+        return self.keys, self.ints
+
+    def row(self, vars: tuple[str, ...], field) -> list[Poly]:
+        return [Poly.packed(vars, dict(zip(keys, ints)), field)
+                for keys, ints in zip(self.keys, self.ints)]
+
+
+class _Kept:
+    """The transfers kept by one generate call, and what a trial reads of
+    them: their values at the candidate points, and one fraction-free
+    echelon of their rows over k[X].
+
+    ``full`` lists the candidate points, by index, at which the kept ones
+    have full rank, with their value vectors in ``values``; each keep
+    extends them once.  The echelon (Bareiss, Math. Comp. 22, 1968) is
+    built on the first symbolic trial and extended by one row per kept
+    transfer after that: row k is the kept row k reduced against rows
+    1..k-1, with pivot p_k at column c_k, and its entries are the k-minors
+    of kept rows 1..k on columns c_1..c_{k-1} and one more.  By Sylvester's identity a new row v reduced in
+    order, v <- (p_k v - v[c_k] E_k) / p_{k-1} with p_0 = 1, stays
+    polynomial: each division is exact.
+    """
+
+    def __init__(self, G: FiniteGroupAction, points: list[tuple[int, ...]]):
+        self.vars, self.field = G.x_vars, G.field
+        self.p = None if G.field is None else G.field.p
+        self.points = points
+        self.full = list(range(len(points)))
+        self.values: list[list[list[int]]] = [[] for _ in points]
+        # per point: the value of each monomial met so far, by packed key
+        self.monomials: list[dict[int, int]] = [{} for _ in points]
+        self.kept: list[_Transfer] = []
+        self.echelon: list[tuple[list[Poly], int]] = []
+
+    def raises(self, t: _Transfer) -> bool:
+        """Whether t raises the rank of the kept transfers over k(X).  A
+        point where the kept ones have full rank k and t is off their span
+        proves the rise exactly, as the rank at a point never exceeds the
+        generic rank.  A trial that does not rise shows no rise at any
+        point, so only the first of those points is tried before the
+        symbolic reduction."""
+        if self.full:
+            j = self.full[0]
+            if int_rank_det(self.values[j] + [self._at(t, j)], self.p)[0] > len(self.kept):
+                return True
+        return not self._in_span(t)
+
+    def keep(self, t: _Transfer) -> None:
+        k, full = len(self.kept), []
+        for j in self.full:
+            vec = self._at(t, j)
+            if int_rank_det(self.values[j] + [vec], self.p)[0] > k:
+                self.values[j].append(vec)
+                full.append(j)
+        self.full = full
+        self.kept.append(t)
+        if t.residual is not None:
+            # the trial caught the echelon up before reducing t
+            self._insert(t.residual)
+
+    def _at(self, t: _Transfer, j: int) -> list[int]:
+        """t's value vector at candidate point j, mod p over GF(p)."""
+        vec = t.values.get(j)
+        if vec is None:
+            p, point, known = self.p, self.points[j], self.monomials[j]
+            vec = []
+            for keys, ints in zip(t.keys, t.ints):
+                total = 0
+                for key, n in zip(keys, ints):
+                    v = known.get(key)
+                    if v is None:
+                        v = known[key] = math.prod(
+                            x ** e for x, e in zip(point, unpack_exponents(key, len(point))))
+                    total += n * v
+                vec.append(total if p is None else total % p)
+            t.values[j] = vec
+        return vec
+
+    def _in_span(self, t: _Transfer) -> bool:
+        """Whether t lies in the span of the kept transfers over k(X): its
+        row reduced against every pivot is zero exactly then, as the
+        echelon rows are triangular on their pivot columns."""
+        while len(self.echelon) < len(self.kept):
+            self._insert(self._reduce(self.kept[len(self.echelon)].row(self.vars, self.field)))
+        t.residual = self._reduce(t.row(self.vars, self.field))
+        return not any(t.residual)
+
+    def _reduce(self, v: list[Poly]) -> list[Poly]:
+        prev = None
+        for row, c in self.echelon:
+            p, f = row[c], v[c]
+            v = [p * x - f * y for x, y in zip(v, row)] if f else [p * x for x in v]
+            if prev is not None:
+                v = [x.exact_div(prev) for x in v]
+            prev = p
+        return v
+
+    def _insert(self, v: list[Poly]) -> None:
+        self.echelon.append((v, next(c for c, x in enumerate(v) if x)))
 
 
 def generate_covariants(G: FiniteGroupAction, degree_bound: int) -> list[Covariant]:
     """Greedy search for dim(W) generically independent covariants.
 
-    Averages the monomial seed maps x^alpha e_i in increasing degree, then
-    monomial order, then W-basis index, and keeps each average that raises
-    the rank of the accumulated coordinate matrix over the function field
-    (see :func:`_raises_rank`).
-    The d seeds of one monomial share its orbit images.  An average equal
-    up to a nonzero constant to an earlier one is not tried again: the
-    earlier one was kept or lay in the span of the covariants kept then, so
-    the rank cannot rise.  Each average is a Reynolds average, certified
-    by construction as in :func:`reynolds_project`, so none is substituted
-    into the group action.  Raises
-    :class:`GenerationExhaustedError` with the achieved rank if the bound is
-    hit first (a meaningful outcome: a stabilizer acting nontrivially on W
-    makes a full family impossible).
+    Forms the orbit sum T = sum_g g_W H(g^{-1} x) of each monomial seed map
+    H = x^alpha e_i in increasing degree, then monomial order, then W-basis
+    index, and keeps each T that raises the rank of the kept ones over the
+    function field, as its Reynolds average (1/|G|) T.  Rank and ray do not
+    change under the nonzero scalar 1/|G|, so only what is kept is scaled.
+    The d seeds of one monomial share its orbit images.
+
+    Three shortcuts skip a seed or decide it at once, each exact:
+
+    - On a monomial group a seed in the orbit of one already summed is
+      skipped: T(g.H) = T(H) for g.H = g_W H(g^{-1} x), as h -> hg permutes
+      G, and g.H is a nonzero multiple of a seed (:meth:`_Orbit.seed_orbit`),
+      so that seed's sum is zero or on a ray already met.
+    - A T equal up to a nonzero constant to an earlier one is not tried
+      again: the earlier one was kept or lay in the span of the ones kept
+      then.  The test is on the integer ray key of :class:`_Transfer`.
+    - A trial (:meth:`_Kept.raises`) reads the kept ones' values at the
+      candidate points, computed once per keep; a point of full rank
+      where T is off their span proves the rise.  Else T's row is reduced
+      against one fraction-free echelon of the kept rows over k[X], built
+      on the first such trial and extended row by row, so no trial
+      re-eliminates the kept ones.
+
+    Each kept average is certified by construction, as in
+    :func:`reynolds_project`, so none is substituted into the group action.
+    Raises :class:`GenerationExhaustedError` with the achieved rank if the
+    bound is hit first (a meaningful outcome: a stabilizer acting
+    nontrivially on W makes a full family impossible).
     """
     d = G.w_dim
     orbit = _Orbit(G)
     points = list(islice(candidate_points(G.x_dim, random.Random(0)),
                          WITNESS_FIRST_CANDIDATES))
+    family = _Kept(G, points)
     kept: list[Covariant] = []
-    seen = set()
-    for _alpha, images in orbit.images(_monomials(G.x_dim, degree_bound)):
+    seen, summed = set(), set()
+    for alpha, images in orbit.images(_monomials(G.x_dim, degree_bound)):
         for i in range(d):
-            coords = orbit.average([(images, [(i, 1)])])
+            if (alpha, i) in summed:
+                continue
+            coords = orbit.transfer([(images, [(i, 1)])])
+            summed.update(orbit.seed_orbit(images, i))
             if not any(coords):
                 continue
-            key = _ray_key(coords)
-            if key in seen:
+            t = _Transfer(coords, G.field)
+            if t.ray in seen:
                 continue
-            seen.add(key)
-            F = Covariant(G, coords, EQUIVARIANT)
-            if _raises_rank(kept, F, points):
-                kept.append(F)
+            seen.add(t.ray)
+            if family.raises(t):
+                family.keep(t)
+                kept.append(Covariant(G, orbit.scaled(coords), EQUIVARIANT))
                 if len(kept) == d:
                     return kept
     raise GenerationExhaustedError(
         f"degree bound {degree_bound} reached with rank {len(kept)} < {d}",
         len(kept), kept)
-
-
-def _raises_rank(kept: list[Covariant], F: Covariant, points) -> bool:
-    """Whether F raises the generic rank of the kept covariants.  A point
-    of ``points`` where kept + [F] has rank len(kept) + 1 proves the rise
-    exactly, as the rank at a point never exceeds the generic rank; only
-    when no point shows it is the symbolic rank computed."""
-    family = kept + [F]
-    if _independence_witness(family, points) is not None:
-        return True
-    return cleared_rows(family)[0].rank() > len(kept)
 
 
 def clear_denominators(Fs: list[Covariant], G: FiniteGroupAction

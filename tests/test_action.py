@@ -724,3 +724,25 @@ def test_linear_images_write_each_sum_into_one_term_dict(monkeypatch):
     G = make_finite_group([(CYCLE3, [[1]])])
     assert action_module._linear_images(G.x_mats[1], G.x_vars, G.x_vars, None) == [
         Poly.parse(t, G.x_vars) for t in ("x3", "x1", "x2")]
+
+
+@pytest.mark.parametrize("generators,field", [
+    (_symmetric_generators(4), PrimeField(5)),
+    ([(QUARTER_TURN, QUARTER_TURN)], None),
+], ids=["s4-gf5", "rotation"])
+def test_substitution_tables_equal_subs_of_the_linear_forms(generators, field):
+    """Each table entry, a concatenation of one term per nonzero entry of
+    row k, equals the generic linear form sum_l a_l x_l with a_l set to
+    row k of the element by Poly.subs."""
+    G = make_finite_group(generators, field=field)
+    coeffs = vector_names("a", G.x_dim)
+    ring = coeffs + G.x_vars
+    form = Poly.zero(ring, field)
+    for a, x in zip(coeffs, G.x_vars):
+        form = form + Poly.var(a, ring, field) * Poly.var(x, ring, field)
+    for g in G.elements():
+        table = G.x_substitution(g)
+        for name, row in zip(G.x_vars, G.x_mats[g]):
+            expect = form.subs({a: Poly.const(c, G.x_vars, field) for a, c in zip(coeffs, row)},
+                               G.x_vars)
+            assert table[name] == expect

@@ -156,6 +156,16 @@ ROTATION = [["0", "-1"], ["1", "0"]]
 # W = the rotation plane plus a line on which the rotation acts by -1, so
 # the degree-one averages fill only two of the three directions
 ROTATION_AND_SIGN = [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "-1"]]
+REFLECTION = [["3/5", "4/5"], ["4/5", "-3/5"]]
+FLIP = [["1", "0"], ["0", "-1"]]
+
+
+def _symmetric_generators(n):
+    """A cycle and a transposition as string matrices."""
+    cycle = [["1" if i == (j + 1) % n else "0" for j in range(n)] for i in range(n)]
+    swap = [["1" if (i, j) in ((0, 1), (1, 0)) or (i == j > 1) else "0" for j in range(n)]
+            for i in range(n)]
+    return [cycle, swap]
 
 
 def _seed_by_seed(G, degree_bound):
@@ -211,6 +221,13 @@ DIFFERENTIAL_GROUPS = {
     "vandermonde_s2": (lambda: _preset_group("vandermonde_s2"), 3),
     "powers_s2_cubic": (lambda: _preset_group("powers_s2_cubic"), 3),
     "rational_swap": (lambda: _preset_group("rational_swap"), 3),
+    "s4_gf32003": (lambda: make_finite_group(
+        [(g, g) for g in _symmetric_generators(4)], field=PrimeField(32003)), 3),
+    # a reflection with Fraction entries: orbit sums with Fraction coefficients
+    "reflection": (lambda: make_finite_group([(REFLECTION, REFLECTION)]), 1),
+    # the signed permutations of two coordinates, of order 8
+    "signed_permutations": (lambda: make_finite_group(
+        [(ROTATION, ROTATION), (FLIP, FLIP)]), 3),
 }
 
 
@@ -240,7 +257,8 @@ def test_generate_modular_obstruction_over_gf2():
             generate_covariants(G, bound)
 
 
-@pytest.mark.parametrize("name", ["s3", "s4_power_maps", "gf5_swap", "rotation"])
+@pytest.mark.parametrize("name", ["s3", "s4_power_maps", "gf5_swap", "rotation", "reflection",
+                                  "signed_permutations"])
 def test_reynolds_project_matches_substitution_sum(name):
     """The shared orbit images against the plain sum over elements of
     g_W H(g^{-1} x), each term substituted with act_on_poly."""
@@ -262,43 +280,75 @@ def test_reynolds_project_matches_substitution_sum(name):
         assert reynolds_project(H, G).poly_coords() == [t * Fraction(1, G.order) for t in total]
 
 
+@pytest.mark.parametrize("name,monomial", [
+    ("s4", True), ("rotation", True), ("signed_permutations", True), ("gf5_swap", True),
+    ("reflection", False), ("rotation_and_sign", True),
+])
+def test_orbit_images_take_the_monomial_route_on_monomial_groups(name, monomial):
+    """A group whose X-matrices have one nonzero per row relabels keys, one
+    key and one scalar per element; any other builds term dicts level by
+    level.  Both give the same images."""
+    from covar.forge import _MonomialImages, _Orbit, _monomials
+
+    G = DIFFERENTIAL_GROUPS[name][0]()
+    orbit = _Orbit(G)
+    assert orbit.monomial is monomial
+    wanted = _monomials(G.x_dim, 3)
+    got = list(orbit.images(wanted))
+    assert [a for a, _ in got] == sorted(wanted)
+    assert all(isinstance(images, _MonomialImages) is monomial for _, images in got)
+    if monomial:
+        orbit.monomial = False
+        for (a, images), (b, dicts) in zip(got, orbit.images(wanted)):
+            keys, scalars = images.terms
+            assert a == b and [{k: c} for k, c in zip(keys, scalars)] == dicts
+
+
 def test_generate_s4_ranks_distinct_averages_and_certifies_what_it_keeps(monkeypatch):
     from covar import action, forge
 
     G = _symmetric_group_action(4)
-    calls = {"verify": 0, "trial": 0, "rank": 0}
+    calls = {"verify": 0, "trial": 0, "rank": 0, "reduce": 0}
     built = []
-    verify, trial, rank = forge.verify_equivariance, forge._raises_rank, Matrix.rank
+    verify, trial, rank = forge.verify_equivariance, forge._Kept.raises, Matrix.rank
+    in_span = forge._Kept._in_span
     images = action._linear_images
 
     def spy_verify(F):
         calls["verify"] += 1
         return verify(F)
 
-    def spy_trial(kept, F, points):
+    def spy_trial(self, t):
         calls["trial"] += 1
-        return trial(kept, F, points)
+        return trial(self, t)
 
     def spy_rank(self):
         calls["rank"] += 1
         return rank(self)
+
+    def spy_in_span(self, t):
+        calls["reduce"] += 1
+        return in_span(self, t)
 
     def spy_images(rows, space_vars, out_vars, field):
         built.append((id(rows), space_vars, out_vars))
         return images(rows, space_vars, out_vars, field)
 
     monkeypatch.setattr(forge, "verify_equivariance", spy_verify)
-    monkeypatch.setattr(forge, "_raises_rank", spy_trial)
+    monkeypatch.setattr(forge._Kept, "raises", spy_trial)
+    monkeypatch.setattr(forge._Kept, "_in_span", spy_in_span)
     monkeypatch.setattr(Matrix, "rank", spy_rank)
     monkeypatch.setattr(action, "_linear_images", spy_images)
     fam = generate_covariants(G, 4)
     # every average is certified by construction: none is substituted
     assert len(fam) == 4 and all(F.status == "equivariant" for F in fam)
     assert calls["verify"] == 0
-    # 8 distinct averages are tried; each of the 4 kept rises at a witness
-    # point, so only the 4 that do not rise take a symbolic rank
+    # 8 distinct orbit sums are tried; each of the 4 kept rises at a witness
+    # point, so only the 4 that do not rise are reduced against the echelon
+    # of the kept rows, and no trial takes a full symbolic rank
     assert calls["trial"] == 8
-    assert calls["rank"] == 4
+    assert calls["reduce"] == 4
+    assert calls["rank"] == 0
     # averaging reads the matrix of every g^{-1}, and neither it nor the
     # rank trials build a substitution table
     assert built == []
@@ -308,19 +358,20 @@ def test_generate_does_not_rank_a_multiple_of_an_earlier_average(monkeypatch):
     from covar import forge
 
     G = make_finite_group([(ROTATION, ROTATION_AND_SIGN)])
-    trials, ranks = [], []
-    trial, rank = forge._raises_rank, Matrix.rank
-    monkeypatch.setattr(forge, "_raises_rank",
-                        lambda kept, F, points: trials.append(F) or trial(kept, F, points))
-    monkeypatch.setattr(Matrix, "rank", lambda self: ranks.append(1) or rank(self))
+    trials, reductions = [], []
+    trial, in_span = forge._Kept.raises, forge._Kept._in_span
+    monkeypatch.setattr(forge._Kept, "raises",
+                        lambda self, t: trials.append(t) or trial(self, t))
+    monkeypatch.setattr(forge._Kept, "_in_span",
+                        lambda self, t: reductions.append(t) or in_span(self, t))
     fam = generate_covariants(G, 2)
     assert [str(F) for F in fam] == ["(1/2*x2, -1/2*x1, 0)", "(1/2*x1, 1/2*x2, 0)",
                                      "(0, 0, 1/2*x2^2 - 1/2*x1^2)"]
-    # x2 e_1, x2 e_2 and x2^2 e_3 are ranked; x1 e_1 averages to the same
-    # map as x2 e_2, and x1 e_2 to -1 times the average of x2 e_1
+    # x2 e_1, x2 e_2 and x2^2 e_3 are ranked; x1 e_1 sums to the same map
+    # as x2 e_2, and x1 e_2 to -1 times the sum of x2 e_1
     assert len(trials) == 3
     # each of the three raises the rank at a witness point
-    assert ranks == []
+    assert reductions == []
 
 
 def test_substitution_tables_are_cached(s3, monkeypatch):
