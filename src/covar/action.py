@@ -133,7 +133,8 @@ def _cleared_substitution(action: "GroupAction", p: Poly, side: str,
     weight.  Each class of terms of equal weight is substituted at once and
     padded by det^(k - weight), k = sum_s h_s (p's largest degree on side
     s).  When every h is 0 (a finite element, a natural or scalar block),
-    k = 0 and det(g) is not read.
+    k = 0 and det(g) is not read.  A monomial element's images are one
+    term each, so ``Poly.subs`` relabels the packed keys.
     """
     if side not in ("x", "w", "xw"):
         raise ActionError(f"unknown side {side!r}")
@@ -616,6 +617,8 @@ class SymbolicGroupAction(_Spaces):
         self.g_identity = {v: int(k % (n + 1) == 0) for k, v in enumerate(self.g_vars)}
         # substitution tables of act_cleared, per (side, element, out_vars)
         self._tables: dict[tuple, dict[str, Poly]] = {}
+        # the rows of w_cleared, per ring
+        self._w_rows: dict[tuple, list[list[Poly]]] = {}
         self._blocks: dict[str, Matrix] = {}
 
     # -- the generic element, part by part ------------------------------------------
@@ -688,9 +691,14 @@ class SymbolicGroupAction(_Spaces):
     def w_cleared(self, element: str, ring: tuple[str, ...]
                   ) -> tuple[list[list[Poly]], None, int]:
         """g_W as (numerator rows over ``ring``, denominator, det power): the
-        rows are over det^h alone, and the denominator None stands for 1."""
-        return [[e.embed(ring) if e else e for e in row]
-                for row in self.w_num.entries], None, self.w_spec.det_power()
+        rows are over det^h alone, and the denominator None stands for 1.
+        The rows are embedded once per ring and shared: callers must not
+        mutate them."""
+        rows = self._w_rows.get(ring)
+        if rows is None:
+            rows = self._w_rows[ring] = [[e.embed(ring) if e else e for e in row]
+                                         for row in self.w_num.entries]
+        return rows, None, self.w_spec.det_power()
 
     def act_cleared(self, p: Poly, side: str = "x",
                     out_vars: tuple[str, ...] | None = None,

@@ -42,6 +42,7 @@ from .exactalg import (
     Poly,
     PrimeField,
     RatFn,
+    _split_fraction,
     lift_coeff,
     parse_entry,
     qmat,
@@ -377,15 +378,11 @@ def _parse_weight(block, group: GroupAction) -> Character:
         raise ProblemError(f"weight.{key}: {exc}") from None
 
 
-def _certificate_entry(text, where: str, group: GroupAction,
-                       reduce: bool = True) -> Poly | RatFn:
-    """One certificate string parsed over the X-variables: with ``reduce``
-    a Poly when it is one, else the RatFn as written; the error names the
-    field."""
+def _certificate_entry(text, where: str, group: GroupAction) -> Poly | RatFn:
+    """One certificate string parsed over the X-variables, a Poly when it is
+    one; the error names the field."""
     _expect(isinstance(text, str), f"{where}: expected a string")
-    if reduce:
-        return _parsed(parse_entry, text, where, group)
-    return _parsed(RatFn.parse, text, where, group, reduce=False)
+    return _parsed(parse_entry, text, where, group)
 
 
 def _square(raw: dict, key: str, group: GroupAction) -> list[list]:
@@ -398,10 +395,9 @@ def _square(raw: dict, key: str, group: GroupAction) -> list[list]:
     return rows
 
 
-def _certificate_square(raw: dict, key: str, group: GroupAction,
-                        reduce: bool = True) -> list[list[Poly | RatFn]]:
+def _certificate_square(raw: dict, key: str, group: GroupAction) -> list[list[Poly | RatFn]]:
     """A certificate field holding d rows of d strings, parsed."""
-    return [[_certificate_entry(e, f"{key}[{i}][{j}]", group, reduce)
+    return [[_certificate_entry(e, f"{key}[{i}][{j}]", group)
              for j, e in enumerate(row)] for i, row in enumerate(_square(raw, key, group))]
 
 
@@ -424,15 +420,60 @@ def _frame_covariants(raw: dict, phi_inv: Matrix, group: GroupAction) -> list[Co
     return columns
 
 
+def _phi_square(raw: dict, group: GroupAction, f) -> list[list[RatFn]]:
+    """The ``phi`` field parsed as written, with no gcd, each distinct
+    denominator text once: phi's d^2 entries share one denominator, and one
+    written as the text of f takes f's parse.  A denominator spelled any
+    other way is parsed on its own, and the checks compare it by value."""
+    f_text = raw["f"].strip()
+    dens = {f_text: f} if _split_fraction(f_text) is None else {}
+    rows = []
+    for i, row in enumerate(_square(raw, "phi", group)):
+        out = []
+        for j, text in enumerate(row):
+            where = f"phi[{i}][{j}]"
+            _expect(isinstance(text, str), f"{where}: expected a string")
+            text = text.strip()
+            num_text, den_text = _split_fraction(text) or (text, None)
+            num = _parsed(Poly.parse, num_text, where, group)
+            den = None
+            if den_text is not None:
+                den = dens.get(den_text)
+                if den is None:
+                    den = dens[den_text] = _parsed(Poly.parse, den_text, where, group)
+            try:
+                out.append(RatFn(num, den, reduce=False))
+            except ZeroDivisionError as exc:
+                raise ProblemError(f"{where}: {exc}") from None
+        rows.append(out)
+    return rows
+
+
+def _entry_text(e, dens: dict[int, str]) -> str:
+    """``str(e)``, with the text of each denominator object kept in
+    ``dens`` by identity: the d^2 entries of a phi share one, f."""
+    if not isinstance(e, RatFn) or e.den.is_constant() and e.den.constant_value() == 1:
+        return str(e)
+    text = dens.get(id(e.den))
+    if text is None:
+        text = dens[id(e.den)] = str(e.den)
+    return f"({e.num})/({text})"
+
+
 def certificate_payload(m: NoNameMap, problem: ProblemFile, report: Report) -> dict:
+    """The certificate of a built map.  Its phi entries are written as
+    ``RatFn.__str__`` writes them, a zero entry or one over 1 as its
+    numerator, but each distinct denominator, f for a built map, is
+    stringified once."""
+    dens = {id(m.f): str(m.f)}
     return {
         "kind": "noname-certificate",
         "group": _serialize_group(problem),
         "space": _serialize_space(m.action),
         "field": problem.raw.get("field"),
-        "f": str(m.f),
+        "f": dens[id(m.f)],
         "weight": _serialize_weight(m.invariant.weight),
-        "phi": [[str(e) for e in row] for row in m.phi.entries],
+        "phi": [[_entry_text(e, dens) for e in row] for row in m.phi.entries],
         "phi_inv": [[str(e) for e in row] for row in m.phi_inv.entries],
         "covariants": [[str(c) for c in F.coords] for F in m.covariants],
         "out_vars": list(_pick_out_vars(m.action, m.dim)),
@@ -457,7 +498,7 @@ def load_certificate(path: str) -> tuple[NoNameMap, ProblemFile]:
     f = _certificate_entry(raw["f"], "f", group)
     weight = _parse_weight(raw["weight"], group)
     # phi keeps its written denominator det N, so phi_rows folds it once
-    phi = Matrix(_certificate_square(raw, "phi", group, reduce=False))
+    phi = Matrix(_phi_square(raw, group, f))
     phi_inv = Matrix(_certificate_square(raw, "phi_inv", group))
     covs = []
     if "covariants" in raw:

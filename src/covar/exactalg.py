@@ -643,6 +643,13 @@ class Poly:
         ring; variables that never occur are ignored, so a polynomial can be
         moved into a smaller ring as long as its support fits.  Returns a
         Poly when every image is a Poly, else a RatFn.
+
+        When the image of every variable that occurs is one term c*m, as
+        under a monomial matrix (a permutation, signs, scalars), each term
+        maps to one term and the substitution is a relabel of the packed
+        keys (:meth:`_relabel`); otherwise the powers of the images are
+        multiplied out.  Both routes raise :class:`DegreeOverflowError` on
+        an image term past ``MAX_DEGREE``.
         """
         if out_vars is None:
             sample = next(iter(images.values()), None)
@@ -666,6 +673,8 @@ class Poly:
         if rational:
             table = [(s, v if isinstance(v, RatFn) else RatFn(v, reduce=False))
                      for s, v in table]
+        elif all(len(img.terms) == 1 for _, img in table):
+            return self._relabel(table, out_vars)
         powers: dict[tuple[int, int], object] = {}
         out: dict[int, Coeff] = {}
         total = RatFn(Poly.zero(out_vars, self.field)) if rational else None
@@ -692,6 +701,43 @@ class Poly:
                     del out[k]
         return total if rational else Poly.packed(out_vars, reduce_terms(out, self.field),
                                                   self.field)
+
+    def _relabel(self, table: list[tuple[int, "Poly"]], out_vars: tuple[str, ...]) -> "Poly":
+        """:meth:`subs` by one-term images, given as (shift, image) of each
+        variable that occurs: x^a goes to the one term of key
+        sum_k a_k key(m_k) and coefficient coeff * prod_k c_k^a_k, c_k m_k
+        the image of x_k.  Terms that meet on one key are summed.  The key
+        sum carries out of no field while its total degree is at most
+        ``MAX_DEGREE``, and past it the degree field only grows, so the
+        largest key sum decides the overflow."""
+        field = self.field
+        p = None if field is None else field.p
+        # (shift, key of m, c or None for 1) per variable that occurs
+        monos = []
+        for s, img in table:
+            (key, c), = img.terms.items()
+            monos.append((s, key, None if c == 1 else c))
+        out: dict[int, Coeff] = {}
+        top = 0
+        for key, coeff in self.terms.items():
+            k = 0
+            for s, mk, mc in monos:
+                e = (key >> s) & EXP_MASK
+                if e:
+                    k += e * mk
+                    if mc is not None:
+                        coeff = coeff * (mc ** e if p is None else pow(mc, e, p))
+            if k > top:
+                top = k
+            acc = out.get(k)
+            val = coeff if acc is None else acc + coeff
+            if val:
+                out[k] = val
+            elif acc is not None:
+                del out[k]
+        if top >> (EXP_BITS * len(out_vars)) > MAX_DEGREE:
+            raise _degree_error("a substituted term")
+        return Poly.packed(out_vars, reduce_terms(out, field), field)
 
     def eval(self, point: Mapping[str, object] | Sequence[object]) -> Coeff:
         """Exact evaluation at a point; the point must cover all variables."""
@@ -1168,22 +1214,24 @@ class Matrix:
 
     def adjugate(self) -> "Matrix":
         """Adjugate via signed cofactors; satisfies M*adj(M) = det(M)*I."""
+        cols = [self.cofactor_column(i) for i in range(self.rows)]
+        return Matrix([list(row) for row in zip(*cols)])
+
+    def cofactor_column(self, i: int) -> list[Entry]:
+        """Column i of the adjugate of a square matrix: entry j is the
+        signed cofactor (-1)^(i+j) det of the minor without row i and
+        column j."""
         if self.rows != self.cols:
             raise DimensionError("adjugate of a non-square matrix")
         n = self.rows
-        like = self.entries[0][0]
         if n == 1:
-            return Matrix([[like.ring_one()]])
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = Matrix([[self.entries[r][c] for c in range(n) if c != j]
-                                for r in range(n) if r != i])
-                cof = minor.det()
-                if (i + j) % 2:
-                    cof = -cof
-                out[j][i] = cof
-        return Matrix(out)
+            return [self.entries[0][0].ring_one()]
+        rows = [row for r, row in enumerate(self.entries) if r != i]
+        out = []
+        for j in range(n):
+            cof = Matrix([[e for c, e in enumerate(row) if c != j] for row in rows]).det()
+            out.append(-cof if (i + j) % 2 else cof)
+        return out
 
     def _echelon_ff(self) -> tuple[list[list[Entry]], list[int], int]:
         """Fraction-free (Bareiss) row echelon; returns (rows, pivot column

@@ -53,6 +53,7 @@ from .exactalg import (
     RatFn,
     coeff_div,
     common_denominator,
+    qmat_det,
     unit_keys,
 )
 from .report import Report, Stopwatch
@@ -150,14 +151,69 @@ class NoNameMap:
                       reduce=False) for row in nums]
 
 
+def _monomial_links(action: GroupAction) -> list[list[tuple]] | None:
+    """Per W basis line m, the (generator s, line k, s_W[m][k]/det(s_W))
+    of each distinct generator, whose W-matrix has its one nonzero of row
+    m in column k; None unless the group is finite and every W-generator
+    is monomial (one nonzero per row, so per column too)."""
+    if not action.is_finite:
+        return None
+    links: list[list[tuple]] = [[] for _ in range(action.w_dim)]
+    for s in action.check_elements():
+        w = action.w_mats[s]
+        if any(sum(1 for e in row if e) != 1 for row in w):
+            return None
+        det = qmat_det(w, action.field)
+        for m, row in enumerate(w):
+            k = next(k for k, e in enumerate(row) if e)
+            links[m].append((s, k, coeff_div(row[k], det, action.field)))
+    return links
+
+
+def _frame_adjugate(action: GroupAction, N: Matrix, D: list[Poly]) -> Matrix:
+    """adj(N) for the frame F = diag(D)^-1 N of certified covariants.
+
+    For a polynomial frame (every D_r = 1, so F = N) on a finite group
+    whose W-generators are monomial, the adjugate follows from
+    equivariance: F(sx) = s_W F(x) gives adj F(sx) s_W = det(s_W) adj F(x),
+    so where s_W[m][k] != 0, column k of adj F is s_W[m][k]/det(s_W) times
+    column m taken at s x.  One cofactor column is formed per orbit of the
+    W basis lines, and a breadth-first walk over the generators moves it to
+    the rest of its orbit, each entry by one relabel substitution.  Any
+    other frame or group takes the cofactor adjugate.  Either way the map
+    is accepted only once phi F = I is checked.
+    """
+    links = _monomial_links(action) if all(den == 1 for den in D) else None
+    if links is None:
+        return N.adjugate()
+    cols: list[list[Poly] | None] = [None] * N.cols
+    for start in range(N.cols):
+        if cols[start] is not None:
+            continue
+        cols[start] = N.cofactor_column(start)
+        walk = [start]
+        for m in walk:
+            for s, k, scale in links[m]:
+                if cols[k] is None:
+                    moved = [action.act_cleared(e, "x", e.vars, s)[0] for e in cols[m]]
+                    cols[k] = moved if scale == 1 else [e * scale for e in moved]
+                    walk.append(k)
+    return Matrix([list(row) for row in zip(*cols)])
+
+
 def build_isomorphism(Fs: list[Covariant]) -> NoNameMap:
     """Construct the localized isomorphism from d independent covariants.
 
-    The map is accepted only if :func:`verify_isomorphism` passes every
-    structural check (two-sided inverse over the localization, invariance of
-    every generator, both substitution round trips, ...); that report is
-    returned with the map as ``m.report``.  The frame columns are the given,
-    already certified covariants, so invariance needs no new substitution.
+    phi = adj(N) diag(D) / det(N) for the frame F = diag(D)^-1 N.  Its
+    adjugate is :func:`_frame_adjugate`: on a finite group with monomial
+    W-generators and a polynomial frame, one cofactor column per orbit of
+    the W basis lines, moved by relabel substitutions; else the cofactor
+    adjugate.  The map is accepted only if :func:`verify_isomorphism`
+    passes every structural check (two-sided inverse over the localization,
+    invariance of every generator, both substitution round trips, ...);
+    that report is returned with the map as ``m.report``.  The frame
+    columns are the given, already certified covariants, so invariance
+    needs no new substitution.
     """
     if not Fs:
         raise DimensionError("empty covariant list")
@@ -170,7 +226,7 @@ def build_isomorphism(Fs: list[Covariant]) -> NoNameMap:
     # F = diag(D)^-1 N, so phi = F^-1 = adj(N) diag(D) / det N
     N, D, det = ri.cleared
     phi = Matrix([[RatFn(e * D[j], det, reduce=False) for j, e in enumerate(row)]
-                  for row in N.adjugate().entries])
+                  for row in _frame_adjugate(action, N, D).entries])
     m = NoNameMap(action, ri, phi, ri.frame, list(Fs))
     m.report = verify_isomorphism(m)
     if not m.report.ok:

@@ -26,7 +26,7 @@ from covar.cli import (
 )
 from covar.action import FiniteGroupAction, SymbolicGroupAction, TemplateSpec
 from covar.covariant import Covariant, verify_equivariance
-from covar.exactalg import Matrix, RatFn
+from covar.exactalg import Matrix, Poly, RatFn
 from test_noname import _power_map_problem
 
 HERE = os.path.dirname(__file__)
@@ -1007,6 +1007,68 @@ def test_s4_power_map_payloads_are_pinned_byte_for_byte(tmp_path, golden_name, a
     assert code == 0
     with open(os.path.join(GOLDEN, golden_name), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+def test_s5_power_map_certificate_is_pinned_byte_for_byte(tmp_path):
+    """The S5 power maps build their phi by equivariance, one cofactor
+    column moved by the generators, and write f once: the certificate is
+    the one the cofactor adjugate wrote."""
+    out = tmp_path / "s5.json"
+    code, _, _ = run_cli(["noname-build", _write_problem(tmp_path, _power_map_problem(5)),
+                          "--out", str(out)])
+    assert code == 0
+    with open(os.path.join(GOLDEN, "s5_power_maps_noname.json"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+def _reordered(text: str) -> str:
+    """A polynomial text with its terms in reverse order."""
+    terms = text.replace(" - ", " + -").split(" + ")
+    return " + ".join(reversed(terms)).replace("+ -", "- ")
+
+
+def test_a_certificate_reads_f_once_and_any_spelling_of_it(tmp_path, monkeypatch):
+    """load_certificate parses f's text once, for f and every phi
+    denominator written as f; a denominator spelled with f's terms
+    reordered is parsed on its own and still verifies, and phi with two
+    rows swapped still fails."""
+    cert = tmp_path / "s4.json"
+    assert run_cli(["noname-build", _s4_power_maps(tmp_path), "--out", str(cert)])[0] == 0
+    payload = json.loads(cert.read_text())
+    f = payload["f"]
+    parsed = []
+    parse = Poly.parse
+    monkeypatch.setattr(Poly, "parse", lambda text, *a, **k: parsed.append(text)
+                        or parse(text, *a, **k))
+    assert run_cli(["noname-verify", str(cert)])[0] == 0
+    assert parsed.count(f) == 1
+
+    respelled = _reordered(f)
+    assert respelled != f and Poly.parse(respelled, ("x1", "x2", "x3", "x4")) == Poly.parse(
+        f, ("x1", "x2", "x3", "x4"))
+    phi = [[e.replace(f"/({f})", f"/({respelled})") for e in row] for row in payload["phi"]]
+    assert phi != payload["phi"]
+    for variant, code in ((dict(payload, phi=phi), 0),
+                          (dict(payload, phi=phi[::-1]), 1),
+                          (dict(payload, phi=payload["phi"][::-1]), 1)):
+        parsed.clear()
+        path = _write_problem(tmp_path, variant, "variant.json")
+        assert run_cli(["noname-verify", path])[0] == code
+        assert parsed.count(f) == 1
+
+
+@pytest.mark.parametrize("phi,field,message", [
+    ([["(x1)/(0)", "0"], ["0", "1"]], "phi[0][0]", "zero denominator"),
+    # a denominator text met twice is parsed once, so its first entry is named
+    ([["1", "(x1)/(x1 +)"], ["(x2)/(x1 +)", "1"]], "phi[0][1]", "expected"),
+    ([["1", "(x1)/(x1 + x2)"], ["(x2)/(x1 + x2)", "(1)/(x9)"]], "phi[1][1]",
+     "undeclared variable 'x9'"),
+], ids=["zero", "shared-and-malformed", "undeclared"])
+def test_a_malformed_phi_denominator_names_its_entry(tmp_path, phi, field, message):
+    path = _write_problem(tmp_path, _certificate_with(tmp_path, phi=phi), "malformed.json")
+    code, _, err = run_cli(["noname-verify", path])
+    assert code == 2
+    assert err.startswith(f"error: {field}: ") and message in err
 
 
 def test_a_degree_past_the_packed_width_exits_2_naming_the_field(tmp_path):

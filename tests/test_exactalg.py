@@ -696,6 +696,105 @@ def test_subs_writes_its_sum_into_one_term_dict(monkeypatch):
     assert expected == ref
 
 
+# -- the relabel route of subs: every image one term ---------------------------
+
+OUT = ("x1", "x2", "x3", "y")
+GF32003 = PrimeField(32003)
+
+
+def _expanded_subs(p: Poly, images: dict, out: tuple) -> Poly:
+    """The general substitution multiplied out term by term with products
+    and powers, a reference that never calls subs."""
+    gens = dict(zip(out, Poly.gens(out, p.field)))
+    total = Poly.zero(out, p.field)
+    for exps, c in p.exponent_items():
+        term = Poly.const(c, out, p.field)
+        for name, e in zip(p.vars, exps):
+            term = term * images.get(name, gens[name]) ** e
+        total = total + term
+    return total
+
+
+@st.composite
+def _one_term_substitutions(draw):
+    """(p, images): p over V3, and per variable no image (it stays), a
+    scalar, a monomial of degree up to 3 times a scalar, or a copy of an
+    earlier image, so that two variables can meet on one monomial."""
+    field = draw(st.sampled_from([None, GF32003]))
+    coeff = coeffs if field is None else st.integers(1, field.p - 1)
+    exps = st.tuples(*[st.integers(0, 4)] * len(V3))
+    p = Poly(V3, draw(st.dictionaries(exps, coeff, max_size=6)), field)
+    images = {}
+    for name in V3:
+        kind = draw(st.sampled_from(["stays", "scalar", "monomial", "copy"]))
+        if kind == "scalar":
+            images[name] = Poly.const(draw(coeff), OUT, field)
+        elif kind == "monomial":
+            mono = draw(st.tuples(*[st.integers(0, 3)] * len(OUT)))
+            images[name] = Poly(OUT, {mono: draw(coeff)}, field)
+        elif kind == "copy" and images:
+            images[name] = draw(st.sampled_from(list(images.values())))
+    return p, images
+
+
+@settings(max_examples=200, deadline=None)
+@given(_one_term_substitutions())
+def test_a_one_term_substitution_matches_the_multiplied_out_route(case):
+    """subs by one-term images (a relabel of the packed keys) equals the
+    product of powers of the images, over Q and GF(32003), with scalars,
+    non-injective maps and images of degree above one."""
+    p, images = case
+    got = p.subs(images, OUT)
+    assert got == _expanded_subs(p, images, OUT)
+    assert all(got.terms.values())
+    if p.field is not None:
+        assert all(0 < c < p.field.p for c in got.terms.values())
+
+
+def test_variables_that_meet_on_one_key_are_summed_and_cancel():
+    p = p2("x1 - x2 + 3*x1*x2 + 2*x2^2")
+    y = Poly.var("x1", V2)
+    got = p.subs({"x1": y, "x2": y}, V2)
+    assert got == p2("5*x1^2") and got == _expanded_subs(p, {"x1": y, "x2": y}, V2)
+
+
+@pytest.mark.parametrize("text", [
+    f"x1^{MAX_DEGREE // 2 + 1}",
+    # the two images cancel, but each term past the width is refused
+    f"x1^{MAX_DEGREE // 2 + 1} - x2^{MAX_DEGREE // 2 + 1}",
+], ids=["one-term", "cancelling"])
+def test_a_relabel_past_the_packed_width_raises_as_the_general_route_does(text):
+    p = Poly.parse(text, V2)
+    square = p2("x1^2")
+    with pytest.raises(DegreeOverflowError, match="past total degree"):
+        p.subs({"x1": square, "x2": square}, V2)
+    with pytest.raises(DegreeOverflowError, match="past total degree"):
+        p.subs({"x1": square + 1, "x2": square}, V2)
+    # at the width the relabel is exact
+    q = Poly.parse(f"x1^{MAX_DEGREE // 2}", V2)
+    assert q.subs({"x1": square}, V2) == Poly.parse(f"x1^{MAX_DEGREE - 1}", V2)
+
+
+def test_a_rotation_keeps_the_general_route_and_a_signed_swap_relabels(monkeypatch):
+    """act_cleared by a monomial element is a relabel; by a rotation over Q,
+    whose image of x2 has two terms, the powers are multiplied out."""
+    from covar.action import make_finite_group
+
+    relabelled = []
+    relabel = Poly._relabel
+    monkeypatch.setattr(Poly, "_relabel",
+                        lambda self, *a: relabelled.append(1) or relabel(self, *a))
+    p = p2("x1^2*x2 - 3*x2 + x1*x2^2")
+    for mat, relabels in (([[0, -1], [1, -1]], False), ([[0, -1], [1, 0]], True)):
+        group = make_finite_group([(mat, mat)], V2)
+        gen = group.generators[0]
+        images = group.x_substitution(gen)
+        relabelled.clear()
+        moved, k = group.act_cleared(p, "x", V2, gen)
+        assert k == 0 and moved == _expanded_subs(p, images, V2)
+        assert bool(relabelled) is relabels
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_fraction_texts, _fraction_soup, _polynomial_texts),
        st.sampled_from([None, PrimeField(5)]))

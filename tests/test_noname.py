@@ -647,3 +647,91 @@ def test_parse_round_trips_preset_and_certificate_polynomials(tmp_path):
     assert any(text.startswith("(") for text, _, _ in texts)
     for text, vars, field in texts:
         assert str(RatFn.parse(text, vars, field, reduce=False)) == text
+
+
+# -- the adjugate of the frame: by equivariance or by cofactors ----------------
+
+
+def _finite_problem(generators: list, covariants: list) -> dict:
+    """A finite group acting on X and W by the same matrices, or by the
+    given (x, w) pairs."""
+    pairs = [g if isinstance(g, tuple) else (g, g) for g in generators]
+    return {"group": {"type": "finite", "generators": [{"x": x, "w": w} for x, w in pairs]},
+            "covariants": covariants}
+
+
+_SWAP3 = [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]]
+_CYCLE3 = [["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]]
+_NEGATE1 = [["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+_SWAP2 = [["0", "1"], ["1", "0"]]
+
+# (problem, the W basis lines whose cofactor column is formed: one per orbit)
+MONOMIAL_FRAMES = {
+    **{f"s{n} power maps": (_power_map_problem(n), [0]) for n in (4, 5, 6)},
+    # the signed permutations of k^3 and their odd power maps: det(s_W) = -1
+    "signed permutations": (_finite_problem(
+        [_CYCLE3, _SWAP3, _NEGATE1],
+        [[f"x{i}^{k}" for i in (1, 2, 3)] for k in (1, 3, 5)]), [0]),
+    # s_W[m][k]/det(s_W) = 2/(-1) and (1/2)/(-1)
+    "halving swap": (_finite_problem(
+        [[["0", "2"], ["1/2", "0"]]], [["x1", "x2"], ["8*x2^2", "x1^2"]]), [0]),
+    # W = k^2 + k: the lines {w1, w2} and {w3} are two orbits
+    "two orbits": (_finite_problem(
+        [(_SWAP2, _SWAP3)],
+        [["x1", "x2", "x1 + x2"], ["x1^2", "x2^2", "x1*x2"], ["1", "1", "1"]]), [0, 2]),
+}
+
+
+@pytest.mark.parametrize("field", [None, {"prime": 32003}], ids=["Q", "mod32003"])
+@pytest.mark.parametrize("name", list(MONOMIAL_FRAMES))
+def test_the_adjugate_by_equivariance_equals_the_cofactor_adjugate(name, field, monkeypatch):
+    """On a monomial W-action a polynomial frame's adjugate is one cofactor
+    column per orbit of the W basis lines, moved by the generators, and it
+    equals the cofactor adjugate; the map built on it passes its checks."""
+    from covar.cli import parse_problem
+    from covar.covariant import cleared_rows, ensure_equivariant
+    from covar.noname import _frame_adjugate
+
+    raw, representatives = MONOMIAL_FRAMES[name]
+    problem = parse_problem(dict(raw, field=field))
+    Fs = problem.covariants
+    assert ensure_equivariant(Fs).ok
+    N, D = cleared_rows(Fs)
+    expected = N.adjugate()
+    columns, adjugates = [], []
+    column, adjugate = Matrix.cofactor_column, Matrix.adjugate
+    monkeypatch.setattr(Matrix, "cofactor_column",
+                        lambda self, i: columns.append(i) or column(self, i))
+    monkeypatch.setattr(Matrix, "adjugate", lambda self: adjugates.append(1) or adjugate(self))
+    assert _frame_adjugate(problem.group, N, D) == expected
+    assert columns == representatives and not adjugates
+    columns.clear()
+    assert build_isomorphism(Fs).report.ok
+    assert columns == representatives and not adjugates
+
+
+# (problem, why its frame takes the cofactor adjugate)
+COFACTOR_FRAMES = {
+    # a rotation of order 3 over Q: its W-matrix has two nonzeros in a row
+    "non-monomial W": _finite_problem(
+        [[["0", "-1"], ["1", "-1"]]],
+        [["x1", "x2"], ["x1^2 - x2^2", "x1^2 - 2*x1*x2"]]),
+    # a rational frame: F = diag(D)^-1 N with D = (x1 + x2, x1 + x2)
+    "rational frame": _finite_problem(
+        [_SWAP2], [["(x1)/(x1 + x2)", "(x2)/(x1 + x2)"], ["x1^2", "x2^2"]]),
+    "gl2 words": "matrix_words_gl2",
+}
+
+
+@pytest.mark.parametrize("name", list(COFACTOR_FRAMES))
+def test_other_frames_take_the_cofactor_adjugate(name, monkeypatch):
+    from covar.cli import parse_problem
+    from covar.covariant import ensure_equivariant
+
+    problem = parse_problem(COFACTOR_FRAMES[name])
+    assert ensure_equivariant(problem.covariants).ok
+    adjugates = []
+    adjugate = Matrix.adjugate
+    monkeypatch.setattr(Matrix, "adjugate", lambda self: adjugates.append(1) or adjugate(self))
+    assert build_isomorphism(problem.covariants).report.ok
+    assert len(adjugates) == 1
