@@ -138,16 +138,18 @@ def _cleared_substitution(action: "GroupAction", p: Poly, side: str,
     """
     if side not in ("x", "w", "xw"):
         raise ActionError(f"unknown side {side!r}")
-    table: dict[str, Poly] = {}
+    table = None
     # per space clearing a denominator: (positions of its variables in p, h)
     spans = []
     for name in side:  # "xw" moves both spaces
         rows, h = moves(name)
         images = _table(action, name, element, out_vars, rows)
-        table.update(images)
+        # a one-side move reads the shared table as it is
+        table = images if table is None else {**table, **images}
         if h:
             spans.append(([i for i, v in enumerate(p.vars) if v in images], h))
-    if p.support_vars() - table.keys():
+    # only a polynomial over variables off the table has its terms scanned
+    if not set(p.vars) <= table.keys() and p.support_vars() - table.keys():
         raise DimensionError("polynomial does not live on the declared space")
     if not spans:
         return p.subs(table, out_vars), 0

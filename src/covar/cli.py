@@ -547,8 +547,7 @@ def _write_out(args, payload: dict) -> dict:
     if not args.out:
         return {}
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return {"certificate_path": args.out}
 
 

@@ -333,12 +333,11 @@ class RelativeInvariant:
         self.weight = weight
         self.action = action
         # Set where f is made as the determinant of certified columns, so
-        # later checks reuse them: the frame matrix F, its cleared rows
-        # (N, D) with det N, and the verdict of the weight identity, which
-        # those columns imply.  The constructor does not take them, so an
-        # invariant built from the same f, weight and action re-derives them.
+        # later checks reuse them: the frame matrix F and the verdict of the
+        # weight identity, which those columns imply.  The constructor does
+        # not take them, so an invariant built from the same f, weight and
+        # action re-derives them.
         self.frame = None
-        self.cleared = None
         self.verdict = None
 
     @property
@@ -403,10 +402,16 @@ def det_relative_invariant(Fs: list[Covariant]) -> RelativeInvariant:
     ``result.is_zero``.
     """
     require_certified(Fs, "det_relative_invariant")
-    action = Fs[0].action
     mat = covariant_matrix(Fs)
     N, D = cleared_rows(Fs)
-    det = N.det()
+    return frame_invariant(Fs[0].action, mat, D, N.det())
+
+
+def frame_invariant(action: GroupAction, mat: Matrix, D: list[Poly],
+                    det: Poly) -> RelativeInvariant:
+    """f = det(mat) with its weight g -> det(g_W)^{-1}, for the square frame
+    ``mat`` of certified covariants written as diag(D)^-1 N with
+    ``det`` = det N."""
     # F = diag(D)^-1 N, so f = det N / prod D, in canonical form
     f = RatFn(det, _product(*D))
     f = f.num if f.is_poly() else f
@@ -414,7 +419,7 @@ def det_relative_invariant(Fs: list[Covariant]) -> RelativeInvariant:
     # det F(gx) = det(g_W) det F(x): f has weight det(g_W)^{-1} with no
     # further substitution
     ri = RelativeInvariant(f, det_w_inverse_character(action), action)
-    ri.frame, ri.cleared, ri.verdict = mat, (N, D, det), True
+    ri.frame, ri.verdict = mat, True
     return ri
 
 

@@ -1218,20 +1218,20 @@ class Matrix:
         return Matrix([list(row) for row in zip(*cols)])
 
     def cofactor_column(self, i: int) -> list[Entry]:
-        """Column i of the adjugate of a square matrix: entry j is the
-        signed cofactor (-1)^(i+j) det of the minor without row i and
-        column j."""
+        """Column i of the adjugate of a square matrix: entry j is
+        :meth:`cofactor` (i, j)."""
+        return [self.cofactor(i, j) for j in range(self.cols)]
+
+    def cofactor(self, i: int, j: int) -> Entry:
+        """The signed cofactor (-1)^(i+j) det of the minor without row i and
+        column j: entry (j, i) of the adjugate of a square matrix."""
         if self.rows != self.cols:
             raise DimensionError("adjugate of a non-square matrix")
-        n = self.rows
-        if n == 1:
-            return [self.entries[0][0].ring_one()]
-        rows = [row for r, row in enumerate(self.entries) if r != i]
-        out = []
-        for j in range(n):
-            cof = Matrix([[e for c, e in enumerate(row) if c != j] for row in rows]).det()
-            out.append(-cof if (i + j) % 2 else cof)
-        return out
+        if self.rows == 1:
+            return self.entries[0][0].ring_one()
+        cof = Matrix([[e for c, e in enumerate(row) if c != j]
+                      for r, row in enumerate(self.entries) if r != i]).det()
+        return -cof if (i + j) % 2 else cof
 
     def _echelon_ff(self) -> tuple[list[list[Entry]], list[int], int]:
         """Fraction-free (Bareiss) row echelon; returns (rows, pivot column

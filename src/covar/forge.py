@@ -295,17 +295,20 @@ class _Transfer:
 
 class _Kept:
     """The transfers kept by one generate call, and what a trial reads of
-    them: their values at the candidate points, and one fraction-free
+    them: their values at one candidate point, and one fraction-free
     echelon of their rows over k[X].
 
-    ``full`` lists the candidate points, by index, at which the kept ones
-    have full rank, with their value vectors in ``values``; each keep
-    extends them once.  The echelon (Bareiss, Math. Comp. 22, 1968) is
-    built on the first symbolic trial and extended by one row per kept
-    transfer after that: row k is the kept row k reduced against rows
-    1..k-1, with pivot p_k at column c_k, and its entries are the k-minors
-    of kept rows 1..k on columns c_1..c_{k-1} and one more.  By Sylvester's identity a new row v reduced in
-    order, v <- (p_k v - v[c_k] E_k) / p_{k-1} with p_0 = 1, stays
+    ``rows`` holds the values of the kept ones at candidate point
+    ``cursor``, where they have full rank; a trial moves the cursor past
+    the points where a kept one found since is dependent, evaluating it
+    only there.  Rows 1..k+1 independent at a point make rows 1..k
+    independent there, so no point passed over has full rank again.  The
+    echelon (Bareiss, Math. Comp. 22, 1968) is built on the first symbolic
+    trial and extended by one row per kept transfer after that: row k is
+    the kept row k reduced against rows 1..k-1, with pivot p_k at column
+    c_k, and its entries are the k-minors of kept rows 1..k on columns
+    c_1..c_{k-1} and one more.  By Sylvester's identity a new row v reduced
+    in order, v <- (p_k v - v[c_k] E_k) / p_{k-1} with p_0 = 1, stays
     polynomial: each division is exact.
     """
 
@@ -313,8 +316,8 @@ class _Kept:
         self.vars, self.field = G.x_vars, G.field
         self.p = None if G.field is None else G.field.p
         self.points = points
-        self.full = list(range(len(points)))
-        self.values: list[list[list[int]]] = [[] for _ in points]
+        self.cursor = 0
+        self.rows: list[list[int]] = []
         # per point: the value of each monomial met so far, by packed key
         self.monomials: list[dict[int, int]] = [{} for _ in points]
         self.kept: list[_Transfer] = []
@@ -327,24 +330,32 @@ class _Kept:
         generic rank.  A trial that does not rise shows no rise at any
         point, so only the first of those points is tried before the
         symbolic reduction."""
-        if self.full:
-            j = self.full[0]
-            if int_rank_det(self.values[j] + [self._at(t, j)], self.p)[0] > len(self.kept):
+        if self._full_rank_point():
+            row = self._at(t, self.cursor)
+            if int_rank_det(self.rows + [row], self.p)[0] > len(self.rows):
                 return True
         return not self._in_span(t)
 
     def keep(self, t: _Transfer) -> None:
-        k, full = len(self.kept), []
-        for j in self.full:
-            vec = self._at(t, j)
-            if int_rank_det(self.values[j] + [vec], self.p)[0] > k:
-                self.values[j].append(vec)
-                full.append(j)
-        self.full = full
         self.kept.append(t)
         if t.residual is not None:
             # the trial caught the echelon up before reducing t
             self._insert(t.residual)
+
+    def _full_rank_point(self) -> bool:
+        """Move the cursor to the first candidate point where the kept
+        transfers have full rank; False when none is left."""
+        while self.cursor < len(self.points):
+            for t in self.kept[len(self.rows):]:
+                row = self._at(t, self.cursor)
+                if int_rank_det(self.rows + [row], self.p)[0] == len(self.rows):
+                    self.cursor += 1
+                    self.rows = []
+                    break
+                self.rows.append(row)
+            else:
+                return True
+        return False
 
     def _at(self, t: _Transfer, j: int) -> list[int]:
         """t's value vector at candidate point j, mod p over GF(p)."""
@@ -407,8 +418,9 @@ def generate_covariants(G: FiniteGroupAction, degree_bound: int) -> list[Covaria
       again: the earlier one was kept or lay in the span of the ones kept
       then.  The test is on the integer ray key of :class:`_Transfer`.
     - A trial (:meth:`_Kept.raises`) reads the kept ones' values at the
-      candidate points, computed once per keep; a point of full rank
-      where T is off their span proves the rise.  Else T's row is reduced
+      first candidate point where they have full rank, each computed when
+      a trial first reads that point; T off their span there proves the
+      rise.  Else T's row is reduced
       against one fraction-free echelon of the kept rows over k[X], built
       on the first such trial and extended row by row, so no trial
       re-eliminates the kept ones.

@@ -31,7 +31,8 @@ the hot verification loops.
 
 from __future__ import annotations
 
-from functools import cached_property
+import operator
+from functools import cached_property, reduce
 
 from .action import GroupAction, det_w_inverse_character, vector_names
 from .covariant import (
@@ -39,8 +40,10 @@ from .covariant import (
     DependentCovariantsError,
     RelativeInvariant,
     _first_failure,
-    det_relative_invariant,
+    cleared_rows,
+    covariant_matrix,
     ensure_equivariant,
+    frame_invariant,
     require_certified,
     verify_equivariance,
 )
@@ -208,10 +211,12 @@ def build_isomorphism(Fs: list[Covariant]) -> NoNameMap:
     adjugate is :func:`_frame_adjugate`: on a finite group with monomial
     W-generators and a polynomial frame, one cofactor column per orbit of
     the W basis lines, moved by relabel substitutions; else the cofactor
-    adjugate.  The map is accepted only if :func:`verify_isomorphism`
-    passes every structural check (two-sided inverse over the localization,
-    invariance of every generator, both substitution round trips, ...);
-    that report is returned with the map as ``m.report``.  The frame
+    adjugate.  Its column 0 is N's cofactor column 0 either way, so det N
+    is the Laplace expansion along row 0 of N, d products.  The map is
+    accepted only if :func:`verify_isomorphism` passes every structural
+    check (two-sided inverse over the localization, invariance of every
+    generator, both substitution round trips, ...); that report is
+    returned with the map as ``m.report``.  The frame
     columns are the given, already certified covariants, so invariance
     needs no new substitution.
     """
@@ -219,15 +224,18 @@ def build_isomorphism(Fs: list[Covariant]) -> NoNameMap:
         raise DimensionError("empty covariant list")
     action = Fs[0].action
     require_certified(Fs, "build_isomorphism")
-    ri = det_relative_invariant(Fs)
-    if ri.is_zero:
+    frame = covariant_matrix(Fs)
+    N, D = cleared_rows(Fs)
+    adj = _frame_adjugate(action, N, D)
+    # Laplace along row 0 against the adjugate's column 0
+    det = _dot(N.entries[0], [row[0] for row in adj.entries])
+    if det.is_zero():
         raise DependentCovariantsError(
             "covariants are generically dependent (determinant vanishes)")
     # F = diag(D)^-1 N, so phi = F^-1 = adj(N) diag(D) / det N
-    N, D, det = ri.cleared
     phi = Matrix([[RatFn(e * D[j], det, reduce=False) for j, e in enumerate(row)]
-                  for row in _frame_adjugate(action, N, D).entries])
-    m = NoNameMap(action, ri, phi, ri.frame, list(Fs))
+                  for row in adj.entries])
+    m = NoNameMap(action, frame_invariant(action, frame, D, det), phi, frame, list(Fs))
     m.report = verify_isomorphism(m)
     if not m.report.ok:
         raise IsomorphismError("failed checks: " + ", ".join(
@@ -253,12 +261,39 @@ def _rows_off_identity(left, right) -> list[int]:
                    for j, col in enumerate(cols))]
 
 
-def _is_frame_determinant(m: NoNameMap) -> bool:
+def _is_frame_determinant(m: NoNameMap, phi_is_inverse: bool) -> bool:
     """f == det(phi_inv) as one cleared identity: with the frame fn/fd and
-    f = num/den, num * fd^d == det(fn) * den."""
+    f = num/den, num * fd^d == det(fn) * den.  When phi * phi_inv = I holds,
+    that is pn fn = pd fd I for phi = pn/pd, every entry has
+    pn[i][j] det(fn) = pd fd adj(fn)[i][j]; so a nonzero pn[i][j] (one
+    exists, as pd fd != 0) and its one signed (d-1)-minor decide it."""
     fn, fd = m.frame_rows
     (num,), den = common_denominator([m.f])
-    return num * fd ** m.dim == Matrix(fn).det() * den
+    if not phi_is_inverse:
+        return _products_equal([num, fd ** m.dim], [Matrix(fn).det(), den])
+    pn, pd = m.phi_rows
+    i, j = next((i, j) for i, row in enumerate(pn) for j, e in enumerate(row) if e)
+    return _products_equal([num, fd ** m.dim, pn[i][j]],
+                           [pd, fd, Matrix(fn).cofactor(j, i), den])
+
+
+def _products_equal(left: list[Poly], right: list[Poly]) -> bool:
+    """Whether the factors ``left`` and ``right`` have one product.  k[X] is
+    a domain, so a nonzero factor a on the left and b on the right with
+    a = c b for a scalar c are struck, c staying on the left, before
+    anything is multiplied: for a polynomial frame, f and phi's denominator
+    are both det N up to a scalar, and their products with the
+    (d-1)-minors would be the largest."""
+    pool = [(b.monic(), b) for b in right]
+    factors = []
+    for a in left:
+        monic = a.monic()
+        hit = next((k for k, (mb, _) in enumerate(pool) if a and mb == monic), None)
+        factors.append(a if hit is None else
+                       coeff_div(a.lc(), pool.pop(hit)[1].lc(), a.field))
+    one = left[0].ring_one()
+    return (reduce(operator.mul, factors, one)
+            == reduce(operator.mul, (b for _, b in pool), one))
 
 
 def _is_frame_of(Fs: list[Covariant], frame: Matrix) -> bool:
@@ -310,8 +345,13 @@ def verify_isomorphism(m: NoNameMap) -> Report:
                    "phi entries depend only on the X-variables")
 
         report.add("f_nonzero", not m.f.is_zero(), "denominator is not zero")
-        # f made as det(phi_inv) by det_relative_invariant needs no second det
-        is_det = m.invariant.frame is m.phi_inv or _is_frame_determinant(m)
+        # Round trip (1) returns a_i exactly when row i of phi * F is e_i, the
+        # a being fresh variables; round trip (2) reads F * phi the same way.
+        # Both are d x d over the domain k[X], so phi * F = I gives F * phi = I,
+        # and F * phi is multiplied out only to name its failing rows.
+        phi_off = _rows_off_identity(m.phi_rows, m.frame_rows)
+        # f made as det(phi_inv) by frame_invariant needs no second det
+        is_det = m.invariant.frame is m.phi_inv or _is_frame_determinant(m, not phi_off)
         report.add("f_equals_det_of_frame", is_det,
                    "localization denominator equals the frame determinant")
 
@@ -328,11 +368,6 @@ def verify_isomorphism(m: NoNameMap) -> Report:
         report.add("f_relative_invariant", certified or m.invariant.verify(),
                    "f transforms by its weight under the whole group")
 
-        # Round trip (1) returns a_i exactly when row i of phi * F is e_i, the
-        # a being fresh variables; round trip (2) reads F * phi the same way.
-        # Both are d x d over the domain k[X], so phi * F = I gives F * phi = I,
-        # and F * phi is multiplied out only to name its failing rows.
-        phi_off = _rows_off_identity(m.phi_rows, m.frame_rows)
         frame_off = phi_off and _rows_off_identity(m.frame_rows, m.phi_rows)
         report.add("phi_times_frame_is_identity", not phi_off)
         report.add("frame_times_phi_is_identity", not frame_off)

@@ -7,7 +7,15 @@ from covar import (
     symbolic_general_linear,
     verified,
 )
-from covar.exactalg import ExactAlgError, coeff_div, lift_coeff, qmat_identity, qmat_mul
+from covar.exactalg import (
+    ExactAlgError,
+    coeff_div,
+    int_rank_det,
+    lift_coeff,
+    qmat_identity,
+    qmat_mul,
+)
+from covar.forge import _Kept
 
 SWAP = [["0", "1"], ["1", "0"]]
 CYCLE3 = [["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]]
@@ -36,6 +44,35 @@ def qmat_inv(a, field=None):
                 f = m[i][k]
                 m[i] = [lift_coeff(x - f * y, field) for x, y in zip(m[i], m[k])]
     return tuple(tuple(row[n:]) for row in m)
+
+
+class EagerKept(_Kept):
+    """The reference for generate's trials: each keep evaluates the new
+    transfer at every candidate point where the kept ones had full rank and
+    keeps the points where they still do, with their value vectors; a
+    trial reads the first of those points."""
+
+    def __init__(self, G, points):
+        super().__init__(G, points)
+        self.full = list(range(len(points)))
+        self.values = [[] for _ in points]
+
+    def raises(self, t):
+        if self.full:
+            j = self.full[0]
+            if int_rank_det(self.values[j] + [self._at(t, j)], self.p)[0] > len(self.kept):
+                return True
+        return not self._in_span(t)
+
+    def keep(self, t):
+        full = []
+        for j in self.full:
+            vec = self._at(t, j)
+            if int_rank_det(self.values[j] + [vec], self.p)[0] > len(self.kept):
+                self.values[j].append(vec)
+                full.append(j)
+        self.full = full
+        super().keep(t)
 
 
 def group_mul(G, g, h):

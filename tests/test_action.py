@@ -311,6 +311,30 @@ def test_act_cleared_moves_its_side_and_refuses_the_rest(group, moved):
             G.act_cleared(p, side, ring, e)
 
 
+def test_act_cleared_reads_one_side_table_as_it_is(s3, monkeypatch):
+    """A one-side move hands the shared substitution table itself to
+    Poly.subs, and a polynomial whose ring lies in the table's variables is
+    not scanned for the variables it uses; a two-side move merges the two
+    tables into a fresh dict, leaving both shared ones as they were."""
+    ring = s3.x_vars + s3.w_vars
+    seen, scans = [], []
+    subs, support = Poly.subs, Poly.support_vars
+    monkeypatch.setattr(Poly, "subs", lambda self, images, out_vars=None:
+                        seen.append(images) or subs(self, images, out_vars))
+    monkeypatch.setattr(Poly, "support_vars", lambda self: scans.append(self) or support(self))
+    p = Poly.parse("x1^2*x2 + x3", s3.x_vars)
+    num, k = s3.act_cleared(p, "x", s3.x_vars, 1)
+    table = s3._tables["x", 1, s3.x_vars]
+    assert (num, k) == (p.subs(dict(table), s3.x_vars), 0)
+    assert seen[0] is table and scans == []
+    q = Poly.parse("x1*w2 + x3", ring)
+    s3.act_cleared(q, "xw", ring, 1)
+    x_table, w_table = s3._tables["x", 1, ring], s3._tables["w", 1, ring]
+    assert seen[-1] == {**x_table, **w_table} and seen[-1] is not x_table
+    assert set(x_table) == set(s3.x_vars) and set(w_table) == set(s3.w_vars)
+    assert scans == []
+
+
 def test_two_generic_elements_compose():
     """Substituting the point map of g and then that of h is substituting
     the point map of h g: q(x) = p(h x) gives q(g x) = p(h g x)."""

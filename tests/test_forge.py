@@ -250,6 +250,82 @@ def test_generate_matches_seed_by_seed_route(name):
     assert full, f"{name} should reach a full family by degree {top}"
 
 
+def _trials(monkeypatch, G, bound, kept_class, origin_first=False):
+    """generate_covariants(G, bound) through ``kept_class``: the family as
+    text, each trial's (ray, outcome, whether it was reduced against the
+    echelon), and the kept-transfer record.  With ``origin_first`` the
+    origin leads the candidate points; every transfer of positive degree
+    vanishes there."""
+    from covar import forge
+
+    trials, records = [], []
+
+    class Recording(kept_class):
+        def __init__(self, G, points):
+            super().__init__(G, [(0,) * G.x_dim] + points if origin_first else points)
+            records.append(self)
+
+        def raises(self, t):
+            rises = super().raises(t)
+            trials.append((t.ray, rises, t.residual is not None))
+            return rises
+
+    monkeypatch.setattr(forge, "_Kept", Recording)
+    try:
+        fam = generate_covariants(G, bound)
+    except GenerationExhaustedError as exc:
+        fam = exc.found
+    monkeypatch.undo()
+    return [[str(c) for c in F.coords] for F in fam], trials, records[0]
+
+
+@pytest.mark.parametrize("origin_first", [False, True], ids=["stream", "origin_first"])
+@pytest.mark.parametrize("name", DIFFERENTIAL_GROUPS)
+def test_kept_cursor_matches_the_eager_reference(name, origin_first, monkeypatch):
+    """The cursor reads, at every trial, the point the eager reference
+    reads, so the kept family, every trial's outcome and the trials that
+    take the symbolic reduction agree."""
+    from covar.forge import _Kept
+
+    from conftest import EagerKept
+
+    build, top = DIFFERENTIAL_GROUPS[name]
+    G = build()
+    for bound in range(top + 1):
+        fam, trials, kept = _trials(monkeypatch, G, bound, _Kept, origin_first)
+        assert (fam, trials) == _trials(monkeypatch, G, bound, EagerKept, origin_first)[:2]
+        assert len(kept.kept) == len(fam) and kept.cursor < len(kept.points)
+
+
+def test_kept_cursor_passes_a_degenerate_first_point(monkeypatch):
+    """At the origin only the constant transfer is nonzero, so the kept
+    ones lose full rank there with the second kept transfer, and the cursor
+    moves on to the first point of the stream."""
+    from covar.forge import _Kept
+
+    fam, trials, kept = _trials(monkeypatch, _symmetric_group_action(4), 4, _Kept,
+                                origin_first=True)
+    assert len(fam) == 4 and fam[0] == ["1/4"] * 4
+    assert kept.cursor == 1 and len(kept.rows) == 3
+    # the second kept transfer is the one read at the origin; the later
+    # ones are evaluated at the first point of the stream only
+    assert [sorted(t.values) for t in kept.kept] == [[0, 1], [0, 1], [1], [1]]
+
+
+def test_generate_s4_evaluates_kept_transfers_at_one_point(monkeypatch):
+    """S4 at bound 4 keeps full rank at the first candidate point, so every
+    transfer, kept or tried, is evaluated there only: one evaluation per
+    trial and one per kept transfer that a later trial reads."""
+    from covar import forge
+
+    points = []
+    at = forge._Kept._at
+    monkeypatch.setattr(forge._Kept, "_at",
+                        lambda self, t, j: points.append(j) or at(self, t, j))
+    assert len(generate_covariants(_symmetric_group_action(4), 4)) == 4
+    assert len(points) <= 11 and set(points) == {0}
+
+
 def test_generate_modular_obstruction_over_gf2():
     G = make_finite_group([(SWAP, SWAP)], field=PrimeField(2))
     for bound in range(3):

@@ -1,11 +1,13 @@
 """Construction and verification of the localized isomorphism."""
 
+import functools
+import operator
 from fractions import Fraction
 
 import pytest
 
 from covar.covariant import Covariant, DependentCovariantsError, verified
-from covar.exactalg import Matrix, Poly, RatFn
+from covar.exactalg import Matrix, Poly, PrimeField, RatFn
 from covar.action import make_finite_group, symbolic_general_linear
 from covar.noname import (
     IsomorphismError,
@@ -582,6 +584,51 @@ def test_weight_verdict_substitutes_only_when_a_premise_fails(name, tmp_path, mo
     assert direct(m.action, m.f, m.invariant.weight) is checks["f_relative_invariant"]
 
 
+@pytest.mark.parametrize("problem", ["vandermonde_s2", "matrix_words_gl2", _power_map_problem(4)],
+                         ids=["vandermonde", "gl2", "s4"])
+def test_doubled_f_is_refuted_by_one_cofactor(problem, tmp_path, monkeypatch):
+    """With only f doubled, phi keeps its own denominator text, so
+    phi * frame = I still passes and f = det(frame) is decided from one
+    signed (d-1)-minor: noname-verify exits 1 naming f_equals_det_of_frame
+    alone, and takes no d x d determinant of the frame."""
+    good = _certificate(tmp_path, problem)
+    bad = _doubled_f(good, _run_verify(tmp_path, good)[2])
+    assert bad["phi"] == good["phi"] and bad["f"] != good["f"]
+    dets = []
+    det = Matrix.det
+    monkeypatch.setattr(Matrix, "det", lambda self: dets.append(
+        (self.rows, self.entries[0][0].vars)) or det(self))
+    code, checks, m = _run_verify(tmp_path, bad)
+    assert code == 1 and checks["phi_times_frame_is_identity"]
+    assert [name for name, passed in checks.items() if not passed] == ["f_equals_det_of_frame"]
+    assert (m.dim, m.action.x_vars) not in dets and (m.dim - 1, m.action.x_vars) in dets
+
+
+@pytest.mark.parametrize("left,right,field,equal", [
+    (["2*x1", "x2"], ["x1", "2*x2"], None, True),
+    (["-x1", "x2"], ["x1", "-x2"], None, True),
+    (["x1*x2"], ["x1", "x2"], None, True),
+    (["2*x1", "x2"], ["x1", "x2"], None, False),
+    (["x1", "x2"], ["x1", "x1"], None, False),
+    (["0", "x1"], ["0", "x2"], None, True),
+    (["0", "x1"], ["x1"], None, False),
+    (["2*x1", "x2"], ["x1", "2*x2"], 5, True),
+    (["3*x1"], ["x1", "3"], 5, True),
+    (["3*x1"], ["x1", "2"], 5, False),
+])
+def test_products_equal_strikes_scalar_multiples(left, right, field, equal):
+    """The product identity behind f = det(frame) agrees with multiplying
+    both sides out, also when a factor is struck against a scalar multiple
+    of itself or is zero."""
+    from covar.noname import _products_equal
+
+    ring, k = ("x1", "x2"), None if field is None else PrimeField(field)
+    lhs, rhs = ([Poly.parse(t, ring, k) for t in side] for side in (left, right))
+    product = lambda fs: functools.reduce(operator.mul, fs)
+    assert (product(lhs) == product(rhs)) is equal
+    assert _products_equal(lhs, rhs) is equal
+
+
 def test_frame_rows_with_different_denominators(s2):
     """F1 = (1/x1, 1/x2) and F2 = (1, 1): the frame's two rows have the
     denominators x1 and x2, so the frame is cleared over their product."""
@@ -601,10 +648,12 @@ def test_frame_rows_with_different_denominators(s2):
 
 
 def test_build_reuses_the_frame_determinant_and_weight_verdict(tmp_path, monkeypatch):
-    """noname-build takes det(frame) once and substitutes nothing for the
-    weight of f, which follows from the certified frame columns;
-    noname-verify recomputes det(frame) from the certificate, and its frame
-    ledger with that det decides the weight, again with no substitution."""
+    """noname-build takes det(frame) by Laplace from the adjugate column it
+    forms and substitutes nothing for the weight of f, which follows from
+    the certified frame columns; noname-verify checks f = det(frame) from
+    one cofactor once phi * frame = I, and its frame ledger with that
+    verdict decides the weight, again with no substitution.  Neither takes
+    the 4 x 4 determinant of the frame."""
     import contextlib
     import io
 
@@ -624,12 +673,13 @@ def test_build_reuses_the_frame_determinant_and_weight_verdict(tmp_path, monkeyp
     # the frame is 4 x 4 over the x-ring (the adjugate takes 3 x 3 minors,
     # the W-determinant character a 4 x 4 determinant over the g-ring)
     frame = (4, tuple(f"{m}{i}{j}" for m in "ab" for i in (1, 2) for j in (1, 2)))
-    assert dets.count(frame) == 1 and len(weights) == 0
+    assert dets.count(frame) == 0 and len(weights) == 0
     dets.clear()
     weights.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["noname-verify", str(cert)]) == 0
-    assert dets.count(frame) == 1 and len(weights) == 0
+    # the one cofactor is a 3 x 3 minor of the frame
+    assert dets.count(frame) == 0 and dets.count((3, frame[1])) == 1 and len(weights) == 0
 
 
 def test_parse_round_trips_preset_and_certificate_polynomials(tmp_path):
